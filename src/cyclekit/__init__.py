@@ -15,6 +15,7 @@ from .cycles import (
     PathCert,
     all_longest_cycles,
     circumference,
+    cycles_of_length,
     every_longest_cycle_satisfies,
     exists_cycle_satisfying,
     hamiltonian,

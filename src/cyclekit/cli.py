@@ -6,7 +6,7 @@ all reports go to stdout.  ``--json`` switches every command to
 line-delimited JSON records mirroring the human output field-for-field.
 
 Exit codes: 0 success, 1 a VIOLATED verdict or failed audit case was
-found, 2 usage error.
+found, 2 usage error or unreadable input.
 """
 
 from __future__ import annotations
@@ -29,13 +29,23 @@ from .families import FAMILIES, build, list_families
 from .formats import FormatError, encode_graph6, parse_any, parse_graph6
 from .graph import Graph, GraphError
 from .invariants import invariant_report
-from .registry import ASSERTABLE_CLASSES, audit_sharpness, check
+from .registry import ASSERTABLE_CLASSES, Profile, audit_sharpness, check
 from .structure import contains_induced, pattern
 from .sweep import MODELS, sweep
 
 
 class UsageError(Exception):
     pass
+
+
+def _param_range(text: str) -> str:
+    """Validate a ``lo..hi`` family parameter range at parse time."""
+    try:
+        lo, hi = text.split("..")
+        int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected lo..hi, got {text!r}") from None
+    return text
 
 
 def _read_graphs(path: str | None) -> Iterator[tuple[str, Graph]]:
@@ -196,8 +206,9 @@ def _cmd_check(args) -> int:
     bad = 0
     for label, g in _read_graphs(args.graphs):
         g6 = encode_graph6(g)
+        pf = Profile(g)
         for spec in specs:
-            v = check(g, spec, assume, lam=args.lam)
+            v = check(pf, spec, assume, lam=args.lam)
             rec = {"graph6": g6, **v.to_record()}
             if assume:
                 rec["assumed"] = assume
@@ -332,7 +343,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="run a theorem's declared sharpness cases")
     p.add_argument("--theorem", required=True)
-    p.add_argument("--range", default=None, help="family parameter range, e.g. 3..6")
+    p.add_argument("--range", type=_param_range, default=None,
+                   help="family parameter range, e.g. 3..6")
     common(p, graphs=False)
     p.set_defaults(fn=_cmd_audit)
 
@@ -362,8 +374,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "solve" and args.problem in ("every-longest", "exists"):
         if args.prop is None:
             parser.error(f"solve {args.problem} needs a property argument")
-        if args.prop in ("PD", "CD") and args.lam is None:
-            parser.error(f"solve {args.problem} {args.prop} needs --lambda")
+        if args.prop in ("PD", "CD") and (args.lam is None or args.lam < 1):
+            parser.error(f"solve {args.problem} {args.prop} needs --lambda >= 1")
     try:
         return args.fn(args)
     except UsageError as exc:
@@ -376,6 +388,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except BrokenPipeError:
         return 0
+    except OSError as exc:  # unreadable input file
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,5 +1,9 @@
 """Exact cycle and path solvers with checkable certificates.
 
+One branch-and-bound DFS, ``_cycle_search``, answers every cycle question:
+the longest-cycle solvers let its length floor rise, and
+``cycles_of_length`` pins the floor to list every cycle of one length.
+
 Length conventions: a single vertex counts as a cycle of length 1 and an
 edge as a cycle of length 2, so the circumference of a nonempty graph is
 at least 1.  Cycle lengths count vertices; path lengths count edges.
@@ -8,7 +12,7 @@ at least 1.  Cycle lengths count vertices; path lengths count edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .graph import Graph, GraphError, bits, induced_subgraph, mask_of
 
@@ -82,74 +86,87 @@ class PathCert:
         return " ".join(map(str, self.vertices))
 
 
-# -- longest cycle search -------------------------------------------------
+# -- cycle search ---------------------------------------------------------
 
 
-def _longest_cycle(g: Graph, stop_at: int | None = None) -> tuple[int, list[int]]:
-    """Branch-and-bound longest cycle under the degenerate conventions."""
-    n, rows = g.n, g.rows
-    if n == 0:
-        raise GraphError("circumference needs at least one vertex")
-    best = 1
-    best_path = [0]
-    for u in range(n):
-        if rows[u]:
-            best = 2
-            best_path = [u, (rows[u] & -rows[u]).bit_length() - 1]
-            break
-    if stop_at is not None and best >= stop_at:
-        return best, best_path
-    path = [0] * (n + 1)
+def _cycle_search(g: Graph, floor: int, cap: int) -> Iterator[list[int]]:
+    """Cycles with floor < length <= cap, as vertex lists; floor >= 2.
 
-    def reach_bound(v: int, free: int, sbit: int) -> tuple[bool, int]:
-        # Vertices reachable from v through free ones; s closes the cycle.
-        allowed = free | sbit
-        comp = rows[v] & allowed
-        frontier = comp
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                w = (f & -f).bit_length() - 1
-                f &= f - 1
-                nxt |= rows[w]
-            frontier = nxt & allowed & ~comp
-            comp |= frontier
-        return bool(comp & sbit), (comp & ~sbit).bit_count()
-
+    A cycle starts at its minimum vertex s and comes out once, in the
+    direction whose second vertex is smaller.  The DFS extends paths from
+    s through larger vertices only and cuts a branch once the vertices it
+    can still reach cannot lead back to s or cannot beat the floor.  Each
+    cycle shorter than the cap raises the floor to its length; with
+    floor = cap - 1 the floor stays put and every cycle of length cap
+    comes out.  Keeping one direction hides no longer cycle: its reverse
+    lies in an earlier branch, which no lower floor cuts.
+    """
+    n, rows, reach = g.n, g.rows, g.reach_mask
+    path = [0] * n
     for s in range(n):
-        allowed = ((1 << n) - 1) >> s << s  # only vertices >= s: s is the cycle minimum
-        if best >= allowed.bit_count() and best >= 3:
-            break
+        allowed = ((1 << n) - 1) >> s << s
+        if allowed.bit_count() <= floor:
+            return
         sbit = 1 << s
         path[0] = s
 
-        def dfs(v: int, visited: int, length: int) -> bool:
-            nonlocal best, best_path
-            if rows[v] & sbit and length >= 3 and length > best:
-                best = length
-                best_path = path[:length]
-                if stop_at is not None and best >= stop_at:
-                    return True
+        def dfs(v: int, visited: int, length: int) -> Iterator[list[int]]:
+            nonlocal floor
+            if length > floor and rows[v] & sbit and path[1] < v:
+                yield path[:length]
+                if length < cap:
+                    floor = length
+            if length == cap:
+                return
             free = allowed & ~visited
-            closes, extra = reach_bound(v, free, sbit)
-            if length >= 3 and not closes:
-                return False
-            if length + extra <= best:
-                return False
+            comp = reach(rows[v], free | sbit)
+            if not comp & sbit or length + comp.bit_count() - 1 <= floor:
+                return
             cand = rows[v] & free
             while cand:
                 ubit = cand & -cand
                 cand ^= ubit
                 u = ubit.bit_length() - 1
                 path[length] = u
-                if dfs(u, visited | ubit, length + 1):
-                    return True
-            return False
+                yield from dfs(u, visited | ubit, length + 1)
 
-        if dfs(s, sbit, 1):
-            break
-    return best, best_path
+        yield from dfs(s, sbit, 1)
+
+
+def _longest_cycle(g: Graph, stop_at: int | None = None) -> tuple[int, list[int]]:
+    """Branch-and-bound longest cycle under the degenerate conventions.
+
+    Stops at the first cycle of at least ``stop_at`` vertices.
+    """
+    n = g.n
+    if n == 0:
+        raise GraphError("circumference needs at least one vertex")
+    edges = g.edges()
+    best_path = list(edges[0]) if edges else [0]
+    stop = n if stop_at is None else min(stop_at, n)
+    if len(best_path) < stop:
+        for path in _cycle_search(g, 2, n):
+            best_path = path
+            if len(path) >= stop:
+                break
+    return len(best_path), best_path
+
+
+def cycles_of_length(g: Graph, c: int) -> Iterator[CycleCert]:
+    """Every cycle of c vertices exactly once, in canonical form.
+
+    Canonical form: minimum vertex first, then the direction whose second
+    vertex is smaller.  Deterministic output order.
+    """
+    if c == 1:
+        for v in range(g.n):
+            yield CycleCert((v,))
+    elif c == 2:
+        for e in g.edges():
+            yield CycleCert(e)
+    elif c >= 3:
+        for path in _cycle_search(g, c - 1, c):
+            yield CycleCert(tuple(path))
 
 
 def circumference(g: Graph) -> tuple[int, CycleCert]:
@@ -206,7 +223,8 @@ def longest_path(g: Graph) -> tuple[int, PathCert]:
     """Longest simple path; length in edges (a bare vertex has length 0)."""
     if g.n == 0:
         raise GraphError("longest path needs at least one vertex")
-    n, rows = g.n, g.rows
+    n, rows, reach = g.n, g.rows, g.reach_mask
+    full = (1 << n) - 1
     best = 0
     best_path = [0]
     buf = [0] * n
@@ -216,20 +234,8 @@ def longest_path(g: Graph) -> tuple[int, PathCert]:
         if length > best:
             best = length
             best_path = buf[: length + 1]
-        free = ~visited & ((1 << n) - 1)
-        # reachable bound
-        comp = rows[v] & free
-        frontier = comp
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                w = (f & -f).bit_length() - 1
-                f &= f - 1
-                nxt |= rows[w]
-            frontier = nxt & free & ~comp
-            comp |= frontier
-        if length + comp.bit_count() <= best:
+        free = ~visited & full
+        if length + reach(rows[v], free).bit_count() <= best:
             return
         cand = rows[v] & free
         while cand:
@@ -303,67 +309,26 @@ def residual_params(g: Graph, cycle: CycleCert) -> tuple[int | None, int | None]
 def all_longest_cycles(g: Graph, ceiling: int = ENUMERATION_CEILING) -> Iterator[CycleCert]:
     """Every longest cycle exactly once up to rotation and reflection.
 
-    Canonical form: minimum vertex first, then the direction whose second
-    vertex is smaller.  Deterministic output order.
+    Canonical form and order as in ``cycles_of_length``.
     """
     if g.n > ceiling:
         raise CeilingError(f"longest-cycle enumeration capped at {ceiling} vertices")
     c, _ = _longest_cycle(g)
-    yield from _cycles_of_length(g, c)
+    yield from cycles_of_length(g, c)
 
 
-def _cycles_of_length(g: Graph, c: int) -> Iterator[CycleCert]:
-    n, rows = g.n, g.rows
-    if c == 1:
-        for v in range(n):
-            yield CycleCert((v,))
-        return
-    if c == 2:
-        for u, v in g.edges():
-            yield CycleCert((u, v))
-        return
-    path = [0] * c
-
-    def reach_bound(v: int, free: int, sbit: int) -> tuple[bool, int]:
-        allowed = free | sbit
-        comp = rows[v] & allowed
-        frontier = comp
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                w = (f & -f).bit_length() - 1
-                f &= f - 1
-                nxt |= rows[w]
-            frontier = nxt & allowed & ~comp
-            comp |= frontier
-        return bool(comp & sbit), (comp & ~sbit).bit_count()
-
-    for s in range(n):
-        allowed = ((1 << n) - 1) >> s << s
-        if allowed.bit_count() < c:
-            break
-        sbit = 1 << s
-        path[0] = s
-
-        def dfs(v: int, visited: int, length: int) -> Iterator[CycleCert]:
-            if length == c:
-                if rows[v] & sbit and path[1] < path[-1]:
-                    yield CycleCert(tuple(path))
-                return
-            free = allowed & ~visited
-            closes, extra = reach_bound(v, free, sbit)
-            if not closes or length + extra < c:
-                return
-            cand = rows[v] & free
-            while cand:
-                ubit = cand & -cand
-                cand ^= ubit
-                u = ubit.bit_length() - 1
-                path[length] = u
-                yield from dfs(u, visited | ubit, length + 1)
-
-        yield from dfs(s, sbit, 1)
+def _cycle_test(g: Graph, prop: str, lam: int | None) -> Callable[[CycleCert], bool]:
+    """The predicate for prop ("dominating", "PD" or "CD"; the latter two need lam)."""
+    if prop == "dominating":
+        return lambda cert: is_dominating_cycle(g, cert)
+    if prop not in ("PD", "CD"):
+        raise ValueError(f"unknown property {prop!r}")
+    if lam is None:
+        raise ValueError(f"{prop} check needs lambda")
+    if lam < 1:
+        raise ValueError("lambda must be >= 1")
+    test = is_PD_cycle if prop == "PD" else is_CD_cycle
+    return lambda cert: test(g, cert, lam)
 
 
 def every_longest_cycle_satisfies(
@@ -378,25 +343,14 @@ def every_longest_cycle_satisfies(
     (True, None) or (False, counterexample).  Spanning longest cycles make
     every property trivially true, so enumeration only runs when c < n.
     """
+    test = _cycle_test(g, prop, lam)
     c, _ = _longest_cycle(g)
     if c == g.n:
         return True, None
     if g.n > ceiling:
         raise CeilingError(f"universal longest-cycle check capped at {ceiling} vertices")
-    if prop == "dominating":
-        pred = lambda cert: is_dominating_cycle(g, cert)
-    elif prop == "PD":
-        if lam is None:
-            raise ValueError("PD check needs lambda")
-        pred = lambda cert: is_PD_cycle(g, cert, lam)
-    elif prop == "CD":
-        if lam is None:
-            raise ValueError("CD check needs lambda")
-        pred = lambda cert: is_CD_cycle(g, cert, lam)
-    else:
-        raise ValueError(f"unknown property {prop!r}")
-    for cert in _cycles_of_length(g, c):
-        if not pred(cert):
+    for cert in cycles_of_length(g, c):
+        if not test(cert):
             return False, cert
     return True, None
 
@@ -412,21 +366,16 @@ def exists_cycle_satisfying(
     A Hamilton cycle settles every property immediately; otherwise cycles
     are enumerated by decreasing length.
     """
-    c, _ = _longest_cycle(g)
+    test = _cycle_test(g, prop, lam)
+    c, path = _longest_cycle(g)
     if c == g.n:
-        return circumference(g)[1]
+        cert = CycleCert(tuple(path))
+        cert.validate(g)
+        return cert
     if g.n > ceiling:
         raise CeilingError(f"cycle-existence search capped at {ceiling} vertices")
-    if prop == "dominating":
-        pred = lambda cert: is_dominating_cycle(g, cert)
-    elif prop == "PD":
-        pred = lambda cert: is_PD_cycle(g, cert, lam)
-    elif prop == "CD":
-        pred = lambda cert: is_CD_cycle(g, cert, lam)
-    else:
-        raise ValueError(f"unknown property {prop!r}")
     for length in range(c, 0, -1):
-        for cert in _cycles_of_length(g, length):
-            if pred(cert):
+        for cert in cycles_of_length(g, length):
+            if test(cert):
                 return cert
     return None

@@ -18,14 +18,6 @@ INF = math.inf
 Exact = Union[Fraction, float]
 
 
-def is_inf(x: Exact) -> bool:
-    return x == INF
-
-
-def exact(p: int, q: int = 1) -> Fraction:
-    return Fraction(p, q)
-
-
 def fmt_exact(x: Exact) -> str:
     """Render as "p/q" (or plain integer) with "inf" for +infinity."""
     if x == INF:

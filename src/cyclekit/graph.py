@@ -87,6 +87,7 @@ class Graph:
 
     def reach_mask(self, seed: int, allowed: int) -> int:
         """Vertices reachable from the seed mask inside ``allowed``."""
+        rows = self.rows
         comp = seed & allowed
         frontier = comp
         while frontier:
@@ -95,7 +96,7 @@ class Graph:
             while f:
                 v = (f & -f).bit_length() - 1
                 f &= f - 1
-                nxt |= self.rows[v]
+                nxt |= rows[v]
             frontier = nxt & allowed & ~comp
             comp |= frontier
         return comp
@@ -278,10 +279,6 @@ def power(g: Graph, k: int) -> Graph:
                 row |= 1 << v
         rows.append(row)
     return Graph(g.n, tuple(rows))
-
-
-def component_count(g: Graph) -> int:
-    return g.count_components()
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:

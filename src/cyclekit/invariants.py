@@ -25,10 +25,6 @@ def degree_profile(g: Graph) -> tuple[int, int, int, int, list[int]]:
     return (g.n, g.q, degs[0], degs[-1], degs)
 
 
-def min_degree(g: Graph) -> int:
-    return min(g.degrees(), default=0)
-
-
 # -- degree sums over independent sets ------------------------------------
 
 

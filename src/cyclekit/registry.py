@@ -17,6 +17,7 @@ from .cycles import (
     CeilingError,
     CycleCert,
     _longest_cycle,
+    cycles_of_length,
     every_longest_cycle_satisfies,
     exists_cycle_satisfying,
     residual_params,
@@ -333,9 +334,7 @@ class ResidualBound(Conclusion):
 
 
 def _enumerate_longest(pf: Profile):
-    from .cycles import _cycles_of_length
-
-    return _cycles_of_length(pf.g, pf.c)
+    return cycles_of_length(pf.g, pf.c)
 
 
 class Disjunction(Conclusion):

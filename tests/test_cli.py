@@ -105,3 +105,17 @@ def test_usage_errors_exit_2():
     assert code3 == 2
     code4, _, _ = run(["check", "--theorem", "Thm99"], stdin="Bw")
     assert code4 == 2
+    code5, _, _ = run(["solve", "every-longest", "CD", "--lambda", "0"], stdin="Bw")
+    assert code5 == 2
+
+
+def test_unreadable_input_exits_2():
+    code, out, err = run(["invariants", "/nonexistent/graphs.g6"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_malformed_range_exits_2():
+    for bad in ("5", "3..x", "1..2..3"):
+        code, _, err = run(["audit", "--theorem", "Thm6", "--range", bad])
+        assert code == 2 and "Traceback" not in err

@@ -9,6 +9,7 @@ from cyclekit.cycles import (
     CycleCert,
     all_longest_cycles,
     circumference,
+    cycles_of_length,
     every_longest_cycle_satisfies,
     exists_cycle_satisfying,
     hamiltonian,
@@ -146,3 +147,32 @@ def test_every_longest_and_exists():
     # P_3's middle edge is a degenerate dominating 2-cycle; P_5 has none
     assert exists_cycle_satisfying(path_graph(3), "dominating") is not None
     assert exists_cycle_satisfying(path_graph(5), "dominating") is None
+
+
+def test_property_checked_before_hamiltonian_shortcut():
+    k4 = complete(4)  # hamiltonian, so both checks would return at once
+    for bad in (("bogus", None), ("PD", None), ("CD", 0)):
+        with pytest.raises(ValueError):
+            every_longest_cycle_satisfies(k4, *bad)
+        with pytest.raises(ValueError):
+            exists_cycle_satisfying(k4, *bad)
+    with pytest.raises(ValueError):
+        exists_cycle_satisfying(path_graph(5), "PD")  # enumerates: lambda missing
+
+
+def canonical(cycle: list[int]) -> tuple[int, ...]:
+    i = cycle.index(min(cycle))
+    rot = cycle[i:] + cycle[:i]
+    return tuple(rot) if rot[1] < rot[-1] else (rot[0], *reversed(rot[1:]))
+
+
+def test_cycles_of_length_vs_networkx():
+    for g in mixed_corpus(ns=range(1, 9)):
+        want: dict[int, set] = {}
+        for cyc in nx.simple_cycles(to_networkx(g)):
+            if len(cyc) >= 3:
+                want.setdefault(len(cyc), set()).add(canonical(cyc))
+        for k in range(3, circumference(g)[0] + 1):
+            got = [cert.vertices for cert in cycles_of_length(g, k)]
+            assert len(got) == len(set(got)), (g, k)
+            assert set(got) == want.get(k, set()), (g, k)

@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from cyclekit.exact import INF, exact, fmt_exact, is_inf, parse_exact
+from cyclekit.exact import INF, fmt_exact, parse_exact
 
 
 def test_format_integers_and_fractions():
@@ -16,13 +16,7 @@ def test_parse_round_trip():
 
 
 def test_inf_interacts_with_fractions():
-    assert is_inf(INF)
-    assert not is_inf(Fraction(10**9))
     assert INF > Fraction(10**12)
     assert min(Fraction(5), INF) == Fraction(5)
     # the (tau+1)(delta+1)-1 bound stays infinite for complete graphs
     assert (INF + 1) * (Fraction(4) + 1) - 1 == INF
-
-
-def test_exact_constructor():
-    assert exact(6, 4) == Fraction(3, 2)

@@ -1,0 +1,28 @@
+"""The benchmark's span tracer still finds every name it patches.
+
+``perfbench/tracing.py`` wraps cyclekit functions by module attribute, so
+renaming one of them breaks ``perfbench/run.py --trace 1``; this test
+makes such a rename fail here first.
+"""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import tracing  # noqa: E402
+from cyclekit import cli, cycles, registry, sweep  # noqa: E402
+from cyclekit.graph import petersen  # noqa: E402
+
+
+def test_tracer_records_spans_and_restores_patches():
+    owners = (cli, cycles, registry, sweep, registry.Profile)
+    before = {(owner, attr): value for owner in owners for attr, value in vars(owner).items()}
+    tr = tracing.Tracer()
+    with tr:
+        assert registry.check is not before[registry, "check"]
+        registry.check_all(petersen())
+    names = {span[0] for span in tr.spans}
+    assert {"cycles.longest_cycle", "registry.check"} <= names
+    changed = [attr for (owner, attr), value in before.items() if vars(owner).get(attr) is not value]
+    assert changed == []
