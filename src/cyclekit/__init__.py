@@ -12,6 +12,7 @@ from .cycles import (
     CertificateError,
     CycleCert,
     ENUMERATION_CEILING,
+    LongestCycles,
     PathCert,
     all_longest_cycles,
     circumference,

@@ -29,7 +29,7 @@ from .families import FAMILIES, build, list_families
 from .formats import FormatError, encode_graph6, parse_any, parse_graph6
 from .graph import Graph, GraphError
 from .invariants import invariant_report
-from .registry import ASSERTABLE_CLASSES, Profile, audit_sharpness, check
+from .registry import ASSERTABLE_CLASSES, Profile, TheoremSpec, audit_sharpness, check
 from .structure import contains_induced, pattern
 from .sweep import MODELS, sweep
 
@@ -46,6 +46,36 @@ def _param_range(text: str) -> str:
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected lo..hi, got {text!r}") from None
     return text
+
+
+def _probability(text: str) -> float:
+    """An edge probability in [0, 1], checked at parse time."""
+    try:
+        p = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0 <= p <= 1:
+        raise argparse.ArgumentTypeError(f"probability must lie in [0, 1], got {text}")
+    return p
+
+
+def _count(text: str) -> int:
+    """A graph count >= 0, checked at parse time."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"count must be >= 0, got {count}")
+    return count
+
+
+def _theorem(theorem_id: str) -> TheoremSpec:
+    """The catalog entry; an unknown id is a usage error."""
+    try:
+        return get(theorem_id)
+    except KeyError as exc:
+        raise UsageError(exc.args[0]) from None
 
 
 def _read_graphs(path: str | None) -> Iterator[tuple[str, Graph]]:
@@ -196,7 +226,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    specs = [get(args.theorem)] if args.theorem else catalog()
+    specs = [_theorem(args.theorem)] if args.theorem else catalog()
     assume = args.assume or []
     for cls in assume:
         if cls not in ASSERTABLE_CLASSES:
@@ -219,7 +249,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    spec = get(args.theorem)
+    spec = _theorem(args.theorem)
     results = audit_sharpness(spec, args.range)
     failed = 0
     for r in results:
@@ -351,11 +381,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="seeded random-ensemble soundness sweep")
     p.add_argument("--model", choices=sorted(MODELS), default="gnp")
     p.add_argument("--n", type=int, default=10)
-    p.add_argument("--p", type=float, default=0.5)
+    p.add_argument("--p", type=_probability, default=0.5)
     p.add_argument("--d", type=int, default=None, help="degree for --model regular")
     p.add_argument("--a", type=int, default=None, help="left side for --model bipartite")
     p.add_argument("--b", type=int, default=None, help="right side for --model bipartite")
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--include-quarantined", action="store_true")
     common(p, graphs=False)
@@ -382,9 +412,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error(str(exc))
     except (GraphError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         return 0

@@ -3,6 +3,10 @@
 One branch-and-bound DFS, ``_cycle_search``, answers every cycle question:
 the longest-cycle solvers let its length floor rise, and
 ``cycles_of_length`` pins the floor to list every cycle of one length.
+An O(n + q) block/bipartite bound, ``_cycle_bound``, ends the longest-cycle
+search as soon as it finds a cycle that long.  ``LongestCycles`` keeps one
+graph's longest-cycle answers so that every universal and existence
+question reuses them.
 
 Length conventions: a single vertex counts as a cycle of length 1 and an
 edge as a cycle of length 2, so the circumference of a nonempty graph is
@@ -133,10 +137,88 @@ def _cycle_search(g: Graph, floor: int, cap: int) -> Iterator[list[int]]:
         yield from dfs(s, sbit, 1)
 
 
+def _cycle_bound(g: Graph) -> int:
+    """Upper bound on the circumference in O(n + q), under the conventions.
+
+    Every cycle lies inside one block (Tarjan lowpoints), and a cycle in a
+    bipartite block alternates sides, so the bound is the largest block
+    size, with a bipartite block counting 2 * min(|X|, |Y|) instead.  A
+    block's vertices form a subtree of the DFS tree, so DFS depth parity
+    2-colours it exactly when it is bipartite.  Bridges count 2 and
+    isolated vertices 1, as the conventions do.
+    """
+    n, rows = g.n, g.rows
+    depth = [-1] * n
+    low = [0] * n
+    seen = even = 0  # even: vertices at even DFS depth
+    best = 1
+    for root in range(n):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        seen |= 1 << root
+        even |= 1 << root
+        path, block_stack = [root], [root]
+        while path:
+            v = path[-1]
+            cand = rows[v] & ~seen
+            if cand:
+                ubit = cand & -cand
+                u = ubit.bit_length() - 1
+                d = depth[u] = len(path)
+                if not d & 1:
+                    even |= ubit
+                lo = d - 1  # the parent; other seen neighbours are ancestors
+                anc = rows[u] & seen & ~(1 << v)
+                while anc:
+                    wbit = anc & -anc
+                    anc ^= wbit
+                    dw = depth[wbit.bit_length() - 1]
+                    if dw < lo:
+                        lo = dw
+                low[u] = lo
+                seen |= ubit
+                path.append(u)
+                block_stack.append(u)
+                continue
+            path.pop()
+            if not path:
+                break
+            p = path[-1]
+            if low[v] < depth[p]:
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                continue
+            block = 1 << p
+            while True:
+                w = block_stack.pop()
+                block |= 1 << w
+                if w == v:
+                    break
+            size = block.bit_count()
+            if size <= best:
+                continue
+            side = block & even
+            other = block ^ side
+            reach_side = reach_other = 0
+            for w in bits(block):
+                if side >> w & 1:
+                    reach_side |= rows[w]
+                else:
+                    reach_other |= rows[w]
+            if not (reach_side & side or reach_other & other):
+                size = 2 * min(side.bit_count(), other.bit_count())
+            if size > best:
+                best = size
+    return best
+
+
 def _longest_cycle(g: Graph, stop_at: int | None = None) -> tuple[int, list[int]]:
     """Branch-and-bound longest cycle under the degenerate conventions.
 
-    Stops at the first cycle of at least ``stop_at`` vertices.
+    Stops at the first cycle of at least min(``stop_at``, ``_cycle_bound``)
+    vertices; the bound is never below the circumference, so the result
+    is the one an exhaustive search returns.
     """
     n = g.n
     if n == 0:
@@ -144,6 +226,8 @@ def _longest_cycle(g: Graph, stop_at: int | None = None) -> tuple[int, list[int]
     edges = g.edges()
     best_path = list(edges[0]) if edges else [0]
     stop = n if stop_at is None else min(stop_at, n)
+    if len(best_path) < stop:
+        stop = min(stop, _cycle_bound(g))
     if len(best_path) < stop:
         for path in _cycle_search(g, 2, n):
             best_path = path
@@ -177,9 +261,14 @@ def circumference(g: Graph) -> tuple[int, CycleCert]:
 
 
 def hamiltonian(g: Graph) -> CycleCert | None:
-    """Spanning cycle certificate, or None after exhaustive search."""
+    """Spanning cycle certificate, or None after exhaustive search.
+
+    Returns None at once when the block/bipartite bound is below n.
+    """
     if g.n == 0:
         raise GraphError("hamiltonicity needs at least one vertex")
+    if _cycle_bound(g) < g.n:
+        return None
     c, path = _longest_cycle(g, stop_at=g.n)
     if c == g.n:
         cert = CycleCert(tuple(path))
@@ -256,6 +345,11 @@ def longest_path(g: Graph) -> tuple[int, PathCert]:
 
 
 # -- domination predicates ------------------------------------------------
+#
+# Dominating, PD and CD depend only on the vertex set a cycle leaves off:
+# with p̄ and c̄ the longest path (edges) and longest cycle (vertices) of
+# G minus the cycle, dominating <=> p̄ = 0, PD(λ) <=> p̄ < λ and
+# CD(λ) <=> c̄ < λ.
 
 
 def _off_cycle_mask(g: Graph, cycle: CycleCert) -> int:
@@ -263,32 +357,40 @@ def _off_cycle_mask(g: Graph, cycle: CycleCert) -> int:
     return g.full_mask & ~cycle.mask()
 
 
+def _independent(g: Graph, off: int) -> bool:
+    return all(not (g.rows[v] & off) for v in bits(off))
+
+
+def _residual_path(g: Graph, off: int) -> int:
+    return longest_path(induced_subgraph(g, off))[0]
+
+
+def _residual_cycle(g: Graph, off: int) -> int:
+    return _longest_cycle(induced_subgraph(g, off))[0]
+
+
+def _check_lambda(lam: int) -> None:
+    if lam < 1:
+        raise ValueError("lambda must be >= 1")
+
+
 def is_dominating_cycle(g: Graph, cycle: CycleCert) -> bool:
     """True iff every edge of the graph has an endpoint on the cycle."""
-    off = _off_cycle_mask(g, cycle)
-    return all(not (g.rows[v] & off) for v in bits(off))
+    return _independent(g, _off_cycle_mask(g, cycle))
 
 
 def is_PD_cycle(g: Graph, cycle: CycleCert, lam: int) -> bool:
     """True iff the cycle meets every path of edge-length >= lam."""
-    if lam < 1:
-        raise ValueError("lambda must be >= 1")
+    _check_lambda(lam)
     off = _off_cycle_mask(g, cycle)
-    if not off:
-        return True
-    rest = induced_subgraph(g, off)
-    return longest_path(rest)[0] < lam
+    return not off or _residual_path(g, off) < lam
 
 
 def is_CD_cycle(g: Graph, cycle: CycleCert, lam: int) -> bool:
     """True iff the cycle meets every cycle of vertex-length >= lam."""
-    if lam < 1:
-        raise ValueError("lambda must be >= 1")
+    _check_lambda(lam)
     off = _off_cycle_mask(g, cycle)
-    if not off:
-        return True
-    rest = induced_subgraph(g, off)
-    return _longest_cycle(rest)[0] < lam
+    return not off or _residual_cycle(g, off) < lam
 
 
 def residual_params(g: Graph, cycle: CycleCert) -> tuple[int | None, int | None]:
@@ -299,8 +401,70 @@ def residual_params(g: Graph, cycle: CycleCert) -> tuple[int | None, int | None]
     off = _off_cycle_mask(g, cycle)
     if not off:
         return None, None
-    rest = induced_subgraph(g, off)
-    return longest_path(rest)[0], _longest_cycle(rest)[0]
+    return _residual_path(g, off), _residual_cycle(g, off)
+
+
+# -- longest-cycle cache ----------------------------------------------------
+
+
+class LongestCycles:
+    """Longest-cycle answers for one graph, each computed at most once.
+
+    Holds the circumference c and its witness path, the longest cycles
+    grouped by the vertex set they leave off (found incrementally, each
+    set keyed to its first cycle in ``cycles_of_length`` order), and p̄
+    and c̄ for every off-set asked about.  A property of one longest
+    cycle is a property of its off-set, so the first cycle of the first
+    set that fails (or satisfies) it is the first cycle of the full
+    enumeration that does.  ``registry.Profile`` holds one; the public
+    functions below take one in place of a graph.
+    """
+
+    def __init__(self, g: Graph, circ: tuple[int, list[int]] | None = None):
+        self.g = g
+        self.c, self.path = _longest_cycle(g) if circ is None else circ
+        self._firsts: list[tuple[int, CycleCert]] = []
+        self._offs: set[int] = set()
+        self._source: Iterator[CycleCert] | None = None
+        self._p_bar: dict[int, int] = {}
+        self._c_bar: dict[int, int] = {}
+
+    def by_off_set(self) -> Iterator[tuple[int, CycleCert]]:
+        """(off-set, first longest cycle leaving it) for each distinct off-set."""
+        i = 0
+        while i < len(self._firsts) or self._pull():
+            yield self._firsts[i]
+            i += 1
+
+    def _pull(self) -> bool:
+        """Enumerate until a new off-set appears; False once exhausted."""
+        if self._source is None:
+            self._source = cycles_of_length(self.g, self.c)
+        for cert in self._source:
+            off = _off_cycle_mask(self.g, cert)
+            if off not in self._offs:
+                self._offs.add(off)
+                self._firsts.append((off, cert))
+                return True
+        return False
+
+    def p_bar(self, off: int) -> int:
+        """Longest path, in edges, of the graph induced on off (G minus the cycle)."""
+        p = self._p_bar.get(off)
+        if p is None:
+            p = self._p_bar[off] = _residual_path(self.g, off)
+        return p
+
+    def c_bar(self, off: int) -> int:
+        """Longest cycle, in vertices, of the graph induced on off."""
+        c = self._c_bar.get(off)
+        if c is None:
+            c = self._c_bar[off] = _residual_cycle(self.g, off)
+        return c
+
+
+def _cycles_of(g: Graph | LongestCycles) -> LongestCycles:
+    return g if isinstance(g, LongestCycles) else LongestCycles(g)
 
 
 # -- enumeration of longest cycles ---------------------------------------
@@ -317,22 +481,23 @@ def all_longest_cycles(g: Graph, ceiling: int = ENUMERATION_CEILING) -> Iterator
     yield from cycles_of_length(g, c)
 
 
-def _cycle_test(g: Graph, prop: str, lam: int | None) -> Callable[[CycleCert], bool]:
-    """The predicate for prop ("dominating", "PD" or "CD"; the latter two need lam)."""
+def _cycle_test(prop: str, lam: int | None) -> Callable[[LongestCycles, int], bool]:
+    """The test of an off-cycle set for prop ("dominating", "PD" or "CD";
+    the latter two need lam)."""
     if prop == "dominating":
-        return lambda cert: is_dominating_cycle(g, cert)
+        return lambda lc, off: _independent(lc.g, off)
     if prop not in ("PD", "CD"):
         raise ValueError(f"unknown property {prop!r}")
     if lam is None:
         raise ValueError(f"{prop} check needs lambda")
-    if lam < 1:
-        raise ValueError("lambda must be >= 1")
-    test = is_PD_cycle if prop == "PD" else is_CD_cycle
-    return lambda cert: test(g, cert, lam)
+    _check_lambda(lam)
+    if prop == "PD":
+        return lambda lc, off: lc.p_bar(off) < lam
+    return lambda lc, off: lc.c_bar(off) < lam
 
 
 def every_longest_cycle_satisfies(
-    g: Graph,
+    g: Graph | LongestCycles,
     prop: str,
     lam: int | None = None,
     ceiling: int = ENUMERATION_CEILING,
@@ -343,20 +508,20 @@ def every_longest_cycle_satisfies(
     (True, None) or (False, counterexample).  Spanning longest cycles make
     every property trivially true, so enumeration only runs when c < n.
     """
-    test = _cycle_test(g, prop, lam)
-    c, _ = _longest_cycle(g)
-    if c == g.n:
+    test = _cycle_test(prop, lam)
+    lc = _cycles_of(g)
+    if lc.c == lc.g.n:
         return True, None
-    if g.n > ceiling:
+    if lc.g.n > ceiling:
         raise CeilingError(f"universal longest-cycle check capped at {ceiling} vertices")
-    for cert in cycles_of_length(g, c):
-        if not test(cert):
+    for off, cert in lc.by_off_set():
+        if not test(lc, off):
             return False, cert
     return True, None
 
 
 def exists_cycle_satisfying(
-    g: Graph,
+    g: Graph | LongestCycles,
     prop: str,
     lam: int | None = None,
     ceiling: int = ENUMERATION_CEILING,
@@ -366,16 +531,20 @@ def exists_cycle_satisfying(
     A Hamilton cycle settles every property immediately; otherwise cycles
     are enumerated by decreasing length.
     """
-    test = _cycle_test(g, prop, lam)
-    c, path = _longest_cycle(g)
-    if c == g.n:
-        cert = CycleCert(tuple(path))
+    test = _cycle_test(prop, lam)
+    lc = _cycles_of(g)
+    g = lc.g
+    if lc.c == g.n:
+        cert = CycleCert(tuple(lc.path))
         cert.validate(g)
         return cert
     if g.n > ceiling:
         raise CeilingError(f"cycle-existence search capped at {ceiling} vertices")
-    for length in range(c, 0, -1):
+    for off, cert in lc.by_off_set():
+        if test(lc, off):
+            return cert
+    for length in range(lc.c - 1, 0, -1):
         for cert in cycles_of_length(g, length):
-            if test(cert):
+            if test(lc, _off_cycle_mask(g, cert)):
                 return cert
     return None

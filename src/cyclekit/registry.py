@@ -16,11 +16,10 @@ from typing import Callable, Iterable, Sequence
 from .cycles import (
     CeilingError,
     CycleCert,
+    LongestCycles,
     _longest_cycle,
-    cycles_of_length,
     every_longest_cycle_satisfies,
     exists_cycle_satisfying,
-    residual_params,
 )
 from .exact import Exact, INF, fmt_exact
 from .graph import Graph, are_isomorphic, petersen
@@ -120,16 +119,18 @@ class Profile:
         return delta_t(self.g, 2)
 
     @cached_property
-    def _circ(self) -> tuple[int, list[int]]:
-        return _longest_cycle(self.g)
+    def cycles(self) -> LongestCycles:
+        """c, its witness and the longest cycles by off-cycle set, shared
+        by every longest-cycle conclusion and every lambda."""
+        return LongestCycles(self.g, _longest_cycle(self.g))
 
     @property
     def c(self) -> int:
-        return self._circ[0]
+        return self.cycles.c
 
     @property
     def longest_cycle(self) -> CycleCert:
-        return CycleCert(tuple(self._circ[1]))
+        return CycleCert(tuple(self.cycles.path))
 
     @property
     def is_hamiltonian(self) -> bool:
@@ -254,7 +255,7 @@ class ExistsProp(Conclusion):
 
     def check(self, pf: Profile, lam: int | None) -> Outcome:
         eff = self.lam_fn(pf, lam) if self.lam_fn else None
-        cert = exists_cycle_satisfying(pf.g, self.prop, eff)
+        cert = exists_cycle_satisfying(pf.cycles, self.prop, eff)
         if cert is not None:
             return Outcome(True, f"{self.prop} cycle of length {cert.length}", cert)
         return Outcome(False, f"no {self.prop} cycle exists")
@@ -270,7 +271,7 @@ class EveryLongestProp(Conclusion):
 
     def check(self, pf: Profile, lam: int | None) -> Outcome:
         eff = self.lam_fn(pf, lam) if self.lam_fn else None
-        ok, counter = every_longest_cycle_satisfies(pf.g, self.prop, eff)
+        ok, counter = every_longest_cycle_satisfies(pf.cycles, self.prop, eff)
         if ok:
             return Outcome(True, f"all longest cycles (length {pf.c}) are {self.prop}")
         return Outcome(False, f"longest cycle {counter} is not {self.prop}", counter)
@@ -300,7 +301,8 @@ class ResidualBound(Conclusion):
     ``bound(pf, p_bar, c_bar, lam)`` gives the claimed lower bound for a
     longest cycle with those residuals.  Spanning longest cycles carry no
     claim.  Enumeration is skipped whenever even the worst feasible
-    residual pair cannot beat c.
+    residual pair cannot beat c; otherwise one longest cycle per
+    off-cycle set is checked, since the residuals depend only on that set.
     """
 
     def __init__(self, label: str, bound: Callable[[Profile, int, int, int | None], Exact]):
@@ -320,9 +322,9 @@ class ResidualBound(Conclusion):
                     worst = b
         if Fraction(c) >= worst:
             return Outcome(True, f"c={c} >= worst-case residual bound {fmt_exact(worst)}")
-        for cert in _enumerate_longest(pf):
-            p_bar, c_bar = residual_params(pf.g, cert)
-            b = self.bound(pf, p_bar, c_bar, lam)  # type: ignore[arg-type]
+        for off, cert in _enumerate_longest(pf):
+            p_bar, c_bar = pf.cycles.p_bar(off), pf.cycles.c_bar(off)
+            b = self.bound(pf, p_bar, c_bar, lam)
             if Fraction(c) < b:
                 return Outcome(
                     False,
@@ -334,7 +336,7 @@ class ResidualBound(Conclusion):
 
 
 def _enumerate_longest(pf: Profile):
-    return cycles_of_length(pf.g, pf.c)
+    return pf.cycles.by_off_set()
 
 
 class Disjunction(Conclusion):

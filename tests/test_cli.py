@@ -4,6 +4,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from cyclekit import cli
+
 
 def run(args, stdin=""):
     proc = subprocess.run(
@@ -119,3 +123,23 @@ def test_malformed_range_exits_2():
     for bad in ("5", "3..x", "1..2..3"):
         code, _, err = run(["audit", "--theorem", "Thm6", "--range", bad])
         assert code == 2 and "Traceback" not in err
+
+
+def test_sweep_rejects_probability_outside_unit_interval():
+    for bad in ("1.5", "-0.1", "nan"):
+        code, out, err = run(["sweep", "--n", "5", "--p", bad, "--count", "2", "--seed", "1"])
+        assert code == 2 and out == "" and "--p" in err
+
+
+def test_sweep_rejects_negative_count():
+    code, out, err = run(["sweep", "--n", "5", "--count", "-3", "--seed", "1"])
+    assert code == 2 and out == "" and "--count" in err
+
+
+def test_internal_key_error_is_not_a_usage_error(monkeypatch):
+    def broken(args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "_cmd_catalog", broken)
+    with pytest.raises(KeyError):
+        cli.main(["catalog"])

@@ -1,5 +1,7 @@
 """Cycle solvers: certificates, degenerate conventions, oracles."""
 
+import random
+
 import networkx as nx
 import pytest
 
@@ -7,6 +9,7 @@ from cyclekit.cycles import (
     CeilingError,
     CertificateError,
     CycleCert,
+    _cycle_bound,
     all_longest_cycles,
     circumference,
     cycles_of_length,
@@ -22,11 +25,13 @@ from cyclekit.cycles import (
 )
 from cyclekit.families import build
 from cyclekit.graph import (
+    Graph,
     complete,
     complete_bipartite,
     cycle_graph,
     disjoint_union,
     edgeless,
+    from_edge_list,
     path_graph,
     petersen,
 )
@@ -176,3 +181,53 @@ def test_cycles_of_length_vs_networkx():
             got = [cert.vertices for cert in cycles_of_length(g, k)]
             assert len(got) == len(set(got)), (g, k)
             assert set(got) == want.get(k, set()), (g, k)
+
+
+def test_cycle_bound_is_an_upper_bound():
+    for g in mixed_corpus(ns=range(1, 10)):
+        c = circumference(g)[0]
+        assert c == naive_circumference(g), g
+        assert _cycle_bound(g) >= c, g
+
+
+def random_forest(n: int, rng: random.Random) -> Graph:
+    """Each vertex after the first joins an earlier one or starts a new tree."""
+    edges = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.8]
+    return from_edge_list(n, edges)
+
+
+def test_cycle_bound_is_exact_on_block_and_bipartite_extremals():
+    cases = []
+    for a in range(1, 7):
+        for b in range(a, 8):
+            cases.append((complete_bipartite(a, b), 2 * a if a >= 2 else 2))
+    cases += [(build("moon-moser-cut", quarter=q), 2 * q) for q in range(2, 7)]
+    cases += [(build("join2Kd-K1", delta=d), d + 1) for d in range(2, 7)]
+    cases += [
+        (build("star-of-cliques", t=t, lam=lam, r=r), max(lam, r + 1))
+        for t, lam, r in ((1, 3, 0), (2, 4, 2), (3, 3, 5), (2, 5, 1))
+    ]
+    rng = random.Random(53)
+    for n in range(1, 13):
+        for _ in range(4):
+            g = random_forest(n, rng)
+            cases.append((g, 2 if g.q else 1))
+    for g, c in cases:
+        assert _cycle_bound(g) == c, g
+        assert circumference(g)[0] == c, g
+        if g.n <= 9:
+            assert naive_circumference(g) == c, g
+
+
+def test_frozen_circumference_witnesses():
+    # The bound stops the search at the first cycle an exhaustive search
+    # would keep, so these witnesses are the exhaustive search's.
+    cases = [
+        (build("Kdd1", delta=6), (0, 6, 1, 7, 2, 8, 3, 9, 4, 10, 5, 11)),
+        (build("moon-moser-cut", quarter=6), (0, 12, 1, 13, 2, 14, 3, 15, 4, 16, 5, 17)),
+        (petersen(), (0, 1, 2, 3, 4, 9, 6, 8, 5)),
+    ]
+    for g, witness in cases:
+        c, cert = circumference(g)
+        assert (c, cert.vertices) == (len(witness), witness)
+        assert hamiltonian(g) is None

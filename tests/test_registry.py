@@ -1,6 +1,17 @@
 """Verification engine semantics: verdict kinds, assume, lambda, audits."""
 
+from fractions import Fraction
+
+from cyclekit import cycles, registry
 from cyclekit.catalog import catalog, get
+from cyclekit.cycles import (
+    circumference,
+    cycles_of_length,
+    is_CD_cycle,
+    is_PD_cycle,
+    is_dominating_cycle,
+    residual_params,
+)
 from cyclekit.families import build
 from cyclekit.graph import (
     complete,
@@ -10,7 +21,16 @@ from cyclekit.graph import (
     petersen,
     power,
 )
-from cyclekit.registry import Profile, audit_sharpness, check, check_all
+from cyclekit.registry import (
+    EveryLongestProp,
+    ExistsProp,
+    Profile,
+    ResidualBound,
+    audit_sharpness,
+    check,
+    check_all,
+)
+from conftest import mixed_corpus
 
 
 def test_verdict_kinds_on_frozen_graphs():
@@ -116,3 +136,93 @@ def test_profile_caches_are_consistent():
     assert pf.c == 9 and not pf.is_hamiltonian
     assert pf.is_petersen
     assert not Profile(cycle_graph(10)).is_petersen
+
+
+def test_one_full_graph_longest_cycle_search_per_check_all(monkeypatch):
+    g = build("Kdd1", delta=5)  # K_{5,6}
+    full = []
+    original = cycles._longest_cycle
+
+    def counting(h, stop_at=None):
+        if h.n == g.n:
+            full.append(h)
+        return original(h, stop_at)
+
+    monkeypatch.setattr(cycles, "_longest_cycle", counting)
+    monkeypatch.setattr(registry, "_longest_cycle", counting)
+    check_all(g)
+    assert len(full) == 1
+
+
+# -- the shared longest-cycle cache against naive loops ---------------------
+
+
+def naive_test(g, prop, lam):
+    if prop == "dominating":
+        return lambda cert: is_dominating_cycle(g, cert)
+    if prop == "PD":
+        return lambda cert: is_PD_cycle(g, cert, lam)
+    return lambda cert: is_CD_cycle(g, cert, lam)
+
+
+def naive_every(g, c, test):
+    if c == g.n:
+        return True, None
+    for cert in cycles_of_length(g, c):
+        if not test(cert):
+            return False, cert
+    return True, None
+
+
+def naive_exists(g, c, witness, test):
+    if c == g.n:
+        return witness
+    for length in range(c, 0, -1):
+        for cert in cycles_of_length(g, length):
+            if test(cert):
+                return cert
+    return None
+
+
+RESIDUAL_BOUNDS = {
+    "p + cbar + lam": lambda pf, p, cb, lam: p + cb + lam,
+    "(p + 1) * lam": lambda pf, p, cb, lam: (p + 1) * lam,
+    "n - 2 * cbar + lam": lambda pf, p, cb, lam: pf.n - 2 * cb + lam,
+}
+
+
+def naive_residual(g, c, bound, lam):
+    """Verdict and witness of ResidualBound by a loop over every longest cycle."""
+    pf = Profile(g)
+    if c == g.n:
+        return True, None
+    for cert in cycles_of_length(g, c):
+        p_bar, c_bar = residual_params(g, cert)
+        if Fraction(c) < bound(pf, p_bar, c_bar, lam):
+            return False, cert
+    return True, None
+
+
+def test_cached_longest_cycle_answers_match_naive_loops():
+    graphs = mixed_corpus(seed=59, per_cell=2, ns=range(3, 12)) + [
+        build("Kdd1", delta=5),
+        build("join2Kd-K1", delta=6),
+        build("H", a=1, b=2, t=4, k=3),
+    ]
+    props = [("dominating", None)] + [(p, lam) for p in ("PD", "CD") for lam in range(1, 5)]
+    for g in graphs:
+        c, witness = circumference(g)
+        pf = Profile(g)  # one Profile, so every question below shares its cache
+        for prop, lam in props:
+            fixed = (lambda pf, _lam, lam=lam: lam) if lam else None
+            test = naive_test(g, prop, lam)
+            out = EveryLongestProp(prop, fixed).check(pf, None)
+            assert (out.ok, out.witness) == naive_every(g, c, test), (g, prop, lam)
+            out = ExistsProp(prop, fixed).check(pf, None)
+            want = naive_exists(g, c, witness, test)
+            assert (out.ok, out.witness) == (want is not None, want), (g, prop, lam)
+        for lam in range(1, 5):
+            for label, bound in RESIDUAL_BOUNDS.items():
+                out = ResidualBound(label, bound).check(pf, lam)
+                want = naive_residual(g, c, bound, lam)
+                assert (out.ok, out.witness) == want, (g, label, lam)

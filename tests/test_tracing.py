@@ -12,6 +12,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracing  # noqa: E402
 from cyclekit import cli, cycles, registry, sweep  # noqa: E402
+from cyclekit.families import build  # noqa: E402
 from cyclekit.graph import petersen  # noqa: E402
 
 
@@ -24,5 +25,10 @@ def test_tracer_records_spans_and_restores_patches():
         registry.check_all(petersen())
     names = {span[0] for span in tr.spans}
     assert {"cycles.longest_cycle", "registry.check"} <= names
+    # K_{5,6} is not hamiltonian, so its longest cycles are enumerated
+    with tracing.Tracer() as tr2:
+        registry.check_all(build("Kdd1", delta=5))
+    assert "cycles.enumerate" in {span[0] for span in tr2.spans}
+    assert tr2.calls["cycles.enumerate"] > 0
     changed = [attr for (owner, attr), value in before.items() if vars(owner).get(attr) is not value]
     assert changed == []
