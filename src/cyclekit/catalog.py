@@ -52,13 +52,21 @@ def _emin(*vals):
 _K2 = _kappa_ge(2)
 _K3 = _kappa_ge(3)
 _K4 = _kappa_ge(4)
-_TAU1 = numeric("tau >= 1", lambda pf, lam: pf.tau >= 1)
+_TAU1 = numeric("tau >= 1", lambda pf, lam: pf.tau_ge(1))
 _DELTA_GE_ALPHA = numeric("delta >= alpha", lambda pf, lam: pf.delta >= pf.alpha)
 _BALANCED = in_class("balanced_bipartite")
 
 
 def _bound_min_n(label: str, expr):
     return Bound(f"min{{n, {label}}}", lambda pf, lam: _emin(F(pf.n), expr(pf, lam)))
+
+
+def _jung_bound(pf: Profile, lam) -> F:
+    """(tau+1)(delta+1)-1 for T13's min{n, .}; n itself when tau's lower
+    bound kappa/alpha already reaches n, so the exact tau is not needed."""
+    if (pf.tau_bounds[0] + 1) * (pf.delta + 1) - 1 >= pf.n:
+        return F(pf.n)
+    return (pf.tau + 1) * (pf.delta + 1) - 1
 
 
 # -- sharpness plumbing ---------------------------------------------------
@@ -240,7 +248,7 @@ def _build() -> list[TheoremSpec]:
     ))
     add(TheoremSpec(
         "T13", "Jung, 1999", "kappa >= 2 implies c >= min{n, (tau+1)(delta+1)-1}",
-        _bound_min_n("(tau+1)(delta+1)-1", lambda pf, lam: (pf.tau + 1) * (pf.delta + 1) - 1),
+        _bound_min_n("(tau+1)(delta+1)-1", _jung_bound),
         [_K2],
     ))
     add(TheoremSpec(
@@ -288,7 +296,7 @@ def _build() -> list[TheoremSpec]:
         "T19", "Nikoghosyan, 2012",
         "tau > 1 implies c >= min{n, 2delta+5} or G is the Petersen graph",
         NamedGraphEscape(_bound_min_n("2delta+5", lambda pf, lam: F(2 * pf.delta + 5))),
-        [numeric("tau > 1", lambda pf, lam: pf.tau > 1)],
+        [numeric("tau > 1", lambda pf, lam: pf.tau_gt(1))],
     ))
 
     # ---- Hamilton cycle theorems 1..30 ----
@@ -400,7 +408,7 @@ def _build() -> list[TheoremSpec]:
         "tau > 4/3, delta >= (n-5)/2 imply hamiltonian",
         Ham(),
         [
-            numeric("tau > 4/3", lambda pf, lam: pf.tau > F(4, 3)),
+            numeric("tau > 4/3", lambda pf, lam: pf.tau_gt(F(4, 3))),
             numeric("delta >= (n-5)/2", lambda pf, lam: F(pf.delta) >= F(pf.n - 5, 2)),
         ],
         sharpness=[
@@ -408,7 +416,7 @@ def _build() -> list[TheoremSpec]:
                 "the Petersen graph defeats tau = 4/3",
                 _fixed(("petersen", build("petersen"))),
                 "tau > 4/3",
-                lambda pf, lam: pf.tau >= F(4, 3),
+                lambda pf, lam: pf.tau_ge(F(4, 3)),
                 "tau >= 4/3",
             ),
             premise_tight_case(
@@ -599,7 +607,7 @@ def _build() -> list[TheoremSpec]:
     add(TheoremSpec(
         "Thm27", "Kratsch, Lehel and Muller, 1996", "3/2-tough split implies hamiltonian",
         Ham(),
-        [numeric("tau >= 3/2", lambda pf, lam: pf.tau >= F(3, 2)), in_class("split")],
+        [numeric("tau >= 3/2", lambda pf, lam: pf.tau_ge(F(3, 2))), in_class("split")],
     ))
     add(TheoremSpec(
         "Thm28", "Deogun, Kratsch and Steiner, 1997",
@@ -610,12 +618,12 @@ def _build() -> list[TheoremSpec]:
         "Thm29", "Bohme, Harant and Tkac, 1999",
         "chordal planar with tau > 1 implies hamiltonian",
         Ham(),
-        [numeric("tau > 1", lambda pf, lam: pf.tau > 1), in_class("chordal"), in_class("planar")],
+        [numeric("tau > 1", lambda pf, lam: pf.tau_gt(1)), in_class("chordal"), in_class("planar")],
     ))
     add(TheoremSpec(
         "Thm30", "Kaiser, Kral and Stacho, 2007", "3/2-tough spider implies hamiltonian",
         Ham(),
-        [numeric("tau >= 3/2", lambda pf, lam: pf.tau >= F(3, 2)), in_class("spider")],
+        [numeric("tau >= 3/2", lambda pf, lam: pf.tau_ge(F(3, 2))), in_class("spider")],
     ))
 
     # ---- dominating-cycle theorems 31..34 ----
@@ -886,20 +894,20 @@ def _build() -> list[TheoremSpec]:
             "K_{delta,delta+1} defeats the relaxed toughness bound",
             _per_delta("K_{{{d},{d}+1}}", lambda d: build("Kdd1", delta=d), range(2, 5)),
             "tau >= 1",
-            lambda pf, lam: pf.tau >= F(pf.n // 2, pf.n // 2 + 1),
+            lambda pf, lam: pf.tau_ge(F(pf.n // 2, pf.n // 2 + 1)),
             "tau >= delta/(delta+1)",
         )],
     ))
     add(TheoremSpec(
         "Thm48", "Nikoghosyan, 2012", "tau > 4/3 implies c >= min{n, 2delta+5}",
         _bound_min_n("2delta+5", lambda pf, lam: F(2 * pf.delta + 5)),
-        [numeric("tau > 4/3", lambda pf, lam: pf.tau > F(4, 3))],
+        [numeric("tau > 4/3", lambda pf, lam: pf.tau_gt(F(4, 3)))],
         sharpness=[
             premise_tight_case(
                 "the Petersen graph defeats tau = 4/3",
                 _fixed(("petersen", build("petersen"))),
                 "tau > 4/3",
-                lambda pf, lam: pf.tau >= F(4, 3),
+                lambda pf, lam: pf.tau_ge(F(4, 3)),
                 "tau >= 4/3",
             ),
             conclusion_tight_case(

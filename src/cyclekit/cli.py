@@ -6,7 +6,7 @@ all reports go to stdout.  ``--json`` switches every command to
 line-delimited JSON records mirroring the human output field-for-field.
 
 Exit codes: 0 success, 1 a VIOLATED verdict or failed audit case was
-found, 2 usage error or unreadable input.
+found, 2 usage error or unreadable input, 3 internal error.
 """
 
 from __future__ import annotations
@@ -399,6 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command and return its exit code; internal errors propagate."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "solve" and args.problem in ("every-longest", "exists"):
@@ -420,5 +421,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
+def run(argv: Sequence[str] | None = None) -> int:
+    """The process entry point: ``main``, but an uncaught internal error is
+    reported on one stderr line and exits 3, so that exit 1 still means
+    VIOLATED."""
+    try:
+        return main(argv)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

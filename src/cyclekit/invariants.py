@@ -70,65 +70,93 @@ def delta_t(g: Graph, t: int) -> Exact:
 # -- connectivity ---------------------------------------------------------
 
 
-def _vertex_max_flow(g: Graph, s: int, t: int) -> int:
-    """Max number of internally vertex-disjoint s-t paths (s,t nonadjacent)."""
-    # Vertex-split network: node 2v = v_in, 2v+1 = v_out, all unit capacities.
-    n = g.n
-    cap: dict[tuple[int, int], int] = {}
-    adj: list[list[int]] = [[] for _ in range(2 * n)]
+def _vertex_max_flow(g: Graph, s: int, t: int, limit: int) -> int:
+    """min(limit, max number of internally vertex-disjoint s-t paths), s and t
+    nonadjacent.
 
-    def add(a: int, b: int, c: int) -> None:
-        if (a, b) not in cap:
-            adj[a].append(b)
-            adj[b].append(a)
-            cap[(a, b)] = 0
-            cap[(b, a)] = 0
-        cap[(a, b)] += c
-
-    for v in range(n):
-        add(2 * v, 2 * v + 1, n if v in (s, t) else 1)
-    for u, v in g.edges():
-        add(2 * u + 1, 2 * v, n)
-        add(2 * v + 1, 2 * u, n)
-
-    source, sink = 2 * s + 1, 2 * t
+    Augmenting paths in the vertex-split network (v_in -> v_out, capacity 1
+    inside every vertex but s and t, unbounded along edges), searched with
+    bitmasks over the states reached so far.  The flow is held as ``prv[w]``,
+    the vertex whose out-node sends w's one unit into w's in-node (-1 when w
+    carries none); every other residual arc follows from it.
+    """
+    n, rows = g.n, g.rows
+    prv = [-1] * n
+    par_in = [0] * n  # in-node w entered from u's out-node (u), or from w's own (-1)
+    par_out = [0] * n  # out-node v entered from x's in-node (x == v: inside v)
     flow = 0
-    while True:
-        prev = {source: source}
-        queue = [source]
-        while queue and sink not in prev:
-            nxt = []
-            for a in queue:
-                for b in adj[a]:
-                    if b not in prev and cap[(a, b)] > 0:
-                        prev[b] = a
-                        nxt.append(b)
-            queue = nxt
-        if sink not in prev:
-            return flow
-        b = sink
-        while b != source:
-            a = prev[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] += 1
-            b = a
+    while flow < limit:
+        seen_in = seen_out = 1 << s
+        stack = [s]
+        found = False
+        while stack and not found:
+            v = stack.pop()
+            x = prv[v]
+            if x >= 0 and not seen_in >> v & 1:  # back through v: v_out -> v_in -> x_out
+                seen_in |= 1 << v
+                par_in[v] = -1
+                if not seen_out >> x & 1:
+                    seen_out |= 1 << x
+                    par_out[x] = v
+                    stack.append(x)
+            new = rows[v] & ~seen_in
+            seen_in |= new
+            while new:
+                low = new & -new
+                new ^= low
+                w = low.bit_length() - 1
+                par_in[w] = v
+                if w == t:
+                    found = True
+                    break
+                x = prv[w]
+                u = w if x < 0 else x  # through w if it is free, else back along its unit
+                if not seen_out >> u & 1:
+                    seen_out |= 1 << u
+                    par_out[u] = w
+                    stack.append(u)
+        if not found:
+            break
+        w = t
+        while True:
+            u = par_in[w]
+            if u < 0:
+                prv[w] = -1
+                u = w
+            elif w != t:
+                prv[w] = u
+            if u == s:
+                break
+            w = par_out[u]
         flow += 1
+    return flow
 
 
 def connectivity(g: Graph) -> int:
-    """Vertex connectivity; kappa(K_n) = n-1 by convention, 0 if disconnected."""
-    n = g.n
+    """Vertex connectivity; kappa(K_n) = n-1 by convention, 0 if disconnected.
+
+    Esfahanian and Hakimi (1984): take v of minimum degree.  A minimum cut
+    either misses v, and then separates v from a non-neighbour, or holds
+    v, and then separates two non-adjacent neighbours of v.  So only those
+    pairs need a flow, and each flow stops at the best cut so far, which
+    starts at N(v).
+    """
+    n, rows = g.n, g.rows
     if n <= 1:
         return 0
     if g.q == n * (n - 1) // 2:
         return n - 1
     if not g.is_connected():
         return 0
-    best = n - 1
-    for s in range(n):
-        for t in range(s + 1, n):
-            if not g.rows[s] >> t & 1:
-                best = min(best, _vertex_max_flow(g, s, t))
+    v = min(range(n), key=lambda u: rows[u].bit_count())
+    best = rows[v].bit_count()
+    for t in bits(g.full_mask & ~rows[v] & ~(1 << v)):
+        best = _vertex_max_flow(g, v, t, best)
+    nbrs = bits(rows[v])
+    for i, x in enumerate(nbrs):
+        for y in nbrs[i + 1:]:
+            if not rows[x] >> y & 1:
+                best = _vertex_max_flow(g, x, y, best)
     return best
 
 
@@ -143,7 +171,9 @@ def cut_scan(g: Graph) -> tuple[int, Exact, int]:
     if n <= 1:
         return (0, INF, 0)
     kappa = n - 1
-    tau: Exact = INF
+    # tau = tau_num / tau_den, with 1/0 standing for +inf so that the strict
+    # cross-multiplied test below keeps the first minimum found.
+    tau_num, tau_den = 1, 0
     tau_witness = 0
     for rem in range(full, -1, -1):
         # rem = kept vertex set; S = full ^ rem
@@ -185,14 +215,13 @@ def cut_scan(g: Graph) -> tuple[int, Exact, int]:
         s_size = n - rem.bit_count()
         if s_size < kappa:
             kappa = s_size
-        ratio = Fraction(s_size, comps)
-        if ratio < tau:
-            tau = ratio
+        if s_size * tau_den < tau_num * comps:
+            tau_num, tau_den = s_size, comps
             tau_witness = full ^ rem
-    if tau == INF:
+    if not tau_den:
         # no disconnecting set: complete graph (or n == 1)
         return (n - 1, INF, 0)
-    return (kappa, tau, tau_witness)
+    return (kappa, Fraction(tau_num, tau_den), tau_witness)
 
 
 def toughness(g: Graph) -> tuple[Exact, list[int]]:
@@ -238,25 +267,26 @@ def binding_number(g: Graph) -> tuple[Exact, list[int]]:
     """
     if g.n == 0:
         raise ValueError("binding number needs n >= 1")
-    rows = g.rows
+    n, rows = g.n, g.rows
     full = g.full_mask
-    best: list[Exact] = [INF]
-    witness = [0]
+    # best = num / den, with 1/0 standing for +inf; the strict
+    # cross-multiplied test keeps the first minimum found.
+    num, den, witness = 1, 0, 0
 
     def extend(start: int, chosen: int, size: int, nbhd: int) -> None:
+        nonlocal num, den, witness
         if size:
-            ratio = Fraction(nbhd.bit_count(), size)
-            if ratio < best[0]:
-                best[0] = ratio
-                witness[0] = chosen
-        for v in range(start, g.n):
+            k = nbhd.bit_count()
+            if k * den < num * size:
+                num, den, witness = k, size, chosen
+        for v in range(start, n):
             nb = nbhd | rows[v]
             if nb == full:
                 continue
             extend(v + 1, chosen | (1 << v), size + 1, nb)
 
     extend(0, 0, 0, 0)
-    return best[0], bits(witness[0])
+    return (Fraction(num, den) if den else INF), bits(witness)
 
 
 # -- aggregate report -----------------------------------------------------

@@ -14,6 +14,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .cycles import (
+    ENUMERATION_CEILING,
     CeilingError,
     CycleCert,
     LongestCycles,
@@ -24,6 +25,7 @@ from .cycles import (
 from .exact import Exact, INF, fmt_exact
 from .graph import Graph, are_isomorphic, petersen
 from .invariants import (
+    connectivity,
     cut_scan,
     delta_t,
     independence_number,
@@ -87,16 +89,51 @@ class Profile:
         return max(self.g.degrees(), default=0)
 
     @cached_property
-    def _cuts(self) -> tuple[int, Exact, int]:
-        return cut_scan(self.g)
-
-    @property
     def kappa(self) -> int:
-        return self._cuts[0]
+        return connectivity(self.g)
 
-    @property
+    @cached_property
+    def complete(self) -> bool:
+        """Complete, K_0 and K_1 included: no vertex set disconnects G."""
+        n = self.n
+        return self.q == n * (n - 1) // 2
+
+    @cached_property
     def tau(self) -> Exact:
-        return self._cuts[1]
+        """Exact toughness, from the 2^n cut scan; +inf for complete graphs."""
+        if self.complete:
+            return INF
+        return cut_scan(self.g)[1]
+
+    @cached_property
+    def tau_bounds(self) -> tuple[Exact, Exact]:
+        """kappa/alpha <= tau <= kappa/2 (the upper bound is Chvatal's, 1973).
+
+        Every cutset has at least kappa vertices and leaves at most alpha
+        components; a minimum cutset leaves at least two.  A complete graph
+        has tau = +inf, known without a scan.
+        """
+        if self.complete:
+            return INF, INF
+        return Fraction(self.kappa, self.alpha), Fraction(self.kappa, 2)
+
+    def tau_ge(self, x: Exact) -> bool:
+        """tau >= x; the exact tau is computed only when its bounds straddle x."""
+        lo, hi = self.tau_bounds
+        if lo >= x:
+            return True
+        if hi < x:
+            return False
+        return self.tau >= x
+
+    def tau_gt(self, x: Exact) -> bool:
+        """tau > x; the exact tau is computed only when its bounds straddle x."""
+        lo, hi = self.tau_bounds
+        if lo > x:
+            return True
+        if hi <= x:
+            return False
+        return self.tau > x
 
     @cached_property
     def alpha(self) -> int:
@@ -303,6 +340,7 @@ class ResidualBound(Conclusion):
     claim.  Enumeration is skipped whenever even the worst feasible
     residual pair cannot beat c; otherwise one longest cycle per
     off-cycle set is checked, since the residuals depend only on that set.
+    That enumeration is capped at ``ENUMERATION_CEILING`` vertices.
     """
 
     def __init__(self, label: str, bound: Callable[[Profile, int, int, int | None], Exact]):
@@ -322,6 +360,10 @@ class ResidualBound(Conclusion):
                     worst = b
         if Fraction(c) >= worst:
             return Outcome(True, f"c={c} >= worst-case residual bound {fmt_exact(worst)}")
+        if n > ENUMERATION_CEILING:
+            raise CeilingError(
+                f"residual-bound enumeration capped at {ENUMERATION_CEILING} vertices (n={n})"
+            )
         for off, cert in _enumerate_longest(pf):
             p_bar, c_bar = pf.cycles.p_bar(off), pf.cycles.c_bar(off)
             b = self.bound(pf, p_bar, c_bar, lam)

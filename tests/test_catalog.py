@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from cyclekit.catalog import catalog, get
-from cyclekit.registry import Profile, check
-from conftest import seeded_gnp
+from cyclekit.graph import complete_bipartite, cycle_graph, power
+from cyclekit.registry import Bound, Profile, check
+from conftest import mixed_corpus, seeded_gnp
 
 
 def test_catalog_size_and_ids():
@@ -107,3 +108,16 @@ def test_every_statement_mentions_its_bound():
     # light well-formedness: statements are nonempty and titles carry a source
     for spec in catalog():
         assert spec.statement and spec.title
+
+
+def test_jung_bound_agrees_with_the_exact_toughness():
+    """T13 settles min{n, (tau+1)(delta+1)-1} from kappa/alpha where it can;
+    its outcome must equal the one computed from the exact tau."""
+    exact = Bound("", lambda pf, lam: min(Fraction(pf.n), (pf.tau + 1) * (pf.delta + 1) - 1))
+    t13 = get("T13").conclusion
+    graphs = mixed_corpus(seed=67, per_cell=3, ns=range(3, 11)) + [power(cycle_graph(12), 3)]
+    # K_{4,9}: kappa/2 = 2 would put the bound at n = 13, but tau = 4/9 keeps it at 56/9
+    graphs += [complete_bipartite(a, b) for a in range(2, 6) for b in range(a, 10)]
+    for g in graphs:
+        got, want = t13.check(Profile(g), None), exact.check(Profile(g), None)
+        assert (got.ok, got.detail, got.witness) == (want.ok, want.detail, want.witness), g

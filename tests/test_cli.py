@@ -143,3 +143,13 @@ def test_internal_key_error_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(cli, "_cmd_catalog", broken)
     with pytest.raises(KeyError):
         cli.main(["catalog"])
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_catalog", broken)
+    assert cli.run(["catalog"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "internal error: RuntimeError: boom\n"

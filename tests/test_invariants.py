@@ -12,10 +12,13 @@ from cyclekit.graph import (
     complete,
     complete_bipartite,
     cycle_graph,
+    from_edge_list,
     path_graph,
     petersen,
+    power,
 )
 from cyclekit.invariants import (
+    _vertex_max_flow,
     binding_number,
     connectivity,
     cut_scan,
@@ -25,7 +28,7 @@ from cyclekit.invariants import (
     sigma_t,
     toughness,
 )
-from conftest import mixed_corpus, to_networkx
+from conftest import mixed_corpus, seeded_gnp, to_networkx
 
 
 # -- naive oracles --------------------------------------------------------
@@ -176,3 +179,77 @@ def test_invariant_report_shape():
     assert rec["tau"] == "4/3" and rec["binding"] == "9/7"
     assert rec["planar"] is False and rec["regular"] is True
     assert "sigma_2" in rec and "delta_2" in rec
+
+
+# Its third 0-4 path exists only if an augmenting path backs up through a
+# vertex that already carries flow, which frees that vertex again.
+BACKTRACKING_FLOW = from_edge_list(9, [
+    (0, 3), (0, 5), (0, 8), (1, 4), (1, 6), (1, 8), (2, 3), (2, 6),
+    (2, 7), (2, 8), (4, 6), (4, 7), (5, 6), (5, 7), (5, 8),
+])
+
+# Vertex 0 (degree 4, the minimum) sees two vertices of each of two K_5s and is
+# the only cut vertex, so kappa = 1 shows up only in a flow between two of
+# its neighbours.
+MIN_DEGREE_CUT_VERTEX = from_edge_list(11, [
+    (u, v) for block in (range(1, 6), range(6, 11)) for u, v in combinations(block, 2)
+] + [(0, 1), (0, 2), (0, 6), (0, 7)])
+
+
+def test_capped_flow_matches_networkx():
+    local = nx.algorithms.connectivity.local_node_connectivity
+    assert _vertex_max_flow(BACKTRACKING_FLOW, 0, 4, 9) == 3
+    for g in mixed_corpus(seed=23, per_cell=2, ns=range(2, 10)) + [BACKTRACKING_FLOW]:
+        nxg = to_networkx(g)
+        for s, t in combinations(range(g.n), 2):
+            if g.has_edge(s, t):
+                continue
+            want = local(nxg, s, t)
+            for limit in {0, max(want - 1, 0), want, want + 1, g.n}:
+                assert _vertex_max_flow(g, s, t, limit) == min(want, limit), (g, s, t, limit)
+
+
+def test_connectivity_matches_networkx_above_the_small_corpus():
+    graphs = [g for n in range(10, 17) for g in seeded_gnp(n, 0.6, 3, 300 + n)] + [
+        power(cycle_graph(20), 4),
+        power(cycle_graph(15), 3),
+        complete_bipartite(6, 9),
+        petersen(),
+        MIN_DEGREE_CUT_VERTEX,
+    ]
+    assert connectivity(MIN_DEGREE_CUT_VERTEX) == 1
+    for g in graphs:
+        assert connectivity(g) == nx.node_connectivity(to_networkx(g)), g
+
+
+def fraction_cut_scan(g: Graph):
+    """cut_scan's (tau, witness) by Fraction comparisons in its subset order."""
+    tau, witness = INF, 0
+    for rem in range(g.full_mask, 0, -1):
+        comps = g.count_components(rem)
+        if comps > 1 and Fraction(g.n - rem.bit_count(), comps) < tau:
+            tau, witness = Fraction(g.n - rem.bit_count(), comps), g.full_mask ^ rem
+    return tau, witness
+
+
+def fraction_binding_number(g: Graph):
+    """binding_number by Fraction comparisons in its search order."""
+    best, witness = INF, 0
+
+    def extend(start, chosen, size, nbhd):
+        nonlocal best, witness
+        if size and Fraction(nbhd.bit_count(), size) < best:
+            best, witness = Fraction(nbhd.bit_count(), size), chosen
+        for v in range(start, g.n):
+            if nbhd | g.rows[v] != g.full_mask:
+                extend(v + 1, chosen | (1 << v), size + 1, nbhd | g.rows[v])
+
+    extend(0, 0, 0, 0)
+    return best, bits(witness)
+
+
+def test_integer_comparisons_keep_the_first_minimum():
+    for g in mixed_corpus(seed=29, per_cell=3, ns=range(2, 10)) + [petersen()]:
+        if g.q < g.n * (g.n - 1) // 2:
+            assert cut_scan(g)[1:] == fraction_cut_scan(g), g
+        assert binding_number(g) == fraction_binding_number(g), g

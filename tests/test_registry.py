@@ -1,6 +1,11 @@
 """Verification engine semantics: verdict kinds, assume, lambda, audits."""
 
+import json
+import time
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from cyclekit import cycles, registry
 from cyclekit.catalog import catalog, get
@@ -12,9 +17,11 @@ from cyclekit.cycles import (
     is_dominating_cycle,
     residual_params,
 )
+from cyclekit.exact import INF
 from cyclekit.families import build
 from cyclekit.graph import (
     complete,
+    complete_bipartite,
     cycle_graph,
     disjoint_union,
     path_graph,
@@ -30,6 +37,7 @@ from cyclekit.registry import (
     check,
     check_all,
 )
+from cyclekit.invariants import cut_scan
 from conftest import mixed_corpus
 
 
@@ -226,3 +234,71 @@ def test_cached_longest_cycle_answers_match_naive_loops():
                 out = ResidualBound(label, bound).check(pf, lam)
                 want = naive_residual(g, c, bound, lam)
                 assert (out.ok, out.witness) == want, (g, label, lam)
+
+
+# -- kappa by flow, tau by its bounds ----------------------------------------
+
+
+H_PARAMS = [(1, 2, 3, 2), (1, 2, 4, 3), (1, 2, 5, 4), (2, 2, 3, 3)]
+
+
+@pytest.fixture(scope="module")
+def exact_cuts():
+    """(graph, kappa, exact tau) from the 2^n cut scan, over small and named graphs."""
+    graphs = mixed_corpus(seed=61, per_cell=3) + [
+        complete(0),
+        complete(1),
+        complete(2),
+        complete(6),
+        disjoint_union([complete(3), complete(4)]),
+        disjoint_union([complete(1), complete(1)]),
+        disjoint_union([cycle_graph(5), path_graph(3)]),
+        petersen(),
+        power(cycle_graph(20), 4),
+        build("join2Kd-K1", delta=6),
+    ] + [build("H", a=a, b=b, t=t, k=k) for a, b, t, k in H_PARAMS]
+    return [(g, *cut_scan(g)[:2]) for g in graphs]
+
+
+def test_toughness_lies_between_kappa_over_alpha_and_half_kappa(exact_cuts):
+    for g, kappa, tau in exact_cuts:
+        pf = Profile(g)
+        assert pf.kappa == kappa, g
+        lo, hi = pf.tau_bounds
+        if g.q == g.n * (g.n - 1) // 2:
+            assert tau == lo == hi == INF, g
+        else:
+            assert (lo, hi) == (Fraction(kappa, pf.alpha), Fraction(kappa, 2)), g
+            assert lo <= tau <= hi, g
+
+
+def test_profile_tau_comparisons_match_the_exact_tau(exact_cuts, monkeypatch):
+    scans = []
+    monkeypatch.setattr(registry, "cut_scan", lambda g: scans.append(g) or cut_scan(g))
+    for g, _, tau in exact_cuts:
+        half = g.n // 2
+        for x in (Fraction(1), Fraction(4, 3), Fraction(3, 2), Fraction(half, half + 1)):
+            for name, want in (("tau_ge", tau >= x), ("tau_gt", tau > x)):
+                pf = Profile(g)  # fresh, so the bounds alone are tried first
+                lo, hi = pf.tau_bounds
+                decided = lo >= x or hi < x if name == "tau_ge" else lo > x or hi <= x
+                scans.clear()
+                assert getattr(pf, name)(x) == want, (g, name, x)
+                assert len(scans) == (not decided), (g, name, x)
+
+
+def test_check_all_on_c20_4_runs_no_cut_scan(monkeypatch):
+    scans = []
+    monkeypatch.setattr(registry, "cut_scan", lambda g: scans.append(g) or cut_scan(g))
+    got = [v.to_record() for v in check_all(power(cycle_graph(20), 4)).verdicts]
+    frozen = Path(__file__).parent / "data" / "check_all_C20_4.jsonl"
+    assert got == [json.loads(line) for line in frozen.read_text().splitlines()]
+    assert scans == []
+
+
+def test_residual_bound_enumeration_hits_the_ceiling():
+    start = time.perf_counter()
+    v = check(Profile(complete_bipartite(7, 9)), get("T12"))  # n = 16, c = 14
+    assert time.perf_counter() - start < 10
+    assert v.kind == "ceiling"
+    assert "capped at 14 vertices" in v.detail and "n=16" in v.detail
