@@ -52,13 +52,11 @@ from .graph import (
     petersen,
 )
 from .invariants import (
-    InvariantReport,
     binding_number,
     connectivity,
     cut_scan,
     delta_t,
     independence_number,
-    invariant_report,
     sigma_t,
     toughness,
 )
@@ -66,6 +64,7 @@ from .registry import (
     ASSERTABLE_CLASSES,
     SUPPORTED_CLASSES,
     CaseResult,
+    InvariantReport,
     Profile,
     Report,
     TheoremSpec,
@@ -73,9 +72,10 @@ from .registry import (
     audit_sharpness,
     check,
     check_all,
+    class_predicates,
+    invariant_report,
 )
 from .structure import (
-    class_predicates,
     claw,
     contains_induced,
     is_free,

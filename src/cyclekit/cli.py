@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .catalog import catalog, get
 from .cycles import (
@@ -28,8 +28,14 @@ from .cycles import (
 from .families import FAMILIES, build, list_families
 from .formats import FormatError, encode_graph6, parse_any, parse_graph6
 from .graph import Graph, GraphError
-from .invariants import invariant_report
-from .registry import ASSERTABLE_CLASSES, Profile, TheoremSpec, audit_sharpness, check
+from .registry import (
+    ASSERTABLE_CLASSES,
+    Profile,
+    TheoremSpec,
+    audit_sharpness,
+    check,
+    invariant_report,
+)
 from .structure import contains_induced, pattern
 from .sweep import MODELS, sweep
 
@@ -59,15 +65,23 @@ def _probability(text: str) -> float:
     return p
 
 
-def _count(text: str) -> int:
-    """A graph count >= 0, checked at parse time."""
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if count < 0:
-        raise argparse.ArgumentTypeError(f"count must be >= 0, got {count}")
-    return count
+def _int_at_least(low: int, name: str) -> Callable[[str], int]:
+    """An argparse type: an integer >= low, checked at parse time."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_count = _int_at_least(0, "count")  # a graph count
+_lambda = _int_at_least(1, "lambda")  # every catalog domain and PD/CD start at 1
 
 
 def _theorem(theorem_id: str) -> TheoremSpec:
@@ -342,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "hamilton", "circumference", "longest-path", "every-longest", "exists"])
     p.add_argument("prop", nargs="?", choices=["dominating", "PD", "CD"],
                    help="property for every-longest / exists")
-    p.add_argument("--lambda", dest="lam", type=int, default=None,
+    p.add_argument("--lambda", dest="lam", type=_lambda, default=None,
                    help="parameter for PD/CD properties")
     common(p)
     p.set_defaults(fn=_cmd_solve)
@@ -366,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorem", default=None, help="single theorem id (default: all)")
     p.add_argument("--assume", action="append", default=None,
                    help="assert an assertable-only class premise (repeatable)")
-    p.add_argument("--lambda", dest="lam", type=int, default=None,
+    p.add_argument("--lambda", dest="lam", type=_lambda, default=None,
                    help="fix the parameter of a parameterized theorem")
     common(p)
     p.set_defaults(fn=_cmd_check)
@@ -405,8 +419,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "solve" and args.problem in ("every-longest", "exists"):
         if args.prop is None:
             parser.error(f"solve {args.problem} needs a property argument")
-        if args.prop in ("PD", "CD") and (args.lam is None or args.lam < 1):
-            parser.error(f"solve {args.problem} {args.prop} needs --lambda >= 1")
+        if args.prop in ("PD", "CD") and args.lam is None:
+            parser.error(f"solve {args.problem} {args.prop} needs --lambda")
     try:
         return args.fn(args)
     except UsageError as exc:

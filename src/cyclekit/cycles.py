@@ -470,13 +470,13 @@ def _cycles_of(g: Graph | LongestCycles) -> LongestCycles:
 # -- enumeration of longest cycles ---------------------------------------
 
 
-def all_longest_cycles(g: Graph, ceiling: int = ENUMERATION_CEILING) -> Iterator[CycleCert]:
+def all_longest_cycles(g: Graph) -> Iterator[CycleCert]:
     """Every longest cycle exactly once up to rotation and reflection.
 
     Canonical form and order as in ``cycles_of_length``.
     """
-    if g.n > ceiling:
-        raise CeilingError(f"longest-cycle enumeration capped at {ceiling} vertices")
+    if g.n > ENUMERATION_CEILING:
+        raise CeilingError(f"longest-cycle enumeration capped at {ENUMERATION_CEILING} vertices")
     c, _ = _longest_cycle(g)
     yield from cycles_of_length(g, c)
 
@@ -500,7 +500,6 @@ def every_longest_cycle_satisfies(
     g: Graph | LongestCycles,
     prop: str,
     lam: int | None = None,
-    ceiling: int = ENUMERATION_CEILING,
 ) -> tuple[bool, CycleCert | None]:
     """Universal check over all longest cycles.
 
@@ -512,8 +511,8 @@ def every_longest_cycle_satisfies(
     lc = _cycles_of(g)
     if lc.c == lc.g.n:
         return True, None
-    if lc.g.n > ceiling:
-        raise CeilingError(f"universal longest-cycle check capped at {ceiling} vertices")
+    if lc.g.n > ENUMERATION_CEILING:
+        raise CeilingError(f"universal longest-cycle check capped at {ENUMERATION_CEILING} vertices")
     for off, cert in lc.by_off_set():
         if not test(lc, off):
             return False, cert
@@ -524,7 +523,6 @@ def exists_cycle_satisfying(
     g: Graph | LongestCycles,
     prop: str,
     lam: int | None = None,
-    ceiling: int = ENUMERATION_CEILING,
 ) -> CycleCert | None:
     """Find some cycle with the property, longest lengths first.
 
@@ -538,8 +536,8 @@ def exists_cycle_satisfying(
         cert = CycleCert(tuple(lc.path))
         cert.validate(g)
         return cert
-    if g.n > ceiling:
-        raise CeilingError(f"cycle-existence search capped at {ceiling} vertices")
+    if g.n > ENUMERATION_CEILING:
+        raise CeilingError(f"cycle-existence search capped at {ENUMERATION_CEILING} vertices")
     for off, cert in lc.by_off_set():
         if test(lc, off):
             return cert

@@ -216,13 +216,6 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, tuple(full ^ row ^ (1 << u) for u, row in enumerate(g.rows)))
 
 
-def delete_vertices(g: Graph, remove: Iterable[int]) -> Graph:
-    rm = mask_of(remove)
-    if rm & ~g.full_mask:
-        raise GraphError("vertex set to delete is out of range")
-    return induced_subgraph(g, g.full_mask & ~rm)
-
-
 def induced_subgraph(g: Graph, keep_mask: int) -> Graph:
     """Induced subgraph on the masked vertices, relabeled in ascending order."""
     keep = bits(keep_mask)

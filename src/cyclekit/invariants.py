@@ -1,5 +1,5 @@
-"""Exact numeric invariants: degrees, connectivity, independence number,
-toughness, binding number, degree-sum and distance-degree minima.
+"""Exact numeric invariants: connectivity, independence number, toughness,
+binding number, degree-sum and distance-degree minima.
 
 Everything is computed exactly.  The NP-hard invariants (alpha, toughness,
 binding number) use exhaustive search with pruning; connectivity goes
@@ -9,20 +9,10 @@ exhaustive cut scan in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
-from .exact import Exact, INF, fmt_exact
+from .exact import Exact, INF
 from .graph import Graph, all_distances, bits
-
-
-def degree_profile(g: Graph) -> tuple[int, int, int, int, list[int]]:
-    """(n, q, min degree, max degree, sorted degree sequence)."""
-    degs = sorted(g.degrees())
-    if not degs:
-        return (0, 0, 0, 0, [])
-    return (g.n, g.q, degs[0], degs[-1], degs)
 
 
 # -- degree sums over independent sets ------------------------------------
@@ -287,84 +277,3 @@ def binding_number(g: Graph) -> tuple[Exact, list[int]]:
 
     extend(0, 0, 0, 0)
     return (Fraction(num, den) if den else INF), bits(witness)
-
-
-# -- aggregate report -----------------------------------------------------
-
-
-@dataclass
-class InvariantReport:
-    n: int
-    q: int
-    delta: int
-    Delta: int
-    degree_sequence: list[int]
-    kappa: int
-    alpha: int
-    tau: Exact
-    binding: Exact
-    sigma: dict[int, Exact] = field(default_factory=dict)
-    delta_dist: dict[int, Exact] = field(default_factory=dict)
-    flags: dict[str, bool | None] = field(default_factory=dict)
-
-    def to_lines(self) -> list[str]:
-        lines = [
-            f"n {self.n}",
-            f"q {self.q}",
-            f"delta {self.delta}",
-            f"Delta {self.Delta}",
-            f"degrees {' '.join(map(str, self.degree_sequence))}",
-            f"kappa {self.kappa}",
-            f"alpha {self.alpha}",
-            f"tau {fmt_exact(self.tau)}",
-            f"binding {fmt_exact(self.binding)}",
-        ]
-        for t in sorted(self.sigma):
-            lines.append(f"sigma_{t} {fmt_exact(self.sigma[t])}")
-        for t in sorted(self.delta_dist):
-            lines.append(f"delta_{t} {fmt_exact(self.delta_dist[t])}")
-        for name in sorted(self.flags):
-            val = self.flags[name]
-            lines.append(f"{name} {'undecided' if val is None else str(val).lower()}")
-        return lines
-
-    def to_record(self) -> dict:
-        rec = {
-            "n": self.n,
-            "q": self.q,
-            "delta": self.delta,
-            "Delta": self.Delta,
-            "degrees": self.degree_sequence,
-            "kappa": self.kappa,
-            "alpha": self.alpha,
-            "tau": fmt_exact(self.tau),
-            "binding": fmt_exact(self.binding),
-        }
-        rec.update({f"sigma_{t}": fmt_exact(v) for t, v in self.sigma.items()})
-        rec.update({f"delta_{t}": fmt_exact(v) for t, v in self.delta_dist.items()})
-        rec.update(self.flags)
-        return rec
-
-
-def invariant_report(g: Graph, ts: tuple[int, ...] = (2, 3)) -> InvariantReport:
-    """Full invariant bundle for one graph, class flags included."""
-    from .structure import class_predicates
-
-    n, q, dmin, dmax, degs = degree_profile(g)
-    kappa, tau, _ = cut_scan(g)
-    alpha, _ = independence_number(g)
-    binding = binding_number(g)[0] if n >= 1 else INF
-    return InvariantReport(
-        n=n,
-        q=q,
-        delta=dmin,
-        Delta=dmax,
-        degree_sequence=degs,
-        kappa=kappa,
-        alpha=alpha,
-        tau=tau,
-        binding=binding,
-        sigma={t: sigma_t(g, t) for t in ts},
-        delta_dist={t: delta_t(g, t) for t in ts},
-        flags=class_predicates(g),
-    )

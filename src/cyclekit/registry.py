@@ -34,7 +34,6 @@ from .invariants import (
 )
 from .structure import (
     bipartition,
-    claw,
     contains_induced,
     is_balanced_bipartite,
     is_chordal,
@@ -43,7 +42,7 @@ from .structure import (
     is_split,
 )
 
-SUPPORTED_CLASSES = {
+SUPPORTED_CLASSES = (
     "bipartite",
     "balanced_bipartite",
     "regular",
@@ -51,7 +50,7 @@ SUPPORTED_CLASSES = {
     "split",
     "planar",
     "connected",
-}
+)
 ASSERTABLE_CLASSES = {
     "interval",
     "cocomparability",
@@ -65,8 +64,8 @@ ASSERTABLE_CLASSES = {
 class Profile:
     """Lazily computed invariant bundle for one graph.
 
-    Shared by every theorem checked against the same graph, so the
-    expensive exhaustive scans run at most once.
+    Shared by every theorem checked against the same graph and by the
+    invariant report, so the expensive exhaustive scans run at most once.
     """
 
     def __init__(self, g: Graph):
@@ -141,6 +140,9 @@ class Profile:
 
     @cached_property
     def binding(self) -> Exact:
+        """Woodall's binding number; +inf on K_0, where no X qualifies."""
+        if self.n == 0:
+            return INF
         return binding_number(self.g)[0]
 
     @cached_property
@@ -154,6 +156,10 @@ class Profile:
     @cached_property
     def delta2(self) -> Exact:
         return delta_t(self.g, 2)
+
+    @cached_property
+    def delta3(self) -> Exact:
+        return delta_t(self.g, 3)
 
     @cached_property
     def cycles(self) -> LongestCycles:
@@ -202,10 +208,6 @@ class Profile:
         return self.g.is_connected()
 
     @cached_property
-    def claw_free(self) -> bool:
-        return contains_induced(self.g, claw()) is None
-
-    @cached_property
     def is_petersen(self) -> bool:
         g = self.g
         return (
@@ -217,6 +219,94 @@ class Profile:
 
     def class_flag(self, name: str) -> bool | None:
         return getattr(self, name)
+
+
+def _profile(g: Graph | Profile) -> Profile:
+    return g if isinstance(g, Profile) else Profile(g)
+
+
+def class_predicates(g: Graph | Profile) -> dict[str, bool | None]:
+    """Exact class flags; planar is None above the planarity ceiling."""
+    pf = _profile(g)
+    return {name: pf.class_flag(name) for name in SUPPORTED_CLASSES}
+
+
+# -- invariant report -----------------------------------------------------
+
+
+@dataclass
+class InvariantReport:
+    n: int
+    q: int
+    delta: int
+    Delta: int
+    degree_sequence: list[int]
+    kappa: int
+    alpha: int
+    tau: Exact
+    binding: Exact
+    sigma: dict[int, Exact] = field(default_factory=dict)
+    delta_dist: dict[int, Exact] = field(default_factory=dict)
+    flags: dict[str, bool | None] = field(default_factory=dict)
+
+    def to_lines(self) -> list[str]:
+        lines = [
+            f"n {self.n}",
+            f"q {self.q}",
+            f"delta {self.delta}",
+            f"Delta {self.Delta}",
+            f"degrees {' '.join(map(str, self.degree_sequence))}",
+            f"kappa {self.kappa}",
+            f"alpha {self.alpha}",
+            f"tau {fmt_exact(self.tau)}",
+            f"binding {fmt_exact(self.binding)}",
+        ]
+        for t in sorted(self.sigma):
+            lines.append(f"sigma_{t} {fmt_exact(self.sigma[t])}")
+        for t in sorted(self.delta_dist):
+            lines.append(f"delta_{t} {fmt_exact(self.delta_dist[t])}")
+        for name in sorted(self.flags):
+            val = self.flags[name]
+            lines.append(f"{name} {'undecided' if val is None else str(val).lower()}")
+        return lines
+
+    def to_record(self) -> dict:
+        rec = {
+            "n": self.n,
+            "q": self.q,
+            "delta": self.delta,
+            "Delta": self.Delta,
+            "degrees": self.degree_sequence,
+            "kappa": self.kappa,
+            "alpha": self.alpha,
+            "tau": fmt_exact(self.tau),
+            "binding": fmt_exact(self.binding),
+        }
+        rec.update({f"sigma_{t}": fmt_exact(v) for t, v in self.sigma.items()})
+        rec.update({f"delta_{t}": fmt_exact(v) for t, v in self.delta_dist.items()})
+        rec.update(self.flags)
+        return rec
+
+
+def invariant_report(g: Graph | Profile) -> InvariantReport:
+    """Full invariant bundle for one graph, class flags included, read off
+    one Profile: the exact tau is the only 2^n scan, and complete graphs
+    need none."""
+    pf = _profile(g)
+    return InvariantReport(
+        n=pf.n,
+        q=pf.q,
+        delta=pf.delta,
+        Delta=pf.Delta,
+        degree_sequence=sorted(pf.g.degrees()),
+        kappa=pf.kappa,
+        alpha=pf.alpha,
+        tau=pf.tau,
+        binding=pf.binding,
+        sigma={2: pf.sigma2, 3: pf.sigma3},
+        delta_dist={2: pf.delta2, 3: pf.delta3},
+        flags=class_predicates(pf),
+    )
 
 
 # -- premises -------------------------------------------------------------
@@ -476,7 +566,7 @@ def check(
     it vacuous.  Parameterized theorems iterate their feasible lambda
     range unless a fixed lambda is given.
     """
-    pf = g if isinstance(g, Profile) else Profile(g)
+    pf = _profile(g)
     assume_set = frozenset(assume)
     if pf.n < spec.n_floor:
         return Verdict(spec.id, "vacuous", f"n={pf.n} below floor {spec.n_floor}")
@@ -550,7 +640,7 @@ def check_all(
     """Run the full catalog against one graph, sharing one Profile."""
     from .catalog import catalog
 
-    pf = g if isinstance(g, Profile) else Profile(g)
+    pf = _profile(g)
     if specs is None:
         specs = catalog()
     verdicts = []

@@ -369,17 +369,3 @@ def is_planar(g: Graph) -> bool | None:
         if sub.n >= 6 and sub.q >= 9 and _has_subdivision(sub, complete_bipartite(3, 3)):
             return False
     return True
-
-
-def class_predicates(g: Graph) -> dict[str, bool | None]:
-    """Exact class flags; planar is None above the planarity ceiling."""
-    bip = bipartition(g) is not None
-    return {
-        "bipartite": bip,
-        "balanced_bipartite": bip and is_balanced_bipartite(g),
-        "regular": is_regular(g),
-        "chordal": is_chordal(g),
-        "split": is_split(g),
-        "planar": is_planar(g),
-        "connected": g.is_connected(),
-    }

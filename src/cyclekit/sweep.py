@@ -38,8 +38,8 @@ def gnp(n: int, p: float, count: int, seed: int) -> Iterator[Graph]:
 
 def random_regular(n: int, d: int, count: int, seed: int) -> Iterator[Graph]:
     """d-regular graphs by the pairing model with rejection, seeded."""
-    if n * d % 2 or d >= n:
-        raise GraphError("random regular needs n*d even and d < n")
+    if n * d % 2 or not 0 <= d < n:
+        raise GraphError("random regular needs n*d even and 0 <= d < n")
     rng = random.Random(seed)
     produced = 0
     while produced < count:
@@ -60,6 +60,8 @@ def random_regular(n: int, d: int, count: int, seed: int) -> Iterator[Graph]:
 
 def random_bipartite(a: int, b: int, p: float, count: int, seed: int) -> Iterator[Graph]:
     """Bipartite G(a,b,p) on sides {0..a-1} and {a..a+b-1}, seeded."""
+    if a < 0 or b < 0:
+        raise GraphError("random bipartite needs sides a, b >= 0")
     rng = random.Random(seed)
     for _ in range(count):
         edges = [

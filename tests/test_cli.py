@@ -111,6 +111,8 @@ def test_usage_errors_exit_2():
     assert code4 == 2
     code5, _, _ = run(["solve", "every-longest", "CD", "--lambda", "0"], stdin="Bw")
     assert code5 == 2
+    code6, out6, err6 = run(["check", "--lambda", "0"], stdin="IheA@GUAo")
+    assert code6 == 2 and out6 == "" and "lambda must be >= 1" in err6
 
 
 def test_unreadable_input_exits_2():

@@ -24,10 +24,10 @@ from cyclekit.invariants import (
     cut_scan,
     delta_t,
     independence_number,
-    invariant_report,
     sigma_t,
     toughness,
 )
+from cyclekit.registry import invariant_report
 from conftest import mixed_corpus, seeded_gnp, to_networkx
 
 
@@ -179,6 +179,10 @@ def test_invariant_report_shape():
     assert rec["tau"] == "4/3" and rec["binding"] == "9/7"
     assert rec["planar"] is False and rec["regular"] is True
     assert "sigma_2" in rec and "delta_2" in rec
+    empty = invariant_report(complete(0)).to_record()
+    assert empty["kappa"] == empty["alpha"] == 0 and empty["degrees"] == []
+    assert empty["tau"] == empty["binding"] == empty["sigma_2"] == "inf"
+    assert empty["connected"] is False and empty["planar"] is True
 
 
 # Its third 0-4 path exists only if an augmenting path backs up through a

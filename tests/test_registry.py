@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclekit import cycles, registry
+from cyclekit import cli, cycles, registry
 from cyclekit.catalog import catalog, get
 from cyclekit.cycles import (
     circumference,
@@ -19,11 +19,13 @@ from cyclekit.cycles import (
 )
 from cyclekit.exact import INF
 from cyclekit.families import build
+from cyclekit.formats import encode_graph6
 from cyclekit.graph import (
     complete,
     complete_bipartite,
     cycle_graph,
     disjoint_union,
+    edgeless,
     path_graph,
     petersen,
     power,
@@ -36,9 +38,10 @@ from cyclekit.registry import (
     audit_sharpness,
     check,
     check_all,
+    invariant_report,
 )
 from cyclekit.invariants import cut_scan
-from conftest import mixed_corpus
+from conftest import mixed_corpus, seeded_gnp
 
 
 def test_verdict_kinds_on_frozen_graphs():
@@ -302,3 +305,50 @@ def test_residual_bound_enumeration_hits_the_ceiling():
     assert time.perf_counter() - start < 10
     assert v.kind == "ceiling"
     assert "capped at 14 vertices" in v.detail and "n=16" in v.detail
+
+
+# -- the invariant report as a view over Profile -------------------------
+
+
+def invariant_corpus():
+    """Named graphs plus seeded G(n,p), n = 1..13: the input behind the frozen
+    ``tests/data/invariants.{txt,jsonl}``, written when the report still
+    computed every invariant by its own calls."""
+    named = [
+        complete(0),
+        complete(1),
+        complete(2),
+        complete(6),
+        edgeless(4),
+        petersen(),
+        complete_bipartite(5, 6),
+        disjoint_union([complete(5), complete(5), complete(1)]),
+        build("H", a=1, b=2, t=4, k=3),
+    ]
+    return named + [
+        g
+        for n in range(1, 14)
+        for p in (0.2, 0.4, 0.6, 0.8)
+        for g in seeded_gnp(n, p, 3, 1000 * n + int(100 * p))
+    ]
+
+
+@pytest.mark.parametrize("flags, frozen", [((), "invariants.txt"), (("--json",), "invariants.jsonl")])
+def test_invariants_command_matches_frozen_output(tmp_path, capsys, flags, frozen):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("".join(encode_graph6(g) + "\n" for g in invariant_corpus()))
+    assert cli.main(["invariants", *flags, str(corpus)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (Path(__file__).parent / "data" / frozen).read_text()
+
+
+def test_invariant_report_scans_only_for_the_printed_tau(monkeypatch):
+    scans = []
+    monkeypatch.setattr(registry, "cut_scan", lambda g: scans.append(g) or cut_scan(g))
+    for n in (0, 1, 2, 18):
+        assert invariant_report(complete(n)).tau == INF
+    assert scans == []
+    pf = Profile(power(cycle_graph(20), 4))
+    rep = invariant_report(pf)
+    assert len(scans) == 1 and rep.tau == pf.tau and rep.kappa == 8

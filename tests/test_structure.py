@@ -12,10 +12,10 @@ from cyclekit.graph import (
     petersen,
     power,
 )
+from cyclekit.registry import class_predicates
 from cyclekit.structure import (
     bipartition,
     chordal_peo,
-    class_predicates,
     claw,
     contains_induced,
     is_balanced_bipartite,

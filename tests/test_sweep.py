@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from cyclekit.graph import GraphError
 from cyclekit.sweep import gnp, random_bipartite, random_regular, sweep
 
 
@@ -22,6 +25,23 @@ def test_random_bipartite_sides():
     for g in random_bipartite(4, 5, 0.6, 5, seed=2):
         assert g.n == 9
         assert all(not g.has_edge(u, v) for u in range(4) for v in range(u + 1, 4))
+
+
+def test_gnp_rejects_a_negative_order():
+    with pytest.raises(GraphError):
+        list(gnp(-3, 0.5, 2, seed=1))
+
+
+def test_random_regular_rejects_negative_parameters():
+    for n, d in ((4, -2), (-4, 2), (-4, -2)):
+        with pytest.raises(GraphError):
+            list(random_regular(n, d, 2, seed=1))
+
+
+def test_random_bipartite_rejects_negative_sides():
+    for a, b in ((-1, 2), (2, -1)):
+        with pytest.raises(GraphError):
+            list(random_bipartite(a, b, 0.5, 2, seed=1))
 
 
 def test_sweep_report():
