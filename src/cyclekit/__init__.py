@@ -76,11 +76,15 @@ from .registry import (
     invariant_report,
 )
 from .structure import (
+    KuratowskiCert,
+    RotationCert,
     claw,
     contains_induced,
     is_free,
+    is_planar,
     net,
     pattern,
+    planarity_certificate,
 )
 
 __version__ = "0.1.0"

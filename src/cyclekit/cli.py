@@ -98,7 +98,11 @@ def _read_graphs(path: str | None) -> Iterator[tuple[str, Graph]]:
     Lines are treated as graph6; if the first line starts a DIMACS or
     edge-list document, the whole input is parsed as one graph.
     """
-    text = sys.stdin.read() if path in (None, "-") else open(path).read()
+    if path in (None, "-"):
+        text = sys.stdin.read()
+    else:
+        with open(path) as f:
+            text = f.read()
     stripped = text.strip()
     if not stripped:
         return
@@ -425,7 +429,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.fn(args)
     except UsageError as exc:
         parser.error(str(exc))
-    except (GraphError, FormatError) as exc:
+    except (GraphError, FormatError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

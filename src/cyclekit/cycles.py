@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .graph import Graph, GraphError, bits, induced_subgraph, mask_of
+from .graph import Graph, GraphError, biconnected_blocks, bits, induced_subgraph, mask_of
 
 
 class CertificateError(ValueError):
@@ -140,76 +140,31 @@ def _cycle_search(g: Graph, floor: int, cap: int) -> Iterator[list[int]]:
 def _cycle_bound(g: Graph) -> int:
     """Upper bound on the circumference in O(n + q), under the conventions.
 
-    Every cycle lies inside one block (Tarjan lowpoints), and a cycle in a
-    bipartite block alternates sides, so the bound is the largest block
-    size, with a bipartite block counting 2 * min(|X|, |Y|) instead.  A
-    block's vertices form a subtree of the DFS tree, so DFS depth parity
-    2-colours it exactly when it is bipartite.  Bridges count 2 and
-    isolated vertices 1, as the conventions do.
+    Every cycle lies inside one block, and a cycle in a bipartite block
+    alternates sides, so the bound is the largest block size, with a
+    bipartite block counting 2 * min(|X|, |Y|) instead; DFS depth parity
+    gives the sides.  Bridges count 2 and isolated vertices 1, as the
+    conventions do.
     """
-    n, rows = g.n, g.rows
-    depth = [-1] * n
-    low = [0] * n
-    seen = even = 0  # even: vertices at even DFS depth
+    rows = g.rows
+    found, even = biconnected_blocks(g)
     best = 1
-    for root in range(n):
-        if depth[root] >= 0:
+    for block in found:
+        size = block.bit_count()
+        if size <= best:
             continue
-        depth[root] = 0
-        seen |= 1 << root
-        even |= 1 << root
-        path, block_stack = [root], [root]
-        while path:
-            v = path[-1]
-            cand = rows[v] & ~seen
-            if cand:
-                ubit = cand & -cand
-                u = ubit.bit_length() - 1
-                d = depth[u] = len(path)
-                if not d & 1:
-                    even |= ubit
-                lo = d - 1  # the parent; other seen neighbours are ancestors
-                anc = rows[u] & seen & ~(1 << v)
-                while anc:
-                    wbit = anc & -anc
-                    anc ^= wbit
-                    dw = depth[wbit.bit_length() - 1]
-                    if dw < lo:
-                        lo = dw
-                low[u] = lo
-                seen |= ubit
-                path.append(u)
-                block_stack.append(u)
-                continue
-            path.pop()
-            if not path:
-                break
-            p = path[-1]
-            if low[v] < depth[p]:
-                if low[v] < low[p]:
-                    low[p] = low[v]
-                continue
-            block = 1 << p
-            while True:
-                w = block_stack.pop()
-                block |= 1 << w
-                if w == v:
-                    break
-            size = block.bit_count()
-            if size <= best:
-                continue
-            side = block & even
-            other = block ^ side
-            reach_side = reach_other = 0
-            for w in bits(block):
-                if side >> w & 1:
-                    reach_side |= rows[w]
-                else:
-                    reach_other |= rows[w]
-            if not (reach_side & side or reach_other & other):
-                size = 2 * min(side.bit_count(), other.bit_count())
-            if size > best:
-                best = size
+        side = block & even
+        other = block ^ side
+        reach_side = reach_other = 0
+        for w in bits(block):
+            if side >> w & 1:
+                reach_side |= rows[w]
+            else:
+                reach_other |= rows[w]
+        if not (reach_side & side or reach_other & other):
+            size = 2 * min(side.bit_count(), other.bit_count())
+        if size > best:
+            best = size
     return best
 
 
@@ -275,34 +230,6 @@ def hamiltonian(g: Graph) -> CycleCert | None:
         cert.validate(g)
         return cert
     return None
-
-
-def hamiltonian_dp_oracle(g: Graph) -> bool:
-    """Independent hamiltonicity verdict by subset dynamic programming."""
-    n, rows = g.n, g.rows
-    if n == 0:
-        raise GraphError("hamiltonicity needs at least one vertex")
-    if n > 20:
-        raise CeilingError("dp oracle capped at 20 vertices")
-    if n == 1:
-        return True
-    if n == 2:
-        return bool(rows[0] & 2)
-    full = (1 << n) - 1
-    dp = [0] * (full + 1)
-    dp[1] = 1
-    for mask in range(1, full + 1, 2):
-        e = dp[mask]
-        while e:
-            vbit = e & -e
-            e ^= vbit
-            v = vbit.bit_length() - 1
-            ext = rows[v] & ~mask
-            while ext:
-                ubit = ext & -ext
-                ext ^= ubit
-                dp[mask | ubit] |= ubit
-    return bool(dp[full] & rows[0])
 
 
 # -- longest path ---------------------------------------------------------

@@ -106,6 +106,13 @@ def parse_edge_list(text: str) -> Graph:
         raise FormatError(str(exc)) from exc
 
 
+def _dimacs_int(token: str, line: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise FormatError(f"bad integer in DIMACS line: {line!r}") from None
+
+
 def parse_dimacs(text: str) -> Graph:
     """Parse DIMACS 'p edge n m' format; 1-based vertices become 0-based."""
     n = None
@@ -118,12 +125,13 @@ def parse_dimacs(text: str) -> Graph:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] not in ("edge", "col"):
                 raise FormatError(f"bad DIMACS problem line: {line!r}")
-            n = int(parts[2])
+            n = _dimacs_int(parts[2], line)
         elif parts[0] == "e":
             if n is None:
                 raise FormatError("DIMACS edge before problem line")
-            u, v = int(parts[1]) - 1, int(parts[2]) - 1
-            edges.append((u, v))
+            if len(parts) < 3:
+                raise FormatError(f"bad DIMACS edge line: {line!r}")
+            edges.append((_dimacs_int(parts[1], line) - 1, _dimacs_int(parts[2], line) - 1))
         else:
             raise FormatError(f"unrecognized DIMACS line: {line!r}")
     if n is None:

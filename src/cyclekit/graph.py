@@ -119,6 +119,68 @@ class Graph:
         return self.reach_mask(1, self.full_mask) == self.full_mask
 
 
+def biconnected_blocks(g: Graph) -> tuple[list[int], int]:
+    """Blocks as vertex masks (Tarjan lowpoints, O(n + q)), and the mask of
+    vertices at even depth in the DFS forest.
+
+    Each edge lies in exactly one block, and two vertices of one block are
+    joined only by that block's edges, so a block is the subgraph its mask
+    induces.  Bridges are blocks of two vertices; an isolated vertex is in
+    no block.  A block's vertices form a subtree of the DFS tree, so the
+    depth parity 2-colours it exactly when it is bipartite.
+    """
+    n, rows = g.n, g.rows
+    depth = [-1] * n
+    low = [0] * n
+    seen = even = 0
+    found: list[int] = []
+    for root in range(n):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        seen |= 1 << root
+        even |= 1 << root
+        path, block_stack = [root], [root]
+        while path:
+            v = path[-1]
+            cand = rows[v] & ~seen
+            if cand:
+                ubit = cand & -cand
+                u = ubit.bit_length() - 1
+                d = depth[u] = len(path)
+                if not d & 1:
+                    even |= ubit
+                lo = d - 1  # the parent; other seen neighbours are ancestors
+                anc = rows[u] & seen & ~(1 << v)
+                while anc:
+                    wbit = anc & -anc
+                    anc ^= wbit
+                    dw = depth[wbit.bit_length() - 1]
+                    if dw < lo:
+                        lo = dw
+                low[u] = lo
+                seen |= ubit
+                path.append(u)
+                block_stack.append(u)
+                continue
+            path.pop()
+            if not path:
+                break
+            p = path[-1]
+            if low[v] < depth[p]:
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                continue
+            block = 1 << p
+            while True:
+                w = block_stack.pop()
+                block |= 1 << w
+                if w == v:
+                    break
+            found.append(block)
+    return found, even
+
+
 def bits(mask: int) -> list[int]:
     """Indices of set bits, ascending."""
     out = []
@@ -140,6 +202,8 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an explicit edge list; duplicates collapse."""
+    if n > MAX_VERTICES:  # before allocating n rows
+        raise GraphError(f"graphs are capped at {MAX_VERTICES} vertices, got {n}")
     rows = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):

@@ -200,7 +200,7 @@ class Profile:
         return is_split(self.g)
 
     @cached_property
-    def planar(self) -> bool | None:
+    def planar(self) -> bool:
         return is_planar(self.g)
 
     @cached_property
@@ -217,7 +217,7 @@ class Profile:
             and are_isomorphic(g, petersen())
         )
 
-    def class_flag(self, name: str) -> bool | None:
+    def class_flag(self, name: str) -> bool:
         return getattr(self, name)
 
 
@@ -225,8 +225,8 @@ def _profile(g: Graph | Profile) -> Profile:
     return g if isinstance(g, Profile) else Profile(g)
 
 
-def class_predicates(g: Graph | Profile) -> dict[str, bool | None]:
-    """Exact class flags; planar is None above the planarity ceiling."""
+def class_predicates(g: Graph | Profile) -> dict[str, bool]:
+    """Exact class flags, in ``SUPPORTED_CLASSES`` order."""
     pf = _profile(g)
     return {name: pf.class_flag(name) for name in SUPPORTED_CLASSES}
 
@@ -247,7 +247,7 @@ class InvariantReport:
     binding: Exact
     sigma: dict[int, Exact] = field(default_factory=dict)
     delta_dist: dict[int, Exact] = field(default_factory=dict)
-    flags: dict[str, bool | None] = field(default_factory=dict)
+    flags: dict[str, bool] = field(default_factory=dict)
 
     def to_lines(self) -> list[str]:
         lines = [
@@ -266,8 +266,7 @@ class InvariantReport:
         for t in sorted(self.delta_dist):
             lines.append(f"delta_{t} {fmt_exact(self.delta_dist[t])}")
         for name in sorted(self.flags):
-            val = self.flags[name]
-            lines.append(f"{name} {'undecided' if val is None else str(val).lower()}")
+            lines.append(f"{name} {str(self.flags[name]).lower()}")
         return lines
 
     def to_record(self) -> dict:
@@ -330,8 +329,7 @@ class Premise:
             return True
         if self.cls in ASSERTABLE_CLASSES:
             return None
-        flag = pf.class_flag(self.cls)
-        return flag  # planar may itself be None above its ceiling
+        return pf.class_flag(self.cls)
 
 
 def numeric(label: str, fn: Callable[[Profile, int | None], bool]) -> Premise:

@@ -4,7 +4,7 @@ Patterns are the small graphs that appear as forbidden subgraphs in the
 theorem catalog: cliques, paths, cycles, complete bipartite graphs, the
 claw, nets N_{i,j,k} and the Petersen graph.  Class predicates cover the
 decidable classes (bipartite, balanced bipartite, regular, chordal,
-split, planar); interval, cocomparability, spider, comparability and
+split, planar, the last with a checkable certificate either way); interval, cocomparability, spider, comparability and
 projective-planar recognition are deliberately not implemented and those
 premises are assertable-only in the registry.
 """
@@ -12,10 +12,14 @@ premises are assertable-only in the registry.
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
+from .cycles import CertificateError
 from .graph import (
     Graph,
     GraphError,
+    are_isomorphic,
+    biconnected_blocks,
     bits,
     complement,
     complete,
@@ -24,11 +28,10 @@ from .graph import (
     edgeless,
     from_edge_list,
     induced_subgraph,
+    mask_of,
     path_graph,
     petersen,
 )
-
-PLANARITY_CEILING = 16
 
 
 # -- pattern catalog ------------------------------------------------------
@@ -238,134 +241,230 @@ def is_split(g: Graph) -> bool:
     return is_chordal(g) and is_chordal(complement(g))
 
 
-# -- planarity by Kuratowski subdivision search ---------------------------
+# -- planarity by path addition, with certificates -------------------------
 
 
-def _topological_reduction(g: Graph) -> Graph:
-    """Delete degree<=1 vertices and suppress degree-2 vertices.
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
-    Preserves existence of K_5 / K_{3,3} subdivisions.
+
+def _bfs_path(rows: tuple[int, ...], start: int, allowed: int, targets: int) -> list[int]:
+    """Shortest path from start, inside ``allowed``, to the nearest target."""
+    parent = {start: start}
+    queue = [start]
+    seen = 1 << start
+    for v in queue:
+        if targets >> v & 1:
+            path = [v]
+            while v != start:
+                v = parent[v]
+                path.append(v)
+            return path[::-1]
+        for u in bits(rows[v] & allowed & ~seen):
+            seen |= 1 << u
+            parent[u] = v
+            queue.append(u)
+    raise GraphError("no path to a target")  # unreachable inside a block
+
+
+def _block_faces(g: Graph, block: int) -> list[list[int]] | None:
+    """Faces of a plane embedding of one block of 3+ vertices, or None.
+
+    Demoucron, Malgrange and Pertuiset (1964).  A cycle and its two sides
+    start the embedding.  A fragment is an undrawn edge between drawn
+    vertices, or a component of the undrawn vertices with its edges to
+    the drawn ones, where it attaches; a face admits it when it holds
+    every attachment.  Each step draws one fragment's path between two
+    attachments across an admissible face, splitting it.  A fragment that
+    no face admits proves the block non-planar.  A fragment admitted by
+    one face goes first; otherwise any choice keeps a planar block
+    embeddable.  Faces are vertex cycles; each orientation of each drawn
+    edge bounds exactly one of them.
     """
-    n = g.n
-    rows = list(g.rows)
-    alive = g.full_mask
-    changed = True
-    while changed:
-        changed = False
-        for v in range(n):
-            if not alive >> v & 1:
-                continue
-            nb = rows[v] & alive
-            d = nb.bit_count()
-            if d <= 1:
-                alive &= ~(1 << v)
-                changed = True
-            elif d == 2:
-                a = (nb & -nb).bit_length() - 1
-                b = (nb & (nb - 1)).bit_length() - 1
-                alive &= ~(1 << v)
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
-                rows[a] &= ~(1 << v)
-                rows[b] &= ~(1 << v)
-                changed = True
-    clean = Graph(
-        n,
-        tuple(
-            (row & alive & ~(1 << v)) if alive >> v & 1 else 0
-            for v, row in enumerate(rows)
-        ),
-    )
-    return induced_subgraph(clean, alive)
+    rows = g.rows
+    a = _lowest(block)
+    b = _lowest(rows[a] & block)
+    cycle = [a] + _bfs_path(rows, b, block & ~(1 << a), rows[a] & ~(1 << b))
+    faces = [cycle, cycle[::-1]]
+    masks = [mask_of(cycle)] * 2
+    drawn = [0] * g.n  # drawn[v]: v's drawn neighbours
+    for i, v in enumerate(cycle):
+        w = cycle[i - 1]
+        drawn[v] |= 1 << w
+        drawn[w] |= 1 << v
+    done = masks[0]
+    while True:
+        fragments: list[tuple[int, int]] = []  # (attachments, vertices)
+        for v in bits(done):
+            for u in bits(rows[v] & done & ~drawn[v] & ~((2 << v) - 1)):
+                fragments.append(((1 << v) | (1 << u), 0))
+        rest = block & ~done
+        while rest:
+            comp = g.reach_mask(rest & -rest, rest)
+            rest &= ~comp
+            attach = 0
+            for v in bits(comp):
+                attach |= rows[v]
+            fragments.append((attach & done, comp))
+        if not fragments:
+            return faces
+        choice = None
+        for attach, comp in fragments:
+            admit = [i for i, m in enumerate(masks) if not attach & ~m]
+            if not admit:
+                return None
+            if choice is None or len(admit) == 1:
+                choice = admit[0], attach, comp
+                if len(admit) == 1:
+                    break
+        i, attach, comp = choice
+        x = _lowest(attach)
+        others = attach & ~(1 << x)
+        if comp:
+            far = 0
+            for y in bits(others):
+                far |= rows[y]
+            inner = _bfs_path(rows, _lowest(rows[x] & comp), comp, far)
+            path = [x, *inner, _lowest(rows[inner[-1]] & others)]
+        else:
+            path = [x, _lowest(others)]
+        face = faces[i]
+        k = face.index(path[0])
+        face = face[k:] + face[:k]
+        j = face.index(path[-1])
+        inner = path[1:-1]
+        faces[i] = face[: j + 1] + inner[::-1]
+        faces.append(face[j:] + [path[0]] + inner)
+        masks[i] = mask_of(faces[i])
+        masks.append(mask_of(faces[-1]))
+        for v, w in zip(path, path[1:]):
+            drawn[v] |= 1 << w
+            drawn[w] |= 1 << v
+        done |= mask_of(inner)
 
 
-def _pack_paths(g: Graph, pairs: list[tuple[int, int]], branch_mask: int, used: int) -> bool:
-    """Connect the given terminal pairs by internally disjoint paths."""
-    if not pairs:
-        return True
-    a, b = pairs[0]
+def is_planar(g: Graph) -> bool:
+    """Exact planarity in polynomial time.
 
-    def paths_from(v: int, avoid: int):
-        # DFS path enumeration a..b with internals outside branch/used sets
-        if g.rows[v] >> b & 1:
-            yield avoid
-        cand = g.rows[v] & ~avoid & ~branch_mask & ~used
-        for u in bits(cand):
-            yield from paths_from(u, avoid | (1 << u))
-
-    seen: set[int] = set()
-    for internals in paths_from(a, 0):
-        if internals in seen:
-            continue
-        seen.add(internals)
-        if _pack_paths(g, pairs[1:], branch_mask, used | internals):
-            return True
-    return False
-
-
-def _has_subdivision(g: Graph, pattern_g: Graph) -> bool:
-    """Exhaustive search for a subdivision of the pattern inside g."""
-    k = pattern_g.n
-    min_deg = min(pattern_g.degrees())
-    candidates = [v for v in range(g.n) if g.degree(v) >= min_deg]
-    if len(candidates) < k:
-        return False
-    pairs_h = pattern_g.edges()
-
-    chosen: list[int] = []
-
-    def choose(idx: int, start: int) -> bool:
-        if idx == k:
-            branch_mask = 0
-            for v in chosen:
-                branch_mask |= 1 << v
-            pairs = [(chosen[a], chosen[b]) for a, b in pairs_h]
-            return _pack_paths(g, pairs, branch_mask, 0)
-        for pos in range(start, len(candidates)):
-            chosen.append(candidates[pos])
-            if choose(idx + 1, pos + 1):
-                return True
-            chosen.pop()
-        return False
-
-    # branch-vertex roles are interchangeable for K_5 (complete); for
-    # K_{3,3} the side split matters, so try every 3/3 split of each 6-set
-    if pattern_g.q == k * (k - 1) // 2:
-        return choose(0, 0)
-    from itertools import combinations
-
-    for six in combinations(candidates, 6):
-        branch_mask = 0
-        for v in six:
-            branch_mask |= 1 << v
-        for left in combinations(range(6), 3):
-            if 0 not in left:
-                continue  # fix one side to kill the mirror symmetry
-            right = [i for i in range(6) if i not in left]
-            pairs = [(six[a], six[b]) for a in left for b in right]
-            if _pack_paths(g, pairs, branch_mask, 0):
-                return True
-    return False
-
-
-def is_planar(g: Graph) -> bool | None:
-    """Exact planarity for n <= 16 (None above the ceiling).
-
-    Euler-count filter first, then exhaustive search for a K_5 or K_{3,3}
-    subdivision on the topologically reduced graph.
+    Euler's bound q <= 3n - 6 first, then path addition on every block of
+    five or more vertices: a graph is planar iff its blocks are.  Builds
+    no certificate; ``planarity_certificate`` does.
     """
-    if g.n > PLANARITY_CEILING:
-        return None
     if g.n >= 3 and g.q > 3 * g.n - 6:
         return False
-    for comp in g.component_masks():
-        sub = _topological_reduction(induced_subgraph(g, comp))
-        if sub.n == 0:
-            continue
-        if sub.n >= 3 and sub.q > 3 * sub.n - 6:
-            return False
-        if sub.n >= 5 and sub.q >= 10 and _has_subdivision(sub, complete(5)):
-            return False
-        if sub.n >= 6 and sub.q >= 9 and _has_subdivision(sub, complete_bipartite(3, 3)):
-            return False
-    return True
+    blocks = biconnected_blocks(g)[0]
+    return all(_block_faces(g, b) is not None for b in blocks if b.bit_count() >= 5)
+
+
+# The certificates are NamedTuples, not dataclasses like CycleCert: a
+# dataclass costs about ten times as much to create, and every CLI process
+# pays that at import.
+
+
+class RotationCert(NamedTuple):
+    """A plane embedding: ``rotation[v]`` lists v's neighbours in cyclic order."""
+
+    rotation: tuple[tuple[int, ...], ...]
+
+    def validate(self, g: Graph) -> None:
+        """Trace the faces and check Euler's formula.
+
+        The face after dart u->v leaves v towards the neighbour after u in
+        v's rotation.  Each component satisfies V - E + F = 2 on its own
+        (an isolated vertex bounds one face), which is V - E + F = 1 + c
+        with the outer face counted once, exactly when the rotation
+        system embeds G in the plane.
+        """
+        if len(self.rotation) != g.n:
+            raise CertificateError(f"rotation has {len(self.rotation)} vertices, graph {g.n}")
+        succ: dict[tuple[int, int], int] = {}
+        for v, rot in enumerate(self.rotation):
+            in_range = all(0 <= u < g.n for u in rot)
+            if not in_range or len(set(rot)) != len(rot) or mask_of(rot) != g.rows[v]:
+                raise CertificateError(f"rotation at {v} is not a cyclic order of its neighbours")
+            for k, u in enumerate(rot):
+                succ[v, u] = rot[(k + 1) % len(rot)]
+        faces = sum(1 for row in g.rows if not row)
+        seen: set[tuple[int, int]] = set()
+        for dart in succ:
+            if dart in seen:
+                continue
+            faces += 1
+            while dart not in seen:
+                seen.add(dart)
+                u, v = dart
+                dart = (v, succ[v, u])
+        c = g.count_components()
+        if g.n - g.q + faces != 2 * c:
+            euler = g.n - g.q + faces - c + 1
+            raise CertificateError(f"V - E + F = {euler} with one outer face, not 1 + c = {1 + c}")
+
+
+class KuratowskiCert(NamedTuple):
+    """A subdivision of K_5 or K_{3,3} in G, given by its edges."""
+
+    edges: tuple[tuple[int, int], ...]
+
+    def validate(self, g: Graph) -> None:
+        """Suppress degree-2 vertices, with no parallel edge allowed, and
+        compare what is left with K_5 and K_{3,3}."""
+        adj: dict[int, set[int]] = {}
+        for u, v in self.edges:
+            if not (0 <= u < g.n and 0 <= v < g.n and g.rows[u] >> v & 1):
+                raise CertificateError(f"{u}-{v} is not an edge")
+            if v in adj.get(u, ()):
+                raise CertificateError(f"edge {u}-{v} listed twice")
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+        for v in [v for v, nb in adj.items() if len(nb) == 2]:
+            a, b = adj.pop(v)
+            adj[a].discard(v)
+            adj[b].discard(v)
+            if b in adj[a]:
+                raise CertificateError(f"suppressing {v} makes a parallel edge {a}-{b}")
+            adj[a].add(b)
+            adj[b].add(a)
+        index = {v: k for k, v in enumerate(sorted(adj))}
+        h = from_edge_list(len(index), [(index[u], index[v]) for u in adj for v in adj[u] if u < v])
+        if not (are_isomorphic(h, complete(5)) or are_isomorphic(h, complete_bipartite(3, 3))):
+            raise CertificateError("suppressing degree-2 vertices leaves neither K_5 nor K_{3,3}")
+
+
+def planarity_certificate(g: Graph) -> RotationCert | KuratowskiCert:
+    """A checkable proof of the planarity verdict, validated before return.
+
+    Planar: a rotation system, joining each block's embedding at the cut
+    vertices.  Non-planar: a Kuratowski subdivision, left after deleting
+    every edge whose removal keeps the graph non-planar (q more tests).
+    """
+    if is_planar(g):
+        order: list[list[int]] = [[] for _ in range(g.n)]
+        for block in biconnected_blocks(g)[0]:
+            if block.bit_count() == 2:  # a bridge
+                u, v = bits(block)
+                order[u].append(v)
+                order[v].append(u)
+                continue
+            succ = {}  # (v, u): the neighbour after u around v
+            for face in _block_faces(g, block):
+                for k, v in enumerate(face):
+                    succ[v, face[k - 1]] = face[(k + 1) % len(face)]
+            for v in bits(block):
+                first = u = _lowest(g.rows[v] & block)
+                while True:
+                    order[v].append(u)
+                    u = succ[v, u]
+                    if u == first:
+                        break
+        cert: RotationCert | KuratowskiCert = RotationCert(tuple(map(tuple, order)))
+    else:
+        rows = list(g.rows)
+        for u, v in g.edges():
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+            if is_planar(Graph(g.n, tuple(rows))):
+                rows[u] ^= 1 << v
+                rows[v] ^= 1 << u
+        cert = KuratowskiCert(tuple(Graph(g.n, tuple(rows)).edges()))
+    cert.validate(g)
+    return cert

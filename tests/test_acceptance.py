@@ -17,7 +17,6 @@ from cyclekit.cycles import (
     circumference,
     every_longest_cycle_satisfies,
     hamiltonian,
-    hamiltonian_dp_oracle,
 )
 from cyclekit.formats import encode_graph6, parse_graph6
 from cyclekit.graph import Graph, complete, from_edge_list, power
@@ -31,6 +30,7 @@ from cyclekit.invariants import (
 from cyclekit.registry import Profile, audit_sharpness, check, check_all
 from cyclekit.structure import claw, contains_induced
 from conftest import seeded_gnp
+from oracles import hamiltonian_dp_oracle
 from test_cycles import naive_circumference
 from test_invariants import (
     naive_alpha,

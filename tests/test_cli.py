@@ -1,10 +1,16 @@
 """CLI grammar, exit codes and output determinism."""
 
+import contextlib
+import io
 import json
+import os
+import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cyclekit import cli
 
@@ -119,6 +125,43 @@ def test_unreadable_input_exits_2():
     code, out, err = run(["invariants", "/nonexistent/graphs.g6"])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_input_file_is_closed(tmp_path):
+    path = tmp_path / "petersen.g6"
+    path.write_text("IheA@GUAo\n")
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+         "-m", "cyclekit.cli", "invariants", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+
+
+# lines shaped like graph6, edge-list and DIMACS input, so that each parser's
+# error paths are reached, besides plain arbitrary text and bytes
+WORD = st.sampled_from(["0", "1", "2", "3", "12", "-1", "²", "Bw", "C~", "~"]) | st.text(max_size=2)
+LINE = st.tuples(st.sampled_from(["", "p edge", "p", "e", "c"]), st.lists(WORD, max_size=3))
+SHAPED = st.lists(LINE.map(lambda t: " ".join([t[0], *t[1]]).strip()), max_size=4).map("\n".join)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(st.text(max_size=16), SHAPED).map(str.encode) | st.binary(max_size=16))
+def test_check_never_exits_3_on_arbitrary_input(data):
+    # orders stay at most 12: check runs exact 2^n scans, and the property
+    # under test is the exit code, not the time a large input takes
+    assume(all(int(t) <= 12 for t in re.findall(r"\d+", data.decode("utf-8", "replace"))))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "wb") as f:
+            f.write(data)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.run(["check", "--json", path])
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+    assert code in (0, 1, 2), data
 
 
 def test_malformed_range_exits_2():

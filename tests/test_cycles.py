@@ -16,7 +16,6 @@ from cyclekit.cycles import (
     every_longest_cycle_satisfies,
     exists_cycle_satisfying,
     hamiltonian,
-    hamiltonian_dp_oracle,
     is_CD_cycle,
     is_PD_cycle,
     is_dominating_cycle,
@@ -36,6 +35,7 @@ from cyclekit.graph import (
     petersen,
 )
 from conftest import mixed_corpus, to_networkx
+from oracles import hamiltonian_dp_oracle
 
 
 def naive_circumference(g) -> int:

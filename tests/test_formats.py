@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclekit.formats import (
     FormatError,
@@ -8,7 +9,14 @@ from cyclekit.formats import (
     parse_edge_list,
     parse_graph6,
 )
-from cyclekit.graph import are_isomorphic, complete, cycle_graph, petersen
+from cyclekit.graph import (
+    MAX_VERTICES,
+    are_isomorphic,
+    complete,
+    cycle_graph,
+    from_edge_list,
+    petersen,
+)
 from conftest import mixed_corpus
 
 
@@ -34,6 +42,27 @@ def test_large_n_header():
     assert h.rows == g.rows
 
 
+@settings(max_examples=20, deadline=None, database=None)
+@given(st.data())
+def test_graph6_round_trip_every_order(data):
+    # orders 63..70 take the 4-byte order field; above 64 vertices parsing
+    # refuses the order instead of building the graph
+    for n in range(71):
+        pairs = [(u, v) for v in range(1, n) for u in range(v)]
+        body = (len(pairs) + 5) // 6
+        if n > MAX_VERTICES:
+            order = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
+            with pytest.raises(FormatError, match="exceeds"):
+                parse_graph6(order + "?" * body)
+            continue
+        mask = data.draw(st.integers(0, (1 << len(pairs)) - 1))
+        g = from_edge_list(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
+        text = encode_graph6(g)
+        assert len(text) == (1 if n <= 62 else 4) + body
+        h = parse_graph6(text)
+        assert h == g and encode_graph6(h) == text
+
+
 def test_malformed_graph6():
     with pytest.raises(FormatError):
         parse_graph6("")
@@ -46,12 +75,17 @@ def test_malformed_graph6():
 def test_edge_list():
     g = parse_edge_list("3 2\n0 1\n1 2\n")
     assert g.q == 2 and g.has_edge(0, 1) and g.has_edge(1, 2)
+    with pytest.raises(FormatError, match="capped at 64"):  # refused before allocating
+        parse_edge_list("99999999999999999999 0")
 
 
 def test_dimacs():
     text = "c petersen-free comment\np edge 5 4\ne 1 2\ne 2 3\ne 3 4\ne 4 5\n"
     g = parse_dimacs(text)
     assert g.n == 5 and g.q == 4 and g.has_edge(0, 1)
+    for bad in ("p edge ² 1", "p edge 3 1\ne 1", "p edge 3 1\ne 1 x", "p edge 99999999999999999999 0"):
+        with pytest.raises(FormatError):
+            parse_dimacs(bad)
 
 
 def test_parse_any_dispatch():

@@ -84,9 +84,9 @@ def test_planarity_ceiling_inapplicable():
     g = cycle_graph(20)
     v = check(g, get("Thm19"))
     assert v.kind == "vacuous"  # kappa=2 < 4 fails before planarity
-    big = power(cycle_graph(20), 4)  # kappa >= 4, planarity undecidable
+    big = power(cycle_graph(20), 4)  # kappa >= 4; 80 edges > 3n - 6 = 54
     v2 = check(big, get("Thm19"))
-    assert v2.kind == "inapplicable"
+    assert v2.kind == "vacuous" and v2.detail == "premise fails: G is planar"
     assert check(big, get("Thm19"), assume=["planar"]).kind != "inapplicable"
 
 

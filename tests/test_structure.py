@@ -1,19 +1,25 @@
 """Pattern detection and class predicates against networkx references."""
 
+import random
+
 import networkx as nx
 import pytest
 
+from cyclekit.cycles import CertificateError
 from cyclekit.graph import (
     GraphError,
     complete,
     complete_bipartite,
     cycle_graph,
+    from_edge_list,
     path_graph,
     petersen,
     power,
 )
 from cyclekit.registry import class_predicates
 from cyclekit.structure import (
+    KuratowskiCert,
+    RotationCert,
     bipartition,
     chordal_peo,
     claw,
@@ -24,8 +30,9 @@ from cyclekit.structure import (
     is_split,
     net,
     pattern,
+    planarity_certificate,
 )
-from conftest import mixed_corpus, to_networkx
+from conftest import mixed_corpus, seeded_gnp, to_networkx
 
 
 def test_pattern_tokens():
@@ -111,19 +118,131 @@ def test_bipartite_predicates():
     )
 
 
+def assert_planarity_matches_networkx(g):
+    """is_planar agrees with networkx, and the certificate validates."""
+    ours = is_planar(g)
+    assert ours is nx.check_planarity(to_networkx(g))[0], g.edges()
+    cert = planarity_certificate(g)
+    assert isinstance(cert, RotationCert if ours else KuratowskiCert)
+    cert.validate(g)
+
+
 def test_planarity_vs_networkx():
     for g in mixed_corpus(seed=31, per_cell=5, ns=range(1, 9)):
-        ours = is_planar(g)
-        ref, _ = nx.check_planarity(to_networkx(g))
-        assert ours == ref, g
+        assert_planarity_matches_networkx(g)
     assert is_planar(petersen()) is False
     assert is_planar(complete(5)) is False
     assert is_planar(complete_bipartite(3, 3)) is False
-    assert is_planar(power(cycle_graph(8), 2)) is not None
+    assert is_planar(power(cycle_graph(8), 2)) is True
 
 
 def test_planarity_ceiling():
-    assert is_planar(cycle_graph(17)) is None
+    assert is_planar(cycle_graph(17)) is True
+    assert is_planar(power(cycle_graph(20), 4)) is False
+
+
+def test_planarity_on_the_graph_atlas():
+    atlas = nx.graph_atlas_g()  # every graph on at most 7 vertices
+    assert len(atlas) == 1253
+    for h in atlas:
+        assert_planarity_matches_networkx(from_edge_list(h.number_of_nodes(), h.edges()))
+
+
+def test_planarity_near_the_threshold():
+    # mean degree 2..4: the giant component appears and K_5 / K_{3,3}
+    # subdivisions start to form, so both answers occur at every size
+    verdicts = set()
+    for n in range(8, 41):
+        for d in (2.0, 2.5, 3.0, 3.5, 4.0):
+            for g in seeded_gnp(n, d / n, 2, 7000 + 10 * n + int(2 * d)):
+                assert_planarity_matches_networkx(g)
+                verdicts.add((n > 20, is_planar(g)))
+    assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_planarity_on_maximal_planar_graphs():
+    # grow a triangulation edge by edge in a seeded order, networkx deciding;
+    # a rejected edge gives a non-planar graph at the Euler bound or below
+    for seed, n in ((1, 9), (2, 16), (3, 25), (4, 40)):
+        rng = random.Random(seed)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        rng.shuffle(pairs)
+        edges, certified = [], 0
+        for e in pairs:
+            g = from_edge_list(n, edges + [e])
+            if nx.check_planarity(to_networkx(g))[0]:
+                assert is_planar(g)
+                edges.append(e)
+            else:
+                assert not is_planar(g)
+                if certified < 3 and g.q <= 3 * n - 6:
+                    certified += 1
+                    planarity_certificate(g).validate(g)
+        assert len(edges) == 3 * n - 6 and certified == 3
+        assert_planarity_matches_networkx(from_edge_list(n, edges))
+
+
+def subdivide(g, k):
+    """Each edge of g replaced by a path with k inner vertices."""
+    edges, nxt = [], g.n
+    for u, v in g.edges():
+        path = [u, *range(nxt, nxt + k), v]
+        nxt += k
+        edges += zip(path, path[1:])
+    return from_edge_list(nxt, edges)
+
+
+def relabel(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def grid(r, c):
+    return from_edge_list(
+        r * c,
+        [(i * c + j, i * c + j + 1) for i in range(r) for j in range(c - 1)]
+        + [(i * c + j, (i + 1) * c + j) for i in range(r - 1) for j in range(c)],
+    )
+
+
+def test_planarity_on_families_up_to_64_vertices():
+    family = [petersen(), relabel(petersen(), 5)]
+    family += [power(cycle_graph(n), k) for k in (2, 3) for n in range(2 * k + 2, 65, 5)]
+    family += [grid(r, c) for r, c in ((2, 2), (3, 5), (5, 5), (4, 12), (8, 8))]
+    family += [subdivide(complete(5), k) for k in range(6)]
+    family += [subdivide(complete_bipartite(3, 3), k) for k in range(7)]
+    family += [relabel(subdivide(complete(5), 4), 1), relabel(subdivide(complete_bipartite(3, 3), 4), 2)]
+    # a planar graph and a Kuratowski subdivision hung off one cut vertex
+    hung = [(u + 36, v + 36) for u, v in subdivide(complete(5), 2).edges()]
+    family.append(from_edge_list(64, grid(6, 6).edges() + [(35, 36), *hung]))
+    for g in family:
+        assert_planarity_matches_networkx(g)
+    assert is_planar(grid(8, 8)) and not is_planar(subdivide(complete_bipartite(3, 3), 6))
+
+
+def test_planarity_certificates_reject_mutants():
+    g = power(cycle_graph(12), 2)  # 4-connected planar: one embedding up to mirroring
+    rot = planarity_certificate(g)
+    swapped = list(rot.rotation)
+    a, b, *rest = swapped[0]
+    swapped[0] = (b, a, *rest)
+    with pytest.raises(CertificateError, match="V - E \\+ F"):
+        RotationCert(tuple(swapped)).validate(g)
+    with pytest.raises(CertificateError, match="cyclic order"):
+        RotationCert((swapped[0][1:], *swapped[1:])).validate(g)
+
+    h = subdivide(complete_bipartite(3, 3), 1)
+    wit = planarity_certificate(h)
+    assert sorted(wit.edges) == sorted(h.edges())
+    with pytest.raises(CertificateError, match="neither K_5 nor K_\\{3,3\\}"):
+        KuratowskiCert(wit.edges[1:]).validate(h)
+    with pytest.raises(CertificateError, match="not an edge"):
+        KuratowskiCert(wit.edges + ((0, 1),)).validate(h)
+    # K_5 with edge 0-1 kept and also subdivided by vertex 5
+    k5 = from_edge_list(6, complete(5).edges() + [(0, 5), (5, 1)])
+    with pytest.raises(CertificateError, match="parallel edge 0-1"):
+        KuratowskiCert(tuple(k5.edges())).validate(k5)
 
 
 def test_class_predicates_bundle():
