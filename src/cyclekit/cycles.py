@@ -4,9 +4,14 @@ One branch-and-bound DFS, ``_cycle_search``, answers every cycle question:
 the longest-cycle solvers let its length floor rise, and
 ``cycles_of_length`` pins the floor to list every cycle of one length.
 An O(n + q) block/bipartite bound, ``_cycle_bound``, ends the longest-cycle
-search as soon as it finds a cycle that long.  ``LongestCycles`` keeps one
-graph's longest-cycle answers so that every universal and existence
-question reuses them.
+search as soon as it finds a cycle that long.  Once the longest-cycle or
+longest-path search has spent ``SEARCH_BUDGET`` DFS nodes on a graph of
+at most ``DP_MAX_VERTICES`` vertices, a subset DP (Bellman; Held and
+Karp, 1962) computes the optimum instead, and a new search whose floor
+sits just below it returns the first optimum in DFS order: the witness
+the exhaustive search returns.  ``LongestCycles`` keeps one graph's
+longest-cycle answers so that every universal and existence question
+reuses them.
 
 Length conventions: a single vertex counts as a cycle of length 1 and an
 edge as a cycle of length 2, so the circumference of a nonempty graph is
@@ -16,7 +21,7 @@ at least 1.  Cycle lengths count vertices; path lengths count edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .graph import Graph, GraphError, biconnected_blocks, bits, induced_subgraph, mask_of
 
@@ -30,6 +35,13 @@ class CeilingError(RuntimeError):
 
 
 ENUMERATION_CEILING = 14
+
+# DFS nodes the longest-cycle and longest-path searches visit on a graph of
+# at most DP_MAX_VERTICES vertices before a subset DP settles the optimum.
+# Counted in nodes, not seconds, so no result depends on machine speed;
+# the witness does not depend on it at all.
+SEARCH_BUDGET = 2000
+DP_MAX_VERTICES = 20
 
 
 @dataclass(frozen=True)
@@ -93,7 +105,9 @@ class PathCert:
 # -- cycle search ---------------------------------------------------------
 
 
-def _cycle_search(g: Graph, floor: int, cap: int) -> Iterator[list[int]]:
+def _cycle_search(
+    g: Graph, floor: int, cap: int, budget: int | None = None
+) -> Iterator[list[int] | None]:
     """Cycles with floor < length <= cap, as vertex lists; floor >= 2.
 
     A cycle starts at its minimum vertex s and comes out once, in the
@@ -103,10 +117,12 @@ def _cycle_search(g: Graph, floor: int, cap: int) -> Iterator[list[int]]:
     cycle shorter than the cap raises the floor to its length; with
     floor = cap - 1 the floor stays put and every cycle of length cap
     comes out.  Keeping one direction hides no longer cycle: its reverse
-    lies in an earlier branch, which no lower floor cuts.
+    lies in an earlier branch, which no lower floor cuts.  With a budget,
+    None comes out once the search has visited that many DFS nodes.
     """
     n, rows, reach = g.n, g.rows, g.reach_mask
     path = [0] * n
+    left = -1 if budget is None else budget
     for s in range(n):
         allowed = ((1 << n) - 1) >> s << s
         if allowed.bit_count() <= floor:
@@ -114,8 +130,11 @@ def _cycle_search(g: Graph, floor: int, cap: int) -> Iterator[list[int]]:
         sbit = 1 << s
         path[0] = s
 
-        def dfs(v: int, visited: int, length: int) -> Iterator[list[int]]:
-            nonlocal floor
+        def dfs(v: int, visited: int, length: int) -> Iterator[list[int] | None]:
+            nonlocal floor, left
+            left -= 1
+            if not left:
+                yield None
             if length > floor and rows[v] & sbit and path[1] < v:
                 yield path[:length]
                 if length < cap:
@@ -135,6 +154,53 @@ def _cycle_search(g: Graph, floor: int, cap: int) -> Iterator[list[int]]:
                 yield from dfs(u, visited | ubit, length + 1)
 
         yield from dfs(s, sbit, 1)
+
+
+def _next_level(rows: tuple[int, ...], level: dict[int, int], allowed: int) -> dict[int, int]:
+    """One subset-DP step: each path (vertex set -> bitset of its ends) grown
+    by one vertex of ``allowed`` at an end, keyed the same way."""
+    nxt: dict[int, int] = {}
+    get = nxt.get
+    for mask, ends in level.items():
+        ext = 0
+        while ends:
+            vbit = ends & -ends
+            ends ^= vbit
+            ext |= rows[vbit.bit_length() - 1]
+        ext &= allowed & ~mask
+        while ext:
+            ubit = ext & -ext
+            ext ^= ubit
+            m = mask | ubit
+            nxt[m] = get(m, 0) | ubit
+    return nxt
+
+
+def _circumference_dp(g: Graph, floor: int, cap: int) -> int:
+    """The circumference capped at ``cap``, or ``floor`` if no cycle is longer.
+
+    For each minimum vertex s, level k maps the vertex set of every
+    k-vertex path from s through larger vertices to the bitset of its far
+    ends; a set with an end adjacent to s closes into a k-cycle (k = 2 is
+    an edge).  Levels are built one at a time and only the last is kept.
+    """
+    n, rows = g.n, g.rows
+    best = floor
+    for s in range(n):
+        allowed = ((1 << n) - 1) >> s << s
+        if allowed.bit_count() <= best:
+            break
+        sbit, srow = 1 << s, rows[s]
+        level = {sbit: sbit}
+        k = 1
+        while level:
+            level = _next_level(rows, level, allowed)
+            k += 1
+            if k > best and any(ends & srow for ends in level.values()):
+                best = k
+                if best >= cap:
+                    return cap
+    return best
 
 
 def _cycle_bound(g: Graph) -> int:
@@ -173,7 +239,11 @@ def _longest_cycle(g: Graph, stop_at: int | None = None) -> tuple[int, list[int]
 
     Stops at the first cycle of at least min(``stop_at``, ``_cycle_bound``)
     vertices; the bound is never below the circumference, so the result
-    is the one an exhaustive search returns.
+    is the one an exhaustive search returns: the first cycle in DFS order
+    of at least t = min(``stop_at``, circumference) vertices.  When the
+    search spends its budget on a graph the DP reaches, the DP gives t,
+    and a new search with floor t - 1 returns that cycle first, since
+    such a floor cuts no branch that holds it.
     """
     n = g.n
     if n == 0:
@@ -184,7 +254,13 @@ def _longest_cycle(g: Graph, stop_at: int | None = None) -> tuple[int, list[int]
     if len(best_path) < stop:
         stop = min(stop, _cycle_bound(g))
     if len(best_path) < stop:
-        for path in _cycle_search(g, 2, n):
+        budget = SEARCH_BUDGET if n <= DP_MAX_VERTICES else None
+        for path in _cycle_search(g, 2, n, budget):
+            if path is None:
+                t = _circumference_dp(g, len(best_path), stop)
+                if t > len(best_path):
+                    best_path = next(_cycle_search(g, t - 1, n))
+                break
             best_path = path
             if len(path) >= stop:
                 break
@@ -235,21 +311,29 @@ def hamiltonian(g: Graph) -> CycleCert | None:
 # -- longest path ---------------------------------------------------------
 
 
-def longest_path(g: Graph) -> tuple[int, PathCert]:
-    """Longest simple path; length in edges (a bare vertex has length 0)."""
-    if g.n == 0:
-        raise GraphError("longest path needs at least one vertex")
+def _path_search(
+    g: Graph, starts: Iterable[int], best: int, budget: int | None = None
+) -> Iterator[list[int] | None]:
+    """Paths longer than ``best`` edges, each longer than the last, by DFS
+    from each start in turn.
+
+    A branch is cut once the vertices it can still reach cannot beat the
+    longest path so far.  With a budget, None comes out once the search
+    has visited that many DFS nodes.
+    """
     n, rows, reach = g.n, g.rows, g.reach_mask
     full = (1 << n) - 1
-    best = 0
-    best_path = [0]
     buf = [0] * n
+    left = -1 if budget is None else budget
 
-    def dfs(v: int, visited: int, length: int) -> None:
-        nonlocal best, best_path
+    def dfs(v: int, visited: int, length: int) -> Iterator[list[int] | None]:
+        nonlocal best, left
+        left -= 1
+        if not left:
+            yield None
         if length > best:
             best = length
-            best_path = buf[: length + 1]
+            yield buf[: length + 1]
         free = ~visited & full
         if length + reach(rows[v], free).bit_count() <= best:
             return
@@ -259,16 +343,59 @@ def longest_path(g: Graph) -> tuple[int, PathCert]:
             cand ^= ubit
             u = ubit.bit_length() - 1
             buf[length + 1] = u
-            dfs(u, visited | ubit, length + 1)
+            yield from dfs(u, visited | ubit, length + 1)
 
-    for s in range(n):
+    for s in starts:
         buf[0] = s
-        dfs(s, 1 << s, 0)
-        if best == n - 1:
+        yield from dfs(s, 1 << s, 0)
+
+
+def _path_dp(g: Graph) -> tuple[int, int]:
+    """(p, ends): the longest path length in edges and the bitset of the
+    vertices that end some path of that length.
+
+    Level k maps the vertex set of every k-vertex path to the bitset of
+    its ends; the last nonempty level holds the longest paths.
+    """
+    level = {1 << v: 1 << v for v in range(g.n)}
+    p = 0
+    while True:
+        nxt = _next_level(g.rows, level, g.full_mask)
+        if not nxt:
+            ends = 0
+            for e in level.values():
+                ends |= e
+            return p, ends
+        level = nxt
+        p += 1
+
+
+def longest_path(g: Graph) -> tuple[int, PathCert]:
+    """Longest simple path; length in edges (a bare vertex has length 0).
+
+    The witness is the first longest path in DFS order over the starts.
+    When the search spends its budget on a graph the DP reaches, the DP
+    gives the length p and the first vertex s that ends a p-path, which
+    is the first start of one; a new search from s that beats p - 1 edges
+    returns its first p-path, since that floor cuts no branch holding one.
+    """
+    n = g.n
+    if n == 0:
+        raise GraphError("longest path needs at least one vertex")
+    best_path = [0]
+    budget = SEARCH_BUDGET if n <= DP_MAX_VERTICES else None
+    for path in _path_search(g, range(n), 0, budget):
+        if path is None:
+            p, ends = _path_dp(g)
+            s = (ends & -ends).bit_length() - 1
+            best_path = next(_path_search(g, (s,), p - 1))
+            break
+        best_path = path
+        if len(path) == n:
             break
     cert = PathCert(tuple(best_path))
     cert.validate(g)
-    return best, cert
+    return len(best_path) - 1, cert
 
 
 # -- domination predicates ------------------------------------------------

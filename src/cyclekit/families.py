@@ -13,6 +13,7 @@ from typing import Callable
 from .graph import (
     Graph,
     GraphError,
+    check_order,
     complete,
     complete_bipartite,
     cycle_graph,
@@ -29,6 +30,7 @@ def t_cliques_join(t: int, a: int, b: int) -> Graph:
     """t disjoint copies of K_a, joined to K_b (the graph tK_a + K_b)."""
     if t < 1 or a < 1 or b < 0:
         raise GraphError("tK_a + K_b needs t >= 1, a >= 1, b >= 0")
+    check_order(t * a + b)
     return join(disjoint_union([complete(a)] * t), complete(b))
 
 
@@ -48,6 +50,7 @@ def h_graph(a: int, b: int, t: int, k: int) -> Graph:
     """
     if not (a >= 1 and b >= 0 and t >= 1 and 0 <= k <= t):
         raise GraphError("H(a,b,t,k) needs a,t >= 1, b >= 0 and 0 <= k <= t")
+    check_order(t * a + t + b)
     base = join(disjoint_union([complete(a)] * t), edgeless(t))
     g = disjoint_union([base, complete(b)])
     edges = g.edges()
@@ -81,6 +84,7 @@ def g_n(n: int, delta: int) -> Graph:
         raise GraphError("G_n needs odd n >= 15")
     if not (3 * delta >= n and 2 * delta <= n - 5):
         raise GraphError("G_n needs n/3 <= delta <= (n-5)/2")
+    check_order(n)
     half = (n - 1) // 2
     small = (n + 1) // 2 - delta
     g = disjoint_union([edgeless(half), complete(delta), complete(small)])
@@ -98,6 +102,7 @@ def g_star(n: int) -> Graph:
     """Variant of g_n with the dominating clique replaced by an independent set."""
     if n < 15 or n % 2 == 0:
         raise GraphError("G*_n needs odd n >= 15")
+    check_order(n)
     delta = (n - 5) // 2
     half = (n - 1) // 2
     small = (n + 1) // 2 - delta
@@ -121,6 +126,7 @@ def theta_graph(i: int, j: int, k: int) -> Graph:
     if min(i, j, k) < 1 or (i, j, k).count(1) > 1:
         # two length-1 paths would collapse into a multi-edge
         raise GraphError("theta paths need lengths >= 1 with at most one length-1 path")
+    check_order(i + j + k - 1)
     edges = []
     nxt = 2
     for length in (i, j, k):
@@ -153,6 +159,7 @@ def moon_moser_sharp(delta: int, half: int) -> Graph:
     """
     if not 1 <= delta <= half:
         raise GraphError("needs 1 <= delta <= half")
+    check_order(2 * half)
     size = half - delta
     # layout: P (delta), Q (size), R (delta), S (size)
     edges = []
@@ -175,6 +182,7 @@ def moon_moser_cut_sharp(quarter: int) -> Graph:
     if quarter < 1:
         raise GraphError("needs quarter >= 1")
     n = 4 * quarter
+    check_order(n)
     p0, q0, r0, s0 = 0, quarter, 2 * quarter, 3 * quarter
     z = q0
     edges = []
@@ -202,6 +210,7 @@ def clique_plus_pendant(n: int) -> Graph:
     """K_{n-1} with one pendant vertex: the size-bound extremal graph."""
     if n < 2:
         raise GraphError("needs n >= 2")
+    check_order(n)
     edges = [(u, v) for u in range(n - 1) for v in range(u + 1, n - 1)]
     edges.append((0, n - 1))
     return from_edge_list(n, edges)
@@ -211,6 +220,7 @@ def clique_with_fan(n: int, delta: int) -> Graph:
     """K_{n-delta} plus delta independent vertices, each seeing the same delta clique vertices."""
     if not 1 <= delta <= n - delta:
         raise GraphError("needs 1 <= delta and 2*delta <= n")
+    check_order(n)
     edges = [(u, v) for u in range(n - delta) for v in range(u + 1, n - delta)]
     for x in range(n - delta, n):
         for v in range(delta):
@@ -223,6 +233,7 @@ def star_of_cliques(t: int, lam: int, r: int) -> Graph:
     if t < 0 or lam < 2 or r < 0:
         raise GraphError("needs t >= 0, lam >= 2, r >= 0")
     n = t * (lam - 1) + r + 1
+    check_order(n)
     edges = []
     nxt = 1
     for _ in range(t):
@@ -239,6 +250,7 @@ def clique_with_pendant_fan(n: int, t: int, lam: int) -> Graph:
     core = lam + 1 - t
     if not (1 <= t <= core and core <= n):
         raise GraphError("needs 1 <= t <= lam+1-t <= n")
+    check_order(n)
     edges = [(u, v) for u in range(core) for v in range(u + 1, core)]
     for x in range(core, n):
         for v in range(t):
@@ -250,6 +262,7 @@ def matchings_join_independent(a: int) -> Graph:
     """aK_2 joined to an independent set of size a-1 (binding-number extremal)."""
     if a < 1:
         raise GraphError("needs a >= 1")
+    check_order(3 * a - 1)
     return join(disjoint_union([complete(2)] * a), edgeless(a - 1))
 
 

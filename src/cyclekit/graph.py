@@ -24,10 +24,7 @@ class Graph:
     rows: tuple[int, ...]  # rows[u] = bitmask of neighbors of u
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise GraphError("vertex count must be nonnegative")
-        if self.n > MAX_VERTICES:
-            raise GraphError(f"graphs are capped at {MAX_VERTICES} vertices, got {self.n}")
+        check_order(self.n)
         if len(self.rows) != self.n:
             raise GraphError("adjacency row count does not match n")
         full = (1 << self.n) - 1
@@ -200,10 +197,17 @@ def mask_of(vertices: Iterable[int]) -> int:
 # -- construction --------------------------------------------------------
 
 
+def check_order(n: int) -> None:
+    """Reject an order ``Graph`` would reject, before anything of size n is built."""
+    if n < 0:
+        raise GraphError("vertex count must be nonnegative")
+    if n > MAX_VERTICES:
+        raise GraphError(f"graphs are capped at {MAX_VERTICES} vertices, got {n}")
+
+
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an explicit edge list; duplicates collapse."""
-    if n > MAX_VERTICES:  # before allocating n rows
-        raise GraphError(f"graphs are capped at {MAX_VERTICES} vertices, got {n}")
+    check_order(n)
     rows = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -216,21 +220,25 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def edgeless(n: int) -> Graph:
+    check_order(n)
     return Graph(n, (0,) * n)
 
 
 def complete(n: int) -> Graph:
+    check_order(n)
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << u) for u in range(n)))
 
 
 def path_graph(n: int) -> Graph:
+    check_order(n)
     return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise GraphError("cycle graph needs at least 3 vertices")
+    check_order(n)
     return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -259,6 +267,7 @@ def petersen() -> Graph:
 def join(g1: Graph, g2: Graph) -> Graph:
     """Disjoint copies plus all cross edges; g1's block keeps labels 0..n1-1."""
     n1, n2 = g1.n, g2.n
+    check_order(n1 + n2)
     shift_full = ((1 << n2) - 1) << n1
     lower_full = (1 << n1) - 1
     rows = [g1.rows[u] | shift_full for u in range(n1)]
@@ -267,6 +276,7 @@ def join(g1: Graph, g2: Graph) -> Graph:
 
 
 def disjoint_union(parts: Sequence[Graph]) -> Graph:
+    check_order(sum(g.n for g in parts))
     n = 0
     rows: list[int] = []
     for g in parts:

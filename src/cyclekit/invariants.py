@@ -253,11 +253,15 @@ def binding_number(g: Graph) -> tuple[Exact, list[int]]:
     """Woodall's binding number: min |N(X)|/|X| over nonempty X with N(X) != V.
 
     Subtrees where N(X) already covers V are pruned (supersets only grow
-    the neighborhood).  Returns +inf when no X qualifies (K_1, K_0).
+    the neighborhood).  An isolated vertex v gives N({v}) = {} and the
+    value 0 at once; {smallest isolated v} is also the first zero of the
+    search, which visits sets in lexicographic order.
     """
     if g.n == 0:
         raise ValueError("binding number needs n >= 1")
     n, rows = g.n, g.rows
+    if 0 in rows:
+        return Fraction(0), [rows.index(0)]
     full = g.full_mask
     # best = num / den, with 1/0 standing for +inf; the strict
     # cross-multiplied test keeps the first minimum found.

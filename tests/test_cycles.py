@@ -4,12 +4,16 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cyclekit import cycles
 from cyclekit.cycles import (
     CeilingError,
     CertificateError,
     CycleCert,
+    _circumference_dp,
     _cycle_bound,
+    _longest_cycle,
     all_longest_cycles,
     circumference,
     cycles_of_length,
@@ -34,7 +38,7 @@ from cyclekit.graph import (
     path_graph,
     petersen,
 )
-from conftest import mixed_corpus, to_networkx
+from conftest import mixed_corpus, seeded_gnp, to_networkx
 from oracles import hamiltonian_dp_oracle
 
 
@@ -231,3 +235,90 @@ def test_frozen_circumference_witnesses():
         c, cert = circumference(g)
         assert (c, cert.vertices) == (len(witness), witness)
         assert hamiltonian(g) is None
+
+
+# -- the budgeted search and the subset DP ----------------------------------
+
+
+def test_subset_dp_finishes_with_the_exhaustive_witness(monkeypatch):
+    # A budget of one node sends every graph to the DP; a DP ceiling of zero
+    # vertices gives the exhaustive search.
+    corpus = mixed_corpus(ns=range(1, 11))
+    for n in range(11, 15):
+        corpus += seeded_gnp(n, 0.5, 3, 59 + n)
+
+    def answers():
+        return [
+            (_longest_cycle(g), _longest_cycle(g, stop_at=g.n), longest_path(g))
+            for g in corpus
+        ]
+
+    monkeypatch.setattr(cycles, "DP_MAX_VERTICES", 0)
+    exhaustive = answers()
+    monkeypatch.setattr(cycles, "DP_MAX_VERTICES", 20)
+    monkeypatch.setattr(cycles, "SEARCH_BUDGET", 1)
+    assert answers() == exhaustive
+
+
+def test_subset_dp_circumference_vs_oracles():
+    for g in mixed_corpus(seed=61, per_cell=6, ns=range(1, 10)):
+        c = _circumference_dp(g, 2 if g.q else 1, g.n)
+        assert c == naive_circumference(g), g
+        assert (c == g.n) == hamiltonian_dp_oracle(g), g
+
+
+def test_frozen_witnesses_past_the_budget():
+    # Each search below outruns the node budget, so the DP gives the optimum;
+    # the witnesses are those of the exhaustive search.
+    cases = [
+        (build("Gn", n=15, delta=5), (0, 7, 1, 8, 3, 9, 4, 10, 5, 11, 2, 14, 13, 12)),
+        (build("H", a=1, b=2, t=5, k=4), (0, 5, 1, 6, 2, 7, 10, 11, 8, 3, 9)),
+        (build("tKa-join-Kb", t=3, a=4, b=2), (0, 1, 2, 3, 12, 4, 5, 6, 7, 13)),
+    ]
+    for g, witness in cases:
+        c, cert = circumference(g)
+        assert (c, cert.vertices) == (len(witness), witness)
+        assert hamiltonian(g) is None
+    length, path = longest_path(complete_bipartite(6, 7))
+    assert (length, path.vertices) == (12, (6, 0, 7, 1, 8, 2, 9, 3, 10, 4, 11, 5, 12))
+
+
+# -- certificate rejection under mutation -------------------------------------
+
+
+@st.composite
+def certified(draw):
+    """A graph with one valid cycle or path certificate of at least 2 vertices."""
+    n = draw(st.integers(2, 9))
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    g = from_edge_list(n, [e for e in pairs if draw(st.booleans())])
+    if not g.q:
+        g = from_edge_list(n, [(0, 1)])
+    if draw(st.booleans()):
+        return g, circumference(g)[1]
+    return g, longest_path(g)[1]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(certified(), st.data())
+def test_mutated_certificates_are_rejected(case, data):
+    g, cert = case
+    cert.validate(g)
+    vs = list(cert.vertices)
+    i = data.draw(st.integers(0, len(vs) - 1))
+    kind = data.draw(st.sampled_from(["non-neighbour", "repeat", "out of range"]))
+    if kind == "non-neighbour":
+        # vs[i] gets a vertex its predecessor (or successor, at a path's start) does not see
+        j = i - 1 if i or isinstance(cert, CycleCert) else 1
+        anchor = vs[j]
+        strangers = [w for w in range(g.n) if w != anchor and not g.has_edge(anchor, w)]
+        if not strangers:
+            kind = "repeat"
+        else:
+            vs[i] = data.draw(st.sampled_from(strangers))
+    if kind == "repeat":
+        vs.insert(data.draw(st.integers(0, len(vs))), vs[i])
+    if kind == "out of range":
+        vs[i] = data.draw(st.integers(g.n, g.n + 64) | st.integers(-64, -1))
+    with pytest.raises(CertificateError):
+        type(cert)(tuple(vs)).validate(g)

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import pytest
 
+from cyclekit import cli
 from cyclekit.graph import (
     Graph,
     GraphError,
@@ -75,3 +78,20 @@ def test_from_edge_list_rejects_bad_input():
         from_edge_list(3, [(0, 3)])
     with pytest.raises(GraphError):
         from_edge_list(2, [(1, 1)])
+
+
+def test_orders_above_the_cap_fail_before_allocating(capsys):
+    # complete(8000) would build 8000 rows of 8000 bits before Graph refused it
+    for build in (lambda: edgeless(65), lambda: complete(65), lambda: complete_bipartite(40, 40)):
+        with pytest.raises(GraphError, match="capped"):
+            build()
+    with pytest.raises(GraphError, match="nonnegative"):
+        complete(-1)
+    tracemalloc.start()
+    try:
+        code = cli.run(["construct", "complete", "--n", "8000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and "capped" in capsys.readouterr().err
+    assert peak < 1 << 20

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
+from time import perf_counter
 
 import networkx as nx
 
@@ -257,3 +258,17 @@ def test_integer_comparisons_keep_the_first_minimum():
         if g.q < g.n * (g.n - 1) // 2:
             assert cut_scan(g)[1:] == fraction_cut_scan(g), g
         assert binding_number(g) == fraction_binding_number(g), g
+
+
+def test_isolated_vertex_shortcut_matches_the_full_search():
+    graphs = [g for g in mixed_corpus() if 0 in g.rows]
+    assert graphs
+    for g in graphs:
+        assert binding_number(g) == fraction_binding_number(g), g
+
+
+def test_binding_number_of_a_sparse_graph_is_immediate():
+    g = from_edge_list(30, [(0, 1)])  # the full search visits all 2^30 sets
+    t0 = perf_counter()
+    assert binding_number(g) == (0, [2])
+    assert perf_counter() - t0 < 1.0
