@@ -5,12 +5,15 @@ printed, with strict/non-strict inequalities preserved and all arithmetic
 done in rationals.  Entries whose printed form is known to need a repair
 (a missing connectivity floor, an undefined quotient) carry the repair
 plus a note; the one entry subject to known literature corrections (T7)
-sits in a quarantine set excluded from the soundness alarm.
+is flagged quarantined and excluded from the soundness alarm.  An entry
+that restates another's statement is an alias of it: the same premise and
+conclusion objects under its own id, title and sharpness cases.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 from .cycles import CycleCert, is_CD_cycle, is_dominating_cycle, residual_params
@@ -45,20 +48,43 @@ def _kappa_ge(k: int):
     return numeric(f"kappa >= {k}", lambda pf, lam: pf.kappa >= k)
 
 
-def _emin(*vals):
-    return min(vals)
-
-
 _K2 = _kappa_ge(2)
 _K3 = _kappa_ge(3)
 _K4 = _kappa_ge(4)
 _TAU1 = numeric("tau >= 1", lambda pf, lam: pf.tau_ge(1))
+_TAU_GT_1 = numeric("tau > 1", lambda pf, lam: pf.tau_gt(1))
+_TAU_GT_4_3 = numeric("tau > 4/3", lambda pf, lam: pf.tau_gt(F(4, 3)))
+_TAU_GE_3_2 = numeric("tau >= 3/2", lambda pf, lam: pf.tau_ge(F(3, 2)))
 _DELTA_GE_ALPHA = numeric("delta >= alpha", lambda pf, lam: pf.delta >= pf.alpha)
+_DELTA_N_3 = numeric("delta >= n/3", lambda pf, lam: F(pf.delta) >= F(pf.n, 3))
+_DELTA_N2_3 = numeric("delta >= (n+2)/3", lambda pf, lam: F(pf.delta) >= F(pf.n + 2, 3))
+_DELTA_N6_4 = numeric("delta >= (n+6)/4", lambda pf, lam: F(pf.delta) >= F(pf.n + 6, 4))
 _BALANCED = in_class("balanced_bipartite")
+_K_LAMBDA_1 = numeric("kappa >= lambda+1", lambda pf, lam: pf.kappa >= lam + 1)
+# Nikoghosyan's CD_lambda premises (Thm36, g1), over _cd_lambdas
+_CD_PREMISES = [
+    numeric("kappa >= lambda", lambda pf, lam: pf.kappa >= lam),
+    numeric(
+        "delta >= (n+2)/(lambda+1)+lambda-2",
+        lambda pf, lam: F(pf.delta) >= F(pf.n + 2, lam + 1) + lam - 2,
+    ),
+]
+
+
+def _lambdas_below_kappa(pf: Profile) -> range:
+    return range(1, max(1, pf.kappa))
+
+
+def _cd_lambdas(pf: Profile) -> range:
+    return range(1, pf.kappa + 1)
+
+
+def _cd_order(pf: Profile, lam) -> int:
+    return max(1, min(lam, pf.delta - lam + 1))
 
 
 def _bound_min_n(label: str, expr):
-    return Bound(f"min{{n, {label}}}", lambda pf, lam: _emin(F(pf.n), expr(pf, lam)))
+    return Bound(f"min{{n, {label}}}", lambda pf, lam: min(F(pf.n), expr(pf, lam)))
 
 
 def _jung_bound(pf: Profile, lam) -> F:
@@ -93,6 +119,26 @@ def _per_delta(fmt: str, make, default: range):
     return graphs
 
 
+# (label format, builder) of the per-delta families that several cases use
+_PD_K1_2KD = ("K_1+2K_{d} delta={d}", lambda d: build("tKa-join-Kb", t=2, a=d, b=1))
+_PD_2KD_K1 = ("2K_{d}+K_1 delta={d}", lambda d: build("join2Kd-K1", delta=d))
+_PD_3KD1_K2 = ("3K_{{d-1}}+K_2 delta={d}", lambda d: build("tKa-join-Kb", t=3, a=d - 1, b=2))
+
+
+def _kappa_tight(k: int, label: str, graphs, conclusion_fails=None):
+    """The premise-tight case for kappa >= k with kappa >= k-1 as its relaxation."""
+    weaker = _kappa_ge(k - 1)
+    return premise_tight_case(label, graphs, f"kappa >= {k}", weaker.fn, weaker.label,
+                              conclusion_fails=conclusion_fails)
+
+
+def _not_hamiltonian_case(label: str, graphs, stronger: str = "'hamiltonian'", lam=None):
+    """The conclusion-tight case whose stronger conclusion, named by
+    ``stronger``, asks for a Hamilton cycle, which the graph lacks."""
+    return conclusion_tight_case(label, graphs, lam=lam, stronger_fails=lambda pf: (
+        not pf.is_hamiltonian, f"c={pf.c} < n={pf.n}, so {stronger} fails"))
+
+
 def _hub_cycle(t: int, a: int, b: int) -> CycleCert:
     """Explicit cycle through all b hubs and b of the t cliques of tK_a+K_b."""
     seq: list[int] = []
@@ -117,35 +163,20 @@ def _pinned_circumference(t: int, a: int, b: int) -> tuple[Graph, CycleCert, int
     g = build("tKa-join-Kb", t=t, a=a, b=b)
     cyc = _hub_cycle(t, a, b)
     cyc.validate(g)
-    hub_mask = 0
-    for v in range(t * a, t * a + b):
-        hub_mask |= 1 << v
-    upper = _cut_circ_upper(g, hub_mask)
+    upper = _cut_circ_upper(g, ((1 << b) - 1) << (t * a))  # the b hubs follow the cliques
     if len(cyc.vertices) != upper:
         raise AssertionError("hub cycle does not meet the cut bound")
     return g, cyc, upper
 
 
-def _family_missed_clique_fails(t: int, b: int, prop: str, lam: int | None):
-    """Like _missed_clique_fails, with the clique size read off n = t*a+b.
-
-    Used for per-delta family cases whose larger members exceed the
-    longest-cycle enumeration ceiling: the cut bound pins c without any
-    enumeration.
-    """
+def _missed_clique_fails(t: int, b: int, prop: str, lam: int | None):
+    """Conclusion-failure witness for universal conclusions on tK_a+K_b
+    (t > b), with a read off n = t*a+b: the pinned longest cycle misses a
+    whole clique.  The cut bound pins c without enumeration, so family
+    members above the enumeration ceiling need no search."""
 
     def fails(pf: Profile) -> tuple[bool, str]:
         a = (pf.n - b) // t
-        return _missed_clique_fails(t, a, b, prop, lam)(pf)
-
-    return fails
-
-
-def _missed_clique_fails(t: int, a: int, b: int, prop: str, lam: int | None):
-    """Conclusion-failure witness for universal conclusions on tK_a+K_b
-    (t > b): the pinned longest cycle misses a whole clique."""
-
-    def fails(pf: Profile) -> tuple[bool, str]:
         g, cyc, c = _pinned_circumference(t, a, b)
         if prop == "dominating":
             bad = not is_dominating_cycle(g, cyc)
@@ -160,8 +191,6 @@ def _missed_clique_fails(t: int, a: int, b: int, prop: str, lam: int | None):
 
 _CATALOG: list[TheoremSpec] | None = None
 _BY_ID: dict[str, TheoremSpec] = {}
-
-QUARANTINED = frozenset({"T7"})
 
 
 def catalog() -> list[TheoremSpec]:
@@ -182,15 +211,45 @@ def get(theorem_id: str) -> TheoremSpec:
 
 def _build() -> list[TheoremSpec]:
     entries: list[TheoremSpec] = []
-    add = entries.append
+
+    def add(spec: TheoremSpec) -> TheoremSpec:
+        entries.append(spec)
+        return spec
+
+    def alias(base: TheoremSpec, id: str, title: str, **changes) -> TheoremSpec:
+        """base's statement, premises and conclusion under another id and title."""
+        return add(replace(base, id=id, title=title, **changes))
+
+    # sharpness graphs used by more than one case
+    h1243 = _fixed(("H(1,2,4,3)", build("H", a=1, b=2, t=4, k=3)))
+    h1254 = _fixed(("H(1,2,5,4)", build("H", a=1, b=2, t=5, k=4)))
+    petersen = _fixed(("petersen", build("petersen")))
+    four_k3_k3 = _fixed(("4K_3+K_3", build("tKa-join-Kb", t=4, a=3, b=3)))
+    two_k3_k1 = _fixed(("2K_3+K_1", build("join2Kd-K1", delta=3)))
+    bridge = _fixed(("bridge-gadget", build("bridge-gadget")))
+    kdd1 = _per_delta("K_{{{d},{d}+1}}", lambda d: build("Kdd1", delta=d), range(2, 5))
+    theta333 = build("theta", i=3, j=3, k=3)
+
+    # sharpness cases shared by more than one entry
+    petersen_tau = premise_tight_case(
+        "the Petersen graph defeats tau = 4/3",
+        petersen,
+        "tau > 4/3",
+        lambda pf, lam: pf.tau_ge(F(4, 3)),
+        "tau >= 4/3",
+    )
+    residual_equality = custom_case(
+        "equality on (kappa+1)K_{delta-kappa+1}+K_kappa",
+        "residual-equality", _residual_equality_runner,
+    )
 
     # ---- the pure-relation list T1..T19 ----
 
-    add(TheoremSpec(
+    t1 = add(TheoremSpec(
         "T1", "Dirac, 1952", "c >= delta+1",
         Bound("delta+1", lambda pf, lam: F(pf.delta + 1)),
     ))
-    add(TheoremSpec(
+    t2 = add(TheoremSpec(
         "T2", "Dirac, 1952", "kappa >= 2 implies c >= min{n, 2delta}",
         _bound_min_n("2delta", lambda pf, lam: F(2 * pf.delta)),
         [_K2],
@@ -200,12 +259,12 @@ def _build() -> list[TheoremSpec]:
         _bound_min_n("sigma_2", lambda pf, lam: pf.sigma2),
         [_K2],
     ))
-    add(TheoremSpec(
+    t4 = add(TheoremSpec(
         "T4", "Jung, 1978", "kappa >= 3, delta >= alpha imply c >= min{n, 3delta-3}",
         _bound_min_n("3delta-3", lambda pf, lam: F(3 * pf.delta - 3)),
         [_K3, _DELTA_GE_ALPHA],
     ))
-    add(TheoremSpec(
+    t5 = add(TheoremSpec(
         "T5", "Nikoghosyan, 1981", "kappa >= 3 implies c >= min{n, 3delta-kappa}",
         _bound_min_n("3delta-kappa", lambda pf, lam: F(3 * pf.delta - pf.kappa)),
         [_K3],
@@ -228,7 +287,7 @@ def _build() -> list[TheoremSpec]:
         _bound_min_n("4delta-2kappa", lambda pf, lam: F(4 * pf.delta - 2 * pf.kappa)),
         [_K4, _DELTA_GE_ALPHA],
     ))
-    add(TheoremSpec(
+    t9 = add(TheoremSpec(
         "T9", "Bauer and Schmeichel, 1986", "tau >= 1 implies c >= min{n, 2delta+2}",
         _bound_min_n("2delta+2", lambda pf, lam: F(2 * pf.delta + 2)),
         [_TAU1],
@@ -238,11 +297,11 @@ def _build() -> list[TheoremSpec]:
         _bound_min_n("sigma_2+2", lambda pf, lam: pf.sigma2 + 2),
         [_TAU1],
     ))
-    add(TheoremSpec(
+    t11 = add(TheoremSpec(
         "T11", "Nikoghosyan, 1998", "c >= (p+2)(delta-p) for every longest cycle",
         ResidualBound("(p+2)(delta-p)", lambda pf, p, c, lam: F((p + 2) * (pf.delta - p))),
     ))
-    add(TheoremSpec(
+    t12 = add(TheoremSpec(
         "T12", "Nikoghosyan, 1998", "c >= (cbar+1)(delta-cbar+1) for every longest cycle",
         ResidualBound("(cbar+1)(delta-cbar+1)", lambda pf, p, c, lam: F((c + 1) * (pf.delta - c + 1))),
     ))
@@ -277,7 +336,7 @@ def _build() -> list[TheoremSpec]:
         notes="Printed as a one-element min{6delta-15}; read as min{n, 6delta-15} "
               "by analogy with its neighbours.",
     ))
-    add(TheoremSpec(
+    t17 = add(TheoremSpec(
         "T17", "Nikoghosyan, 2009",
         "kappa >= lambda+2, delta >= alpha+lambda-1 imply c >= min{n, (lambda+2)(delta-lambda)}",
         _bound_min_n("(lambda+2)(delta-lambda)", lambda pf, lam: F((lam + 2) * (pf.delta - lam))),
@@ -287,7 +346,7 @@ def _build() -> list[TheoremSpec]:
         ],
         lambdas=lambda pf: range(1, max(1, pf.kappa - 1)),
     ))
-    add(TheoremSpec(
+    t18 = add(TheoremSpec(
         "T18", "Nikoghosyan, 2011", "kappa >= 4, delta >= alpha imply c >= min{n, 4delta-kappa-4}",
         _bound_min_n("4delta-kappa-4", lambda pf, lam: F(4 * pf.delta - pf.kappa - 4)),
         [_K4, _DELTA_GE_ALPHA],
@@ -296,7 +355,7 @@ def _build() -> list[TheoremSpec]:
         "T19", "Nikoghosyan, 2012",
         "tau > 1 implies c >= min{n, 2delta+5} or G is the Petersen graph",
         NamedGraphEscape(_bound_min_n("2delta+5", lambda pf, lam: F(2 * pf.delta + 5))),
-        [numeric("tau > 1", lambda pf, lam: pf.tau_gt(1))],
+        [_TAU_GT_1],
     ))
 
     # ---- Hamilton cycle theorems 1..30 ----
@@ -353,7 +412,7 @@ def _build() -> list[TheoremSpec]:
         [numeric("q <= delta^2+delta-1", lambda pf, lam: pf.q <= pf.delta ** 2 + pf.delta - 1)],
         sharpness=[premise_tight_case(
             "K_1+2K_delta defeats the relaxed size bound",
-            _per_delta("K_1+2K_{d} delta={d}", lambda d: build("tKa-join-Kb", t=2, a=d, b=1), range(2, 6)),
+            _per_delta(*_PD_K1_2KD, range(2, 6)),
             "q <= delta^2+delta-1",
             lambda pf, lam: pf.q <= pf.delta ** 2 + pf.delta,
             "q <= delta^2+delta",
@@ -365,7 +424,7 @@ def _build() -> list[TheoremSpec]:
         [numeric("delta >= n/2", lambda pf, lam: F(pf.delta) >= F(pf.n, 2))],
         sharpness=[premise_tight_case(
             "2K_delta+K_1 defeats the relaxed degree bound",
-            _per_delta("2K_{d}+K_1 delta={d}", lambda d: build("join2Kd-K1", delta=d), range(2, 6)),
+            _per_delta(*_PD_2KD_K1, range(2, 6)),
             "delta >= n/2",
             lambda pf, lam: F(pf.delta) >= F(pf.n - 1, 2),
             "delta >= (n-1)/2",
@@ -380,7 +439,7 @@ def _build() -> list[TheoremSpec]:
         )],
         sharpness=[premise_tight_case(
             "three-path gadget (theta(3,3,3)) defeats delta >= n/4",
-            _fixed(("theta(3,3,3)", build("theta", i=3, j=3, k=3))),
+            _fixed(("theta(3,3,3)", theta333)),
             "delta >= (n+1)/4",
             lambda pf, lam: F(pf.delta) >= F(pf.n, 4),
             "delta >= n/4",
@@ -398,30 +457,23 @@ def _build() -> list[TheoremSpec]:
         n_floor=11,
         sharpness=[premise_necessary_case(
             "the Petersen graph needs the order floor",
-            _fixed(("petersen", build("petersen"))),
+            petersen,
             "n >= 11",
         )],
     ))
-    _bridge = build("bridge-gadget")
     add(TheoremSpec(
         "Thm9", "Nikoghosyan, 2012",
         "tau > 4/3, delta >= (n-5)/2 imply hamiltonian",
         Ham(),
         [
-            numeric("tau > 4/3", lambda pf, lam: pf.tau_gt(F(4, 3))),
+            _TAU_GT_4_3,
             numeric("delta >= (n-5)/2", lambda pf, lam: F(pf.delta) >= F(pf.n - 5, 2)),
         ],
         sharpness=[
-            premise_tight_case(
-                "the Petersen graph defeats tau = 4/3",
-                _fixed(("petersen", build("petersen"))),
-                "tau > 4/3",
-                lambda pf, lam: pf.tau_ge(F(4, 3)),
-                "tau >= 4/3",
-            ),
+            petersen_tau,
             premise_tight_case(
                 "the K_5/K_{5,2} gadget defeats delta >= (n-6)/2",
-                _fixed(("bridge-gadget", _bridge)),
+                bridge,
                 "delta >= (n-5)/2",
                 lambda pf, lam: F(pf.delta) >= F(pf.n - 6, 2),
                 "delta >= (n-6)/2",
@@ -441,7 +493,7 @@ def _build() -> list[TheoremSpec]:
         sharpness=[
             premise_necessary_case(
                 "2K_delta+K_1 needs the connectivity premise",
-                _per_delta("2K_{d}+K_1 delta={d}", lambda d: build("join2Kd-K1", delta=d), range(2, 5)),
+                _per_delta(*_PD_2KD_K1, range(2, 5)),
                 "kappa >= 2",
             ),
             premise_tight_case(
@@ -471,7 +523,7 @@ def _build() -> list[TheoremSpec]:
         )],
         sharpness=[premise_tight_case(
             "H(lambda,lambda+1,lambda+3,lambda+2) at lambda=1 defeats delta >= alpha-1",
-            _fixed(("H(1,2,4,3)", build("H", a=1, b=2, t=4, k=3))),
+            h1243,
             "delta >= max{(n+2)/3, alpha}",
             lambda pf, lam: F(pf.delta) >= max(F(pf.n + 2, 3), F(pf.alpha - 1)),
             "delta >= max{(n+2)/3, alpha-1}",
@@ -491,7 +543,7 @@ def _build() -> list[TheoremSpec]:
         "kappa >= lambda+1, delta >= max{(n+2)/(lambda+2)+lambda-1, alpha+lambda-1} imply hamiltonian",
         Ham(),
         [
-            numeric("kappa >= lambda+1", lambda pf, lam: pf.kappa >= lam + 1),
+            _K_LAMBDA_1,
             numeric(
                 "delta >= max{(n+2)/(lambda+2)+lambda-1, alpha+lambda-1}",
                 lambda pf, lam: F(pf.delta) >= max(
@@ -499,7 +551,7 @@ def _build() -> list[TheoremSpec]:
                 ),
             ),
         ],
-        lambdas=lambda pf: range(1, max(1, pf.kappa)),
+        lambdas=_lambdas_below_kappa,
     ))
     add(TheoremSpec(
         "Thm15", "Yamashita, 2008",
@@ -512,7 +564,7 @@ def _build() -> list[TheoremSpec]:
         sharpness=[
             premise_tight_case(
                 "H(1,2,kappa+1,kappa) defeats delta >= alpha-1",
-                _fixed(("H(1,2,4,3)", build("H", a=1, b=2, t=4, k=3))),
+                h1243,
                 "delta >= max{(n+kappa+3)/4, alpha}",
                 lambda pf, lam: F(pf.delta) >= max(F(pf.n + pf.kappa + 3, 4), F(pf.alpha - 1)),
                 "delta >= max{(n+kappa+3)/4, alpha-1}",
@@ -532,7 +584,7 @@ def _build() -> list[TheoremSpec]:
         [numeric("kappa >= alpha", lambda pf, lam: pf.kappa >= pf.alpha)],
         sharpness=[premise_tight_case(
             "K_{delta,delta+1} defeats kappa >= alpha-1",
-            _per_delta("K_{{{d},{d}+1}}", lambda d: build("Kdd1", delta=d), range(2, 5)),
+            kdd1,
             "kappa >= alpha",
             lambda pf, lam: pf.kappa >= pf.alpha - 1,
             "kappa >= alpha-1",
@@ -606,8 +658,7 @@ def _build() -> list[TheoremSpec]:
     ))
     add(TheoremSpec(
         "Thm27", "Kratsch, Lehel and Muller, 1996", "3/2-tough split implies hamiltonian",
-        Ham(),
-        [numeric("tau >= 3/2", lambda pf, lam: pf.tau_ge(F(3, 2))), in_class("split")],
+        Ham(), [_TAU_GE_3_2, in_class("split")],
     ))
     add(TheoremSpec(
         "Thm28", "Deogun, Kratsch and Steiner, 1997",
@@ -617,93 +668,67 @@ def _build() -> list[TheoremSpec]:
     add(TheoremSpec(
         "Thm29", "Bohme, Harant and Tkac, 1999",
         "chordal planar with tau > 1 implies hamiltonian",
-        Ham(),
-        [numeric("tau > 1", lambda pf, lam: pf.tau_gt(1)), in_class("chordal"), in_class("planar")],
+        Ham(), [_TAU_GT_1, in_class("chordal"), in_class("planar")],
     ))
     add(TheoremSpec(
         "Thm30", "Kaiser, Kral and Stacho, 2007", "3/2-tough spider implies hamiltonian",
-        Ham(),
-        [numeric("tau >= 3/2", lambda pf, lam: pf.tau_ge(F(3, 2))), in_class("spider")],
+        Ham(), [_TAU_GE_3_2, in_class("spider")],
     ))
 
     # ---- dominating-cycle theorems 31..34 ----
 
-    _thm31_q = numeric(
-        "q <= 8 (delta=2) / (3(delta-1)(delta+2)-1)/2 (delta>=3)",
-        lambda pf, lam: (
-            pf.q <= 8 if pf.delta == 2
-            else F(pf.q) <= F(3 * (pf.delta - 1) * (pf.delta + 2) - 1, 2)
-        ),
-    )
     add(TheoremSpec(
         "Thm31", "Nikoghosyan, 2011",
         "kappa >= 2 and the size bound imply every longest cycle dominating",
         EveryLongestProp("dominating"),
-        [_K2, _thm31_q],
-        sharpness=[
-            premise_tight_case(
-                "K_1+2K_delta defeats kappa >= 1",
-                _per_delta("K_1+2K_{d} delta={d}", lambda d: build("tKa-join-Kb", t=2, a=d, b=1), range(2, 5)),
-                "kappa >= 2",
-                lambda pf, lam: pf.kappa >= 1,
-                "kappa >= 1",
+        [_K2, numeric(
+            "q <= 8 (delta=2) / (3(delta-1)(delta+2)-1)/2 (delta>=3)",
+            lambda pf, lam: (
+                pf.q <= 8 if pf.delta == 2
+                else F(pf.q) <= F(3 * (pf.delta - 1) * (pf.delta + 2) - 1, 2)
             ),
+        )],
+        sharpness=[
+            _kappa_tight(2, "K_1+2K_delta defeats kappa >= 1", _per_delta(*_PD_K1_2KD, range(2, 5))),
             premise_tight_case(
                 "the 9-edge v_1..v_8 graph defeats q <= 9",
-                _fixed(("v1..v8 (theta(3,3,3))", build("theta", i=3, j=3, k=3))),
+                _fixed(("v1..v8 (theta(3,3,3))", theta333)),
                 "q <= 8 (delta=2) / (3(delta-1)(delta+2)-1)/2 (delta>=3)",
                 lambda pf, lam: pf.q <= 9,
                 "q <= 9",
             ),
-            conclusion_tight_case(
-                "K_2+3K_1 satisfies the premises but is not hamiltonian",
-                _fixed(("K_2+3K_1", build("tKa-join-Kb", t=3, a=1, b=2))),
-                stronger_fails=lambda pf: (
-                    not pf.is_hamiltonian, f"c={pf.c} < n={pf.n}, so 'hamiltonian' fails"
-                ),
-            ),
+            _not_hamiltonian_case("K_2+3K_1 satisfies the premises but is not hamiltonian",
+                                  _fixed(("K_2+3K_1", build("tKa-join-Kb", t=3, a=1, b=2)))),
         ],
         notes="The printed delta>=3 analogues K_2+3K_{delta-1} and "
               "K_delta+(delta+1)K_1 overshoot the size bound (q=16 vs 29/2; "
               "q=15 vs 29/2 at delta=3), so only the delta=2 trio plus the "
               "K_1+2K_delta family are audited.",
     ))
-    _thm32_d = numeric("delta >= (n+2)/3", lambda pf, lam: F(pf.delta) >= F(pf.n + 2, 3))
     add(TheoremSpec(
         "Thm32", "Nash-Williams, 1971",
         "kappa >= 2, delta >= (n+2)/3 imply every longest cycle dominating",
         EveryLongestProp("dominating"),
-        [_K2, _thm32_d],
+        [_K2, _DELTA_N2_3],
         sharpness=[
-            premise_tight_case(
-                "2K_3+K_1 defeats kappa >= 1",
-                _fixed(("2K_3+K_1", build("join2Kd-K1", delta=3))),
-                "kappa >= 2",
-                lambda pf, lam: pf.kappa >= 1,
-                "kappa >= 1",
-            ),
+            _kappa_tight(2, "2K_3+K_1 defeats kappa >= 1", two_k3_k1),
             premise_tight_case(
                 "3K_{delta-1}+K_2 defeats the relaxed degree bound",
-                _per_delta("3K_{{d-1}}+K_2 delta={d}", lambda d: build("tKa-join-Kb", t=3, a=d - 1, b=2), range(3, 7)),
+                _per_delta(*_PD_3KD1_K2, range(3, 7)),
                 "delta >= (n+2)/3",
                 lambda pf, lam: F(pf.delta) >= F(pf.n + 1, 3),
                 "delta >= (n+1)/3",
-                conclusion_fails=_family_missed_clique_fails(3, 2, "dominating", None),
+                conclusion_fails=_missed_clique_fails(3, 2, "dominating", None),
             ),
-            conclusion_tight_case(
-                "H(1,2,4,3) satisfies the premises but is not hamiltonian",
-                _fixed(("H(1,2,4,3)", build("H", a=1, b=2, t=4, k=3))),
-                stronger_fails=lambda pf: (
-                    not pf.is_hamiltonian, f"c={pf.c} < n={pf.n}, so 'hamiltonian' fails"
-                ),
-            ),
+            _not_hamiltonian_case("H(1,2,4,3) satisfies the premises but is not hamiltonian",
+                                  h1243),
         ],
     ))
     add(TheoremSpec(
         "Thm33", "Bigalke and Jung, 1979",
         "tau >= 1, delta >= n/3 imply every longest cycle dominating",
         EveryLongestProp("dominating"),
-        [_TAU1, numeric("delta >= n/3", lambda pf, lam: F(pf.delta) >= F(pf.n, 3))],
+        [_TAU1, _DELTA_N_3],
     ))
     add(TheoremSpec(
         "Thm34", "Yamashita, 2008",
@@ -714,21 +739,11 @@ def _build() -> list[TheoremSpec]:
             lambda pf, lam: F(pf.delta) >= F(pf.n + pf.kappa + 3, 4),
         )],
         sharpness=[
-            premise_tight_case(
-                "3K_{delta-1}+K_2 defeats kappa >= 2",
-                _per_delta("3K_{{d-1}}+K_2 delta={d}", lambda d: build("tKa-join-Kb", t=3, a=d - 1, b=2), range(4, 7)),
-                "kappa >= 3",
-                lambda pf, lam: pf.kappa >= 2,
-                "kappa >= 2",
-                conclusion_fails=_family_missed_clique_fails(3, 2, "dominating", None),
-            ),
-            conclusion_tight_case(
-                "H(1,2,kappa+1,kappa) satisfies the premises but is not hamiltonian",
-                _fixed(("H(1,2,4,3)", build("H", a=1, b=2, t=4, k=3))),
-                stronger_fails=lambda pf: (
-                    not pf.is_hamiltonian, f"c={pf.c} < n={pf.n}, so 'hamiltonian' fails"
-                ),
-            ),
+            _kappa_tight(3, "3K_{delta-1}+K_2 defeats kappa >= 2",
+                         _per_delta(*_PD_3KD1_K2, range(4, 7)),
+                         conclusion_fails=_missed_clique_fails(3, 2, "dominating", None)),
+            _not_hamiltonian_case("H(1,2,kappa+1,kappa) satisfies the premises but is not hamiltonian",
+                                  h1243),
         ],
     ))
 
@@ -738,23 +753,18 @@ def _build() -> list[TheoremSpec]:
         "Thm35", "Jung, 1990",
         "kappa >= 3, delta >= (n+6)/4 imply every longest cycle is a CD_3-cycle",
         EveryLongestProp("CD", lambda pf, lam: 3),
-        [_K3, numeric("delta >= (n+6)/4", lambda pf, lam: F(pf.delta) >= F(pf.n + 6, 4))],
+        [_K3, _DELTA_N6_4],
         sharpness=[
-            premise_tight_case(
-                "(lambda+1)K_{delta-lambda+1}+K_lambda at lambda=3, delta=5 defeats kappa >= 2",
-                _fixed(("3K_4+K_2", build("tKa-join-Kb", t=3, a=4, b=2))),
-                "kappa >= 3",
-                lambda pf, lam: pf.kappa >= 2,
-                "kappa >= 2",
-                conclusion_fails=_missed_clique_fails(3, 4, 2, "CD", 3),
-            ),
+            _kappa_tight(3, "(lambda+1)K_{delta-lambda+1}+K_lambda at lambda=3, delta=5 defeats kappa >= 2",
+                         _fixed(("3K_4+K_2", build("tKa-join-Kb", t=3, a=4, b=2))),
+                         conclusion_fails=_missed_clique_fails(3, 2, "CD", 3)),
             premise_tight_case(
                 "4K_3+K_3 defeats the relaxed quarter bound",
-                _fixed(("4K_3+K_3", build("tKa-join-Kb", t=4, a=3, b=3))),
+                four_k3_k3,
                 "delta >= (n+6)/4",
                 lambda pf, lam: F(pf.delta) >= F(pf.n + 5, 4),
                 "delta >= (n+5)/4",
-                conclusion_fails=_missed_clique_fails(4, 3, 3, "CD", 3),
+                conclusion_fails=_missed_clique_fails(4, 3, "CD", 3),
             ),
         ],
     ))
@@ -762,19 +772,13 @@ def _build() -> list[TheoremSpec]:
         "Thm36", "Nikoghosyan, 2009",
         "kappa >= lambda, delta >= (n+2)/(lambda+1)+lambda-2 imply every "
         "longest cycle is a CD_{min{lambda,delta-lambda+1}}-cycle",
-        EveryLongestProp("CD", lambda pf, lam: max(1, min(lam, pf.delta - lam + 1))),
-        [
-            numeric("kappa >= lambda", lambda pf, lam: pf.kappa >= lam),
-            numeric(
-                "delta >= (n+2)/(lambda+1)+lambda-2",
-                lambda pf, lam: F(pf.delta) >= F(pf.n + 2, lam + 1) + lam - 2,
-            ),
-        ],
-        lambdas=lambda pf: range(1, pf.kappa + 1),
+        EveryLongestProp("CD", _cd_order),
+        _CD_PREMISES,
+        lambdas=_cd_lambdas,
         sharpness=[
             premise_tight_case(
                 "lambda K_{lambda+1}+K_{lambda-1} at lambda=2 defeats kappa >= lambda-1",
-                _fixed(("2K_3+K_1", build("join2Kd-K1", delta=3))),
+                two_k3_k1,
                 "kappa >= lambda",
                 lambda pf, lam: pf.kappa >= lam - 1,
                 "kappa >= lambda-1",
@@ -782,32 +786,22 @@ def _build() -> list[TheoremSpec]:
             ),
             premise_tight_case(
                 "(lambda+1)K_{delta-lambda+1}+K_lambda at lambda=2 defeats the relaxed bound",
-                _per_delta("3K_{{d-1}}+K_2 delta={d}", lambda d: build("tKa-join-Kb", t=3, a=d - 1, b=2), range(3, 6)),
+                _per_delta(*_PD_3KD1_K2, range(3, 6)),
                 "delta >= (n+2)/(lambda+1)+lambda-2",
                 lambda pf, lam: F(pf.delta) >= F(pf.n + 1, lam + 1) + lam - 2,
                 "delta >= (n+1)/(lambda+1)+lambda-2",
                 lam=2,
-                conclusion_fails=_family_missed_clique_fails(3, 2, "CD", 2),
+                conclusion_fails=_missed_clique_fails(3, 2, "CD", 2),
             ),
-            conclusion_tight_case(
-                "H(lambda-1,lambda,lambda+2,lambda+1) at lambda=2: CD_2 holds, CD_1 fails",
-                _fixed(("H(1,2,4,3)", build("H", a=1, b=2, t=4, k=3))),
-                stronger_fails=lambda pf: (
-                    not pf.is_hamiltonian,
-                    f"c={pf.c} < n={pf.n}, so the CD_1 strengthening fails",
-                ),
-                lam=2,
-            ),
+            _not_hamiltonian_case("H(lambda-1,lambda,lambda+2,lambda+1) at lambda=2: CD_2 holds, CD_1 fails",
+                                  h1243, "the CD_1 strengthening", lam=2),
         ],
         notes="The effective CD order min{lambda, delta-lambda+1} is clamped to >= 1.",
     ))
 
     # ---- long-cycle theorems 37..54 ----
 
-    add(TheoremSpec(
-        "Thm37", "Dirac, 1952", "c >= delta+1",
-        Bound("delta+1", lambda pf, lam: F(pf.delta + 1)),
-    ))
+    alias(t1, "Thm37", "Dirac, 1952")
     add(TheoremSpec(
         "Thm38", "Kouider, 1994", "kappa >= 1: c >= n/ceil(alpha/kappa)",
         Bound("n/ceil(alpha/kappa)", lambda pf, lam: F(pf.n, math.ceil(F(pf.alpha, pf.kappa)))),
@@ -815,22 +809,8 @@ def _build() -> list[TheoremSpec]:
         notes="Printed for every graph; kappa >= 1 restored since the quotient "
               "is undefined on disconnected graphs.",
     ))
-    add(TheoremSpec(
-        "Thm39", "Nikoghosyan, 1998", "c >= (p+2)(delta-p) for every longest cycle",
-        ResidualBound("(p+2)(delta-p)", lambda pf, p, c, lam: F((p + 2) * (pf.delta - p))),
-        sharpness=[custom_case(
-            "equality on (kappa+1)K_{delta-kappa+1}+K_kappa",
-            "residual-equality", _residual_equality_runner,
-        )],
-    ))
-    add(TheoremSpec(
-        "Thm40", "Nikoghosyan, 2000", "c >= (cbar+1)(delta-cbar+1) for every longest cycle",
-        ResidualBound("(cbar+1)(delta-cbar+1)", lambda pf, p, c, lam: F((c + 1) * (pf.delta - c + 1))),
-        sharpness=[custom_case(
-            "equality on (kappa+1)K_{delta-kappa+1}+K_kappa",
-            "residual-equality", _residual_equality_runner,
-        )],
-    ))
+    alias(t11, "Thm39", "Nikoghosyan, 1998", sharpness=[residual_equality])
+    alias(t12, "Thm40", "Nikoghosyan, 2000", sharpness=[residual_equality])
     add(TheoremSpec(
         "Thm41", "Nikoghosyan, 2000",
         "kappa >= 2: residual bound with cases cbar >= kappa / cbar < kappa",
@@ -873,11 +853,7 @@ def _build() -> list[TheoremSpec]:
         )],
         lambdas=lambda pf: range(1, pf.n + 1),
     ))
-    add(TheoremSpec(
-        "Thm45", "Dirac, 1952", "kappa >= 2 implies c >= min{n, 2delta}",
-        _bound_min_n("2delta", lambda pf, lam: F(2 * pf.delta)),
-        [_K2],
-    ))
+    alias(t2, "Thm45", "Dirac, 1952")
     add(TheoremSpec(
         "Thm46", "Kaneko and Yoshimoto",
         "2-connected balanced bipartite implies c >= min{n, 4delta-2}",
@@ -886,33 +862,22 @@ def _build() -> list[TheoremSpec]:
         notes="Dated 1952 in the source with a 2004-era citation; the "
               "citation key is what this entry records.",
     ))
-    add(TheoremSpec(
-        "Thm47", "Bauer and Schmeichel, 1987", "tau >= 1 implies c >= min{n, 2delta+2}",
-        _bound_min_n("2delta+2", lambda pf, lam: F(2 * pf.delta + 2)),
-        [_TAU1],
-        sharpness=[premise_tight_case(
-            "K_{delta,delta+1} defeats the relaxed toughness bound",
-            _per_delta("K_{{{d},{d}+1}}", lambda d: build("Kdd1", delta=d), range(2, 5)),
-            "tau >= 1",
-            lambda pf, lam: pf.tau_ge(F(pf.n // 2, pf.n // 2 + 1)),
-            "tau >= delta/(delta+1)",
-        )],
-    ))
+    alias(t9, "Thm47", "Bauer and Schmeichel, 1987", sharpness=[premise_tight_case(
+        "K_{delta,delta+1} defeats the relaxed toughness bound",
+        kdd1,
+        "tau >= 1",
+        lambda pf, lam: pf.tau_ge(F(pf.n // 2, pf.n // 2 + 1)),
+        "tau >= delta/(delta+1)",
+    )])
     add(TheoremSpec(
         "Thm48", "Nikoghosyan, 2012", "tau > 4/3 implies c >= min{n, 2delta+5}",
         _bound_min_n("2delta+5", lambda pf, lam: F(2 * pf.delta + 5)),
-        [numeric("tau > 4/3", lambda pf, lam: pf.tau_gt(F(4, 3)))],
+        [_TAU_GT_4_3],
         sharpness=[
-            premise_tight_case(
-                "the Petersen graph defeats tau = 4/3",
-                _fixed(("petersen", build("petersen"))),
-                "tau > 4/3",
-                lambda pf, lam: pf.tau_ge(F(4, 3)),
-                "tau >= 4/3",
-            ),
+            petersen_tau,
             conclusion_tight_case(
                 "the K_5/K_{5,2} gadget meets c = 2delta+5 exactly",
-                _fixed(("bridge-gadget", _bridge)),
+                bridge,
                 equality=lambda pf: (
                     pf.c == 2 * pf.delta + 5 and pf.c < pf.n,
                     f"c={pf.c} = 2delta+5={2 * pf.delta + 5} < n={pf.n}, "
@@ -924,77 +889,43 @@ def _build() -> list[TheoremSpec]:
         notes="The printed bound gadget has tau = 6/5 < 4/3; its toughness "
               "premise is waived in the audit and reported as a warning.",
     ))
-    add(TheoremSpec(
-        "Thm49", "Nikoghosyan, 1981", "kappa >= 3 implies c >= min{n, 3delta-kappa}",
-        _bound_min_n("3delta-kappa", lambda pf, lam: F(3 * pf.delta - pf.kappa)),
-        [_K3],
-        sharpness=[
-            premise_tight_case(
-                "3K_{delta-1}+K_2 defeats kappa >= 2",
-                _per_delta("3K_{{d-1}}+K_2 delta={d}", lambda d: build("tKa-join-Kb", t=3, a=d - 1, b=2), range(3, 6)),
-                "kappa >= 3",
-                lambda pf, lam: pf.kappa >= 2,
-                "kappa >= 2",
+    alias(t5, "Thm49", "Nikoghosyan, 1981", sharpness=[
+        _kappa_tight(3, "3K_{delta-1}+K_2 defeats kappa >= 2",
+                     _per_delta(*_PD_3KD1_K2, range(3, 6))),
+        conclusion_tight_case(
+            "H(1,delta-kappa+1,delta,kappa) meets c = 3delta-kappa exactly",
+            h1243,
+            equality=lambda pf: (
+                pf.c == 3 * pf.delta - pf.kappa and pf.c < pf.n,
+                f"c={pf.c} = 3delta-kappa={3 * pf.delta - pf.kappa} < n={pf.n}",
             ),
-            conclusion_tight_case(
-                "H(1,delta-kappa+1,delta,kappa) meets c = 3delta-kappa exactly",
-                _fixed(("H(1,2,4,3)", build("H", a=1, b=2, t=4, k=3))),
-                equality=lambda pf: (
-                    pf.c == 3 * pf.delta - pf.kappa and pf.c < pf.n,
-                    f"c={pf.c} = 3delta-kappa={3 * pf.delta - pf.kappa} < n={pf.n}",
-                ),
-            ),
-        ],
-    ))
-    add(TheoremSpec(
-        "Thm50", "Jung, 1978", "kappa >= 3, delta >= alpha imply c >= min{n, 3delta-3}",
-        _bound_min_n("3delta-3", lambda pf, lam: F(3 * pf.delta - 3)),
-        [_K3, _DELTA_GE_ALPHA],
-    ))
-    add(TheoremSpec(
-        "Thm51", "Nikoghosyan, 2009",
-        "kappa >= lambda+2, delta >= alpha+lambda-1 imply c >= min{n, (lambda+2)(delta-lambda)}",
-        _bound_min_n("(lambda+2)(delta-lambda)", lambda pf, lam: F((lam + 2) * (pf.delta - lam))),
-        [
-            numeric("kappa >= lambda+2", lambda pf, lam: pf.kappa >= lam + 2),
-            numeric("delta >= alpha+lambda-1", lambda pf, lam: pf.delta >= pf.alpha + lam - 1),
-        ],
-        lambdas=lambda pf: range(1, max(1, pf.kappa - 1)),
-    ))
-    add(TheoremSpec(
-        "Thm52", "M.Zh. Nikoghosyan and Zh.G. Nikoghosyan, 2011",
-        "kappa >= 4, delta >= alpha imply c >= min{n, 4delta-kappa-4}",
-        _bound_min_n("4delta-kappa-4", lambda pf, lam: F(4 * pf.delta - pf.kappa - 4)),
-        [_K4, _DELTA_GE_ALPHA],
-        sharpness=[
-            premise_tight_case(
-                "4K_{delta-2}+K_3 defeats kappa >= 3",
-                _fixed(("4K_3+K_3", build("tKa-join-Kb", t=4, a=3, b=3))),
-                "kappa >= 4",
-                lambda pf, lam: pf.kappa >= 3,
-                "kappa >= 3",
-                conclusion_fails=_thm52_gap_fails,
-            ),
-            premise_tight_case(
-                "H(1,2,kappa+1,kappa) defeats delta >= alpha-1",
-                _fixed(("H(1,2,5,4)", build("H", a=1, b=2, t=5, k=4))),
-                "delta >= alpha",
-                lambda pf, lam: pf.delta >= pf.alpha - 1,
-                "delta >= alpha-1",
-            ),
-        ],
-    ))
+        ),
+    ])
+    alias(t4, "Thm50", "Jung, 1978")
+    alias(t17, "Thm51", "Nikoghosyan, 2009")
+    alias(t18, "Thm52", "M.Zh. Nikoghosyan and Zh.G. Nikoghosyan, 2011", sharpness=[
+        _kappa_tight(4, "4K_{delta-2}+K_3 defeats kappa >= 3",
+                     four_k3_k3,
+                     conclusion_fails=_thm52_gap_fails),
+        premise_tight_case(
+            "H(1,2,kappa+1,kappa) defeats delta >= alpha-1",
+            h1254,
+            "delta >= alpha",
+            lambda pf, lam: pf.delta >= pf.alpha - 1,
+            "delta >= alpha-1",
+        ),
+    ])
     add(TheoremSpec(
         "Thm53", "Bauer, Morgana, Schmeichel and Veldman, 1989",
         "kappa >= 2, delta >= (n+2)/3 imply c >= min{n, n+delta-alpha}",
         _bound_min_n("n+delta-alpha", lambda pf, lam: F(pf.n + pf.delta - pf.alpha)),
-        [_K2, _thm32_d],
+        [_K2, _DELTA_N2_3],
     ))
     add(TheoremSpec(
         "Thm54", "Bauer, Schmeichel and Veldman, 1988",
         "tau >= 1, delta >= n/3 imply c >= min{n, n+delta-alpha+1}",
         _bound_min_n("n+delta-alpha+1", lambda pf, lam: F(pf.n + pf.delta - pf.alpha + 1)),
-        [_TAU1, numeric("delta >= n/3", lambda pf, lam: F(pf.delta) >= F(pf.n, 3))],
+        [_TAU1, _DELTA_N_3],
     ))
 
     # ---- disjunction theorems 55..57 ----
@@ -1017,21 +948,11 @@ def _build() -> list[TheoremSpec]:
         ),
         [_K4],
         sharpness=[
-            premise_tight_case(
-                "4K_{delta-2}+K_3 defeats kappa >= 3",
-                _fixed(("4K_3+K_3", build("tKa-join-Kb", t=4, a=3, b=3))),
-                "kappa >= 4",
-                lambda pf, lam: pf.kappa >= 3,
-                "kappa >= 3",
-                conclusion_fails=_thm56_both_fail,
-            ),
-            conclusion_tight_case(
-                "H(1,2,kappa+1,kappa): dominating branch holds, hamiltonian fails",
-                _fixed(("H(1,2,5,4)", build("H", a=1, b=2, t=5, k=4))),
-                stronger_fails=lambda pf: (
-                    not pf.is_hamiltonian, f"c={pf.c} < n={pf.n}, so 'hamiltonian' fails"
-                ),
-            ),
+            _kappa_tight(4, "4K_{delta-2}+K_3 defeats kappa >= 3",
+                         four_k3_k3,
+                         conclusion_fails=_thm56_both_fail),
+            _not_hamiltonian_case("H(1,2,kappa+1,kappa): dominating branch holds, hamiltonian fails",
+                                  h1254),
         ],
     ))
     add(TheoremSpec(
@@ -1042,8 +963,8 @@ def _build() -> list[TheoremSpec]:
             Bound("(lambda+1)(delta-lambda+1)", lambda pf, lam: F((lam + 1) * (pf.delta - lam + 1))),
             EveryLongestProp("CD", lambda pf, lam: max(1, min(lam, pf.delta - lam))),
         ),
-        [numeric("kappa >= lambda+1", lambda pf, lam: pf.kappa >= lam + 1)],
-        lambdas=lambda pf: range(1, max(1, pf.kappa)),
+        [_K_LAMBDA_1],
+        lambdas=_lambdas_below_kappa,
         notes="The effective CD order min{lambda, delta-lambda} is clamped to >= 1.",
     ))
 
@@ -1066,32 +987,26 @@ def _build() -> list[TheoremSpec]:
         "g1", "Nikoghosyan (g1)",
         "kappa >= lambda >= 1, delta >= (n+2)/(lambda+1)+lambda-2 imply a "
         "CD_{min{lambda,delta-lambda+1}}-cycle exists",
-        ExistsProp("CD", lambda pf, lam: max(1, min(lam, pf.delta - lam + 1))),
-        [
-            numeric("kappa >= lambda", lambda pf, lam: pf.kappa >= lam),
-            numeric(
-                "delta >= (n+2)/(lambda+1)+lambda-2",
-                lambda pf, lam: F(pf.delta) >= F(pf.n + 2, lam + 1) + lam - 2,
-            ),
-        ],
-        lambdas=lambda pf: range(1, pf.kappa + 1),
+        ExistsProp("CD", _cd_order),
+        _CD_PREMISES,
+        lambdas=_cd_lambdas,
     ))
     add(TheoremSpec(
         "g4", "Jung (g4)", "kappa >= 3, delta >= (n+6)/4 imply a CD_3-cycle exists",
         ExistsProp("CD", lambda pf, lam: 3),
-        [_K3, numeric("delta >= (n+6)/4", lambda pf, lam: F(pf.delta) >= F(pf.n + 6, 4))],
+        [_K3, _DELTA_N6_4],
     ))
     add(TheoremSpec(
         "f1", "Nash-Williams (f1)",
         "kappa >= 2, delta >= (n+2)/3 imply a dominating cycle exists",
         ExistsProp("dominating"),
-        [_K2, _thm32_d],
+        [_K2, _DELTA_N2_3],
     ))
     add(TheoremSpec(
         "f2", "Bigalke and Jung (f2)",
         "tau >= 1, delta >= n/3 imply a dominating cycle exists",
         ExistsProp("dominating"),
-        [_TAU1, numeric("delta >= n/3", lambda pf, lam: F(pf.delta) >= F(pf.n, 3))],
+        [_TAU1, _DELTA_N_3],
     ))
 
     return entries
@@ -1107,6 +1022,8 @@ def _woodall_bound(n: int, lam: int) -> F:
 
 def _fan_f(n: int, t: int, lam: int) -> F:
     return F((lam + 1 - t) * (lam - t), 2) + t * (n - lam - 1 + t)
+
+
 
 
 def _thm52_gap_fails(pf: Profile) -> tuple[bool, str]:

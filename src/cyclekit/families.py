@@ -73,6 +73,22 @@ def l_graph(delta: int) -> Graph:
     return from_edge_list(g.n, edges)
 
 
+def _g_layout(n: int, delta: int, middle: Callable[[int], Graph]) -> Graph:
+    """The G_n block layout with ``middle(delta)`` as its middle block."""
+    check_order(n)
+    half = (n - 1) // 2
+    small = (n + 1) // 2 - delta
+    g = disjoint_union([edgeless(half), middle(delta), complete(small)])
+    edges = g.edges()
+    for v in range(half, half + delta):  # the middle block joined to everything
+        for u in range(n):
+            if u != v and not (half <= u < half + delta):
+                edges.append((min(u, v), max(u, v)))
+    for i in range(small):  # matching into the independent block
+        edges.append((i, half + delta + i))
+    return from_edge_list(n, edges)
+
+
 def g_n(n: int, delta: int) -> Graph:
     """The 1-tough non-hamiltonian family on odd n >= 15.
 
@@ -84,37 +100,14 @@ def g_n(n: int, delta: int) -> Graph:
         raise GraphError("G_n needs odd n >= 15")
     if not (3 * delta >= n and 2 * delta <= n - 5):
         raise GraphError("G_n needs n/3 <= delta <= (n-5)/2")
-    check_order(n)
-    half = (n - 1) // 2
-    small = (n + 1) // 2 - delta
-    g = disjoint_union([edgeless(half), complete(delta), complete(small)])
-    edges = g.edges()
-    for v in range(half, half + delta):  # K_delta joined to everything
-        for u in range(n):
-            if u != v and not (half <= u < half + delta):
-                edges.append((min(u, v), max(u, v)))
-    for i in range(small):  # matching into the independent block
-        edges.append((i, half + delta + i))
-    return from_edge_list(n, edges)
+    return _g_layout(n, delta, complete)
 
 
 def g_star(n: int) -> Graph:
     """Variant of g_n with the dominating clique replaced by an independent set."""
     if n < 15 or n % 2 == 0:
         raise GraphError("G*_n needs odd n >= 15")
-    check_order(n)
-    delta = (n - 5) // 2
-    half = (n - 1) // 2
-    small = (n + 1) // 2 - delta
-    g = disjoint_union([edgeless(half), edgeless(delta), complete(small)])
-    edges = g.edges()
-    for v in range(half, half + delta):
-        for u in range(n):
-            if u != v and not (half <= u < half + delta):
-                edges.append((min(u, v), max(u, v)))
-    for i in range(small):
-        edges.append((i, half + delta + i))
-    return from_edge_list(n, edges)
+    return _g_layout(n, (n - 5) // 2, edgeless)
 
 
 def theta_graph(i: int, j: int, k: int) -> Graph:
@@ -278,14 +271,7 @@ class Family:
     cited_by: tuple[str, ...] = ()
 
 
-FAMILIES: dict[str, Family] = {}
-
-
-def _register(family: Family) -> None:
-    FAMILIES[family.name] = family
-
-
-for _fam in [
+FAMILIES: dict[str, Family] = {fam.name: fam for fam in [
     Family("complete", ("n",), complete, "complete graph K_n", ("Thm16",)),
     Family("edgeless", ("n",), edgeless, "empty graph on n vertices"),
     Family("path", ("n",), path_graph, "path P_n"),
@@ -332,8 +318,7 @@ for _fam in [
            "K_{lam+1-t} with pendant vertices on a common t-set", ("Thm43",)),
     Family("aK2-join-Kbar", ("a",), matchings_join_independent,
            "aK_2 joined to an independent (a-1)-set", ("Thm17",)),
-]:
-    _register(_fam)
+]}
 
 
 def list_families() -> list[Family]:

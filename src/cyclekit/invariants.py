@@ -3,8 +3,8 @@ binding number, degree-sum and distance-degree minima.
 
 Everything is computed exactly.  The NP-hard invariants (alpha, toughness,
 binding number) use exhaustive search with pruning; connectivity goes
-through unit-capacity vertex max-flow and is cross-checked against the
-exhaustive cut scan in the test suite.
+through unit-capacity vertex max-flow and is cross-checked against an
+exhaustive cut count in the test suite.
 """
 
 from __future__ import annotations
@@ -150,17 +150,16 @@ def connectivity(g: Graph) -> int:
     return best
 
 
-def cut_scan(g: Graph) -> tuple[int, Exact, int]:
-    """Exhaustive scan over cutsets: (kappa, toughness, toughness witness mask).
+def cut_scan(g: Graph) -> tuple[Exact, int]:
+    """Exhaustive scan over cutsets: (toughness, toughness witness mask).
 
-    One pass over all vertex subsets S with s(G-S) > 1 yields both the
-    minimum cut size and the toughness minimum |S|/s(G-S).
+    One pass over all vertex subsets S with s(G-S) > 1 yields the
+    toughness minimum |S|/s(G-S).
     """
     n, rows = g.n, g.rows
     full = (1 << n) - 1
     if n <= 1:
-        return (0, INF, 0)
-    kappa = n - 1
+        return (INF, 0)
     # tau = tau_num / tau_den, with 1/0 standing for +inf so that the strict
     # cross-multiplied test below keeps the first minimum found.
     tau_num, tau_den = 1, 0
@@ -203,20 +202,18 @@ def cut_scan(g: Graph) -> tuple[int, Exact, int]:
             rest &= ~c2
             comps += 1
         s_size = n - rem.bit_count()
-        if s_size < kappa:
-            kappa = s_size
         if s_size * tau_den < tau_num * comps:
             tau_num, tau_den = s_size, comps
             tau_witness = full ^ rem
     if not tau_den:
         # no disconnecting set: complete graph (or n == 1)
-        return (n - 1, INF, 0)
-    return (kappa, Fraction(tau_num, tau_den), tau_witness)
+        return (INF, 0)
+    return (Fraction(tau_num, tau_den), tau_witness)
 
 
 def toughness(g: Graph) -> tuple[Exact, list[int]]:
     """Exact toughness with a witness cutset (empty for complete graphs)."""
-    _, tau, witness = cut_scan(g)
+    tau, witness = cut_scan(g)
     return tau, bits(witness)
 
 

@@ -102,7 +102,7 @@ class Profile:
         """Exact toughness, from the 2^n cut scan; +inf for complete graphs."""
         if self.complete:
             return INF
-        return cut_scan(self.g)[1]
+        return cut_scan(self.g)[0]
 
     @cached_property
     def tau_bounds(self) -> tuple[Exact, Exact]:
@@ -217,9 +217,6 @@ class Profile:
             and are_isomorphic(g, petersen())
         )
 
-    def class_flag(self, name: str) -> bool:
-        return getattr(self, name)
-
 
 def _profile(g: Graph | Profile) -> Profile:
     return g if isinstance(g, Profile) else Profile(g)
@@ -228,7 +225,7 @@ def _profile(g: Graph | Profile) -> Profile:
 def class_predicates(g: Graph | Profile) -> dict[str, bool]:
     """Exact class flags, in ``SUPPORTED_CLASSES`` order."""
     pf = _profile(g)
-    return {name: pf.class_flag(name) for name in SUPPORTED_CLASSES}
+    return {name: getattr(pf, name) for name in SUPPORTED_CLASSES}
 
 
 # -- invariant report -----------------------------------------------------
@@ -329,7 +326,7 @@ class Premise:
             return True
         if self.cls in ASSERTABLE_CLASSES:
             return None
-        return pf.class_flag(self.cls)
+        return getattr(pf, self.cls)
 
 
 def numeric(label: str, fn: Callable[[Profile, int | None], bool]) -> Premise:

@@ -1,13 +1,18 @@
 """Catalog completeness and the spec-level cross-theorem properties."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from cyclekit import cli
 from cyclekit.catalog import catalog, get
 from cyclekit.graph import complete_bipartite, cycle_graph, power
-from cyclekit.registry import Bound, Profile, check
+from cyclekit.registry import Bound, Profile, audit_sharpness, check
 from conftest import mixed_corpus, seeded_gnp
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_catalog_size_and_ids():
@@ -21,6 +26,39 @@ def test_catalog_size_and_ids():
         assert f"Thm{i}" in ids
     for extra in ("Ore", "Fan", "g1", "g4", "f1", "f2"):
         assert extra in ids
+
+
+def test_equal_statements_share_one_definition():
+    """An entry that restates an earlier entry's statement is an alias of it:
+    the same conclusion and premise objects, not a copy."""
+    first = {}
+    aliases = 0
+    for spec in catalog():
+        base = first.setdefault(spec.statement, spec)
+        if base is spec:
+            continue
+        aliases += 1
+        assert spec.conclusion is base.conclusion, spec.id
+        assert list(map(id, spec.premises)) == list(map(id, base.premises)), spec.id
+    assert aliases >= 9
+
+
+def test_catalog_command_matches_frozen_output(capsys):
+    assert cli.main(["catalog", "--json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (DATA / "catalog.jsonl").read_text()
+
+
+def test_sharpness_audits_match_frozen_results():
+    """Every audit case's verdict, detail and warnings, byte for byte."""
+    got = "".join(
+        json.dumps({"id": spec.id, "case": r.case, "graph": r.graph_label, "passed": r.passed,
+                    "detail": r.detail, "warnings": r.warnings}) + "\n"
+        for spec in catalog()
+        for r in audit_sharpness(spec)
+    )
+    assert got == (DATA / "audits.jsonl").read_text()
 
 
 def test_quarantine_membership_is_data():

@@ -6,7 +6,7 @@ from cyclekit.cycles import circumference, hamiltonian
 from cyclekit.families import FAMILIES, build, list_families
 from cyclekit.formats import encode_graph6
 from cyclekit.graph import GraphError, are_isomorphic, complete
-from cyclekit.invariants import binding_number, cut_scan, independence_number, toughness
+from cyclekit.invariants import binding_number, connectivity, independence_number, toughness
 from cyclekit.registry import Profile
 from fractions import Fraction
 
@@ -110,7 +110,7 @@ def test_moon_moser():
     pf = Profile(g)
     assert pf.balanced_bipartite and pf.delta == 2
     cut = build("moon-moser-cut", quarter=2)
-    assert cut_scan(cut)[0] == 1
+    assert connectivity(cut) == 1
 
 
 def test_star_of_cliques_and_fans():

@@ -42,6 +42,7 @@ from cyclekit.registry import (
 )
 from cyclekit.invariants import cut_scan
 from conftest import mixed_corpus, seeded_gnp
+from test_invariants import naive_kappa
 
 
 def test_verdict_kinds_on_frozen_graphs():
@@ -247,7 +248,8 @@ H_PARAMS = [(1, 2, 3, 2), (1, 2, 4, 3), (1, 2, 5, 4), (2, 2, 3, 3)]
 
 @pytest.fixture(scope="module")
 def exact_cuts():
-    """(graph, kappa, exact tau) from the 2^n cut scan, over small and named graphs."""
+    """(graph, kappa, exact tau), kappa by the naive cut count and tau from the
+    2^n cut scan, over small and named graphs."""
     graphs = mixed_corpus(seed=61, per_cell=3) + [
         complete(0),
         complete(1),
@@ -260,7 +262,7 @@ def exact_cuts():
         power(cycle_graph(20), 4),
         build("join2Kd-K1", delta=6),
     ] + [build("H", a=a, b=b, t=t, k=k) for a, b, t, k in H_PARAMS]
-    return [(g, *cut_scan(g)[:2]) for g in graphs]
+    return [(g, naive_kappa(g), cut_scan(g)[0]) for g in graphs]
 
 
 def test_toughness_lies_between_kappa_over_alpha_and_half_kappa(exact_cuts):
