@@ -5,13 +5,13 @@ the longest-cycle solvers let its length floor rise, and
 ``cycles_of_length`` pins the floor to list every cycle of one length.
 An O(n + q) block/bipartite bound, ``_cycle_bound``, ends the longest-cycle
 search as soon as it finds a cycle that long.  Once the longest-cycle or
-longest-path search has spent ``SEARCH_BUDGET`` DFS nodes on a graph of
-at most ``DP_MAX_VERTICES`` vertices, a subset DP (Bellman; Held and
-Karp, 1962) computes the optimum instead, and a new search whose floor
-sits just below it returns the first optimum in DFS order: the witness
-the exhaustive search returns.  ``LongestCycles`` keeps one graph's
-longest-cycle answers so that every universal and existence question
-reuses them.
+longest-path search has spent its node budget (``SEARCH_BUDGET``, doubled
+per vertex above 15) on a graph of at most ``DP_MAX_VERTICES`` vertices,
+a subset DP (Bellman; Held and Karp, 1962) computes the optimum instead,
+and a new search whose floor sits just below it returns the first
+optimum in DFS order: the witness the exhaustive search returns.
+``LongestCycles`` keeps one graph's longest-cycle answers so that every
+universal and existence question reuses them.
 
 Length conventions: a single vertex counts as a cycle of length 1 and an
 edge as a cycle of length 2, so the circumference of a nonempty graph is
@@ -42,6 +42,15 @@ ENUMERATION_CEILING = 14
 # the witness does not depend on it at all.
 SEARCH_BUDGET = 2000
 DP_MAX_VERTICES = 20
+
+
+def _search_budget(n: int) -> int | None:
+    """The node budget on n vertices, or None (no DP) above DP_MAX_VERTICES.
+
+    SEARCH_BUDGET up to 15 vertices, doubled for each vertex above: the DP
+    costs about 2^n, so a larger graph lets the search run longer first.
+    """
+    return SEARCH_BUDGET << max(0, n - 15) if n <= DP_MAX_VERTICES else None
 
 
 @dataclass(frozen=True)
@@ -254,8 +263,7 @@ def _longest_cycle(g: Graph, stop_at: int | None = None) -> tuple[int, list[int]
     if len(best_path) < stop:
         stop = min(stop, _cycle_bound(g))
     if len(best_path) < stop:
-        budget = SEARCH_BUDGET if n <= DP_MAX_VERTICES else None
-        for path in _cycle_search(g, 2, n, budget):
+        for path in _cycle_search(g, 2, n, _search_budget(n)):
             if path is None:
                 t = _circumference_dp(g, len(best_path), stop)
                 if t > len(best_path):
@@ -383,8 +391,7 @@ def longest_path(g: Graph) -> tuple[int, PathCert]:
     if n == 0:
         raise GraphError("longest path needs at least one vertex")
     best_path = [0]
-    budget = SEARCH_BUDGET if n <= DP_MAX_VERTICES else None
-    for path in _path_search(g, range(n), 0, budget):
+    for path in _path_search(g, range(n), 0, _search_budget(n)):
         if path is None:
             p, ends = _path_dp(g)
             s = (ends & -ends).bit_length() - 1

@@ -2,14 +2,17 @@
 binding number, degree-sum and distance-degree minima.
 
 Everything is computed exactly.  The NP-hard invariants (alpha, toughness,
-binding number) use exhaustive search with pruning; connectivity goes
-through unit-capacity vertex max-flow and is cross-checked against an
-exhaustive cut count in the test suite.
+binding number) use exhaustive search with pruning; toughness tries
+cutsets by size from kappa up and stops where min(alpha, n - s) bounds
+the component count too low to beat the best ratio.  Connectivity goes
+through unit-capacity vertex max-flow.  The test suite checks both
+against exhaustive scans.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .exact import Exact, INF
 from .graph import Graph, all_distances, bits
@@ -150,65 +153,60 @@ def connectivity(g: Graph) -> int:
     return best
 
 
-def cut_scan(g: Graph) -> tuple[Exact, int]:
-    """Exhaustive scan over cutsets: (toughness, toughness witness mask).
+def _union_table(rows: tuple[int, ...]) -> list[int]:
+    """table[f] = the union of rows[v] over the set bits v of f."""
+    table = [0] * (1 << len(rows))
+    for f in range(1, len(table)):
+        low = f & -f
+        table[f] = table[f ^ low] | rows[low.bit_length() - 1]
+    return table
 
-    One pass over all vertex subsets S with s(G-S) > 1 yields the
-    toughness minimum |S|/s(G-S).
+
+def cut_scan(g: Graph) -> tuple[Exact, int]:
+    """Toughness by a cut search ordered by size: (tau, witness mask).
+
+    No set of fewer than kappa vertices disconnects G, so the cutsets S
+    are tried by size s from kappa up.  G - S has at most min(alpha, n - s)
+    components, so no set of size s does better than s / min(alpha, n - s),
+    a ratio that never falls as s grows: the search ends at the first size
+    where it exceeds the best ratio found.  Ties go to the smallest integer
+    S, which is the first minimum of a scan over all 2^n subsets.
     """
     n, rows = g.n, g.rows
-    full = (1 << n) - 1
-    if n <= 1:
-        return (INF, 0)
-    # tau = tau_num / tau_den, with 1/0 standing for +inf so that the strict
-    # cross-multiplied test below keeps the first minimum found.
-    tau_num, tau_den = 1, 0
-    tau_witness = 0
-    for rem in range(full, -1, -1):
-        # rem = kept vertex set; S = full ^ rem
-        low = rem & -rem
-        if not low:
-            continue
-        # reach from lowest kept vertex
-        comp = low
-        frontier = low
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                f &= f - 1
-                nxt |= rows[v]
-            frontier = nxt & rem & ~comp
-            comp |= frontier
-        if comp == rem:
-            continue
-        # disconnected remainder: count all components
-        comps = 1
-        rest = rem & ~comp
-        while rest:
-            seed = rest & -rest
-            c2 = seed
-            frontier = seed
+    if n <= 1 or g.q == n * (n - 1) // 2:
+        return (INF, 0)  # no vertex set disconnects G
+    kappa = connectivity(g)
+    alpha = independence_number(g)[0]
+    full = g.full_mask
+    singletons = [1 << v for v in range(n)]
+    # The neighbourhood of a frontier: one table lookup for each of vertices
+    # 0..9 and 10..19, then one row per vertex above.
+    lo, hi, rest = _union_table(rows[:10]), _union_table(rows[10:20]), rows[20:]
+    # tau = num / den, with 1/0 standing for +inf until the first cutset.
+    num, den, witness = 1, 0, 0
+    for s in range(kappa, n - 1):
+        if s * den > num * min(alpha, n - s):
+            break
+        for combo in combinations(singletons, s):
+            cut = sum(combo)
+            rem = full ^ cut
+            comp = rem & -rem
+            frontier = comp
             while frontier:
-                nxt = 0
-                f = frontier
+                nxt = lo[frontier & 1023] | hi[frontier >> 10 & 1023]
+                f = frontier >> 20
                 while f:
-                    v = (f & -f).bit_length() - 1
-                    f &= f - 1
-                    nxt |= rows[v]
-                frontier = nxt & rest & ~c2
-                c2 |= frontier
-            rest &= ~c2
-            comps += 1
-        s_size = n - rem.bit_count()
-        if s_size * tau_den < tau_num * comps:
-            tau_num, tau_den = s_size, comps
-            tau_witness = full ^ rem
-    if not tau_den:
-        # no disconnecting set: complete graph (or n == 1)
-        return (INF, 0)
-    return (Fraction(tau_num, tau_den), tau_witness)
+                    low = f & -f
+                    f ^= low
+                    nxt |= rest[low.bit_length() - 1]
+                frontier = nxt & rem & ~comp
+                comp |= frontier
+            if comp == rem:
+                continue
+            comps = g.count_components(rem)
+            if s * den < num * comps or (s * den == num * comps and cut < witness):
+                num, den, witness = s, comps, cut
+    return (Fraction(num, den), witness)
 
 
 def toughness(g: Graph) -> tuple[Exact, list[int]]:

@@ -70,6 +70,13 @@ class Profile:
 
     def __init__(self, g: Graph):
         self.g = g
+        self._free: dict[Graph, bool] = {}
+
+    def is_free_of(self, h: Graph) -> bool:
+        """G has no induced h; each distinct pattern is searched at most once."""
+        if h not in self._free:
+            self._free[h] = contains_induced(self.g, h) is None
+        return self._free[h]
 
     @cached_property
     def n(self) -> int:
@@ -99,7 +106,8 @@ class Profile:
 
     @cached_property
     def tau(self) -> Exact:
-        """Exact toughness, from the 2^n cut scan; +inf for complete graphs."""
+        """Exact toughness, from the cut search bounded by kappa and alpha;
+        +inf for complete graphs, which need no search."""
         if self.complete:
             return INF
         return cut_scan(self.g)[0]
@@ -286,7 +294,7 @@ class InvariantReport:
 
 def invariant_report(g: Graph | Profile) -> InvariantReport:
     """Full invariant bundle for one graph, class flags included, read off
-    one Profile: the exact tau is the only 2^n scan, and complete graphs
+    one Profile: the exact tau is the only cut search, and complete graphs
     need none."""
     pf = _profile(g)
     return InvariantReport(
@@ -321,7 +329,7 @@ class Premise:
         if self.kind == "numeric":
             return self.fn(pf, lam)  # type: ignore[misc]
         if self.kind == "free":
-            return all(contains_induced(pf.g, h) is None for h in self.patterns)
+            return all(pf.is_free_of(h) for h in self.patterns)
         if self.cls in assume:
             return True
         if self.cls in ASSERTABLE_CLASSES:

@@ -91,8 +91,11 @@ def pattern(token: str) -> Graph:
 def contains_induced(g: Graph, h: Graph) -> dict[int, int] | None:
     """Injective map realizing h as an induced subgraph of g, else None.
 
-    Backtracking over a connectivity-first vertex order with degree and
-    adjacency-consistency pruning; exhaustive, so None is a proof of
+    Backtracking over a connectivity-first vertex order.  Each level's
+    candidates are one bitmask: the unused vertices of large enough degree,
+    ANDed with the row, or the complement of the row, of every placed
+    image.  They are tried in increasing order, so the first embedding is
+    that of a vertex-by-vertex search; exhaustive, so None is a proof of
     absence.
     """
     if h.n > g.n or h.q > g.q:
@@ -113,36 +116,31 @@ def contains_induced(g: Graph, h: Graph) -> dict[int, int] | None:
         order.append(best_v)
         placed_mask |= 1 << best_v
         remaining.discard(best_v)
-    g_degs = g.degrees()
-    h_degs = h.degrees()
-    mapping = [-1] * h.n
-    used = 0
+    g_rows, g_degs, h_degs = g.rows, g.degrees(), h.degrees()
+    # level i places order[i]: among the vertices of g of large enough
+    # degree, it must see exactly the images of the earlier pattern
+    # vertices it is adjacent to in h
+    eligible = [mask_of(v for v in range(g.n) if g_degs[v] >= h_degs[hv]) for hv in order]
+    wants = [[h.rows[hv] >> prev & 1 for prev in order[:i]] for i, hv in enumerate(order)]
+    image = [-1] * h.n
 
-    def place(idx: int) -> bool:
-        nonlocal used
+    def place(idx: int, used: int) -> bool:
         if idx == h.n:
             return True
-        hv = order[idx]
-        for gv in range(g.n):
-            if used >> gv & 1 or g_degs[gv] < h_degs[hv]:
-                continue
-            ok = True
-            for prev in order[:idx]:
-                want = h.rows[hv] >> prev & 1
-                have = g.rows[gv] >> mapping[prev] & 1
-                if want != have:
-                    ok = False
-                    break
-            if ok:
-                mapping[hv] = gv
-                used |= 1 << gv
-                if place(idx + 1):
-                    return True
-                used ^= 1 << gv
-                mapping[hv] = -1
+        cand = eligible[idx] & ~used
+        for j, want in enumerate(wants[idx]):
+            row = g_rows[image[j]]
+            cand &= row if want else ~row
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            image[idx] = low.bit_length() - 1
+            if place(idx + 1, used | low):
+                return True
         return False
 
-    if place(0):
+    if place(0, 0):
+        mapping = dict(zip(order, image))
         return {hv: mapping[hv] for hv in range(h.n)}
     return None
 

@@ -9,8 +9,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
-from cyclekit.graph import Graph, from_edge_list
+from cyclekit.families import build
+from cyclekit.graph import Graph, complete_bipartite, cycle_graph, from_edge_list, petersen, power
 
 
 def seeded_gnp(n: int, p: float, count: int, seed: int) -> list[Graph]:
@@ -31,6 +33,25 @@ def mixed_corpus(seed: int = 7, per_cell: int = 25, ns=range(1, 9)) -> list[Grap
         for p in (0.15, 0.4, 0.7, 0.95):
             out.extend(seeded_gnp(n, p, per_cell, seed + 97 * n + int(100 * p)))
     return out
+
+
+def oracle_corpus() -> list[Graph]:
+    """Seeded G(n,p) up to 14 vertices plus named graphs of 10 to 16 vertices,
+    on which the pruned kernels must give the exhaustive searches' answers."""
+    return mixed_corpus(ns=range(2, 15)) + [
+        complete_bipartite(7, 9),
+        build("moon-moser-cut", quarter=4),
+        power(cycle_graph(12), 2),
+        petersen(),
+    ]
+
+
+@st.composite
+def graphs_up_to(draw, max_n: int) -> Graph:
+    """A hypothesis strategy: any labelled graph on at most max_n vertices."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    return from_edge_list(n, [e for e in pairs if draw(st.booleans())])
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from cyclekit.cycles import CeilingError
+from cyclekit.exact import Exact, INF
 from cyclekit.graph import Graph, GraphError
 
 
@@ -32,3 +35,127 @@ def hamiltonian_dp_oracle(g: Graph) -> bool:
                 ext ^= ubit
                 dp[mask | ubit] |= ubit
     return bool(dp[full] & rows[0])
+
+
+# The 2^n toughness scan and the vertex-by-vertex induced-subgraph search,
+# kept as they were before the pruned kernels replaced them.
+
+
+def cut_scan(g: Graph) -> tuple[Exact, int]:
+    """Exhaustive scan over cutsets: (toughness, toughness witness mask).
+
+    One pass over all vertex subsets S with s(G-S) > 1 yields the
+    toughness minimum |S|/s(G-S).
+    """
+    n, rows = g.n, g.rows
+    full = (1 << n) - 1
+    if n <= 1:
+        return (INF, 0)
+    # tau = tau_num / tau_den, with 1/0 standing for +inf so that the strict
+    # cross-multiplied test below keeps the first minimum found.
+    tau_num, tau_den = 1, 0
+    tau_witness = 0
+    for rem in range(full, -1, -1):
+        # rem = kept vertex set; S = full ^ rem
+        low = rem & -rem
+        if not low:
+            continue
+        # reach from lowest kept vertex
+        comp = low
+        frontier = low
+        while frontier:
+            nxt = 0
+            f = frontier
+            while f:
+                v = (f & -f).bit_length() - 1
+                f &= f - 1
+                nxt |= rows[v]
+            frontier = nxt & rem & ~comp
+            comp |= frontier
+        if comp == rem:
+            continue
+        # disconnected remainder: count all components
+        comps = 1
+        rest = rem & ~comp
+        while rest:
+            seed = rest & -rest
+            c2 = seed
+            frontier = seed
+            while frontier:
+                nxt = 0
+                f = frontier
+                while f:
+                    v = (f & -f).bit_length() - 1
+                    f &= f - 1
+                    nxt |= rows[v]
+                frontier = nxt & rest & ~c2
+                c2 |= frontier
+            rest &= ~c2
+            comps += 1
+        s_size = n - rem.bit_count()
+        if s_size * tau_den < tau_num * comps:
+            tau_num, tau_den = s_size, comps
+            tau_witness = full ^ rem
+    if not tau_den:
+        # no disconnecting set: complete graph (or n == 1)
+        return (INF, 0)
+    return (Fraction(tau_num, tau_den), tau_witness)
+
+
+def contains_induced(g: Graph, h: Graph) -> dict[int, int] | None:
+    """Injective map realizing h as an induced subgraph of g, else None.
+
+    Backtracking over a connectivity-first vertex order with degree and
+    adjacency-consistency pruning; exhaustive, so None is a proof of
+    absence.
+    """
+    if h.n > g.n or h.q > g.q:
+        return None
+    if h.n == 0:
+        return {}
+    # order pattern vertices so each (after the first) touches a placed one
+    # where possible, most-constrained first
+    order: list[int] = []
+    placed_mask = 0
+    remaining = set(range(h.n))
+    while remaining:
+        best_v, best_key = -1, (-1, -1)
+        for v in remaining:
+            key = ((h.rows[v] & placed_mask).bit_count(), h.degree(v))
+            if key > best_key:
+                best_key, best_v = key, v
+        order.append(best_v)
+        placed_mask |= 1 << best_v
+        remaining.discard(best_v)
+    g_degs = g.degrees()
+    h_degs = h.degrees()
+    mapping = [-1] * h.n
+    used = 0
+
+    def place(idx: int) -> bool:
+        nonlocal used
+        if idx == h.n:
+            return True
+        hv = order[idx]
+        for gv in range(g.n):
+            if used >> gv & 1 or g_degs[gv] < h_degs[hv]:
+                continue
+            ok = True
+            for prev in order[:idx]:
+                want = h.rows[hv] >> prev & 1
+                have = g.rows[gv] >> mapping[prev] & 1
+                if want != have:
+                    ok = False
+                    break
+            if ok:
+                mapping[hv] = gv
+                used |= 1 << gv
+                if place(idx + 1):
+                    return True
+                used ^= 1 << gv
+                mapping[hv] = -1
+        return False
+
+    if place(0):
+        return {hv: mapping[hv] for hv in range(h.n)}
+    return None

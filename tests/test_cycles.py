@@ -260,6 +260,31 @@ def test_subset_dp_finishes_with_the_exhaustive_witness(monkeypatch):
     assert answers() == exhaustive
 
 
+def test_budget_sized_by_order_keeps_the_exhaustive_witness(monkeypatch):
+    # The budget doubles per vertex above 15; on these graphs the searches
+    # still outrun it, and the DP still gives the exhaustive search's witness.
+    assert [cycles._search_budget(n) for n in (15, 16, 18, 20, 21)] == [2000, 4000, 16000, 64000, None]
+    corpus = [
+        g for n in range(16, 19) for p in (0.2, 0.25, 0.3)
+        for g in seeded_gnp(n, p, 6, 500 + n + int(100 * p))
+    ]
+    dp_calls = []
+    for name in ("_circumference_dp", "_path_dp"):
+        dp = getattr(cycles, name)
+        monkeypatch.setattr(cycles, name, lambda *a, dp=dp: dp_calls.append(a[0]) or dp(*a))
+
+    def answers():
+        return [
+            (_longest_cycle(g), _longest_cycle(g, stop_at=g.n), longest_path(g))
+            for g in corpus
+        ]
+
+    budgeted = answers()
+    assert len(set(dp_calls)) >= 10
+    monkeypatch.setattr(cycles, "DP_MAX_VERTICES", 0)
+    assert answers() == budgeted
+
+
 def test_subset_dp_circumference_vs_oracles():
     for g in mixed_corpus(seed=61, per_cell=6, ns=range(1, 10)):
         c = _circumference_dp(g, 2 if g.q else 1, g.n)

@@ -5,6 +5,7 @@ from itertools import combinations
 from time import perf_counter
 
 import networkx as nx
+from hypothesis import given, settings
 
 from cyclekit.exact import INF
 from cyclekit.graph import (
@@ -29,7 +30,8 @@ from cyclekit.invariants import (
     toughness,
 )
 from cyclekit.registry import invariant_report
-from conftest import mixed_corpus, seeded_gnp, to_networkx
+from conftest import graphs_up_to, mixed_corpus, oracle_corpus, seeded_gnp, to_networkx
+from oracles import cut_scan as exhaustive_cut_scan
 
 
 # -- naive oracles --------------------------------------------------------
@@ -257,6 +259,27 @@ def test_integer_comparisons_keep_the_first_minimum():
         if g.q < g.n * (g.n - 1) // 2:
             assert cut_scan(g) == fraction_cut_scan(g), g
         assert binding_number(g) == fraction_binding_number(g), g
+
+
+def test_cut_search_matches_the_exhaustive_scan():
+    # The search by size, stopped by the kappa and alpha bounds, gives the
+    # 2^n scan's tau and its first minimum as the witness.
+    for g in oracle_corpus():
+        assert cut_scan(g) == exhaustive_cut_scan(g), g
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(graphs_up_to(12))
+def test_cut_search_matches_the_exhaustive_scan_on_any_graph(g):
+    assert cut_scan(g) == exhaustive_cut_scan(g)
+
+
+def test_cut_search_of_a_large_sparse_graph_is_immediate():
+    # The 2^n scan would visit 2^64 sets; the search stops after one size.
+    t0 = perf_counter()
+    assert cut_scan(complete_bipartite(1, 63)) == (Fraction(1, 63), 1)
+    assert cut_scan(from_edge_list(64, [(0, 1)])) == (0, 0)
+    assert perf_counter() - t0 < 1.0
 
 
 def test_isolated_vertex_shortcut_matches_the_full_search():

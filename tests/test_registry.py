@@ -41,6 +41,7 @@ from cyclekit.registry import (
     invariant_report,
 )
 from cyclekit.invariants import cut_scan
+from cyclekit.structure import claw, contains_induced
 from conftest import mixed_corpus, seeded_gnp
 from test_invariants import naive_kappa
 
@@ -299,6 +300,21 @@ def test_check_all_on_c20_4_runs_no_cut_scan(monkeypatch):
     frozen = Path(__file__).parent / "data" / "check_all_C20_4.jsonl"
     assert got == [json.loads(line) for line in frozen.read_text().splitlines()]
     assert scans == []
+
+
+def test_check_all_searches_each_pattern_once_per_profile(monkeypatch):
+    # C_20^4 is 8-connected and claw-free, so every free premise is evaluated,
+    # and five of them name the claw.
+    searches = []
+    monkeypatch.setattr(registry, "contains_induced",
+                        lambda g, h: searches.append(h) or contains_induced(g, h))
+    g = power(cycle_graph(20), 4)
+    assert contains_induced(g, claw()) is None
+    got = [v.to_record() for v in check_all(g).verdicts]
+    frozen = Path(__file__).parent / "data" / "check_all_C20_4.jsonl"
+    assert got == [json.loads(line) for line in frozen.read_text().splitlines()]
+    patterns = {h for spec in catalog() for prem in spec.premises for h in prem.patterns}
+    assert len(searches) == len(set(searches)) and set(searches) == patterns
 
 
 def test_residual_bound_enumeration_hits_the_ceiling():

@@ -4,7 +4,9 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
 
+from cyclekit.catalog import catalog
 from cyclekit.cycles import CertificateError
 from cyclekit.graph import (
     GraphError,
@@ -32,7 +34,8 @@ from cyclekit.structure import (
     pattern,
     planarity_certificate,
 )
-from conftest import mixed_corpus, seeded_gnp, to_networkx
+from conftest import graphs_up_to, mixed_corpus, oracle_corpus, seeded_gnp, to_networkx
+from oracles import contains_induced as backtracking_contains_induced
 
 
 def test_pattern_tokens():
@@ -78,6 +81,30 @@ def test_contains_induced_vs_networkx():
         for h in patterns:
             found = contains_induced(g, h)
             assert (found is not None) == _nx_induced(nxg, to_networkx(h)), (g, h)
+
+
+# The forbidden induced subgraphs of the catalog's premises.
+CATALOG_PATTERNS = list(dict.fromkeys(h for s in catalog() for p in s.premises for h in p.patterns))
+
+
+def _same_embedding(g, h):
+    """contains_induced(g, h) equals the vertex-by-vertex search's, key order included."""
+    got, want = contains_induced(g, h), backtracking_contains_induced(g, h)
+    return got == want and list(got or ()) == list(want or ())
+
+
+def test_bitmask_candidates_match_the_backtracking_search():
+    patterns = CATALOG_PATTERNS + [cycle_graph(5), petersen()]
+    for g in oracle_corpus():
+        for h in patterns:
+            assert _same_embedding(g, h), (g, h)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(graphs_up_to(12))
+def test_bitmask_candidates_match_the_backtracking_search_on_any_graph(g):
+    for h in CATALOG_PATTERNS:
+        assert _same_embedding(g, h), h
 
 
 def _nx_induced(big, small):
