@@ -2,7 +2,9 @@
 
 Every entry records premises, conclusion and parameter domain exactly as
 printed, with strict/non-strict inequalities preserved and all arithmetic
-done in rationals.  Entries whose printed form is known to need a repair
+exact: integer quantities stay ints, a premise that divides by a constant
+is cross-multiplied (delta >= n/3 is 3*delta >= n), and a true quotient
+is a Fraction.  Entries whose printed form is known to need a repair
 (a missing connectivity floor, an undefined quotient) carry the repair
 plus a note; the one entry subject to known literature corrections (T7)
 is flagged quarantined and excluded from the soundness alarm.  An entry
@@ -12,7 +14,6 @@ conclusion objects under its own id, title and sharpness cases.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -53,12 +54,14 @@ _K3 = _kappa_ge(3)
 _K4 = _kappa_ge(4)
 _TAU1 = numeric("tau >= 1", lambda pf, lam: pf.tau_ge(1))
 _TAU_GT_1 = numeric("tau > 1", lambda pf, lam: pf.tau_gt(1))
-_TAU_GT_4_3 = numeric("tau > 4/3", lambda pf, lam: pf.tau_gt(F(4, 3)))
-_TAU_GE_3_2 = numeric("tau >= 3/2", lambda pf, lam: pf.tau_ge(F(3, 2)))
+_FOUR_THIRDS = F(4, 3)
+_THREE_HALVES = F(3, 2)
+_TAU_GT_4_3 = numeric("tau > 4/3", lambda pf, lam: pf.tau_gt(_FOUR_THIRDS))
+_TAU_GE_3_2 = numeric("tau >= 3/2", lambda pf, lam: pf.tau_ge(_THREE_HALVES))
 _DELTA_GE_ALPHA = numeric("delta >= alpha", lambda pf, lam: pf.delta >= pf.alpha)
-_DELTA_N_3 = numeric("delta >= n/3", lambda pf, lam: F(pf.delta) >= F(pf.n, 3))
-_DELTA_N2_3 = numeric("delta >= (n+2)/3", lambda pf, lam: F(pf.delta) >= F(pf.n + 2, 3))
-_DELTA_N6_4 = numeric("delta >= (n+6)/4", lambda pf, lam: F(pf.delta) >= F(pf.n + 6, 4))
+_DELTA_N_3 = numeric("delta >= n/3", lambda pf, lam: 3 * pf.delta >= pf.n)
+_DELTA_N2_3 = numeric("delta >= (n+2)/3", lambda pf, lam: 3 * pf.delta >= pf.n + 2)
+_DELTA_N6_4 = numeric("delta >= (n+6)/4", lambda pf, lam: 4 * pf.delta >= pf.n + 6)
 _BALANCED = in_class("balanced_bipartite")
 _K_LAMBDA_1 = numeric("kappa >= lambda+1", lambda pf, lam: pf.kappa >= lam + 1)
 # Nikoghosyan's CD_lambda premises (Thm36, g1), over _cd_lambdas
@@ -66,7 +69,7 @@ _CD_PREMISES = [
     numeric("kappa >= lambda", lambda pf, lam: pf.kappa >= lam),
     numeric(
         "delta >= (n+2)/(lambda+1)+lambda-2",
-        lambda pf, lam: F(pf.delta) >= F(pf.n + 2, lam + 1) + lam - 2,
+        lambda pf, lam: pf.delta >= F(pf.n + 2, lam + 1) + lam - 2,
     ),
 ]
 
@@ -84,14 +87,14 @@ def _cd_order(pf: Profile, lam) -> int:
 
 
 def _bound_min_n(label: str, expr):
-    return Bound(f"min{{n, {label}}}", lambda pf, lam: min(F(pf.n), expr(pf, lam)))
+    return Bound(f"min{{n, {label}}}", lambda pf, lam: min(pf.n, expr(pf, lam)))
 
 
-def _jung_bound(pf: Profile, lam) -> F:
+def _jung_bound(pf: Profile, lam) -> int | F:
     """(tau+1)(delta+1)-1 for T13's min{n, .}; n itself when tau's lower
     bound kappa/alpha already reaches n, so the exact tau is not needed."""
     if (pf.tau_bounds[0] + 1) * (pf.delta + 1) - 1 >= pf.n:
-        return F(pf.n)
+        return pf.n
     return (pf.tau + 1) * (pf.delta + 1) - 1
 
 
@@ -235,7 +238,7 @@ def _build() -> list[TheoremSpec]:
         "the Petersen graph defeats tau = 4/3",
         petersen,
         "tau > 4/3",
-        lambda pf, lam: pf.tau_ge(F(4, 3)),
+        lambda pf, lam: pf.tau_ge(_FOUR_THIRDS),
         "tau >= 4/3",
     )
     residual_equality = custom_case(
@@ -247,11 +250,11 @@ def _build() -> list[TheoremSpec]:
 
     t1 = add(TheoremSpec(
         "T1", "Dirac, 1952", "c >= delta+1",
-        Bound("delta+1", lambda pf, lam: F(pf.delta + 1)),
+        Bound("delta+1", lambda pf, lam: pf.delta + 1),
     ))
     t2 = add(TheoremSpec(
         "T2", "Dirac, 1952", "kappa >= 2 implies c >= min{n, 2delta}",
-        _bound_min_n("2delta", lambda pf, lam: F(2 * pf.delta)),
+        _bound_min_n("2delta", lambda pf, lam: 2 * pf.delta),
         [_K2],
     ))
     add(TheoremSpec(
@@ -261,12 +264,12 @@ def _build() -> list[TheoremSpec]:
     ))
     t4 = add(TheoremSpec(
         "T4", "Jung, 1978", "kappa >= 3, delta >= alpha imply c >= min{n, 3delta-3}",
-        _bound_min_n("3delta-3", lambda pf, lam: F(3 * pf.delta - 3)),
+        _bound_min_n("3delta-3", lambda pf, lam: 3 * pf.delta - 3),
         [_K3, _DELTA_GE_ALPHA],
     ))
     t5 = add(TheoremSpec(
         "T5", "Nikoghosyan, 1981", "kappa >= 3 implies c >= min{n, 3delta-kappa}",
-        _bound_min_n("3delta-kappa", lambda pf, lam: F(3 * pf.delta - pf.kappa)),
+        _bound_min_n("3delta-kappa", lambda pf, lam: 3 * pf.delta - pf.kappa),
         [_K3],
     ))
     add(TheoremSpec(
@@ -276,7 +279,7 @@ def _build() -> list[TheoremSpec]:
     ))
     add(TheoremSpec(
         "T7", "Fan, 1985", "kappa >= 3, delta-regular imply c >= min{n, 3delta}",
-        _bound_min_n("3delta", lambda pf, lam: F(3 * pf.delta)),
+        _bound_min_n("3delta", lambda pf, lam: 3 * pf.delta),
         [_K3, in_class("regular")],
         quarantined=True,
         notes="Included as printed; subject to known literature corrections, "
@@ -284,12 +287,12 @@ def _build() -> list[TheoremSpec]:
     ))
     add(TheoremSpec(
         "T8", "Nikoghosyan, 1985", "kappa >= 4, delta >= alpha imply c >= min{n, 4delta-2kappa}",
-        _bound_min_n("4delta-2kappa", lambda pf, lam: F(4 * pf.delta - 2 * pf.kappa)),
+        _bound_min_n("4delta-2kappa", lambda pf, lam: 4 * pf.delta - 2 * pf.kappa),
         [_K4, _DELTA_GE_ALPHA],
     ))
     t9 = add(TheoremSpec(
         "T9", "Bauer and Schmeichel, 1986", "tau >= 1 implies c >= min{n, 2delta+2}",
-        _bound_min_n("2delta+2", lambda pf, lam: F(2 * pf.delta + 2)),
+        _bound_min_n("2delta+2", lambda pf, lam: 2 * pf.delta + 2),
         [_TAU1],
     ))
     add(TheoremSpec(
@@ -299,11 +302,11 @@ def _build() -> list[TheoremSpec]:
     ))
     t11 = add(TheoremSpec(
         "T11", "Nikoghosyan, 1998", "c >= (p+2)(delta-p) for every longest cycle",
-        ResidualBound("(p+2)(delta-p)", lambda pf, p, c, lam: F((p + 2) * (pf.delta - p))),
+        ResidualBound("(p+2)(delta-p)", lambda pf, p, c, lam: (p + 2) * (pf.delta - p)),
     ))
     t12 = add(TheoremSpec(
         "T12", "Nikoghosyan, 1998", "c >= (cbar+1)(delta-cbar+1) for every longest cycle",
-        ResidualBound("(cbar+1)(delta-cbar+1)", lambda pf, p, c, lam: F((c + 1) * (pf.delta - c + 1))),
+        ResidualBound("(cbar+1)(delta-cbar+1)", lambda pf, p, c, lam: (c + 1) * (pf.delta - c + 1)),
     ))
     add(TheoremSpec(
         "T13", "Jung, 1999", "kappa >= 2 implies c >= min{n, (tau+1)(delta+1)-1}",
@@ -317,7 +320,7 @@ def _build() -> list[TheoremSpec]:
             "(cbar+1)kappa(delta+2)/(cbar+kappa+1) when cbar >= kappa",
             lambda pf, p, c, lam: (
                 F((c + 1) * pf.kappa * (pf.delta + 2), c + pf.kappa + 1)
-                if c >= pf.kappa else F(0)
+                if c >= pf.kappa else 0
             ),
         ),
         [_K2],
@@ -331,7 +334,7 @@ def _build() -> list[TheoremSpec]:
     ))
     add(TheoremSpec(
         "T16", "Mingchu Li, 2009", "kappa >= 3, claw-free imply c >= min{n, 6delta-15}",
-        _bound_min_n("6delta-15", lambda pf, lam: F(6 * pf.delta - 15)),
+        _bound_min_n("6delta-15", lambda pf, lam: 6 * pf.delta - 15),
         [_K3, free_of("G is claw-free", claw())],
         notes="Printed as a one-element min{6delta-15}; read as min{n, 6delta-15} "
               "by analogy with its neighbours.",
@@ -339,7 +342,7 @@ def _build() -> list[TheoremSpec]:
     t17 = add(TheoremSpec(
         "T17", "Nikoghosyan, 2009",
         "kappa >= lambda+2, delta >= alpha+lambda-1 imply c >= min{n, (lambda+2)(delta-lambda)}",
-        _bound_min_n("(lambda+2)(delta-lambda)", lambda pf, lam: F((lam + 2) * (pf.delta - lam))),
+        _bound_min_n("(lambda+2)(delta-lambda)", lambda pf, lam: (lam + 2) * (pf.delta - lam)),
         [
             numeric("kappa >= lambda+2", lambda pf, lam: pf.kappa >= lam + 2),
             numeric("delta >= alpha+lambda-1", lambda pf, lam: pf.delta >= pf.alpha + lam - 1),
@@ -348,13 +351,13 @@ def _build() -> list[TheoremSpec]:
     ))
     t18 = add(TheoremSpec(
         "T18", "Nikoghosyan, 2011", "kappa >= 4, delta >= alpha imply c >= min{n, 4delta-kappa-4}",
-        _bound_min_n("4delta-kappa-4", lambda pf, lam: F(4 * pf.delta - pf.kappa - 4)),
+        _bound_min_n("4delta-kappa-4", lambda pf, lam: 4 * pf.delta - pf.kappa - 4),
         [_K4, _DELTA_GE_ALPHA],
     ))
     add(TheoremSpec(
         "T19", "Nikoghosyan, 2012",
         "tau > 1 implies c >= min{n, 2delta+5} or G is the Petersen graph",
-        NamedGraphEscape(_bound_min_n("2delta+5", lambda pf, lam: F(2 * pf.delta + 5))),
+        NamedGraphEscape(_bound_min_n("2delta+5", lambda pf, lam: 2 * pf.delta + 5)),
         [_TAU_GT_1],
     ))
 
@@ -363,12 +366,12 @@ def _build() -> list[TheoremSpec]:
     add(TheoremSpec(
         "Thm1", "Erdos and Gallai, 1959", "q >= (n^2-3n+5)/2 implies hamiltonian",
         Ham(),
-        [numeric("q >= (n^2-3n+5)/2", lambda pf, lam: F(pf.q) >= F(pf.n * pf.n - 3 * pf.n + 5, 2))],
+        [numeric("q >= (n^2-3n+5)/2", lambda pf, lam: 2 * pf.q >= pf.n * pf.n - 3 * pf.n + 5)],
         sharpness=[premise_tight_case(
             "K_{n-1} with a pendant vertex defeats the relaxed size bound",
             _per_delta("clique-plus-pendant n={d}", lambda d: build("clique-plus-pendant", n=d), range(5, 9)),
             "q >= (n^2-3n+5)/2",
-            lambda pf, lam: F(pf.q) >= F(pf.n * pf.n - 3 * pf.n + 4, 2),
+            lambda pf, lam: 2 * pf.q >= pf.n * pf.n - 3 * pf.n + 4,
             "q >= (n^2-3n+4)/2",
         )],
     ))
@@ -377,13 +380,13 @@ def _build() -> list[TheoremSpec]:
         "1 <= delta <= n/2 and q above the two-term max imply hamiltonian",
         Ham(),
         [
-            numeric("1 <= delta <= n/2", lambda pf, lam: 1 <= pf.delta and F(pf.delta) <= F(pf.n, 2)),
+            numeric("1 <= delta <= n/2", lambda pf, lam: 1 <= pf.delta and 2 * pf.delta <= pf.n),
             numeric(
                 "q > max{(n-delta)(n-delta-1)/2+delta^2, ...}",
-                lambda pf, lam: F(pf.q) > max(
-                    F((pf.n - pf.delta) * (pf.n - pf.delta - 1), 2) + pf.delta ** 2,
-                    F((pf.n - (pf.n - 1) // 2) * (pf.n - (pf.n - 1) // 2 - 1), 2)
-                    + ((pf.n - 1) // 2) ** 2,
+                lambda pf, lam: 2 * pf.q > max(
+                    (pf.n - pf.delta) * (pf.n - pf.delta - 1) + 2 * pf.delta ** 2,
+                    (pf.n - (pf.n - 1) // 2) * (pf.n - (pf.n - 1) // 2 - 1)
+                    + 2 * ((pf.n - 1) // 2) ** 2,
                 ),
             ),
         ],
@@ -394,7 +397,7 @@ def _build() -> list[TheoremSpec]:
         Ham(),
         [_BALANCED, numeric(
             "q >= (n^2-2n+5)/4",
-            lambda pf, lam: F(pf.q) >= F(pf.n * pf.n - 2 * pf.n + 5, 4),
+            lambda pf, lam: 4 * pf.q >= pf.n * pf.n - 2 * pf.n + 5,
         )],
     ))
     add(TheoremSpec(
@@ -403,7 +406,7 @@ def _build() -> list[TheoremSpec]:
         Ham(),
         [_BALANCED, numeric(
             "q > n(n-2delta)/4+delta^2",
-            lambda pf, lam: F(pf.q) > F(pf.n * (pf.n - 2 * pf.delta), 4) + pf.delta ** 2,
+            lambda pf, lam: 4 * pf.q > pf.n * (pf.n - 2 * pf.delta) + 4 * pf.delta ** 2,
         )],
     ))
     add(TheoremSpec(
@@ -421,12 +424,12 @@ def _build() -> list[TheoremSpec]:
     add(TheoremSpec(
         "Thm6", "Dirac, 1952", "delta >= n/2 implies hamiltonian",
         Ham(),
-        [numeric("delta >= n/2", lambda pf, lam: F(pf.delta) >= F(pf.n, 2))],
+        [numeric("delta >= n/2", lambda pf, lam: 2 * pf.delta >= pf.n)],
         sharpness=[premise_tight_case(
             "2K_delta+K_1 defeats the relaxed degree bound",
             _per_delta(*_PD_2KD_K1, range(2, 6)),
             "delta >= n/2",
-            lambda pf, lam: F(pf.delta) >= F(pf.n - 1, 2),
+            lambda pf, lam: 2 * pf.delta >= pf.n - 1,
             "delta >= (n-1)/2",
         )],
     ))
@@ -435,13 +438,13 @@ def _build() -> list[TheoremSpec]:
         "balanced bipartite, delta >= (n+1)/4 imply hamiltonian",
         Ham(),
         [_BALANCED, numeric(
-            "delta >= (n+1)/4", lambda pf, lam: F(pf.delta) >= F(pf.n + 1, 4)
+            "delta >= (n+1)/4", lambda pf, lam: 4 * pf.delta >= pf.n + 1
         )],
         sharpness=[premise_tight_case(
             "three-path gadget (theta(3,3,3)) defeats delta >= n/4",
             _fixed(("theta(3,3,3)", theta333)),
             "delta >= (n+1)/4",
-            lambda pf, lam: F(pf.delta) >= F(pf.n, 4),
+            lambda pf, lam: 4 * pf.delta >= pf.n,
             "delta >= n/4",
         )],
     ))
@@ -452,7 +455,7 @@ def _build() -> list[TheoremSpec]:
         [
             numeric("n >= 11", lambda pf, lam: pf.n >= 11),
             _TAU1,
-            numeric("delta >= (n-4)/2", lambda pf, lam: F(pf.delta) >= F(pf.n - 4, 2)),
+            numeric("delta >= (n-4)/2", lambda pf, lam: 2 * pf.delta >= pf.n - 4),
         ],
         n_floor=11,
         sharpness=[premise_necessary_case(
@@ -467,7 +470,7 @@ def _build() -> list[TheoremSpec]:
         Ham(),
         [
             _TAU_GT_4_3,
-            numeric("delta >= (n-5)/2", lambda pf, lam: F(pf.delta) >= F(pf.n - 5, 2)),
+            numeric("delta >= (n-5)/2", lambda pf, lam: 2 * pf.delta >= pf.n - 5),
         ],
         sharpness=[
             petersen_tau,
@@ -475,7 +478,7 @@ def _build() -> list[TheoremSpec]:
                 "the K_5/K_{5,2} gadget defeats delta >= (n-6)/2",
                 bridge,
                 "delta >= (n-5)/2",
-                lambda pf, lam: F(pf.delta) >= F(pf.n - 6, 2),
+                lambda pf, lam: 2 * pf.delta >= pf.n - 6,
                 "delta >= (n-6)/2",
                 waive=("tau > 4/3",),
             ),
@@ -488,7 +491,7 @@ def _build() -> list[TheoremSpec]:
         "kappa >= 2, delta >= (n+kappa)/3 imply hamiltonian",
         Ham(),
         [_K2, numeric(
-            "delta >= (n+kappa)/3", lambda pf, lam: F(pf.delta) >= F(pf.n + pf.kappa, 3)
+            "delta >= (n+kappa)/3", lambda pf, lam: 3 * pf.delta >= pf.n + pf.kappa
         )],
         sharpness=[
             premise_necessary_case(
@@ -500,7 +503,7 @@ def _build() -> list[TheoremSpec]:
                 "H(1,delta-kappa+1,delta,kappa) defeats the relaxed degree bound",
                 _fixed(("H(1,2,3,2)", build("H", a=1, b=2, t=3, k=2))),
                 "delta >= (n+kappa)/3",
-                lambda pf, lam: F(pf.delta) >= F(pf.n + pf.kappa - 1, 3),
+                lambda pf, lam: 3 * pf.delta >= pf.n + pf.kappa - 1,
                 "delta >= (n+kappa-1)/3",
             ),
         ],
@@ -510,7 +513,7 @@ def _build() -> list[TheoremSpec]:
         "tau >= 1, delta >= (n+kappa-2)/3 imply hamiltonian",
         Ham(),
         [_TAU1, numeric(
-            "delta >= (n+kappa-2)/3", lambda pf, lam: F(pf.delta) >= F(pf.n + pf.kappa - 2, 3)
+            "delta >= (n+kappa-2)/3", lambda pf, lam: 3 * pf.delta >= pf.n + pf.kappa - 2
         )],
     ))
     add(TheoremSpec(
@@ -519,13 +522,13 @@ def _build() -> list[TheoremSpec]:
         Ham(),
         [_K2, numeric(
             "delta >= max{(n+2)/3, alpha}",
-            lambda pf, lam: F(pf.delta) >= max(F(pf.n + 2, 3), F(pf.alpha)),
+            lambda pf, lam: 3 * pf.delta >= pf.n + 2 and pf.delta >= pf.alpha,
         )],
         sharpness=[premise_tight_case(
             "H(lambda,lambda+1,lambda+3,lambda+2) at lambda=1 defeats delta >= alpha-1",
             h1243,
             "delta >= max{(n+2)/3, alpha}",
-            lambda pf, lam: F(pf.delta) >= max(F(pf.n + 2, 3), F(pf.alpha - 1)),
+            lambda pf, lam: 3 * pf.delta >= pf.n + 2 and pf.delta >= pf.alpha - 1,
             "delta >= max{(n+2)/3, alpha-1}",
         )],
     ))
@@ -535,7 +538,7 @@ def _build() -> list[TheoremSpec]:
         Ham(),
         [_TAU1, numeric(
             "delta >= max{n/3, alpha-1}",
-            lambda pf, lam: F(pf.delta) >= max(F(pf.n, 3), F(pf.alpha - 1)),
+            lambda pf, lam: 3 * pf.delta >= pf.n and pf.delta >= pf.alpha - 1,
         )],
     ))
     add(TheoremSpec(
@@ -546,8 +549,8 @@ def _build() -> list[TheoremSpec]:
             _K_LAMBDA_1,
             numeric(
                 "delta >= max{(n+2)/(lambda+2)+lambda-1, alpha+lambda-1}",
-                lambda pf, lam: F(pf.delta) >= max(
-                    F(pf.n + 2, lam + 2) + lam - 1, F(pf.alpha + lam - 1)
+                lambda pf, lam: pf.delta >= max(
+                    F(pf.n + 2, lam + 2) + lam - 1, pf.alpha + lam - 1
                 ),
             ),
         ],
@@ -559,21 +562,21 @@ def _build() -> list[TheoremSpec]:
         Ham(),
         [_K3, numeric(
             "delta >= max{(n+kappa+3)/4, alpha}",
-            lambda pf, lam: F(pf.delta) >= max(F(pf.n + pf.kappa + 3, 4), F(pf.alpha)),
+            lambda pf, lam: 4 * pf.delta >= pf.n + pf.kappa + 3 and pf.delta >= pf.alpha,
         )],
         sharpness=[
             premise_tight_case(
                 "H(1,2,kappa+1,kappa) defeats delta >= alpha-1",
                 h1243,
                 "delta >= max{(n+kappa+3)/4, alpha}",
-                lambda pf, lam: F(pf.delta) >= max(F(pf.n + pf.kappa + 3, 4), F(pf.alpha - 1)),
+                lambda pf, lam: 4 * pf.delta >= pf.n + pf.kappa + 3 and pf.delta >= pf.alpha - 1,
                 "delta >= max{(n+kappa+3)/4, alpha-1}",
             ),
             premise_tight_case(
                 "H(2,n-3delta+3,delta-1,kappa) defeats the relaxed quarter bound",
                 _fixed(("H(2,2,3,3)", build("H", a=2, b=2, t=3, k=3))),
                 "delta >= max{(n+kappa+3)/4, alpha}",
-                lambda pf, lam: F(pf.delta) >= max(F(pf.n + pf.kappa + 2, 4), F(pf.alpha)),
+                lambda pf, lam: 4 * pf.delta >= pf.n + pf.kappa + 2 and pf.delta >= pf.alpha,
                 "delta >= max{(n+kappa+2)/4, alpha}",
             ),
         ],
@@ -593,7 +596,7 @@ def _build() -> list[TheoremSpec]:
     add(TheoremSpec(
         "Thm17", "Woodall, 1973", "b(G) >= 3/2 implies hamiltonian",
         Ham(),
-        [numeric("b(G) >= 3/2", lambda pf, lam: pf.binding >= F(3, 2))],
+        [numeric("b(G) >= 3/2", lambda pf, lam: pf.binding >= _THREE_HALVES)],
         sharpness=[premise_tight_case(
             "aK_2 joined to an independent (a-1)-set sits just under 3/2",
             _per_delta("aK_2+Kbar_{{a-1}} a={d}", lambda d: build("aK2-join-Kbar", a=d), range(2, 5)),
@@ -685,7 +688,7 @@ def _build() -> list[TheoremSpec]:
             "q <= 8 (delta=2) / (3(delta-1)(delta+2)-1)/2 (delta>=3)",
             lambda pf, lam: (
                 pf.q <= 8 if pf.delta == 2
-                else F(pf.q) <= F(3 * (pf.delta - 1) * (pf.delta + 2) - 1, 2)
+                else 2 * pf.q <= 3 * (pf.delta - 1) * (pf.delta + 2) - 1
             ),
         )],
         sharpness=[
@@ -716,7 +719,7 @@ def _build() -> list[TheoremSpec]:
                 "3K_{delta-1}+K_2 defeats the relaxed degree bound",
                 _per_delta(*_PD_3KD1_K2, range(3, 7)),
                 "delta >= (n+2)/3",
-                lambda pf, lam: F(pf.delta) >= F(pf.n + 1, 3),
+                lambda pf, lam: 3 * pf.delta >= pf.n + 1,
                 "delta >= (n+1)/3",
                 conclusion_fails=_missed_clique_fails(3, 2, "dominating", None),
             ),
@@ -736,7 +739,7 @@ def _build() -> list[TheoremSpec]:
         EveryLongestProp("dominating"),
         [_K3, numeric(
             "delta >= (n+kappa+3)/4",
-            lambda pf, lam: F(pf.delta) >= F(pf.n + pf.kappa + 3, 4),
+            lambda pf, lam: 4 * pf.delta >= pf.n + pf.kappa + 3,
         )],
         sharpness=[
             _kappa_tight(3, "3K_{delta-1}+K_2 defeats kappa >= 2",
@@ -762,7 +765,7 @@ def _build() -> list[TheoremSpec]:
                 "4K_3+K_3 defeats the relaxed quarter bound",
                 four_k3_k3,
                 "delta >= (n+6)/4",
-                lambda pf, lam: F(pf.delta) >= F(pf.n + 5, 4),
+                lambda pf, lam: 4 * pf.delta >= pf.n + 5,
                 "delta >= (n+5)/4",
                 conclusion_fails=_missed_clique_fails(4, 3, "CD", 3),
             ),
@@ -788,7 +791,7 @@ def _build() -> list[TheoremSpec]:
                 "(lambda+1)K_{delta-lambda+1}+K_lambda at lambda=2 defeats the relaxed bound",
                 _per_delta(*_PD_3KD1_K2, range(3, 6)),
                 "delta >= (n+2)/(lambda+1)+lambda-2",
-                lambda pf, lam: F(pf.delta) >= F(pf.n + 1, lam + 1) + lam - 2,
+                lambda pf, lam: pf.delta >= F(pf.n + 1, lam + 1) + lam - 2,
                 "delta >= (n+1)/(lambda+1)+lambda-2",
                 lam=2,
                 conclusion_fails=_missed_clique_fails(3, 2, "CD", 2),
@@ -804,7 +807,7 @@ def _build() -> list[TheoremSpec]:
     alias(t1, "Thm37", "Dirac, 1952")
     add(TheoremSpec(
         "Thm38", "Kouider, 1994", "kappa >= 1: c >= n/ceil(alpha/kappa)",
-        Bound("n/ceil(alpha/kappa)", lambda pf, lam: F(pf.n, math.ceil(F(pf.alpha, pf.kappa)))),
+        Bound("n/ceil(alpha/kappa)", lambda pf, lam: F(pf.n, -(-pf.alpha // pf.kappa))),
         [_kappa_ge(1)],
         notes="Printed for every graph; kappa >= 1 restored since the quotient "
               "is undefined on disconnected graphs.",
@@ -827,20 +830,20 @@ def _build() -> list[TheoremSpec]:
     add(TheoremSpec(
         "Thm42", "Woodall, 1976",
         "q > t*C(lambda,2)+C(r+1,2) implies c > lambda, with n = t(lambda-1)+r+1",
-        Bound("lambda", lambda pf, lam: F(lam), strict=True),
+        Bound("lambda", lambda pf, lam: lam, strict=True),
         [numeric(
             "q > t*C(lambda,2)+C(r+1,2)",
-            lambda pf, lam: F(pf.q) > _woodall_bound(pf.n, lam),
+            lambda pf, lam: pf.q > _woodall_bound(pf.n, lam),
         )],
         lambdas=lambda pf: range(2, max(2, pf.n)),
     ))
     add(TheoremSpec(
         "Thm43", "Fan, Lv and Wang, 2004",
         "kappa >= 2, q > max{f(n,2,lambda), f(n,floor(lambda/2),lambda)} imply c > lambda",
-        Bound("lambda", lambda pf, lam: F(lam), strict=True),
+        Bound("lambda", lambda pf, lam: lam, strict=True),
         [_K2, numeric(
             "q > max{f(n,2,lambda), f(n,floor(lambda/2),lambda)}",
-            lambda pf, lam: F(pf.q) > max(_fan_f(pf.n, 2, lam), _fan_f(pf.n, lam // 2, lam)),
+            lambda pf, lam: pf.q > max(_fan_f(pf.n, 2, lam), _fan_f(pf.n, lam // 2, lam)),
         )],
         lambdas=lambda pf: range(2, max(2, pf.n)),
         notes="f(n,t,lambda) evaluated as printed even where floor(lambda/2) < 2.",
@@ -849,7 +852,7 @@ def _build() -> list[TheoremSpec]:
         "Thm44", "Alon, 1986", "delta >= n/(lambda+1) implies c >= n/lambda",
         Bound("n/lambda", lambda pf, lam: F(pf.n, lam)),
         [numeric(
-            "delta >= n/(lambda+1)", lambda pf, lam: F(pf.delta) >= F(pf.n, lam + 1)
+            "delta >= n/(lambda+1)", lambda pf, lam: pf.delta >= F(pf.n, lam + 1)
         )],
         lambdas=lambda pf: range(1, pf.n + 1),
     ))
@@ -857,7 +860,7 @@ def _build() -> list[TheoremSpec]:
     add(TheoremSpec(
         "Thm46", "Kaneko and Yoshimoto",
         "2-connected balanced bipartite implies c >= min{n, 4delta-2}",
-        _bound_min_n("4delta-2", lambda pf, lam: F(4 * pf.delta - 2)),
+        _bound_min_n("4delta-2", lambda pf, lam: 4 * pf.delta - 2),
         [_K2, _BALANCED],
         notes="Dated 1952 in the source with a 2004-era citation; the "
               "citation key is what this entry records.",
@@ -871,7 +874,7 @@ def _build() -> list[TheoremSpec]:
     )])
     add(TheoremSpec(
         "Thm48", "Nikoghosyan, 2012", "tau > 4/3 implies c >= min{n, 2delta+5}",
-        _bound_min_n("2delta+5", lambda pf, lam: F(2 * pf.delta + 5)),
+        _bound_min_n("2delta+5", lambda pf, lam: 2 * pf.delta + 5),
         [_TAU_GT_4_3],
         sharpness=[
             petersen_tau,
@@ -918,13 +921,13 @@ def _build() -> list[TheoremSpec]:
     add(TheoremSpec(
         "Thm53", "Bauer, Morgana, Schmeichel and Veldman, 1989",
         "kappa >= 2, delta >= (n+2)/3 imply c >= min{n, n+delta-alpha}",
-        _bound_min_n("n+delta-alpha", lambda pf, lam: F(pf.n + pf.delta - pf.alpha)),
+        _bound_min_n("n+delta-alpha", lambda pf, lam: pf.n + pf.delta - pf.alpha),
         [_K2, _DELTA_N2_3],
     ))
     add(TheoremSpec(
         "Thm54", "Bauer, Schmeichel and Veldman, 1988",
         "tau >= 1, delta >= n/3 imply c >= min{n, n+delta-alpha+1}",
-        _bound_min_n("n+delta-alpha+1", lambda pf, lam: F(pf.n + pf.delta - pf.alpha + 1)),
+        _bound_min_n("n+delta-alpha+1", lambda pf, lam: pf.n + pf.delta - pf.alpha + 1),
         [_TAU1, _DELTA_N_3],
     ))
 
@@ -934,7 +937,7 @@ def _build() -> list[TheoremSpec]:
         "Thm55", "Jung, 1981",
         "kappa >= 3 implies every longest cycle dominating or c >= 3delta-3",
         Disjunction(
-            Bound("3delta-3", lambda pf, lam: F(3 * pf.delta - 3)),
+            Bound("3delta-3", lambda pf, lam: 3 * pf.delta - 3),
             EveryLongestProp("dominating"),
         ),
         [_K3],
@@ -943,7 +946,7 @@ def _build() -> list[TheoremSpec]:
         "Thm56", "M.Zh. Nikoghosyan and Zh.G. Nikoghosyan, 2011",
         "kappa >= 4 implies every longest cycle dominating or c >= 4delta-kappa-4",
         Disjunction(
-            Bound("4delta-kappa-4", lambda pf, lam: F(4 * pf.delta - pf.kappa - 4)),
+            Bound("4delta-kappa-4", lambda pf, lam: 4 * pf.delta - pf.kappa - 4),
             EveryLongestProp("dominating"),
         ),
         [_K4],
@@ -960,7 +963,7 @@ def _build() -> list[TheoremSpec]:
         "kappa >= lambda+1 implies every longest cycle is a "
         "CD_{min{lambda,delta-lambda}}-cycle or c >= (lambda+1)(delta-lambda+1)",
         Disjunction(
-            Bound("(lambda+1)(delta-lambda+1)", lambda pf, lam: F((lam + 1) * (pf.delta - lam + 1))),
+            Bound("(lambda+1)(delta-lambda+1)", lambda pf, lam: (lam + 1) * (pf.delta - lam + 1)),
             EveryLongestProp("CD", lambda pf, lam: max(1, min(lam, pf.delta - lam))),
         ),
         [_K_LAMBDA_1],
@@ -978,7 +981,7 @@ def _build() -> list[TheoremSpec]:
     add(TheoremSpec(
         "Fan", "Fan, 1984 (h2)", "kappa >= 2, delta_2 >= n/2 imply hamiltonian",
         Ham(),
-        [_K2, numeric("delta_2 >= n/2", lambda pf, lam: pf.delta2 >= F(pf.n, 2))],
+        [_K2, numeric("delta_2 >= n/2", lambda pf, lam: 2 * pf.delta2 >= pf.n)],
         notes="Printed without the connectivity premise; kappa >= 2 restored "
               "from the source form, without which 2K_3 (delta_2 = +inf) is a "
               "counterexample.",
@@ -1015,13 +1018,15 @@ def _build() -> list[TheoremSpec]:
 # -- helpers referenced by entries above ----------------------------------
 
 
-def _woodall_bound(n: int, lam: int) -> F:
+def _woodall_bound(n: int, lam: int) -> int:
+    """t*C(lambda,2)+C(r+1,2); a product of two consecutive integers is even."""
     t, r = divmod(n - 1, lam - 1)
-    return t * F(lam * (lam - 1), 2) + F((r + 1) * r, 2)
+    return t * (lam * (lam - 1) // 2) + (r + 1) * r // 2
 
 
-def _fan_f(n: int, t: int, lam: int) -> F:
-    return F((lam + 1 - t) * (lam - t), 2) + t * (n - lam - 1 + t)
+def _fan_f(n: int, t: int, lam: int) -> int:
+    """C(lambda+1-t,2)+t(n-lambda-1+t); a product of two consecutive integers is even."""
+    return (lam + 1 - t) * (lam - t) // 2 + t * (n - lam - 1 + t)
 
 
 

@@ -45,12 +45,13 @@ class UsageError(Exception):
 
 
 def _param_range(text: str) -> str:
-    """Validate a ``lo..hi`` family parameter range at parse time."""
+    """Validate a nonempty ``lo..hi`` family parameter range at parse time."""
     try:
-        lo, hi = text.split("..")
-        int(lo), int(hi)
+        lo, hi = map(int, text.split(".."))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected lo..hi, got {text!r}") from None
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}: lo must not exceed hi")
     return text
 
 
@@ -285,7 +286,7 @@ def _cmd_audit(args) -> int:
         _emit(args, rec, f"{spec.id} [{r.case}] {r.graph_label}: {status}{warn}")
         if not r.passed and not args.json:
             print(f"  {r.detail}")
-    if not results:
+    if not spec.sharpness:
         _emit(args, {"theorem": spec.id, "cases": 0},
               f"{spec.id}: no sharpness cases declared")
     return 1 if failed else 0

@@ -21,6 +21,7 @@ at least 1.  Cycle lengths count vertices; path lengths count edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 from .graph import Graph, GraphError, biconnected_blocks, bits, induced_subgraph, mask_of
@@ -82,8 +83,12 @@ class CycleCert:
     def mask(self) -> int:
         return mask_of(self.vertices)
 
-    def __str__(self) -> str:
+    @cached_property
+    def _text(self) -> str:
         return " ".join(map(str, self.vertices))
+
+    def __str__(self) -> str:
+        return self._text
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
-"""Exact rational arithmetic with a distinguished +infinity value.
+"""Exact arithmetic with a distinguished +infinity value.
 
-Invariant values (toughness, binding number, degree sums) are carried as
-``fractions.Fraction`` and never as floats.  The single non-rational value
-we need is +infinity (toughness of complete graphs, empty minima), for
-which ``math.inf`` works transparently in comparisons and arithmetic
-against Fractions.
+Integer-valued quantities (orders, degrees, degree sums, connectivity,
+circumference and every bound built from them alone) stay plain ``int``;
+a quotient (toughness, binding number, a bound like n/3) is a
+``fractions.Fraction``.  Comparisons between the two are exact, and no
+value is ever a float.  The single non-rational value we need is
++infinity (toughness of complete graphs, empty minima), for which
+``math.inf`` works transparently in comparisons and arithmetic against
+ints and Fractions.
 """
 
 from __future__ import annotations
@@ -15,11 +18,13 @@ from typing import Union
 
 INF = math.inf
 
-Exact = Union[Fraction, float]
+Exact = Union[int, Fraction, float]
 
 
 def fmt_exact(x: Exact) -> str:
     """Render as "p/q" (or plain integer) with "inf" for +infinity."""
+    if type(x) is int:
+        return str(x)
     if x == INF:
         return "inf"
     f = Fraction(x)

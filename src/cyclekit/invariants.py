@@ -41,7 +41,7 @@ def sigma_t(g: Graph, t: int) -> Exact:
             extend(v + 1, allowed & ~rows[v], size + 1, acc + degs[v])
 
     extend(0, g.full_mask, 0, 0)
-    return best[0] if best[0] == INF else Fraction(best[0])
+    return best[0]
 
 
 def delta_t(g: Graph, t: int) -> Exact:
@@ -57,7 +57,7 @@ def delta_t(g: Graph, t: int) -> Exact:
                 m = max(degs[u], degs[v])
                 if m < best:
                     best = m
-    return best if best == INF else Fraction(best)
+    return best
 
 
 # -- connectivity ---------------------------------------------------------

@@ -179,7 +179,7 @@ class Profile:
     def c(self) -> int:
         return self.cycles.c
 
-    @property
+    @cached_property
     def longest_cycle(self) -> CycleCert:
         return CycleCert(tuple(self.cycles.path))
 
@@ -417,7 +417,7 @@ class Bound(Conclusion):
 
     def check(self, pf: Profile, lam: int | None) -> Outcome:
         bound = self.expr(pf, lam)
-        c = Fraction(pf.c)
+        c = pf.c
         ok = c > bound if self.strict else c >= bound
         rel = ">" if self.strict else ">="
         if ok:
@@ -445,13 +445,13 @@ class ResidualBound(Conclusion):
         if c == n:
             return Outcome(True, "longest cycles span; no residual claim")
         rest = n - c
-        worst: Exact = Fraction(0)
+        worst: Exact = 0
         for p_bar in range(rest):
             for c_bar in range(1, rest + 1):
                 b = self.bound(pf, p_bar, c_bar, lam)
                 if b > worst:
                     worst = b
-        if Fraction(c) >= worst:
+        if c >= worst:
             return Outcome(True, f"c={c} >= worst-case residual bound {fmt_exact(worst)}")
         if n > ENUMERATION_CEILING:
             raise CeilingError(
@@ -460,7 +460,7 @@ class ResidualBound(Conclusion):
         for off, cert in _enumerate_longest(pf):
             p_bar, c_bar = pf.cycles.p_bar(off), pf.cycles.c_bar(off)
             b = self.bound(pf, p_bar, c_bar, lam)
-            if Fraction(c) < b:
+            if c < b:
                 return Outcome(
                     False,
                     f"cycle {cert}: residuals p={p_bar}, cbar={c_bar} "
@@ -556,6 +556,9 @@ class Verdict:
         return rec
 
 
+_NOTHING_ASSUMED: frozenset[str] = frozenset()
+
+
 def check(
     g: Graph | Profile,
     spec: TheoremSpec,
@@ -570,19 +573,15 @@ def check(
     range unless a fixed lambda is given.
     """
     pf = _profile(g)
-    assume_set = frozenset(assume)
     if pf.n < spec.n_floor:
         return Verdict(spec.id, "vacuous", f"n={pf.n} below floor {spec.n_floor}")
-    lams: Sequence[int | None]
-    if spec.lambdas is not None and lam is None:
-        lams = list(spec.lambdas(pf))
-        if not lams:
-            return Verdict(spec.id, "vacuous", "empty parameter domain")
-    else:
-        lams = [lam]
-    results: list[Verdict] = []
-    for lv in lams:
-        results.append(_check_at(pf, spec, assume_set, lv))
+    assume_set = frozenset(assume) if assume else _NOTHING_ASSUMED
+    if spec.lambdas is None or lam is not None:
+        return _check_at(pf, spec, assume_set, lam)
+    lams = list(spec.lambdas(pf))
+    if not lams:
+        return Verdict(spec.id, "vacuous", "empty parameter domain")
+    results = [_check_at(pf, spec, assume_set, lv) for lv in lams]
     for kind in ("VIOLATED", "ceiling", "inapplicable", "holds"):
         for v in results:
             if v.kind == kind:

@@ -114,7 +114,7 @@ class TheoremTally:
     inapplicable: int = 0
     ceiling: int = 0
     violated: int = 0
-    slack_sum: Fraction = Fraction(0)
+    slack_sum: int | Fraction = 0
     slack_count: int = 0
 
     @property
@@ -133,7 +133,7 @@ class TheoremTally:
     def mean_slack(self) -> float | None:
         if not self.slack_count:
             return None
-        return float(self.slack_sum / self.slack_count)
+        return float(Fraction(self.slack_sum, self.slack_count))
 
 
 @dataclass
@@ -159,17 +159,19 @@ class SweepReport:
         return "\n".join(lines)
 
 
-def _bound_slack(spec: TheoremSpec, pf: Profile, verdict: Verdict) -> Fraction | None:
-    """Slack c - bound for circumference-bound entries that hold."""
-    if verdict.kind != "holds" or not isinstance(spec.conclusion, Bound):
-        return None
-    if spec.lambdas is not None:
-        return None  # per-lambda bounds have no single slack
+def _has_slack(spec: TheoremSpec) -> bool:
+    """A circumference bound without lambda: per-lambda bounds have no
+    single slack."""
+    return isinstance(spec.conclusion, Bound) and spec.lambdas is None
+
+
+def _bound_slack(spec: TheoremSpec, pf: Profile) -> int | Fraction | None:
+    """Slack c - bound of a spec that ``_has_slack``, where it holds."""
     try:
-        bound = spec.conclusion.expr(pf, None)
+        bound = spec.conclusion.expr(pf, None)  # type: ignore[attr-defined]
     except ZeroDivisionError:
         return None
-    return Fraction(pf.c) - bound
+    return pf.c - bound
 
 
 def sweep(
@@ -186,33 +188,35 @@ def sweep(
         specs = catalog()
     specs = [s for s in specs if include_quarantined or not s.quarantined]
     report = SweepReport(tallies={s.id: TheoremTally() for s in specs})
+    plan = [(spec, report.tallies[spec.id], _has_slack(spec)) for spec in specs]
     for g in graphs:
         g6 = encode_graph6(g)
         pf = Profile(g)
-        for spec in specs:
+        for spec, tally, has_slack in plan:
             t0 = time.perf_counter()
             v = check(pf, spec, assume)
             dt = time.perf_counter() - t0
-            tally = report.tallies[spec.id]
+            kind = v.kind
             tally.graphs += 1
-            if v.kind == "holds":
+            if kind == "holds":
                 tally.holds += 1
-            elif v.kind == "vacuous":
+                if has_slack:
+                    slack = _bound_slack(spec, pf)
+                    if slack is not None:
+                        tally.slack_sum += slack
+                        tally.slack_count += 1
+            elif kind == "vacuous":
                 tally.vacuous += 1
-            elif v.kind == "inapplicable":
+            elif kind == "inapplicable":
                 tally.inapplicable += 1
-            elif v.kind == "ceiling":
+            elif kind == "ceiling":
                 tally.ceiling += 1
             else:
                 tally.violated += 1
                 report.violated.append((g6, v))
-            slack = _bound_slack(spec, pf, v)
-            if slack is not None:
-                tally.slack_sum += slack
-                tally.slack_count += 1
             if keep_records:
                 report.records.append(SweepRecord(
-                    g6, spec.id, v.lam, v.kind,
+                    g6, spec.id, v.lam, kind,
                     str(v.witness) if v.witness is not None else None, dt,
                 ))
     return report

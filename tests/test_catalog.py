@@ -1,5 +1,6 @@
 """Catalog completeness and the spec-level cross-theorem properties."""
 
+import ast
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -9,8 +10,9 @@ import pytest
 from cyclekit import cli
 from cyclekit.catalog import catalog, get
 from cyclekit.graph import complete_bipartite, cycle_graph, power
-from cyclekit.registry import Bound, Profile, audit_sharpness, check
-from conftest import mixed_corpus, seeded_gnp
+from cyclekit.exact import INF
+from cyclekit.registry import Bound, Profile, ResidualBound, audit_sharpness, check
+from conftest import mixed_corpus, oracle_corpus, seeded_gnp
 
 DATA = Path(__file__).parent / "data"
 
@@ -140,6 +142,66 @@ def test_forbidden_pair_entries_sound_on_2connected_corpus():
         pf = Profile(g)
         for spec in specs:
             assert check(pf, spec).kind != "VIOLATED", (g, spec.id)
+
+
+def _bounds(conclusion):
+    """The Bound and ResidualBound parts of a conclusion, disjuncts included."""
+    if isinstance(conclusion, (Bound, ResidualBound)):
+        yield conclusion
+    for inner in (getattr(conclusion, "first", None), getattr(conclusion, "second", None),
+                  getattr(conclusion, "inner", None)):
+        if inner is not None:
+            yield from _bounds(inner)
+
+
+def _exact_value(x) -> bool:
+    """An int, a Fraction or +inf: no bool and no finite float."""
+    return type(x) in (int, Fraction) or x == INF and type(x) is float
+
+
+def test_premises_are_bools_and_bounds_stay_exact():
+    """Every numeric premise gives a bool and every circumference bound an
+    int, a Fraction or +inf, at every lambda a spec iterates."""
+    specs = catalog()
+    bounded = [(spec, list(_bounds(spec.conclusion))) for spec in specs]
+    assert sum(len(b) for _, b in bounded) >= 30
+    checked = 0
+    for g in oracle_corpus():
+        pf = Profile(g)
+        for spec, bounds in bounded:
+            lams = list(spec.lambdas(pf)) if spec.lambdas is not None else [None]
+            for lam in lams:
+                for prem in spec.premises:
+                    if prem.kind == "numeric":
+                        try:
+                            val = prem.fn(pf, lam)
+                        except ZeroDivisionError:
+                            continue
+                        assert type(val) is bool, (g, spec.id, prem.label, lam, val)
+                for bound in bounds:
+                    try:
+                        if isinstance(bound, Bound):
+                            values = [bound.expr(pf, lam)]
+                        else:
+                            values = [bound.bound(pf, p, c, lam)
+                                      for p in range(pf.n) for c in range(1, pf.n + 1)]
+                    except ZeroDivisionError:  # Thm38's n/ceil(alpha/kappa) at kappa = 0
+                        continue
+                    for x in values:
+                        assert _exact_value(x), (g, spec.id, bound.label, lam, x)
+                        checked += 1
+    assert checked > 10_000
+
+
+def test_no_true_division_on_the_verdict_path():
+    """int / int is a float; the modules that decide verdicts use Fractions."""
+    import cyclekit
+
+    for name in ("catalog", "registry", "exact", "invariants", "cycles", "structure"):
+        source = (Path(cyclekit.__file__).parent / f"{name}.py").read_text()
+        divisions = [node.lineno for node in ast.walk(ast.parse(source))
+                     if isinstance(getattr(node, "op", None), ast.Div)]
+        assert divisions == [], (name, divisions)
 
 
 def test_every_statement_mentions_its_bound():

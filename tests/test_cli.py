@@ -170,6 +170,16 @@ def test_malformed_range_exits_2():
         assert code == 2 and "Traceback" not in err
 
 
+def test_empty_range_exits_2_and_no_cases_line_needs_no_cases():
+    # Thm6 declares a case, so an empty range is a usage error, not "no cases"
+    code, out, err = run(["audit", "--theorem", "Thm6", "--range", "5..3"])
+    assert code == 2 and out == "" and "--range" in err
+    code, out, _ = run(["audit", "--theorem", "Thm6", "--range", "3..3"])
+    assert code == 0 and out.count("PASS") == 1 and "no sharpness cases" not in out
+    code, out, _ = run(["audit", "--theorem", "T3"])
+    assert code == 0 and out == "T3: no sharpness cases declared\n"
+
+
 def test_sweep_rejects_probability_outside_unit_interval():
     for bad in ("1.5", "-0.1", "nan"):
         code, out, err = run(["sweep", "--n", "5", "--p", bad, "--count", "2", "--seed", "1"])

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+from hypothesis import given, strategies as st
+
 from cyclekit.exact import INF, fmt_exact, parse_exact
 
 
@@ -20,3 +22,8 @@ def test_inf_interacts_with_fractions():
     assert min(Fraction(5), INF) == Fraction(5)
     # the (tau+1)(delta+1)-1 bound stays infinite for complete graphs
     assert (INF + 1) * (Fraction(4) + 1) - 1 == INF
+
+
+@given(st.integers())
+def test_an_int_formats_as_its_fraction(k):
+    assert fmt_exact(k) == fmt_exact(Fraction(k)) == str(k)

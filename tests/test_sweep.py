@@ -1,11 +1,21 @@
 """Sweep determinism and reporting."""
 
+import contextlib
+import io
 import json
+from pathlib import Path
 
 import pytest
 
-from cyclekit.graph import GraphError
+from cyclekit import cli
+from cyclekit.exact import fmt_exact
+from cyclekit.families import build
+from cyclekit.formats import encode_graph6
+from cyclekit.graph import GraphError, complete_bipartite, cycle_graph, petersen, power
 from cyclekit.sweep import gnp, random_bipartite, random_regular, sweep
+from conftest import mixed_corpus, seeded_gnp
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_gnp_deterministic():
@@ -73,3 +83,92 @@ def test_dirac_rate_on_regular_half_degree():
     rep = sweep(random_regular(12, 6, 8, seed=4), keep_records=False)
     t = rep.tallies["Thm6"]
     assert t.applicable_rate == 1.0 and t.holds_rate == 1.0
+
+
+# -- frozen sweep and check output ------------------------------------------
+#
+# The files under tests/data/ named below were written by the functions in
+# this section and hold every byte that the sweep, its tallies (slack sums
+# included) and ``check --json`` print on fixed seeded corpora.  Any change
+# to the verdict path must leave them unchanged.
+
+# (frozen file, CLI arguments); the sweeps print their table or records
+SWEEP_RUNS = (
+    ("sweep_gnp.txt", ["sweep", "--n", "8", "--p", "0.5", "--count", "30", "--seed", "5"]),
+    ("sweep_regular.txt", ["sweep", "--model", "regular", "--n", "8", "--d", "4", "--count", "6",
+                           "--seed", "3", "--include-quarantined"]),
+    ("sweep_bipartite.txt", ["sweep", "--model", "bipartite", "--a", "3", "--b", "4", "--p", "0.7",
+                             "--count", "10", "--seed", "2"]),
+    ("sweep_gnp_records.jsonl", ["sweep", "--json", "--n", "7", "--p", "0.5", "--count", "10",
+                                 "--seed", "5"]),
+)
+# (frozen file, extra arguments, exit code); asserting interval on the
+# non-interval graphs makes Keil's theorem (Thm26) VIOLATED on one of them
+CHECK_RUNS = (
+    ("check.jsonl", [], 0),
+    ("check_lambda2.jsonl", ["--lambda", "2"], 0),
+    ("check_assume_interval.jsonl", ["--assume", "interval"], 1),
+)
+
+
+def frozen_sweep_corpus():
+    """Seeded G(n, p) on 3..12 vertices plus named graphs of 7 to 16
+    vertices, two of which have ceiling verdicts."""
+    return mixed_corpus(seed=1010, per_cell=2, ns=range(3, 13)) + frozen_check_corpus()
+
+
+def frozen_check_corpus():
+    return [
+        petersen(),
+        complete_bipartite(3, 4),
+        power(cycle_graph(12), 2),
+        complete_bipartite(7, 9),
+        build("moon-moser-cut", quarter=4),
+    ] + [g for n in (6, 8, 10) for g in seeded_gnp(n, 0.6, 1, seed=2020 + n)]
+
+
+def _graph6_lines(graphs) -> str:
+    return "".join(encode_graph6(g) + "\n" for g in graphs)
+
+
+def frozen_tallies(graphs) -> str:
+    rep = sweep(graphs, include_quarantined=True, keep_records=False)
+    return "".join(
+        json.dumps({"theorem": tid, "graphs": t.graphs, "holds": t.holds, "vacuous": t.vacuous,
+                    "inapplicable": t.inapplicable, "ceiling": t.ceiling, "violated": t.violated,
+                    "slackSum": fmt_exact(t.slack_sum), "slackCount": t.slack_count}) + "\n"
+        for tid, t in rep.tallies.items()
+    ) + rep.table() + "\n"
+
+
+def cli_output(args, code: int = 0) -> str:
+    """stdout of one in-process CLI run; sweep records lose their timing."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(args) == code
+    if "sweep" in args and "--json" in args:
+        return "".join(
+            json.dumps({k: v for k, v in json.loads(line).items() if k != "timing"}) + "\n"
+            for line in out.getvalue().splitlines()
+        )
+    return out.getvalue()
+
+
+def test_frozen_corpora_are_the_seeded_ones():
+    assert (DATA / "sweep_corpus.g6").read_text() == _graph6_lines(frozen_sweep_corpus())
+    assert (DATA / "check_corpus.g6").read_text() == _graph6_lines(frozen_check_corpus())
+
+
+def test_sweep_tallies_and_slack_sums_match_frozen_output():
+    assert frozen_tallies(frozen_sweep_corpus()) == (DATA / "sweep_tallies.txt").read_text()
+
+
+@pytest.mark.parametrize("name, args", SWEEP_RUNS)
+def test_sweep_command_matches_frozen_output(name, args):
+    assert cli_output(args) == (DATA / name).read_text()
+
+
+@pytest.mark.parametrize("name, extra, code", CHECK_RUNS)
+def test_check_json_matches_frozen_output(name, extra, code):
+    args = ["check", "--json", *extra, str(DATA / "check_corpus.g6")]
+    assert cli_output(args, code) == (DATA / name).read_text()
