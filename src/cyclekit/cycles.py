@@ -11,7 +11,12 @@ a subset DP (Bellman; Held and Karp, 1962) computes the optimum instead,
 and a new search whose floor sits just below it returns the first
 optimum in DFS order: the witness the exhaustive search returns.
 ``LongestCycles`` keeps one graph's longest-cycle answers so that every
-universal and existence question reuses them.
+universal, existence and residual question reuses them.  Those questions
+depend only on the vertex set a cycle leaves off, so they are answered
+from the cycles' vertex sets, found by the same subset DP step per
+minimum vertex, and no cycle is listed: a witness is searched for only
+among the sets that qualify, and it is the first qualifying cycle in
+``cycles_of_length`` order, as a listing would find it.
 
 Length conventions: a single vertex counts as a cycle of length 1 and an
 edge as a cycle of length 2, so the circumference of a nonempty graph is
@@ -470,49 +475,139 @@ def residual_params(g: Graph, cycle: CycleCert) -> tuple[int | None, int | None]
     return _residual_path(g, off), _residual_cycle(g, off)
 
 
+# -- cycle vertex sets -------------------------------------------------------
+
+
+def _cycle_sets_from(g: Graph, s: int, c: int) -> dict[int, list[int]]:
+    """Length k -> the vertex set of every k-cycle whose minimum vertex is
+    s, for 3 <= k <= c, each set once.
+
+    A subset DP over the vertices from s up, as far as level c: a level-k
+    set (k >= 3) whose path ends include a neighbour of s closes into a
+    k-cycle through s, and each set is one key of its level.
+    """
+    n, rows = g.n, g.rows
+    allowed = ((1 << n) - 1) >> s << s
+    srow = rows[s]
+    sets: dict[int, list[int]] = {}
+    level = {1 << s: 1 << s}
+    for k in range(2, c + 1):
+        level = _next_level(rows, level, allowed)
+        if not level:
+            break
+        if k >= 3:
+            sets[k] = [m for m, ends in level.items() if ends & srow]
+    return sets
+
+
+def _first_cycle_on(g: Graph, k: int, sets: list[int]) -> tuple[int, ...]:
+    """The first k-cycle (k >= 3) in ``cycles_of_length`` order whose vertex
+    set is one of ``sets``: k-cycle vertex sets that share their minimum s.
+
+    The DFS of ``_cycle_search`` from s, through ascending neighbours, cut
+    at every prefix that no set in ``sets`` contains; a full-length prefix
+    is then one of the sets.  The first cycle this finds is in canonical
+    direction, since its reverse, with a smaller second vertex, would come
+    earlier.
+    """
+    rows = g.rows
+    sbit = sets[0] & -sets[0]
+    path = [sbit.bit_length() - 1]
+
+    def dfs(v: int, visited: int, live: list[int]) -> bool:
+        if len(path) == k:
+            return bool(rows[v] & sbit)
+        union = 0
+        for t in live:
+            union |= t
+        cand = rows[v] & union & ~visited
+        while cand:
+            ubit = cand & -cand
+            cand ^= ubit
+            path.append(ubit.bit_length() - 1)
+            if dfs(path[-1], visited | ubit, [t for t in live if t & ubit]):
+                return True
+            path.pop()
+        return False
+
+    dfs(path[0], sbit, sets)
+    return tuple(path)
+
+
 # -- longest-cycle cache ----------------------------------------------------
 
 
 class LongestCycles:
     """Longest-cycle answers for one graph, each computed at most once.
 
-    Holds the circumference c and its witness path, the longest cycles
-    grouped by the vertex set they leave off (found incrementally, each
-    set keyed to its first cycle in ``cycles_of_length`` order), and p̄
-    and c̄ for every off-set asked about.  A property of one longest
-    cycle is a property of its off-set, so the first cycle of the first
-    set that fails (or satisfies) it is the first cycle of the full
-    enumeration that does.  ``registry.Profile`` holds one; the public
-    functions below take one in place of a graph.
+    Holds the circumference c and its witness path (the first longest
+    cycle in ``cycles_of_length`` order), the vertex sets of the cycles of
+    each length from 3 to c by minimum vertex (each minimum's subset DP
+    runs once, when a question first reaches it, and serves every length),
+    and p̄ and c̄ for every off-cycle set asked about.  Dominating, PD, CD
+    and the residual bounds are properties of the set a cycle leaves off,
+    so ``first_cycle`` tests sets, not cycles, and searches for a cycle
+    only among the sets that pass.  Nothing is listed on a hamiltonian
+    graph, where every question is settled by c = n.  ``registry.Profile``
+    holds one; the public functions below take one in place of a graph.
     """
 
     def __init__(self, g: Graph, circ: tuple[int, list[int]] | None = None):
         self.g = g
         self.c, self.path = _longest_cycle(g) if circ is None else circ
-        self._firsts: list[tuple[int, CycleCert]] = []
-        self._offs: set[int] = set()
-        self._source: Iterator[CycleCert] | None = None
+        self._by_min: list[dict[int, list[int]]] = []
         self._p_bar: dict[int, int] = {}
         self._c_bar: dict[int, int] = {}
 
-    def by_off_set(self) -> Iterator[tuple[int, CycleCert]]:
-        """(off-set, first longest cycle leaving it) for each distinct off-set."""
-        i = 0
-        while i < len(self._firsts) or self._pull():
-            yield self._firsts[i]
-            i += 1
+    def cycle_sets(self, k: int) -> Iterator[int]:
+        """The vertex set of every k-cycle, 1 <= k <= c, each once, in
+        ascending order of minimum vertex.
 
-    def _pull(self) -> bool:
-        """Enumerate until a new off-set appears; False once exhausted."""
-        if self._source is None:
-            self._source = cycles_of_length(self.g, self.c)
-        for cert in self._source:
-            off = _off_cycle_mask(self.g, cert)
-            if off not in self._offs:
-                self._offs.add(off)
-                self._firsts.append((off, cert))
-                return True
-        return False
+        Lengths 1 and 2 come from the vertex and edge loops of
+        ``cycles_of_length``, in its order.  Longer ones come from one
+        ``_cycle_sets_from`` DP per minimum vertex, run the first time any
+        length reaches that vertex and kept for every length.
+        """
+        if k <= 2:
+            for cert in cycles_of_length(self.g, k):
+                yield cert.mask()
+            return
+        by_min = self._by_min
+        for s in range(self.g.n - 2):
+            if s == len(by_min):
+                by_min.append(_cycle_sets_from(self.g, s, self.c))
+            yield from by_min[s].get(k, ())
+
+    def first_cycle(self, k: int, test: Callable[[LongestCycles, int], bool]) -> CycleCert | None:
+        """The first k-cycle in ``cycles_of_length`` order whose off-cycle
+        set passes ``test``, validated, or None if no set passes.
+
+        That order puts the smaller minimum vertex first, so the sets are
+        tested by minimum vertex and none is tested past the first minimum
+        that has a passing set; the witness is searched for among that
+        minimum's passing sets.
+        """
+        g, full = self.g, self.g.full_mask
+        if k == self.c:
+            # The circumference witness is the first longest cycle.
+            first = CycleCert(tuple(self.path))
+            if test(self, full ^ first.mask()):
+                first.validate(g)
+                return first
+        passing: list[int] = []
+        for t in self.cycle_sets(k):
+            if passing and (k <= 2 or t & -t != passing[0] & -passing[0]):
+                break
+            if test(self, full ^ t):
+                passing.append(t)
+        if not passing:
+            return None
+        if k <= 2:
+            cert = CycleCert(tuple(bits(passing[0])))
+        else:
+            cert = CycleCert(_first_cycle_on(g, k, passing))
+        cert.validate(g)
+        return cert
 
     def p_bar(self, off: int) -> int:
         """Longest path, in edges, of the graph induced on off (G minus the cycle)."""
@@ -570,8 +665,11 @@ def every_longest_cycle_satisfies(
     """Universal check over all longest cycles.
 
     prop is "dominating", "PD" or "CD" (the latter two need lam).  Returns
-    (True, None) or (False, counterexample).  Spanning longest cycles make
-    every property trivially true, so enumeration only runs when c < n.
+    (True, None) or (False, counterexample), the counterexample being the
+    first failing longest cycle in ``cycles_of_length`` order.  Spanning
+    longest cycles make every property trivially true; otherwise each
+    longest cycle's vertex set, from the subset DP, is tested once and no
+    cycle is listed.
     """
     test = _cycle_test(prop, lam)
     lc = _cycles_of(g)
@@ -579,10 +677,8 @@ def every_longest_cycle_satisfies(
         return True, None
     if lc.g.n > ENUMERATION_CEILING:
         raise CeilingError(f"universal longest-cycle check capped at {ENUMERATION_CEILING} vertices")
-    for off, cert in lc.by_off_set():
-        if not test(lc, off):
-            return False, cert
-    return True, None
+    counter = lc.first_cycle(lc.c, lambda lc, off: not test(lc, off))
+    return counter is None, counter
 
 
 def exists_cycle_satisfying(
@@ -592,8 +688,10 @@ def exists_cycle_satisfying(
 ) -> CycleCert | None:
     """Find some cycle with the property, longest lengths first.
 
-    A Hamilton cycle settles every property immediately; otherwise cycles
-    are enumerated by decreasing length.
+    A Hamilton cycle settles every property immediately.  Otherwise the
+    lengths go down from c, and the first length with a cycle vertex set
+    that passes gives the answer: the first such cycle in
+    ``cycles_of_length`` order.
     """
     test = _cycle_test(prop, lam)
     lc = _cycles_of(g)
@@ -604,11 +702,8 @@ def exists_cycle_satisfying(
         return cert
     if g.n > ENUMERATION_CEILING:
         raise CeilingError(f"cycle-existence search capped at {ENUMERATION_CEILING} vertices")
-    for off, cert in lc.by_off_set():
-        if test(lc, off):
+    for length in range(lc.c, 0, -1):
+        cert = lc.first_cycle(length, test)
+        if cert is not None:
             return cert
-    for length in range(lc.c - 1, 0, -1):
-        for cert in cycles_of_length(g, length):
-            if test(lc, _off_cycle_mask(g, cert)):
-                return cert
     return None

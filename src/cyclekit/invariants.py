@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from typing import Protocol
 
 from .exact import Exact, INF
 from .graph import Graph, all_distances, bits
@@ -162,7 +163,16 @@ def _union_table(rows: tuple[int, ...]) -> list[int]:
     return table
 
 
-def cut_scan(g: Graph) -> tuple[Exact, int]:
+class WithCutBounds(Protocol):
+    """A graph ``g`` held with its connectivity and independence number,
+    as ``registry.Profile`` holds them."""
+
+    g: Graph
+    kappa: int
+    alpha: int
+
+
+def cut_scan(g: Graph | WithCutBounds) -> tuple[Exact, int]:
     """Toughness by a cut search ordered by size: (tau, witness mask).
 
     No set of fewer than kappa vertices disconnects G, so the cutsets S
@@ -170,13 +180,18 @@ def cut_scan(g: Graph) -> tuple[Exact, int]:
     components, so no set of size s does better than s / min(alpha, n - s),
     a ratio that never falls as s grows: the search ends at the first size
     where it exceeds the best ratio found.  Ties go to the smallest integer
-    S, which is the first minimum of a scan over all 2^n subsets.
+    S, which is the first minimum of a scan over all 2^n subsets.  Given a
+    graph, kappa and alpha are computed here; given a ``WithCutBounds``,
+    its own are used.
     """
+    bounds, g = (None, g) if isinstance(g, Graph) else (g, g.g)
     n, rows = g.n, g.rows
     if n <= 1 or g.q == n * (n - 1) // 2:
         return (INF, 0)  # no vertex set disconnects G
-    kappa = connectivity(g)
-    alpha = independence_number(g)[0]
+    if bounds is None:
+        kappa, alpha = connectivity(g), independence_number(g)[0]
+    else:
+        kappa, alpha = bounds.kappa, bounds.alpha
     full = g.full_mask
     singletons = [1 << v for v in range(n)]
     # The neighbourhood of a frontier: one table lookup for each of vertices

@@ -106,11 +106,11 @@ class Profile:
 
     @cached_property
     def tau(self) -> Exact:
-        """Exact toughness, from the cut search bounded by kappa and alpha;
-        +inf for complete graphs, which need no search."""
+        """Exact toughness, from the cut search bounded by this Profile's
+        kappa and alpha; +inf for complete graphs, which need no search."""
         if self.complete:
             return INF
-        return cut_scan(self.g)[0]
+        return cut_scan(self)[0]
 
     @cached_property
     def tau_bounds(self) -> tuple[Exact, Exact]:
@@ -171,8 +171,8 @@ class Profile:
 
     @cached_property
     def cycles(self) -> LongestCycles:
-        """c, its witness and the longest cycles by off-cycle set, shared
-        by every longest-cycle conclusion and every lambda."""
+        """c, its witness and the cycle vertex sets by length, shared by
+        every longest-cycle conclusion and every lambda."""
         return LongestCycles(self.g, _longest_cycle(self.g))
 
     @property
@@ -430,10 +430,12 @@ class ResidualBound(Conclusion):
 
     ``bound(pf, p_bar, c_bar, lam)`` gives the claimed lower bound for a
     longest cycle with those residuals.  Spanning longest cycles carry no
-    claim.  Enumeration is skipped whenever even the worst feasible
-    residual pair cannot beat c; otherwise one longest cycle per
-    off-cycle set is checked, since the residuals depend only on that set.
-    That enumeration is capped at ``ENUMERATION_CEILING`` vertices.
+    claim.  The longest cycles are not looked at whenever even the worst
+    feasible residual pair cannot beat c.  Otherwise the residuals depend
+    only on the off-cycle set, so each longest cycle's vertex set from the
+    subset DP is checked once, and a cycle is searched for only as the
+    counterexample of a failing set: the first in ``cycles_of_length``
+    order.  That check is capped at ``ENUMERATION_CEILING`` vertices.
     """
 
     def __init__(self, label: str, bound: Callable[[Profile, int, int, int | None], Exact]):
@@ -457,21 +459,28 @@ class ResidualBound(Conclusion):
             raise CeilingError(
                 f"residual-bound enumeration capped at {ENUMERATION_CEILING} vertices (n={n})"
             )
-        for off, cert in _enumerate_longest(pf):
+
+        def fails(lc: LongestCycles, off: int) -> bool:
+            return c < self.bound(pf, lc.p_bar(off), lc.c_bar(off), lam)
+
+        for cert in _enumerate_longest(pf, fails):
+            off = pf.g.full_mask ^ cert.mask()
             p_bar, c_bar = pf.cycles.p_bar(off), pf.cycles.c_bar(off)
-            b = self.bound(pf, p_bar, c_bar, lam)
-            if c < b:
-                return Outcome(
-                    False,
-                    f"cycle {cert}: residuals p={p_bar}, cbar={c_bar} "
-                    f"demand c >= {fmt_exact(b)} > {c}",
-                    cert,
-                )
+            return Outcome(
+                False,
+                f"cycle {cert}: residuals p={p_bar}, cbar={c_bar} "
+                f"demand c >= {fmt_exact(self.bound(pf, p_bar, c_bar, lam))} > {c}",
+                cert,
+            )
         return Outcome(True, f"bound verified over all longest cycles (c={c})")
 
 
-def _enumerate_longest(pf: Profile):
-    return pf.cycles.by_off_set()
+def _enumerate_longest(
+    pf: Profile, fails: Callable[[LongestCycles, int], bool]
+) -> tuple[CycleCert, ...]:
+    """The first longest cycle whose off-cycle set ``fails``, if there is one."""
+    cert = pf.cycles.first_cycle(pf.c, fails)
+    return () if cert is None else (cert,)
 
 
 class Disjunction(Conclusion):
@@ -570,8 +579,11 @@ def check(
     Premises are checked in order; an unsupported class premise that is
     not asserted makes the theorem inapplicable, a failing premise makes
     it vacuous.  Parameterized theorems iterate their feasible lambda
-    range unless a fixed lambda is given.
+    range unless a fixed lambda is given; every lambda domain starts at
+    1, so a fixed lambda below 1 is a ValueError.
     """
+    if lam is not None and lam < 1:
+        raise ValueError("lambda must be >= 1")
     pf = _profile(g)
     if pf.n < spec.n_floor:
         return Verdict(spec.id, "vacuous", f"n={pf.n} below floor {spec.n_floor}")

@@ -11,6 +11,7 @@ from cyclekit.cycles import (
     CeilingError,
     CertificateError,
     CycleCert,
+    LongestCycles,
     _circumference_dp,
     _cycle_bound,
     _longest_cycle,
@@ -38,7 +39,7 @@ from cyclekit.graph import (
     path_graph,
     petersen,
 )
-from conftest import mixed_corpus, seeded_gnp, to_networkx
+from conftest import graphs_up_to, listable_corpus, mixed_corpus, seeded_gnp, to_networkx
 from oracles import hamiltonian_dp_oracle
 
 
@@ -306,6 +307,42 @@ def test_frozen_witnesses_past_the_budget():
         assert hamiltonian(g) is None
     length, path = longest_path(complete_bipartite(6, 7))
     assert (length, path.vertices) == (12, (6, 0, 7, 1, 8, 2, 9, 3, 10, 4, 11, 5, 12))
+
+
+# -- cycle vertex sets from the subset DP ------------------------------------
+
+
+def assert_sets_match_listing(g: Graph) -> LongestCycles:
+    """Every length's DP vertex sets are the listed cycles' sets, each once."""
+    lc = LongestCycles(g)
+    for k in range(1, lc.c + 1):
+        sets = list(lc.cycle_sets(k))
+        assert len(sets) == len(set(sets)), (g, k)
+        assert set(sets) == {cert.mask() for cert in cycles_of_length(g, k)}, (g, k)
+    return lc
+
+
+def test_cycle_sets_match_the_listed_cycles():
+    for g in listable_corpus():
+        if g.n:
+            assert_sets_match_listing(g)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(graphs_up_to(9), st.integers(0, 2**32), st.integers(1, 5))
+def test_first_cycle_is_the_first_listed_cycle_that_passes(g, salt, spread):
+    # An arbitrary test on off-cycle sets: about one set in ``spread`` passes.
+    if not g.n:
+        return
+    lc = assert_sets_match_listing(g)
+    full = g.full_mask
+
+    def test(lc, off):
+        return hash((salt, off)) % spread == 0
+
+    for k in range(1, lc.c + 1):
+        want = next((cert for cert in cycles_of_length(g, k) if test(lc, full ^ cert.mask())), None)
+        assert lc.first_cycle(k, test) == want, (g, k)
 
 
 # -- certificate rejection under mutation -------------------------------------

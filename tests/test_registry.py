@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclekit import cli, cycles, registry
+from cyclekit import cli, cycles, invariants, registry
 from cyclekit.catalog import catalog, get
 from cyclekit.cycles import (
     circumference,
@@ -42,7 +42,7 @@ from cyclekit.registry import (
 )
 from cyclekit.invariants import cut_scan
 from cyclekit.structure import claw, contains_induced
-from conftest import mixed_corpus, seeded_gnp
+from conftest import listable_corpus, mixed_corpus, oracle_corpus, seeded_gnp
 from test_invariants import naive_kappa
 
 
@@ -241,6 +241,27 @@ def test_cached_longest_cycle_answers_match_naive_loops():
                 assert (out.ok, out.witness) == want, (g, label, lam)
 
 
+def test_longest_cycle_answers_match_naive_loops_up_to_14_vertices():
+    props = [("dominating", None)] + [(p, lam) for p in ("PD", "CD") for lam in range(1, 5)]
+    for g in listable_corpus():
+        if g.n < 3:
+            continue
+        c, witness = circumference(g)
+        pf = Profile(g)
+        for prop, lam in props:
+            fixed = (lambda pf, _lam, lam=lam: lam) if lam else None
+            test = naive_test(g, prop, lam)
+            out = EveryLongestProp(prop, fixed).check(pf, None)
+            assert (out.ok, out.witness) == naive_every(g, c, test), (g, prop, lam)
+            out = ExistsProp(prop, fixed).check(pf, None)
+            want = naive_exists(g, c, witness, test)
+            assert (out.ok, out.witness) == (want is not None, want), (g, prop, lam)
+        for lam in range(1, 5):
+            for label, bound in RESIDUAL_BOUNDS.items():
+                out = ResidualBound(label, bound).check(pf, lam)
+                assert (out.ok, out.witness) == naive_residual(g, c, bound, lam), (g, label, lam)
+
+
 # -- kappa by flow, tau by its bounds ----------------------------------------
 
 
@@ -315,6 +336,32 @@ def test_check_all_searches_each_pattern_once_per_profile(monkeypatch):
     assert got == [json.loads(line) for line in frozen.read_text().splitlines()]
     patterns = {h for spec in catalog() for prem in spec.premises for h in prem.patterns}
     assert len(searches) == len(set(searches)) and set(searches) == patterns
+
+
+def test_profile_tau_reuses_its_kappa_and_alpha(monkeypatch):
+    cases = []
+    for g in oracle_corpus():
+        pf = Profile(g)
+        pf.kappa, pf.alpha  # what a Profile has computed before it needs tau
+        cases.append((pf, cut_scan(g)))
+
+    def recomputed(g):
+        raise AssertionError("cut_scan recomputed kappa or alpha")
+
+    monkeypatch.setattr(invariants, "connectivity", recomputed)
+    monkeypatch.setattr(invariants, "independence_number", recomputed)
+    for pf, want in cases:
+        assert cut_scan(pf) == want, pf.g
+        assert pf.tau == want[0], pf.g
+
+
+def test_check_rejects_lambda_below_one():
+    pf = Profile(petersen())
+    for spec_id in ("Thm14", "Thm36", "Thm44", "g1"):
+        for lam in (-3, -1, 0):
+            with pytest.raises(ValueError, match="lambda must be >= 1"):
+                check(pf, get(spec_id), lam=lam)
+        assert check(pf, get(spec_id), lam=1).kind != "VIOLATED"
 
 
 def test_residual_bound_enumeration_hits_the_ceiling():
