@@ -3,9 +3,11 @@
 Every entry records premises, conclusion and parameter domain exactly as
 printed, with strict/non-strict inequalities preserved and all arithmetic
 exact: integer quantities stay ints, a premise that divides by a constant
-is cross-multiplied (delta >= n/3 is 3*delta >= n), and a true quotient
-is a Fraction.  Entries whose printed form is known to need a repair
-(a missing connectivity floor, an undefined quotient) carry the repair
+or by a positive expression in lambda (every lambda is at least 1) is
+cross-multiplied (delta >= n/3 is 3*delta >= n, delta >= n/(lambda+1) is
+delta*(lambda+1) >= n), and a true quotient is a Fraction.  Entries whose
+printed form is known to need a repair (a missing connectivity floor, an
+undefined quotient) carry the repair
 plus a note; the one entry subject to known literature corrections (T7)
 is flagged quarantined and excluded from the soundness alarm.  An entry
 that restates another's statement is an alias of it: the same premise and
@@ -64,13 +66,17 @@ _DELTA_N2_3 = numeric("delta >= (n+2)/3", lambda pf, lam: 3 * pf.delta >= pf.n +
 _DELTA_N6_4 = numeric("delta >= (n+6)/4", lambda pf, lam: 4 * pf.delta >= pf.n + 6)
 _BALANCED = in_class("balanced_bipartite")
 _K_LAMBDA_1 = numeric("kappa >= lambda+1", lambda pf, lam: pf.kappa >= lam + 1)
+
+
+def _cd_delta_ge(c: int):
+    """delta >= (n+c)/(lambda+1)+lambda-2, cross-multiplied by lambda+1 > 0."""
+    return lambda pf, lam: (pf.delta - lam + 2) * (lam + 1) >= pf.n + c
+
+
 # Nikoghosyan's CD_lambda premises (Thm36, g1), over _cd_lambdas
 _CD_PREMISES = [
     numeric("kappa >= lambda", lambda pf, lam: pf.kappa >= lam),
-    numeric(
-        "delta >= (n+2)/(lambda+1)+lambda-2",
-        lambda pf, lam: pf.delta >= F(pf.n + 2, lam + 1) + lam - 2,
-    ),
+    numeric("delta >= (n+2)/(lambda+1)+lambda-2", _cd_delta_ge(2)),
 ]
 
 
@@ -549,8 +555,8 @@ def _build() -> list[TheoremSpec]:
             _K_LAMBDA_1,
             numeric(
                 "delta >= max{(n+2)/(lambda+2)+lambda-1, alpha+lambda-1}",
-                lambda pf, lam: pf.delta >= max(
-                    F(pf.n + 2, lam + 2) + lam - 1, pf.alpha + lam - 1
+                lambda pf, lam: (
+                    (pf.delta - lam + 1) * (lam + 2) >= pf.n + 2 and pf.delta >= pf.alpha + lam - 1
                 ),
             ),
         ],
@@ -791,7 +797,7 @@ def _build() -> list[TheoremSpec]:
                 "(lambda+1)K_{delta-lambda+1}+K_lambda at lambda=2 defeats the relaxed bound",
                 _per_delta(*_PD_3KD1_K2, range(3, 6)),
                 "delta >= (n+2)/(lambda+1)+lambda-2",
-                lambda pf, lam: pf.delta >= F(pf.n + 1, lam + 1) + lam - 2,
+                _cd_delta_ge(1),
                 "delta >= (n+1)/(lambda+1)+lambda-2",
                 lam=2,
                 conclusion_fails=_missed_clique_fails(3, 2, "CD", 2),
@@ -852,7 +858,7 @@ def _build() -> list[TheoremSpec]:
         "Thm44", "Alon, 1986", "delta >= n/(lambda+1) implies c >= n/lambda",
         Bound("n/lambda", lambda pf, lam: F(pf.n, lam)),
         [numeric(
-            "delta >= n/(lambda+1)", lambda pf, lam: pf.delta >= F(pf.n, lam + 1)
+            "delta >= n/(lambda+1)", lambda pf, lam: pf.delta * (lam + 1) >= pf.n
         )],
         lambdas=lambda pf: range(1, pf.n + 1),
     ))

@@ -5,11 +5,14 @@ the longest-cycle solvers let its length floor rise, and
 ``cycles_of_length`` pins the floor to list every cycle of one length.
 An O(n + q) block/bipartite bound, ``_cycle_bound``, ends the longest-cycle
 search as soon as it finds a cycle that long.  Once the longest-cycle or
-longest-path search has spent its node budget (``SEARCH_BUDGET``, doubled
-per vertex above 15) on a graph of at most ``DP_MAX_VERTICES`` vertices,
-a subset DP (Bellman; Held and Karp, 1962) computes the optimum instead,
-and a new search whose floor sits just below it returns the first
-optimum in DFS order: the witness the exhaustive search returns.
+longest-path search has spent its node budget on a graph of at most
+``DP_MAX_VERTICES`` vertices, a subset DP (Bellman; Held and Karp, 1962)
+computes the optimum instead, and a new search whose floor sits just
+below it returns the first optimum in DFS order: the witness the
+exhaustive search returns.  The budget follows the DP's cost, which
+doubles per vertex (``_search_budget``): ``SEARCH_BUDGET`` nodes at 14
+and 15 vertices, doubled per vertex above 15 and halved per vertex below
+14, down to a floor at 9 vertices.
 ``LongestCycles`` keeps one graph's longest-cycle answers so that every
 universal, existence and residual question reuses them.  Those questions
 depend only on the vertex set a cycle leaves off, so they are answered
@@ -53,10 +56,29 @@ DP_MAX_VERTICES = 20
 def _search_budget(n: int) -> int | None:
     """The node budget on n vertices, or None (no DP) above DP_MAX_VERTICES.
 
-    SEARCH_BUDGET up to 15 vertices, doubled for each vertex above: the DP
-    costs about 2^n, so a larger graph lets the search run longer first.
+    About as many nodes as the DP takes time, so a search that cannot end
+    soon hands over early: SEARCH_BUDGET at 14 and 15 vertices, doubled
+    for each vertex above 15 and halved for each vertex below 14, as the
+    DP's cost is, down to SEARCH_BUDGET >> 5 at 9 vertices and fewer.  The
+    cycle DP at 14 vertices already takes longer than SEARCH_BUDGET nodes,
+    so the halving starts below 14.  The floor lets a search that ends
+    within a few dozen nodes end without the DP, as the longest-cycle
+    search does on every graph of at most 6 vertices.  Never below 1,
+    since a countdown from 0 never reaches 0 again and would mean no limit.
     """
-    return SEARCH_BUDGET << max(0, n - 15) if n <= DP_MAX_VERTICES else None
+    if n > DP_MAX_VERTICES:
+        return None
+    shift = n - 15 if n >= 15 else max(n, 9) - 14
+    return max(1, SEARCH_BUDGET << shift if shift >= 0 else SEARCH_BUDGET >> -shift)
+
+
+def _node_countdown(budget: int | None) -> int:
+    """The node countdown for a search with this budget: -1 for no budget."""
+    if budget is None:
+        return -1
+    if budget < 1:
+        raise ValueError(f"search budget must be >= 1, got {budget}")
+    return budget
 
 
 @dataclass(frozen=True)
@@ -141,7 +163,7 @@ def _cycle_search(
     """
     n, rows, reach = g.n, g.rows, g.reach_mask
     path = [0] * n
-    left = -1 if budget is None else budget
+    left = _node_countdown(budget)
     for s in range(n):
         allowed = ((1 << n) - 1) >> s << s
         if allowed.bit_count() <= floor:
@@ -342,7 +364,7 @@ def _path_search(
     n, rows, reach = g.n, g.rows, g.reach_mask
     full = (1 << n) - 1
     buf = [0] * n
-    left = -1 if budget is None else budget
+    left = _node_countdown(budget)
 
     def dfs(v: int, visited: int, length: int) -> Iterator[list[int] | None]:
         nonlocal best, left

@@ -4,9 +4,12 @@ binding number, degree-sum and distance-degree minima.
 Everything is computed exactly.  The NP-hard invariants (alpha, toughness,
 binding number) use exhaustive search with pruning; toughness tries
 cutsets by size from kappa up and stops where min(alpha, n - s) bounds
-the component count too low to beat the best ratio.  Connectivity goes
-through unit-capacity vertex max-flow.  The test suite checks both
-against exhaustive scans.
+the component count too low to beat the best ratio, and the binding
+number's subset search cuts every subtree whose sets cannot beat the
+best ratio, bounding how many vertices a set can add (room) and how many
+new neighbours they bring (coverage).  Connectivity goes through
+unit-capacity vertex max-flow.  The test suite checks each against an
+exhaustive search.
 """
 
 from __future__ import annotations
@@ -262,10 +265,13 @@ def independence_number(g: Graph) -> tuple[int, list[int]]:
 def binding_number(g: Graph) -> tuple[Exact, list[int]]:
     """Woodall's binding number: min |N(X)|/|X| over nonempty X with N(X) != V.
 
-    Subtrees where N(X) already covers V are pruned (supersets only grow
-    the neighborhood).  An isolated vertex v gives N({v}) = {} and the
-    value 0 at once; {smallest isolated v} is also the first zero of the
-    search, which visits sets in lexicographic order.
+    A search over the sets X in lexicographic order, which keeps the first
+    minimum as the witness.  Subtrees where N(X) already covers V are
+    pruned (supersets only grow the neighborhood), and so is every subtree
+    whose sets provably cannot beat the best ratio so far strictly, so the
+    first minimum is still found (``cannot_beat`` gives the bounds).  An
+    isolated vertex v gives N({v}) = {} and the value 0 at once;
+    {smallest isolated v} is also the first zero of the search.
     """
     if g.n == 0:
         raise ValueError("binding number needs n >= 1")
@@ -277,12 +283,58 @@ def binding_number(g: Graph) -> tuple[Exact, list[int]]:
     # cross-multiplied test keeps the first minimum found.
     num, den, witness = 1, 0, 0
 
+    def cannot_beat(start: int, size: int, k: int, nbhd: int) -> bool:
+        """No set below X (``size`` vertices, neighbourhood ``nbhd`` of k
+        vertices) has a ratio below num / den.
+
+        Such a set adds t >= 1 candidates: vertices from ``start`` on whose
+        neighbourhood misses part of W = V - N(X).  Its ratio is at least
+        (k + new) / (size + t), where
+        - room: some w in W stays outside its neighbourhood, so the added
+          vertices avoid N(w), and t <= ``room``, the most candidates
+          outside one N(w);
+        - coverage: each candidate has at least m neighbours in W, and
+          at most ``share`` candidates have one vertex of W in common, so
+          the added vertices bring new >= max(m, t * m / share).
+        Over 1 <= t <= room that bound is least at t = min(share, room) or
+        at t = room.  Cheaper forms (t <= n - start, t <= the number of
+        candidates) are tried first.
+        """
+        if k * den >= num * (size + n - start):
+            return True
+        free = full ^ nbhd
+        cands, m = 0, n
+        for v in range(start, n):
+            new = rows[v] & free
+            if new != free:
+                cands |= 1 << v
+                c = new.bit_count()
+                if c < m:
+                    m = c
+        if (k + m) * den >= num * (size + cands.bit_count()):
+            return True
+        # share >= 1 whenever m >= 1; at m = 0 the bound is k / (size + room)
+        # for any share.
+        room, share = 0, 1
+        for w in bits(free):
+            c = (cands & ~rows[w]).bit_count()
+            if c > room:
+                room = c
+            c = (cands & rows[w]).bit_count()
+            if c > share:
+                share = c
+        return (k + m) * den >= num * (size + min(share, room)) and (
+            room <= share or (k * share + room * m) * den >= num * share * (size + room)
+        )
+
     def extend(start: int, chosen: int, size: int, nbhd: int) -> None:
         nonlocal num, den, witness
         if size:
             k = nbhd.bit_count()
             if k * den < num * size:
                 num, den, witness = k, size, chosen
+            if den and cannot_beat(start, size, k, nbhd):
+                return
         for v in range(start, n):
             nb = nbhd | rows[v]
             if nb == full:

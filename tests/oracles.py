@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from cyclekit.cycles import CeilingError
 from cyclekit.exact import Exact, INF
-from cyclekit.graph import Graph, GraphError
+from cyclekit.graph import Graph, GraphError, bits
 
 
 def hamiltonian_dp_oracle(g: Graph) -> bool:
@@ -159,3 +159,56 @@ def contains_induced(g: Graph, h: Graph) -> dict[int, int] | None:
     if place(0):
         return {hv: mapping[hv] for hv in range(h.n)}
     return None
+
+
+# The lexicographic subset search for the binding number, kept as it was
+# before its subtrees were cut by lower bounds on the ratio.
+
+
+def binding_number(g: Graph) -> tuple[Exact, list[int]]:
+    """Woodall's binding number: min |N(X)|/|X| over nonempty X with N(X) != V.
+
+    Subtrees where N(X) already covers V are pruned (supersets only grow
+    the neighborhood).  An isolated vertex v gives N({v}) = {} and the
+    value 0 at once; {smallest isolated v} is also the first zero of the
+    search, which visits sets in lexicographic order.
+    """
+    if g.n == 0:
+        raise ValueError("binding number needs n >= 1")
+    n, rows = g.n, g.rows
+    if 0 in rows:
+        return Fraction(0), [rows.index(0)]
+    full = g.full_mask
+    # best = num / den, with 1/0 standing for +inf; the strict
+    # cross-multiplied test keeps the first minimum found.
+    num, den, witness = 1, 0, 0
+
+    def extend(start: int, chosen: int, size: int, nbhd: int) -> None:
+        nonlocal num, den, witness
+        if size:
+            k = nbhd.bit_count()
+            if k * den < num * size:
+                num, den, witness = k, size, chosen
+        for v in range(start, n):
+            nb = nbhd | rows[v]
+            if nb == full:
+                continue
+            extend(v + 1, chosen | (1 << v), size + 1, nb)
+
+    extend(0, 0, 0, 0)
+    return (Fraction(num, den) if den else INF), bits(witness)
+
+
+# The premises whose quotient has a lambda-dependent denominator, as they
+# were written with Fractions before they were cross-multiplied, by label.
+
+LAMBDA_PREMISES = {
+    "delta >= (n+2)/(lambda+1)+lambda-2":
+        lambda pf, lam: pf.delta >= Fraction(pf.n + 2, lam + 1) + lam - 2,
+    "delta >= (n+1)/(lambda+1)+lambda-2":
+        lambda pf, lam: pf.delta >= Fraction(pf.n + 1, lam + 1) + lam - 2,
+    "delta >= max{(n+2)/(lambda+2)+lambda-1, alpha+lambda-1}":
+        lambda pf, lam: pf.delta >= max(Fraction(pf.n + 2, lam + 2) + lam - 1, pf.alpha + lam - 1),
+    "delta >= n/(lambda+1)":
+        lambda pf, lam: pf.delta >= Fraction(pf.n, lam + 1),
+}

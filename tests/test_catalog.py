@@ -8,11 +8,12 @@ from pathlib import Path
 import pytest
 
 from cyclekit import cli
-from cyclekit.catalog import catalog, get
+from cyclekit.catalog import _cd_delta_ge, catalog, get
 from cyclekit.graph import complete_bipartite, cycle_graph, power
 from cyclekit.exact import INF
 from cyclekit.registry import Bound, Profile, ResidualBound, audit_sharpness, check
 from conftest import mixed_corpus, oracle_corpus, seeded_gnp
+from oracles import LAMBDA_PREMISES
 
 DATA = Path(__file__).parent / "data"
 
@@ -191,6 +192,29 @@ def test_premises_are_bools_and_bounds_stay_exact():
                         assert _exact_value(x), (g, spec.id, bound.label, lam, x)
                         checked += 1
     assert checked > 10_000
+
+
+def test_cross_multiplied_lambda_premises_match_their_quotients():
+    """Every lambda a spec iterates is at least 1, so multiplying out a
+    lambda-dependent denominator keeps each premise's answer."""
+    uses = [
+        (spec, prem.label, prem.fn)
+        for spec in catalog() if spec.lambdas is not None
+        for prem in spec.premises if prem.label in LAMBDA_PREMISES
+    ]
+    # The relaxed CD premise of the Thm36/g1 premise-tight case.
+    uses += [(spec, "delta >= (n+1)/(lambda+1)+lambda-2", _cd_delta_ge(1))
+             for spec in (get("Thm36"), get("g1"))]
+    assert {label for _, label, _ in uses} == set(LAMBDA_PREMISES)
+    assert {spec.id for spec, _, _ in uses} == {"Thm14", "Thm36", "g1", "Thm44"}
+    checked = 0
+    for g in oracle_corpus():
+        pf = Profile(g)
+        for spec, label, fn in uses:
+            for lam in spec.lambdas(pf):
+                assert fn(pf, lam) == LAMBDA_PREMISES[label](pf, lam), (g, spec.id, label, lam)
+                checked += 1
+    assert checked > 5_000
 
 
 def test_no_true_division_on_the_verdict_path():

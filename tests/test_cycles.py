@@ -14,7 +14,9 @@ from cyclekit.cycles import (
     LongestCycles,
     _circumference_dp,
     _cycle_bound,
+    _cycle_search,
     _longest_cycle,
+    _path_search,
     all_longest_cycles,
     circumference,
     cycles_of_length,
@@ -282,6 +284,64 @@ def test_budget_sized_by_order_keeps_the_exhaustive_witness(monkeypatch):
 
     budgeted = answers()
     assert len(set(dp_calls)) >= 10
+    monkeypatch.setattr(cycles, "DP_MAX_VERTICES", 0)
+    assert answers() == budgeted
+
+
+def test_search_budget_is_never_below_one(monkeypatch):
+    # A countdown that starts at 0 never reaches 0 again, so a budget of 0
+    # would mean no budget at all.
+    g = petersen()
+    for budget in (0, -1):
+        with pytest.raises(ValueError):
+            next(_cycle_search(g, 2, g.n, budget))
+        with pytest.raises(ValueError):
+            next(_path_search(g, range(g.n), 0, budget))
+    assert next(_cycle_search(g, 2, g.n, 1)) is None
+    assert next(_path_search(g, range(g.n), 0, 1)) is None
+    # test_subset_dp_finishes_with_the_exhaustive_witness sends every graph
+    # of up to 14 vertices to the DP with SEARCH_BUDGET = 1, which every
+    # order up to 15 keeps as 1; above 15 it doubles per vertex, as before.
+    monkeypatch.setattr(cycles, "SEARCH_BUDGET", 1)
+    assert [cycles._search_budget(n) for n in range(16)] == [1] * 16
+    assert [cycles._search_budget(n) for n in range(16, 21)] == [2, 4, 8, 16, 32]
+
+
+def test_budget_schedule_follows_the_dp_cost(monkeypatch):
+    budgets = [cycles._search_budget(n) for n in range(21)]
+    assert budgets == sorted(budgets)
+    assert budgets[15:] == [2000, 4000, 8000, 16000, 32000, 64000]
+    assert cycles._search_budget(21) is None
+    assert budgets[:15] == [62] * 10 + [125, 250, 500, 1000, 2000]
+    dp_calls = []
+    for name in ("_circumference_dp", "_path_dp"):
+        dp = getattr(cycles, name)
+        monkeypatch.setattr(cycles, name, lambda *a, dp=dp: dp_calls.append(a[0]) or dp(*a))
+    # The floor lets a search of a few dozen nodes end without the DP.
+    for g in mixed_corpus(ns=[6]):
+        _longest_cycle(g), longest_path(g)
+    assert not dp_calls
+    # Graphs of the sharpness audits whose searches run past the budget.
+    corpus = [
+        build("H", a=1, b=2, t=4, k=3),
+        petersen(),
+        build("H", a=2, b=2, t=3, k=3),
+        build("aK2-join-Kbar", a=4),
+        build("tKa-join-Kb", t=3, a=3, b=2),
+        build("bridge-gadget"),
+        build("H", a=1, b=2, t=5, k=4),
+    ]
+    assert sorted(g.n for g in corpus) == [10, 10, 11, 11, 11, 12, 12]
+
+    def answers():
+        return [
+            (_longest_cycle(g), _longest_cycle(g, stop_at=g.n), longest_path(g))
+            for g in corpus
+        ]
+
+    budgeted = answers()
+    for g in corpus:
+        assert g in dp_calls, g
     monkeypatch.setattr(cycles, "DP_MAX_VERTICES", 0)
     assert answers() == budgeted
 

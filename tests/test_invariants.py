@@ -31,6 +31,7 @@ from cyclekit.invariants import (
 )
 from cyclekit.registry import invariant_report
 from conftest import graphs_up_to, mixed_corpus, oracle_corpus, seeded_gnp, to_networkx
+from oracles import binding_number as lexicographic_binding_number
 from oracles import cut_scan as exhaustive_cut_scan
 
 
@@ -293,4 +294,37 @@ def test_binding_number_of_a_sparse_graph_is_immediate():
     g = from_edge_list(30, [(0, 1)])  # the full search visits all 2^30 sets
     t0 = perf_counter()
     assert binding_number(g) == (0, [2])
+    assert perf_counter() - t0 < 1.0
+
+
+def perfect_matching(n: int) -> Graph:
+    return from_edge_list(n, [(v, v + 1) for v in range(0, n, 2)])
+
+
+def test_bounded_binding_search_matches_the_lexicographic_search():
+    # Cutting every subtree that cannot strictly beat the best ratio keeps
+    # the value and the first minimum in search order, the witness.
+    named = [
+        power(cycle_graph(20), 4),
+        power(cycle_graph(15), 3),
+        complete_bipartite(6, 9),
+        petersen(),
+        perfect_matching(16),
+        perfect_matching(20),
+    ]
+    for g in oracle_corpus() + named:
+        assert binding_number(g) == lexicographic_binding_number(g), g
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(graphs_up_to(12))
+def test_bounded_binding_search_matches_the_lexicographic_search_on_any_graph(g):
+    if g.n:
+        assert binding_number(g) == lexicographic_binding_number(g)
+
+
+def test_binding_number_of_a_perfect_matching_is_immediate():
+    # Every X has |N(X)| = |X|, so the lexicographic search visits all 2^30 sets.
+    t0 = perf_counter()
+    assert binding_number(perfect_matching(30)) == (1, [0])
     assert perf_counter() - t0 < 1.0
