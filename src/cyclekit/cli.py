@@ -7,6 +7,9 @@ line-delimited JSON records mirroring the human output field-for-field.
 
 Exit codes: 0 success, 1 a VIOLATED verdict or failed audit case was
 found, 2 usage error or unreadable input, 3 internal error.
+
+A process runs one subcommand, so ``catalog``, ``families`` and ``sweep``
+are imported inside the subcommands that use them.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import json
 import sys
 from typing import Callable, Iterator, Sequence
 
-from .catalog import catalog, get
 from .cycles import (
     CeilingError,
     circumference,
@@ -25,7 +27,6 @@ from .cycles import (
     hamiltonian,
     longest_path,
 )
-from .families import FAMILIES, build, list_families
 from .formats import FormatError, encode_graph6, parse_any, parse_graph6
 from .graph import Graph, GraphError
 from .registry import (
@@ -37,7 +38,9 @@ from .registry import (
     invariant_report,
 )
 from .structure import contains_induced, pattern
-from .sweep import MODELS, sweep
+
+# ``sweep.MODELS``'s names, so that building the parser needs no ``sweep``
+MODEL_NAMES = ("bipartite", "gnp", "regular")
 
 
 class UsageError(Exception):
@@ -87,6 +90,8 @@ _lambda = _int_at_least(1, "lambda")  # every catalog domain and PD/CD start at 
 
 def _theorem(theorem_id: str) -> TheoremSpec:
     """The catalog entry; an unknown id is a usage error."""
+    from .catalog import get
+
     try:
         return get(theorem_id)
     except KeyError as exc:
@@ -208,6 +213,8 @@ def _cmd_free(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from .families import FAMILIES, build, list_families
+
     if args.family == "list":
         for fam in list_families():
             params = ", ".join(fam.params) if fam.params else "none"
@@ -245,6 +252,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .catalog import catalog
+
     specs = [_theorem(args.theorem)] if args.theorem else catalog()
     assume = args.assume or []
     for cls in assume:
@@ -293,6 +302,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .sweep import MODELS, sweep
+
     if args.model == "gnp":
         gen = MODELS["gnp"](args.n, args.p, args.count, args.seed)
     elif args.model == "regular":
@@ -318,6 +329,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    from .catalog import catalog
+
     for spec in catalog():
         rec = {
             "id": spec.id,
@@ -398,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_audit)
 
     p = sub.add_parser("sweep", help="seeded random-ensemble soundness sweep")
-    p.add_argument("--model", choices=sorted(MODELS), default="gnp")
+    p.add_argument("--model", choices=MODEL_NAMES, default="gnp")
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--p", type=_probability, default=0.5)
     p.add_argument("--d", type=int, default=None, help="degree for --model regular")

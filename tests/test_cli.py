@@ -8,11 +8,15 @@ import re
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cyclekit import cli
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(args, stdin=""):
@@ -208,3 +212,37 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert cli.run(["catalog"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err == "internal error: RuntimeError: boom\n"
+
+
+# -- help text ---------------------------------------------------------------
+
+SUBCOMMANDS = ("invariants", "solve", "free", "construct", "check", "audit", "sweep", "catalog")
+
+
+def help_text() -> str:
+    """What ``--help`` prints for the top level and for every subcommand,
+    then one usage error, each under its command line and exit code, at 80
+    columns."""
+    runs = [["--help"], *([cmd, "--help"] for cmd in SUBCOMMANDS), ["sweep", "--model", "lattice"]]
+    parts = []
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        for argv in runs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            parts.append(f"$ cyclekit {' '.join(argv)}\nexit {code}\n"
+                         f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
+    return "\n".join(parts)
+
+
+def test_help_and_usage_error_match_frozen_output():
+    assert help_text() == (DATA / "cli_help.txt").read_text()
+
+
+def test_model_choices_are_the_sweep_models():
+    from cyclekit import sweep
+
+    assert list(cli.MODEL_NAMES) == sorted(sweep.MODELS)
