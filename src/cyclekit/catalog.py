@@ -1,17 +1,19 @@
 """The declarative theorem catalog.
 
 Every entry records premises, conclusion and parameter domain exactly as
-printed, with strict/non-strict inequalities preserved and all arithmetic
-exact: integer quantities stay ints, a premise that divides by a constant
-or by a positive expression in lambda (every lambda is at least 1) is
-cross-multiplied (delta >= n/3 is 3*delta >= n, delta >= n/(lambda+1) is
-delta*(lambda+1) >= n), and a true quotient is a Fraction.  Entries whose
-printed form is known to need a repair (a missing connectivity floor, an
-undefined quotient) carry the repair
-plus a note; the one entry subject to known literature corrections (T7)
-is flagged quarantined and excluded from the soundness alarm.  An entry
-that restates another's statement is an alias of it: the same premise and
-conclusion objects under its own id, title and sharpness cases.
+printed, with strict/non-strict inequalities preserved.  A numeric premise
+or circumference bound is written once, as its printed label, which the
+registry compiles into exact arithmetic on first use.  An explicit
+function is given only where the label is outside that grammar (Thm2's
+"...", Thm31's case split, Woodall's and Fan's counts, T14's "when",
+Thm41's "else", Thm17's relaxation in a) or where it saves work (T13's
+bound, settled from kappa/alpha when it can).  Entries whose printed form
+is known to need a repair (a missing connectivity floor, an undefined
+quotient) carry the repair plus a note; the one entry subject to known
+literature corrections (T7) is flagged quarantined and excluded from the
+soundness alarm.  An entry that restates another's statement is an alias
+of it: the same premise and conclusion objects under its own id, title
+and sharpness cases.
 """
 
 from __future__ import annotations
@@ -47,37 +49,24 @@ from .structure import claw, net
 # -- shared premise and bound builders ------------------------------------
 
 
-def _kappa_ge(k: int):
-    return numeric(f"kappa >= {k}", lambda pf, lam: pf.kappa >= k)
-
-
-_K2 = _kappa_ge(2)
-_K3 = _kappa_ge(3)
-_K4 = _kappa_ge(4)
-_TAU1 = numeric("tau >= 1", lambda pf, lam: pf.tau_ge(1))
-_TAU_GT_1 = numeric("tau > 1", lambda pf, lam: pf.tau_gt(1))
-_FOUR_THIRDS = F(4, 3)
-_THREE_HALVES = F(3, 2)
-_TAU_GT_4_3 = numeric("tau > 4/3", lambda pf, lam: pf.tau_gt(_FOUR_THIRDS))
-_TAU_GE_3_2 = numeric("tau >= 3/2", lambda pf, lam: pf.tau_ge(_THREE_HALVES))
-_DELTA_GE_ALPHA = numeric("delta >= alpha", lambda pf, lam: pf.delta >= pf.alpha)
-_DELTA_N_3 = numeric("delta >= n/3", lambda pf, lam: 3 * pf.delta >= pf.n)
-_DELTA_N2_3 = numeric("delta >= (n+2)/3", lambda pf, lam: 3 * pf.delta >= pf.n + 2)
-_DELTA_N6_4 = numeric("delta >= (n+6)/4", lambda pf, lam: 4 * pf.delta >= pf.n + 6)
+_K2 = numeric("kappa >= 2")
+_K3 = numeric("kappa >= 3")
+_K4 = numeric("kappa >= 4")
+_TAU1 = numeric("tau >= 1")
+_TAU_GT_1 = numeric("tau > 1")
+_TAU_GT_4_3 = numeric("tau > 4/3")
+_TAU_GE_3_2 = numeric("tau >= 3/2")
+_DELTA_GE_ALPHA = numeric("delta >= alpha")
+_DELTA_N_3 = numeric("delta >= n/3")
+_DELTA_N2_3 = numeric("delta >= (n+2)/3")
+_DELTA_N6_4 = numeric("delta >= (n+6)/4")
 _BALANCED = in_class("balanced_bipartite")
-_K_LAMBDA_1 = numeric("kappa >= lambda+1", lambda pf, lam: pf.kappa >= lam + 1)
-
-
-def _cd_delta_ge(c: int):
-    """delta >= (n+c)/(lambda+1)+lambda-2, cross-multiplied by lambda+1 > 0."""
-    return lambda pf, lam: (pf.delta - lam + 2) * (lam + 1) >= pf.n + c
-
+_K_LAMBDA_1 = numeric("kappa >= lambda+1")
+# T18's bound, which Thm52's and Thm56's audits read on 4K_3+K_3
+_T18_BOUND = Bound("min{n, 4delta-kappa-4}")
 
 # Nikoghosyan's CD_lambda premises (Thm36, g1), over _cd_lambdas
-_CD_PREMISES = [
-    numeric("kappa >= lambda", lambda pf, lam: pf.kappa >= lam),
-    numeric("delta >= (n+2)/(lambda+1)+lambda-2", _cd_delta_ge(2)),
-]
+_CD_PREMISES = [numeric("kappa >= lambda"), numeric("delta >= (n+2)/(lambda+1)+lambda-2")]
 
 
 def _lambdas_below_kappa(pf: Profile) -> range:
@@ -92,16 +81,12 @@ def _cd_order(pf: Profile, lam) -> int:
     return max(1, min(lam, pf.delta - lam + 1))
 
 
-def _bound_min_n(label: str, expr):
-    return Bound(f"min{{n, {label}}}", lambda pf, lam: min(pf.n, expr(pf, lam)))
-
-
 def _jung_bound(pf: Profile, lam) -> int | F:
-    """(tau+1)(delta+1)-1 for T13's min{n, .}; n itself when tau's lower
-    bound kappa/alpha already reaches n, so the exact tau is not needed."""
+    """T13's min{n, (tau+1)(delta+1)-1}: n itself when tau's lower bound
+    kappa/alpha already reaches n, so the exact tau is not needed."""
     if (pf.tau_bounds[0] + 1) * (pf.delta + 1) - 1 >= pf.n:
         return pf.n
-    return (pf.tau + 1) * (pf.delta + 1) - 1
+    return min(pf.n, (pf.tau + 1) * (pf.delta + 1) - 1)
 
 
 # -- sharpness plumbing ---------------------------------------------------
@@ -136,8 +121,7 @@ _PD_3KD1_K2 = ("3K_{{d-1}}+K_2 delta={d}", lambda d: build("tKa-join-Kb", t=3, a
 
 def _kappa_tight(k: int, label: str, graphs, conclusion_fails=None):
     """The premise-tight case for kappa >= k with kappa >= k-1 as its relaxation."""
-    weaker = _kappa_ge(k - 1)
-    return premise_tight_case(label, graphs, f"kappa >= {k}", weaker.fn, weaker.label,
+    return premise_tight_case(label, graphs, f"kappa >= {k}", numeric(f"kappa >= {k - 1}"),
                               conclusion_fails=conclusion_fails)
 
 
@@ -244,8 +228,7 @@ def _build() -> list[TheoremSpec]:
         "the Petersen graph defeats tau = 4/3",
         petersen,
         "tau > 4/3",
-        lambda pf, lam: pf.tau_ge(_FOUR_THIRDS),
-        "tau >= 4/3",
+        numeric("tau >= 4/3"),
     )
     residual_equality = custom_case(
         "equality on (kappa+1)K_{delta-kappa+1}+K_kappa",
@@ -256,36 +239,36 @@ def _build() -> list[TheoremSpec]:
 
     t1 = add(TheoremSpec(
         "T1", "Dirac, 1952", "c >= delta+1",
-        Bound("delta+1", lambda pf, lam: pf.delta + 1),
+        Bound("delta+1"),
     ))
     t2 = add(TheoremSpec(
         "T2", "Dirac, 1952", "kappa >= 2 implies c >= min{n, 2delta}",
-        _bound_min_n("2delta", lambda pf, lam: 2 * pf.delta),
+        Bound("min{n, 2delta}"),
         [_K2],
     ))
     add(TheoremSpec(
         "T3", "Bondy, 1971", "kappa >= 2 implies c >= min{n, sigma_2}",
-        _bound_min_n("sigma_2", lambda pf, lam: pf.sigma2),
+        Bound("min{n, sigma_2}"),
         [_K2],
     ))
     t4 = add(TheoremSpec(
         "T4", "Jung, 1978", "kappa >= 3, delta >= alpha imply c >= min{n, 3delta-3}",
-        _bound_min_n("3delta-3", lambda pf, lam: 3 * pf.delta - 3),
+        Bound("min{n, 3delta-3}"),
         [_K3, _DELTA_GE_ALPHA],
     ))
     t5 = add(TheoremSpec(
         "T5", "Nikoghosyan, 1981", "kappa >= 3 implies c >= min{n, 3delta-kappa}",
-        _bound_min_n("3delta-kappa", lambda pf, lam: 3 * pf.delta - pf.kappa),
+        Bound("min{n, 3delta-kappa}"),
         [_K3],
     ))
     add(TheoremSpec(
         "T6", "Fan, 1984", "kappa >= 2 implies c >= min{n, 2delta_2}",
-        _bound_min_n("2delta_2", lambda pf, lam: 2 * pf.delta2),
+        Bound("min{n, 2delta_2}"),
         [_K2],
     ))
     add(TheoremSpec(
         "T7", "Fan, 1985", "kappa >= 3, delta-regular imply c >= min{n, 3delta}",
-        _bound_min_n("3delta", lambda pf, lam: 3 * pf.delta),
+        Bound("min{n, 3delta}"),
         [_K3, in_class("regular")],
         quarantined=True,
         notes="Included as printed; subject to known literature corrections, "
@@ -293,30 +276,30 @@ def _build() -> list[TheoremSpec]:
     ))
     add(TheoremSpec(
         "T8", "Nikoghosyan, 1985", "kappa >= 4, delta >= alpha imply c >= min{n, 4delta-2kappa}",
-        _bound_min_n("4delta-2kappa", lambda pf, lam: 4 * pf.delta - 2 * pf.kappa),
+        Bound("min{n, 4delta-2kappa}"),
         [_K4, _DELTA_GE_ALPHA],
     ))
     t9 = add(TheoremSpec(
         "T9", "Bauer and Schmeichel, 1986", "tau >= 1 implies c >= min{n, 2delta+2}",
-        _bound_min_n("2delta+2", lambda pf, lam: 2 * pf.delta + 2),
+        Bound("min{n, 2delta+2}"),
         [_TAU1],
     ))
     add(TheoremSpec(
         "T10", "Bauer and Schmeichel, 1986", "tau >= 1 implies c >= min{n, sigma_2+2}",
-        _bound_min_n("sigma_2+2", lambda pf, lam: pf.sigma2 + 2),
+        Bound("min{n, sigma_2+2}"),
         [_TAU1],
     ))
     t11 = add(TheoremSpec(
         "T11", "Nikoghosyan, 1998", "c >= (p+2)(delta-p) for every longest cycle",
-        ResidualBound("(p+2)(delta-p)", lambda pf, p, c, lam: (p + 2) * (pf.delta - p)),
+        ResidualBound("(p+2)(delta-p)"),
     ))
     t12 = add(TheoremSpec(
         "T12", "Nikoghosyan, 1998", "c >= (cbar+1)(delta-cbar+1) for every longest cycle",
-        ResidualBound("(cbar+1)(delta-cbar+1)", lambda pf, p, c, lam: (c + 1) * (pf.delta - c + 1)),
+        ResidualBound("(cbar+1)(delta-cbar+1)"),
     ))
     add(TheoremSpec(
         "T13", "Jung, 1999", "kappa >= 2 implies c >= min{n, (tau+1)(delta+1)-1}",
-        _bound_min_n("(tau+1)(delta+1)-1", _jung_bound),
+        Bound("min{n, (tau+1)(delta+1)-1}", _jung_bound),
         [_K2],
     ))
     add(TheoremSpec(
@@ -335,12 +318,12 @@ def _build() -> list[TheoremSpec]:
     ))
     add(TheoremSpec(
         "T15", "Yamashita, 2007", "kappa >= 3 implies c >= min{n, sigma_3-kappa}",
-        _bound_min_n("sigma_3-kappa", lambda pf, lam: pf.sigma3 - pf.kappa),
+        Bound("min{n, sigma_3-kappa}"),
         [_K3],
     ))
     add(TheoremSpec(
         "T16", "Mingchu Li, 2009", "kappa >= 3, claw-free imply c >= min{n, 6delta-15}",
-        _bound_min_n("6delta-15", lambda pf, lam: 6 * pf.delta - 15),
+        Bound("min{n, 6delta-15}"),
         [_K3, free_of("G is claw-free", claw())],
         notes="Printed as a one-element min{6delta-15}; read as min{n, 6delta-15} "
               "by analogy with its neighbours.",
@@ -348,22 +331,22 @@ def _build() -> list[TheoremSpec]:
     t17 = add(TheoremSpec(
         "T17", "Nikoghosyan, 2009",
         "kappa >= lambda+2, delta >= alpha+lambda-1 imply c >= min{n, (lambda+2)(delta-lambda)}",
-        _bound_min_n("(lambda+2)(delta-lambda)", lambda pf, lam: (lam + 2) * (pf.delta - lam)),
+        Bound("min{n, (lambda+2)(delta-lambda)}"),
         [
-            numeric("kappa >= lambda+2", lambda pf, lam: pf.kappa >= lam + 2),
-            numeric("delta >= alpha+lambda-1", lambda pf, lam: pf.delta >= pf.alpha + lam - 1),
+            numeric("kappa >= lambda+2"),
+            numeric("delta >= alpha+lambda-1"),
         ],
         lambdas=lambda pf: range(1, max(1, pf.kappa - 1)),
     ))
     t18 = add(TheoremSpec(
         "T18", "Nikoghosyan, 2011", "kappa >= 4, delta >= alpha imply c >= min{n, 4delta-kappa-4}",
-        _bound_min_n("4delta-kappa-4", lambda pf, lam: 4 * pf.delta - pf.kappa - 4),
+        _T18_BOUND,
         [_K4, _DELTA_GE_ALPHA],
     ))
     add(TheoremSpec(
         "T19", "Nikoghosyan, 2012",
         "tau > 1 implies c >= min{n, 2delta+5} or G is the Petersen graph",
-        NamedGraphEscape(_bound_min_n("2delta+5", lambda pf, lam: 2 * pf.delta + 5)),
+        NamedGraphEscape(Bound("min{n, 2delta+5}")),
         [_TAU_GT_1],
     ))
 
@@ -372,13 +355,12 @@ def _build() -> list[TheoremSpec]:
     add(TheoremSpec(
         "Thm1", "Erdos and Gallai, 1959", "q >= (n^2-3n+5)/2 implies hamiltonian",
         Ham(),
-        [numeric("q >= (n^2-3n+5)/2", lambda pf, lam: 2 * pf.q >= pf.n * pf.n - 3 * pf.n + 5)],
+        [numeric("q >= (n^2-3n+5)/2")],
         sharpness=[premise_tight_case(
             "K_{n-1} with a pendant vertex defeats the relaxed size bound",
             _per_delta("clique-plus-pendant n={d}", lambda d: build("clique-plus-pendant", n=d), range(5, 9)),
             "q >= (n^2-3n+5)/2",
-            lambda pf, lam: 2 * pf.q >= pf.n * pf.n - 3 * pf.n + 4,
-            "q >= (n^2-3n+4)/2",
+            numeric("q >= (n^2-3n+4)/2"),
         )],
     ))
     add(TheoremSpec(
@@ -386,7 +368,7 @@ def _build() -> list[TheoremSpec]:
         "1 <= delta <= n/2 and q above the two-term max imply hamiltonian",
         Ham(),
         [
-            numeric("1 <= delta <= n/2", lambda pf, lam: 1 <= pf.delta and 2 * pf.delta <= pf.n),
+            numeric("1 <= delta <= n/2"),
             numeric(
                 "q > max{(n-delta)(n-delta-1)/2+delta^2, ...}",
                 lambda pf, lam: 2 * pf.q > max(
@@ -401,57 +383,46 @@ def _build() -> list[TheoremSpec]:
         "Thm3", "Moon and Moser, 1963",
         "balanced bipartite, q >= (n^2-2n+5)/4 imply hamiltonian",
         Ham(),
-        [_BALANCED, numeric(
-            "q >= (n^2-2n+5)/4",
-            lambda pf, lam: 4 * pf.q >= pf.n * pf.n - 2 * pf.n + 5,
-        )],
+        [_BALANCED, numeric("q >= (n^2-2n+5)/4")],
     ))
     add(TheoremSpec(
         "Thm4", "Moon and Moser, 1963",
         "balanced bipartite, q > n(n-2delta)/4+delta^2 imply hamiltonian",
         Ham(),
-        [_BALANCED, numeric(
-            "q > n(n-2delta)/4+delta^2",
-            lambda pf, lam: 4 * pf.q > pf.n * (pf.n - 2 * pf.delta) + 4 * pf.delta ** 2,
-        )],
+        [_BALANCED, numeric("q > n(n-2delta)/4+delta^2")],
     ))
     add(TheoremSpec(
         "Thm5", "Nikoghosyan, 2011", "q <= delta^2+delta-1 implies hamiltonian",
         Ham(),
-        [numeric("q <= delta^2+delta-1", lambda pf, lam: pf.q <= pf.delta ** 2 + pf.delta - 1)],
+        [numeric("q <= delta^2+delta-1")],
         sharpness=[premise_tight_case(
             "K_1+2K_delta defeats the relaxed size bound",
             _per_delta(*_PD_K1_2KD, range(2, 6)),
             "q <= delta^2+delta-1",
-            lambda pf, lam: pf.q <= pf.delta ** 2 + pf.delta,
-            "q <= delta^2+delta",
+            numeric("q <= delta^2+delta"),
         )],
     ))
     add(TheoremSpec(
         "Thm6", "Dirac, 1952", "delta >= n/2 implies hamiltonian",
         Ham(),
-        [numeric("delta >= n/2", lambda pf, lam: 2 * pf.delta >= pf.n)],
+        [numeric("delta >= n/2")],
         sharpness=[premise_tight_case(
             "2K_delta+K_1 defeats the relaxed degree bound",
             _per_delta(*_PD_2KD_K1, range(2, 6)),
             "delta >= n/2",
-            lambda pf, lam: 2 * pf.delta >= pf.n - 1,
-            "delta >= (n-1)/2",
+            numeric("delta >= (n-1)/2"),
         )],
     ))
     add(TheoremSpec(
         "Thm7", "Moon and Moser, 1963",
         "balanced bipartite, delta >= (n+1)/4 imply hamiltonian",
         Ham(),
-        [_BALANCED, numeric(
-            "delta >= (n+1)/4", lambda pf, lam: 4 * pf.delta >= pf.n + 1
-        )],
+        [_BALANCED, numeric("delta >= (n+1)/4")],
         sharpness=[premise_tight_case(
             "three-path gadget (theta(3,3,3)) defeats delta >= n/4",
             _fixed(("theta(3,3,3)", theta333)),
             "delta >= (n+1)/4",
-            lambda pf, lam: 4 * pf.delta >= pf.n,
-            "delta >= n/4",
+            numeric("delta >= n/4"),
         )],
     ))
     add(TheoremSpec(
@@ -459,9 +430,9 @@ def _build() -> list[TheoremSpec]:
         "n >= 11, tau >= 1, delta >= (n-4)/2 imply hamiltonian",
         Ham(),
         [
-            numeric("n >= 11", lambda pf, lam: pf.n >= 11),
+            numeric("n >= 11"),
             _TAU1,
-            numeric("delta >= (n-4)/2", lambda pf, lam: 2 * pf.delta >= pf.n - 4),
+            numeric("delta >= (n-4)/2"),
         ],
         n_floor=11,
         sharpness=[premise_necessary_case(
@@ -476,7 +447,7 @@ def _build() -> list[TheoremSpec]:
         Ham(),
         [
             _TAU_GT_4_3,
-            numeric("delta >= (n-5)/2", lambda pf, lam: 2 * pf.delta >= pf.n - 5),
+            numeric("delta >= (n-5)/2"),
         ],
         sharpness=[
             petersen_tau,
@@ -484,8 +455,7 @@ def _build() -> list[TheoremSpec]:
                 "the K_5/K_{5,2} gadget defeats delta >= (n-6)/2",
                 bridge,
                 "delta >= (n-5)/2",
-                lambda pf, lam: 2 * pf.delta >= pf.n - 6,
-                "delta >= (n-6)/2",
+                numeric("delta >= (n-6)/2"),
                 waive=("tau > 4/3",),
             ),
         ],
@@ -496,9 +466,7 @@ def _build() -> list[TheoremSpec]:
         "Thm10", "Nikoghosyan, 1981",
         "kappa >= 2, delta >= (n+kappa)/3 imply hamiltonian",
         Ham(),
-        [_K2, numeric(
-            "delta >= (n+kappa)/3", lambda pf, lam: 3 * pf.delta >= pf.n + pf.kappa
-        )],
+        [_K2, numeric("delta >= (n+kappa)/3")],
         sharpness=[
             premise_necessary_case(
                 "2K_delta+K_1 needs the connectivity premise",
@@ -509,8 +477,7 @@ def _build() -> list[TheoremSpec]:
                 "H(1,delta-kappa+1,delta,kappa) defeats the relaxed degree bound",
                 _fixed(("H(1,2,3,2)", build("H", a=1, b=2, t=3, k=2))),
                 "delta >= (n+kappa)/3",
-                lambda pf, lam: 3 * pf.delta >= pf.n + pf.kappa - 1,
-                "delta >= (n+kappa-1)/3",
+                numeric("delta >= (n+kappa-1)/3"),
             ),
         ],
     ))
@@ -518,34 +485,25 @@ def _build() -> list[TheoremSpec]:
         "Thm11", "Bauer and Schmeichel, 1991",
         "tau >= 1, delta >= (n+kappa-2)/3 imply hamiltonian",
         Ham(),
-        [_TAU1, numeric(
-            "delta >= (n+kappa-2)/3", lambda pf, lam: 3 * pf.delta >= pf.n + pf.kappa - 2
-        )],
+        [_TAU1, numeric("delta >= (n+kappa-2)/3")],
     ))
     add(TheoremSpec(
         "Thm12", "Nash-Williams, 1971",
         "kappa >= 2, delta >= max{(n+2)/3, alpha} imply hamiltonian",
         Ham(),
-        [_K2, numeric(
-            "delta >= max{(n+2)/3, alpha}",
-            lambda pf, lam: 3 * pf.delta >= pf.n + 2 and pf.delta >= pf.alpha,
-        )],
+        [_K2, numeric("delta >= max{(n+2)/3, alpha}")],
         sharpness=[premise_tight_case(
             "H(lambda,lambda+1,lambda+3,lambda+2) at lambda=1 defeats delta >= alpha-1",
             h1243,
             "delta >= max{(n+2)/3, alpha}",
-            lambda pf, lam: 3 * pf.delta >= pf.n + 2 and pf.delta >= pf.alpha - 1,
-            "delta >= max{(n+2)/3, alpha-1}",
+            numeric("delta >= max{(n+2)/3, alpha-1}"),
         )],
     ))
     add(TheoremSpec(
         "Thm13", "Bigalke and Jung, 1979",
         "tau >= 1, delta >= max{n/3, alpha-1} imply hamiltonian",
         Ham(),
-        [_TAU1, numeric(
-            "delta >= max{n/3, alpha-1}",
-            lambda pf, lam: 3 * pf.delta >= pf.n and pf.delta >= pf.alpha - 1,
-        )],
+        [_TAU1, numeric("delta >= max{n/3, alpha-1}")],
     ))
     add(TheoremSpec(
         "Thm14", "Fraisse, 1986",
@@ -553,12 +511,7 @@ def _build() -> list[TheoremSpec]:
         Ham(),
         [
             _K_LAMBDA_1,
-            numeric(
-                "delta >= max{(n+2)/(lambda+2)+lambda-1, alpha+lambda-1}",
-                lambda pf, lam: (
-                    (pf.delta - lam + 1) * (lam + 2) >= pf.n + 2 and pf.delta >= pf.alpha + lam - 1
-                ),
-            ),
+            numeric("delta >= max{(n+2)/(lambda+2)+lambda-1, alpha+lambda-1}"),
         ],
         lambdas=_lambdas_below_kappa,
     ))
@@ -566,49 +519,43 @@ def _build() -> list[TheoremSpec]:
         "Thm15", "Yamashita, 2008",
         "kappa >= 3, delta >= max{(n+kappa+3)/4, alpha} imply hamiltonian",
         Ham(),
-        [_K3, numeric(
-            "delta >= max{(n+kappa+3)/4, alpha}",
-            lambda pf, lam: 4 * pf.delta >= pf.n + pf.kappa + 3 and pf.delta >= pf.alpha,
-        )],
+        [_K3, numeric("delta >= max{(n+kappa+3)/4, alpha}")],
         sharpness=[
             premise_tight_case(
                 "H(1,2,kappa+1,kappa) defeats delta >= alpha-1",
                 h1243,
                 "delta >= max{(n+kappa+3)/4, alpha}",
-                lambda pf, lam: 4 * pf.delta >= pf.n + pf.kappa + 3 and pf.delta >= pf.alpha - 1,
-                "delta >= max{(n+kappa+3)/4, alpha-1}",
+                numeric("delta >= max{(n+kappa+3)/4, alpha-1}"),
             ),
             premise_tight_case(
                 "H(2,n-3delta+3,delta-1,kappa) defeats the relaxed quarter bound",
                 _fixed(("H(2,2,3,3)", build("H", a=2, b=2, t=3, k=3))),
                 "delta >= max{(n+kappa+3)/4, alpha}",
-                lambda pf, lam: 4 * pf.delta >= pf.n + pf.kappa + 2 and pf.delta >= pf.alpha,
-                "delta >= max{(n+kappa+2)/4, alpha}",
+                numeric("delta >= max{(n+kappa+2)/4, alpha}"),
             ),
         ],
     ))
     add(TheoremSpec(
         "Thm16", "Chvatal and Erdos, 1972", "kappa >= alpha implies hamiltonian",
         Ham(),
-        [numeric("kappa >= alpha", lambda pf, lam: pf.kappa >= pf.alpha)],
+        [numeric("kappa >= alpha")],
         sharpness=[premise_tight_case(
             "K_{delta,delta+1} defeats kappa >= alpha-1",
             kdd1,
             "kappa >= alpha",
-            lambda pf, lam: pf.kappa >= pf.alpha - 1,
-            "kappa >= alpha-1",
+            numeric("kappa >= alpha-1"),
         )],
     ))
     add(TheoremSpec(
         "Thm17", "Woodall, 1973", "b(G) >= 3/2 implies hamiltonian",
         Ham(),
-        [numeric("b(G) >= 3/2", lambda pf, lam: pf.binding >= _THREE_HALVES)],
+        [numeric("b(G) >= 3/2")],
         sharpness=[premise_tight_case(
             "aK_2 joined to an independent (a-1)-set sits just under 3/2",
             _per_delta("aK_2+Kbar_{{a-1}} a={d}", lambda d: build("aK2-join-Kbar", a=d), range(2, 5)),
             "b(G) >= 3/2",
-            lambda pf, lam: pf.binding >= F(3 * ((pf.n + 1) // 3) - 2, 2 * ((pf.n + 1) // 3) - 1),
-            "b(G) >= (3a-2)/(2a-1)",
+            numeric("b(G) >= (3a-2)/(2a-1)", lambda pf, lam: pf.binding >= F(
+                3 * ((pf.n + 1) // 3) - 2, 2 * ((pf.n + 1) // 3) - 1)),
         )],
         notes="The family has b = (3a-2)/(2a-1), approaching 3/2 from below.",
     ))
@@ -703,8 +650,7 @@ def _build() -> list[TheoremSpec]:
                 "the 9-edge v_1..v_8 graph defeats q <= 9",
                 _fixed(("v1..v8 (theta(3,3,3))", theta333)),
                 "q <= 8 (delta=2) / (3(delta-1)(delta+2)-1)/2 (delta>=3)",
-                lambda pf, lam: pf.q <= 9,
-                "q <= 9",
+                numeric("q <= 9"),
             ),
             _not_hamiltonian_case("K_2+3K_1 satisfies the premises but is not hamiltonian",
                                   _fixed(("K_2+3K_1", build("tKa-join-Kb", t=3, a=1, b=2)))),
@@ -725,8 +671,7 @@ def _build() -> list[TheoremSpec]:
                 "3K_{delta-1}+K_2 defeats the relaxed degree bound",
                 _per_delta(*_PD_3KD1_K2, range(3, 7)),
                 "delta >= (n+2)/3",
-                lambda pf, lam: 3 * pf.delta >= pf.n + 1,
-                "delta >= (n+1)/3",
+                numeric("delta >= (n+1)/3"),
                 conclusion_fails=_missed_clique_fails(3, 2, "dominating", None),
             ),
             _not_hamiltonian_case("H(1,2,4,3) satisfies the premises but is not hamiltonian",
@@ -743,10 +688,7 @@ def _build() -> list[TheoremSpec]:
         "Thm34", "Yamashita, 2008",
         "kappa >= 3, delta >= (n+kappa+3)/4 imply every longest cycle dominating",
         EveryLongestProp("dominating"),
-        [_K3, numeric(
-            "delta >= (n+kappa+3)/4",
-            lambda pf, lam: 4 * pf.delta >= pf.n + pf.kappa + 3,
-        )],
+        [_K3, numeric("delta >= (n+kappa+3)/4")],
         sharpness=[
             _kappa_tight(3, "3K_{delta-1}+K_2 defeats kappa >= 2",
                          _per_delta(*_PD_3KD1_K2, range(4, 7)),
@@ -771,8 +713,7 @@ def _build() -> list[TheoremSpec]:
                 "4K_3+K_3 defeats the relaxed quarter bound",
                 four_k3_k3,
                 "delta >= (n+6)/4",
-                lambda pf, lam: 4 * pf.delta >= pf.n + 5,
-                "delta >= (n+5)/4",
+                numeric("delta >= (n+5)/4"),
                 conclusion_fails=_missed_clique_fails(4, 3, "CD", 3),
             ),
         ],
@@ -789,16 +730,14 @@ def _build() -> list[TheoremSpec]:
                 "lambda K_{lambda+1}+K_{lambda-1} at lambda=2 defeats kappa >= lambda-1",
                 two_k3_k1,
                 "kappa >= lambda",
-                lambda pf, lam: pf.kappa >= lam - 1,
-                "kappa >= lambda-1",
+                numeric("kappa >= lambda-1"),
                 lam=2,
             ),
             premise_tight_case(
                 "(lambda+1)K_{delta-lambda+1}+K_lambda at lambda=2 defeats the relaxed bound",
                 _per_delta(*_PD_3KD1_K2, range(3, 6)),
                 "delta >= (n+2)/(lambda+1)+lambda-2",
-                _cd_delta_ge(1),
-                "delta >= (n+1)/(lambda+1)+lambda-2",
+                numeric("delta >= (n+1)/(lambda+1)+lambda-2"),
                 lam=2,
                 conclusion_fails=_missed_clique_fails(3, 2, "CD", 2),
             ),
@@ -813,8 +752,8 @@ def _build() -> list[TheoremSpec]:
     alias(t1, "Thm37", "Dirac, 1952")
     add(TheoremSpec(
         "Thm38", "Kouider, 1994", "kappa >= 1: c >= n/ceil(alpha/kappa)",
-        Bound("n/ceil(alpha/kappa)", lambda pf, lam: F(pf.n, -(-pf.alpha // pf.kappa))),
-        [_kappa_ge(1)],
+        Bound("n/ceil(alpha/kappa)"),
+        [numeric("kappa >= 1")],
         notes="Printed for every graph; kappa >= 1 restored since the quotient "
               "is undefined on disconnected graphs.",
     ))
@@ -836,7 +775,7 @@ def _build() -> list[TheoremSpec]:
     add(TheoremSpec(
         "Thm42", "Woodall, 1976",
         "q > t*C(lambda,2)+C(r+1,2) implies c > lambda, with n = t(lambda-1)+r+1",
-        Bound("lambda", lambda pf, lam: lam, strict=True),
+        Bound("lambda", strict=True),
         [numeric(
             "q > t*C(lambda,2)+C(r+1,2)",
             lambda pf, lam: pf.q > _woodall_bound(pf.n, lam),
@@ -846,7 +785,7 @@ def _build() -> list[TheoremSpec]:
     add(TheoremSpec(
         "Thm43", "Fan, Lv and Wang, 2004",
         "kappa >= 2, q > max{f(n,2,lambda), f(n,floor(lambda/2),lambda)} imply c > lambda",
-        Bound("lambda", lambda pf, lam: lam, strict=True),
+        Bound("lambda", strict=True),
         [_K2, numeric(
             "q > max{f(n,2,lambda), f(n,floor(lambda/2),lambda)}",
             lambda pf, lam: pf.q > max(_fan_f(pf.n, 2, lam), _fan_f(pf.n, lam // 2, lam)),
@@ -856,17 +795,15 @@ def _build() -> list[TheoremSpec]:
     ))
     add(TheoremSpec(
         "Thm44", "Alon, 1986", "delta >= n/(lambda+1) implies c >= n/lambda",
-        Bound("n/lambda", lambda pf, lam: F(pf.n, lam)),
-        [numeric(
-            "delta >= n/(lambda+1)", lambda pf, lam: pf.delta * (lam + 1) >= pf.n
-        )],
+        Bound("n/lambda"),
+        [numeric("delta >= n/(lambda+1)")],
         lambdas=lambda pf: range(1, pf.n + 1),
     ))
     alias(t2, "Thm45", "Dirac, 1952")
     add(TheoremSpec(
         "Thm46", "Kaneko and Yoshimoto",
         "2-connected balanced bipartite implies c >= min{n, 4delta-2}",
-        _bound_min_n("4delta-2", lambda pf, lam: 4 * pf.delta - 2),
+        Bound("min{n, 4delta-2}"),
         [_K2, _BALANCED],
         notes="Dated 1952 in the source with a 2004-era citation; the "
               "citation key is what this entry records.",
@@ -875,12 +812,11 @@ def _build() -> list[TheoremSpec]:
         "K_{delta,delta+1} defeats the relaxed toughness bound",
         kdd1,
         "tau >= 1",
-        lambda pf, lam: pf.tau_ge(F(pf.n // 2, pf.n // 2 + 1)),
-        "tau >= delta/(delta+1)",
+        numeric("tau >= delta/(delta+1)"),
     )])
     add(TheoremSpec(
         "Thm48", "Nikoghosyan, 2012", "tau > 4/3 implies c >= min{n, 2delta+5}",
-        _bound_min_n("2delta+5", lambda pf, lam: 2 * pf.delta + 5),
+        Bound("min{n, 2delta+5}"),
         [_TAU_GT_4_3],
         sharpness=[
             petersen_tau,
@@ -920,20 +856,19 @@ def _build() -> list[TheoremSpec]:
             "H(1,2,kappa+1,kappa) defeats delta >= alpha-1",
             h1254,
             "delta >= alpha",
-            lambda pf, lam: pf.delta >= pf.alpha - 1,
-            "delta >= alpha-1",
+            numeric("delta >= alpha-1"),
         ),
     ])
     add(TheoremSpec(
         "Thm53", "Bauer, Morgana, Schmeichel and Veldman, 1989",
         "kappa >= 2, delta >= (n+2)/3 imply c >= min{n, n+delta-alpha}",
-        _bound_min_n("n+delta-alpha", lambda pf, lam: pf.n + pf.delta - pf.alpha),
+        Bound("min{n, n+delta-alpha}"),
         [_K2, _DELTA_N2_3],
     ))
     add(TheoremSpec(
         "Thm54", "Bauer, Schmeichel and Veldman, 1988",
         "tau >= 1, delta >= n/3 imply c >= min{n, n+delta-alpha+1}",
-        _bound_min_n("n+delta-alpha+1", lambda pf, lam: pf.n + pf.delta - pf.alpha + 1),
+        Bound("min{n, n+delta-alpha+1}"),
         [_TAU1, _DELTA_N_3],
     ))
 
@@ -943,7 +878,7 @@ def _build() -> list[TheoremSpec]:
         "Thm55", "Jung, 1981",
         "kappa >= 3 implies every longest cycle dominating or c >= 3delta-3",
         Disjunction(
-            Bound("3delta-3", lambda pf, lam: 3 * pf.delta - 3),
+            Bound("3delta-3"),
             EveryLongestProp("dominating"),
         ),
         [_K3],
@@ -952,7 +887,7 @@ def _build() -> list[TheoremSpec]:
         "Thm56", "M.Zh. Nikoghosyan and Zh.G. Nikoghosyan, 2011",
         "kappa >= 4 implies every longest cycle dominating or c >= 4delta-kappa-4",
         Disjunction(
-            Bound("4delta-kappa-4", lambda pf, lam: 4 * pf.delta - pf.kappa - 4),
+            Bound("4delta-kappa-4"),
             EveryLongestProp("dominating"),
         ),
         [_K4],
@@ -969,7 +904,7 @@ def _build() -> list[TheoremSpec]:
         "kappa >= lambda+1 implies every longest cycle is a "
         "CD_{min{lambda,delta-lambda}}-cycle or c >= (lambda+1)(delta-lambda+1)",
         Disjunction(
-            Bound("(lambda+1)(delta-lambda+1)", lambda pf, lam: (lam + 1) * (pf.delta - lam + 1)),
+            Bound("(lambda+1)(delta-lambda+1)"),
             EveryLongestProp("CD", lambda pf, lam: max(1, min(lam, pf.delta - lam))),
         ),
         [_K_LAMBDA_1],
@@ -982,12 +917,12 @@ def _build() -> list[TheoremSpec]:
     add(TheoremSpec(
         "Ore", "Ore, 1960 (h1)", "sigma_2 >= n implies hamiltonian",
         Ham(),
-        [numeric("sigma_2 >= n", lambda pf, lam: pf.sigma2 >= pf.n)],
+        [numeric("sigma_2 >= n")],
     ))
     add(TheoremSpec(
         "Fan", "Fan, 1984 (h2)", "kappa >= 2, delta_2 >= n/2 imply hamiltonian",
         Ham(),
-        [_K2, numeric("delta_2 >= n/2", lambda pf, lam: 2 * pf.delta2 >= pf.n)],
+        [_K2, numeric("delta_2 >= n/2")],
         notes="Printed without the connectivity premise; kappa >= 2 restored "
               "from the source form, without which 2K_3 (delta_2 = +inf) is a "
               "counterexample.",
@@ -1039,13 +974,13 @@ def _fan_f(n: int, t: int, lam: int) -> int:
 
 def _thm52_gap_fails(pf: Profile) -> tuple[bool, str]:
     g, cyc, c = _pinned_circumference(4, 3, 3)
-    bound = min(pf.n, 4 * pf.delta - pf.kappa - 4)
+    bound = _T18_BOUND.expr(pf, None)
     return c < bound, f"c={c} (pinned by cut bound) < min{{n, 4delta-kappa-4}}={bound}"
 
 
 def _thm56_both_fail(pf: Profile) -> tuple[bool, str]:
     g, cyc, c = _pinned_circumference(4, 3, 3)
-    bound = min(pf.n, 4 * pf.delta - pf.kappa - 4)
+    bound = _T18_BOUND.expr(pf, None)
     not_dom = not is_dominating_cycle(g, cyc)
     return (
         c < bound and not_dom,

@@ -8,6 +8,9 @@ solver bugs, so the sweep treats it as a defect alarm.
 
 from __future__ import annotations
 
+import ast
+import operator
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -313,6 +316,122 @@ def invariant_report(g: Graph | Profile) -> InvariantReport:
     )
 
 
+# -- label compiler -------------------------------------------------------
+#
+# A numeric premise or a circumference bound is written once, as its printed
+# label, and compiled into exact Python.  Regex rules turn the printed
+# notation into Python syntax for the ast module.  Every subexpression is
+# carried as a numerator and a denominator: a comparison is cross-multiplied
+# when each denominator is a positive constant or lambda plus a constant
+# (every lambda is at least 1), and any other quotient is a Fraction.
+
+_REWRITES = (
+    (r"b\(G\)", "binding"),
+    (r"\blambda\b", "lam"),
+    (r"([a-z])_(\d)", r"\1\2"),  # sigma_2, delta_2
+    (r"\^", "**"),
+    (r"\{", "("),
+    (r"\}", ")"),
+    (r"(?<![\w.])(\d+)(?=[A-Za-z(])", r"\1*"),  # 2delta, 3(delta-1)
+    (r"\)(?=[\w(])", ")*"),  # (p+2)(delta-p)
+)
+_PROFILE_NAMES = frozenset(("n", "q", "delta", "Delta", "kappa", "alpha", "tau", "binding",
+                            "sigma2", "sigma3", "delta2", "delta3"))
+_RELATIONS = {ast.Gt: ">", ast.GtE: ">=", ast.Lt: "<", ast.LtE: "<="}
+_SUMS = {ast.Add: "+", ast.Sub: "-"}
+_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "**": operator.pow}
+_POSITIVE = r"[1-9]\d*|lam( \+ \d+)?"  # a positive constant or lambda plus one
+
+
+def _apply(a: int | str, op: str, b: int | str) -> int | str:
+    """The source of ``a op b``, folded when both are constants or a factor is 1."""
+    if isinstance(a, int) and isinstance(b, int):
+        return _FOLD[op](a, b)
+    if op == "*" and 1 in (a, b):
+        return b if a == 1 else a
+    return f"({a} {op} {b})"
+
+
+def _product(a: tuple, b: tuple) -> tuple:
+    return _apply(a[0], "*", b[0]), _apply(a[1], "*", b[1]), a[2] and b[2]
+
+
+def _compile(label: str, params: str) -> Callable:
+    """``lambda <params>: <label>`` in exact arithmetic; ValueError outside the grammar."""
+    source = label
+    for pattern, repl in _REWRITES:
+        source = re.sub(pattern, repl, source)
+    try:
+        tree = ast.parse(source, mode="eval").body
+    except SyntaxError:
+        raise ValueError(f"label {label!r} is outside the grammar") from None
+    names = {name: name for name in params.split(", ")[1:]}
+    names.update((name, f"pf.{name}") for name in _PROFILE_NAMES)
+    env: dict[str, object] = {"Fraction": Fraction}
+
+    def fail(node: ast.AST):
+        raise ValueError(f"{ast.unparse(node)!r} in label {label!r} is outside the grammar")
+
+    def value(t: tuple) -> int | str:
+        num, den, _ = t
+        if den == 1:
+            return num
+        if isinstance(num, int) and isinstance(den, int):  # a constant, built once
+            env[f"_k{len(env)}"] = Fraction(num, den)
+            return f"_k{len(env) - 1}"
+        return f"Fraction({num}, {den})"
+
+    def term(node: ast.expr) -> tuple:
+        """(numerator, denominator, whether the denominator is known positive)."""
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return node.value, 1, True
+        if isinstance(node, ast.Name) and node.id in names:
+            return names[node.id], 1, True
+        if isinstance(node, ast.BinOp):
+            (an, ad, ap), (bn, bd, bp) = term(node.left), term(node.right)
+            if isinstance(node.op, ast.Pow) and isinstance(bn, int) and bd == 1 and bn >= 0:
+                return _apply(an, "**", bn), _apply(ad, "**", bn), ap
+            if isinstance(node.op, ast.Mult):
+                return _product((an, ad, ap), (bn, bd, bp))
+            if isinstance(node.op, ast.Div):
+                pos = ap and bool(re.fullmatch(_POSITIVE, ast.unparse(node.right)))
+                return _apply(an, "*", bd), _apply(ad, "*", bn), pos
+            op = _SUMS.get(type(node.op)) or fail(node)
+            if ad == bd:
+                return _apply(an, op, bn), ad, ap
+            return _apply(_apply(an, "*", bd), op, _apply(bn, "*", ad)), _apply(ad, "*", bd), ap and bp
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords:
+            name, args = node.func.id, [term(arg) for arg in node.args]
+            if name in ("min", "max") and len(args) > 1:
+                return f"{name}({', '.join(str(value(t)) for t in args)})", 1, True
+            if name == "ceil" and len(args) == 1:
+                num, den, _ = args[0]
+                return (num if den == 1 else f"(-(-{num} // {den}))"), 1, True
+            if name in names and len(args) == 1:  # n(n-2delta)
+                return _product(term(node.func), args[0])
+        fail(node)
+
+    def relation(left: ast.expr, op: ast.cmpop, right: ast.expr) -> list[str]:
+        sym = _RELATIONS.get(type(op)) or fail(tree)
+        if sym[0] == ">" and isinstance(right, ast.Call) and getattr(right.func, "id", "") == "max":
+            return [part for arg in right.args for part in relation(left, op, arg)]
+        r = term(right)
+        if isinstance(left, ast.Name) and left.id == "tau" and sym[0] == ">":
+            return [f"pf.tau_{'ge' if sym == '>=' else 'gt'}({value(r)})"]
+        ln, ld, lp = term(left)
+        if lp and r[2]:
+            return [f"{_apply(ln, '*', r[1])} {sym} {_apply(r[0], '*', ld)}"]
+        return [f"{value((ln, ld, lp))} {sym} {value(r)}"]
+
+    if isinstance(tree, ast.Compare):
+        sides = [tree.left, *tree.comparators]
+        body = " and ".join(part for left, op, right in zip(sides, tree.ops, sides[1:])
+                            for part in relation(left, op, right))
+    else:
+        body = str(value(term(tree)))
+    return eval(f"lambda {params}: {body}", env)
+
+
 # -- premises -------------------------------------------------------------
 
 
@@ -320,14 +439,19 @@ def invariant_report(g: Graph | Profile) -> InvariantReport:
 class Premise:
     label: str
     kind: str  # "numeric" | "free" | "class"
-    fn: Callable[[Profile, int | None], bool] | None = None
+    given: Callable[[Profile, int | None], bool] | None = None  # else the label compiles
     patterns: tuple[Graph, ...] = ()
     cls: str = ""
+
+    @cached_property
+    def fn(self) -> Callable[[Profile, int | None], bool]:
+        """A numeric premise's test: the function given, else the compiled label."""
+        return self.given or _compile(self.label, "pf, lam")
 
     def evaluate(self, pf: Profile, lam: int | None, assume: frozenset[str]) -> bool | None:
         """True/False, or None when the premise is assertable-only and unasserted."""
         if self.kind == "numeric":
-            return self.fn(pf, lam)  # type: ignore[misc]
+            return self.fn(pf, lam)
         if self.kind == "free":
             return all(pf.is_free_of(h) for h in self.patterns)
         if self.cls in assume:
@@ -337,8 +461,10 @@ class Premise:
         return getattr(pf, self.cls)
 
 
-def numeric(label: str, fn: Callable[[Profile, int | None], bool]) -> Premise:
-    return Premise(label, "numeric", fn=fn)
+def numeric(label: str, fn: Callable[[Profile, int | None], bool] | None = None) -> Premise:
+    """A premise on the Profile's numbers; without ``fn`` its label is
+    compiled on first use."""
+    return Premise(label, "numeric", given=fn)
 
 
 def free_of(label: str, *patterns: Graph) -> Premise:
@@ -408,12 +534,19 @@ class EveryLongestProp(Conclusion):
 
 
 class Bound(Conclusion):
-    """Circumference lower bound c >= expr (or strictly >)."""
+    """Circumference lower bound c >= expr (or strictly >); without ``expr``
+    the label is compiled on first use."""
 
-    def __init__(self, label: str, expr: Callable[[Profile, int | None], Exact], strict: bool = False):
+    def __init__(self, label: str, expr: Callable[[Profile, int | None], Exact] | None = None,
+                 strict: bool = False):
         self.label = f"c {'>' if strict else '>='} {label}"
-        self.expr = expr
+        self.term = label
+        self.given = expr
         self.strict = strict
+
+    @cached_property
+    def expr(self) -> Callable[[Profile, int | None], Exact]:
+        return self.given or _compile(self.term, "pf, lam")
 
     def check(self, pf: Profile, lam: int | None) -> Outcome:
         bound = self.expr(pf, lam)
@@ -436,11 +569,18 @@ class ResidualBound(Conclusion):
     subset DP is checked once, and a cycle is searched for only as the
     counterexample of a failing set: the first in ``cycles_of_length``
     order.  That check is capped at ``ENUMERATION_CEILING`` vertices.
+    Without ``bound`` the label is compiled on first use.
     """
 
-    def __init__(self, label: str, bound: Callable[[Profile, int, int, int | None], Exact]):
+    def __init__(self, label: str,
+                 bound: Callable[[Profile, int, int, int | None], Exact] | None = None):
         self.label = f"c >= {label} for every longest cycle"
-        self.bound = bound
+        self.term = label
+        self.given = bound
+
+    @cached_property
+    def bound(self) -> Callable[[Profile, int, int, int | None], Exact]:
+        return self.given or _compile(self.term, "pf, p, cbar, lam")
 
     def check(self, pf: Profile, lam: int | None) -> Outcome:
         n, c = pf.n, pf.c
@@ -722,8 +862,7 @@ def premise_tight_case(
     label: str,
     graphs: GraphList,
     target: str,
-    relaxed: Callable[[Profile, int | None], bool],
-    relaxed_label: str,
+    relaxed: Premise,
     lam: int | None = None,
     waive: tuple[str, ...] = (),
     conclusion_fails: FailCheck | None = None,
@@ -738,12 +877,12 @@ def premise_tight_case(
             ok, notes, warnings = _premise_status(spec, pf, lam, skip=(target,), waive=waive)
             tgt = next(p for p in spec.premises if p.label == target)
             tgt_holds = bool(tgt.evaluate(pf, lam, frozenset()))
-            rel_holds = relaxed(pf, lam)
+            rel_holds = relaxed.fn(pf, lam)
             failed, fail_detail = _conclusion_fails(spec, pf, lam, conclusion_fails)
             passed = ok and not tgt_holds and rel_holds and failed
             detail = (
                 f"original '{target}' {'holds (unexpected)' if tgt_holds else 'fails'}; "
-                f"relaxed '{relaxed_label}' {'holds' if rel_holds else 'FAILS'}; "
+                f"relaxed '{relaxed.label}' {'holds' if rel_holds else 'FAILS'}; "
                 f"conclusion: {fail_detail}; " + "; ".join(notes)
             )
             results.append(CaseResult(label, glabel, passed, detail, warnings))

@@ -212,3 +212,107 @@ LAMBDA_PREMISES = {
     "delta >= n/(lambda+1)":
         lambda pf, lam: pf.delta >= Fraction(pf.n, lam + 1),
 }
+
+
+# Every numeric premise, relaxed premise and circumference bound of the
+# catalog whose label compiles, as it was written by hand before the labels
+# were compiled, by label.  A lambda-dependent quotient keeps its Fraction
+# form above.
+
+PREMISES = {
+    **LAMBDA_PREMISES,
+    "kappa >= 1": lambda pf, lam: pf.kappa >= 1,
+    "kappa >= 2": lambda pf, lam: pf.kappa >= 2,
+    "kappa >= 3": lambda pf, lam: pf.kappa >= 3,
+    "kappa >= 4": lambda pf, lam: pf.kappa >= 4,
+    "kappa >= lambda": lambda pf, lam: pf.kappa >= lam,
+    "kappa >= lambda-1": lambda pf, lam: pf.kappa >= lam - 1,
+    "kappa >= lambda+1": lambda pf, lam: pf.kappa >= lam + 1,
+    "kappa >= lambda+2": lambda pf, lam: pf.kappa >= lam + 2,
+    "kappa >= alpha": lambda pf, lam: pf.kappa >= pf.alpha,
+    "kappa >= alpha-1": lambda pf, lam: pf.kappa >= pf.alpha - 1,
+    "tau >= 1": lambda pf, lam: pf.tau_ge(1),
+    "tau > 1": lambda pf, lam: pf.tau_gt(1),
+    "tau > 4/3": lambda pf, lam: pf.tau_gt(Fraction(4, 3)),
+    "tau >= 4/3": lambda pf, lam: pf.tau_ge(Fraction(4, 3)),
+    "tau >= 3/2": lambda pf, lam: pf.tau_ge(Fraction(3, 2)),
+    # Thm47's relaxation as printed; the hand-written form tested
+    # tau >= (n//2)/(n//2+1), which agrees only on K_{d,d+1}.
+    "tau >= delta/(delta+1)": lambda pf, lam: pf.tau_ge(Fraction(pf.delta, pf.delta + 1)),
+    "b(G) >= 3/2": lambda pf, lam: pf.binding >= Fraction(3, 2),
+    "n >= 11": lambda pf, lam: pf.n >= 11,
+    "1 <= delta <= n/2": lambda pf, lam: 1 <= pf.delta and 2 * pf.delta <= pf.n,
+    "q >= (n^2-3n+5)/2": lambda pf, lam: 2 * pf.q >= pf.n * pf.n - 3 * pf.n + 5,
+    "q >= (n^2-3n+4)/2": lambda pf, lam: 2 * pf.q >= pf.n * pf.n - 3 * pf.n + 4,
+    "q >= (n^2-2n+5)/4": lambda pf, lam: 4 * pf.q >= pf.n * pf.n - 2 * pf.n + 5,
+    "q > n(n-2delta)/4+delta^2":
+        lambda pf, lam: 4 * pf.q > pf.n * (pf.n - 2 * pf.delta) + 4 * pf.delta ** 2,
+    "q <= delta^2+delta-1": lambda pf, lam: pf.q <= pf.delta ** 2 + pf.delta - 1,
+    "q <= delta^2+delta": lambda pf, lam: pf.q <= pf.delta ** 2 + pf.delta,
+    "q <= 9": lambda pf, lam: pf.q <= 9,
+    "delta >= alpha": lambda pf, lam: pf.delta >= pf.alpha,
+    "delta >= alpha-1": lambda pf, lam: pf.delta >= pf.alpha - 1,
+    "delta >= alpha+lambda-1": lambda pf, lam: pf.delta >= pf.alpha + lam - 1,
+    "delta >= n/2": lambda pf, lam: 2 * pf.delta >= pf.n,
+    "delta >= (n-1)/2": lambda pf, lam: 2 * pf.delta >= pf.n - 1,
+    "delta >= (n-4)/2": lambda pf, lam: 2 * pf.delta >= pf.n - 4,
+    "delta >= (n-5)/2": lambda pf, lam: 2 * pf.delta >= pf.n - 5,
+    "delta >= (n-6)/2": lambda pf, lam: 2 * pf.delta >= pf.n - 6,
+    "delta >= n/3": lambda pf, lam: 3 * pf.delta >= pf.n,
+    "delta >= (n+1)/3": lambda pf, lam: 3 * pf.delta >= pf.n + 1,
+    "delta >= (n+2)/3": lambda pf, lam: 3 * pf.delta >= pf.n + 2,
+    "delta >= (n+kappa)/3": lambda pf, lam: 3 * pf.delta >= pf.n + pf.kappa,
+    "delta >= (n+kappa-1)/3": lambda pf, lam: 3 * pf.delta >= pf.n + pf.kappa - 1,
+    "delta >= (n+kappa-2)/3": lambda pf, lam: 3 * pf.delta >= pf.n + pf.kappa - 2,
+    "delta >= n/4": lambda pf, lam: 4 * pf.delta >= pf.n,
+    "delta >= (n+1)/4": lambda pf, lam: 4 * pf.delta >= pf.n + 1,
+    "delta >= (n+5)/4": lambda pf, lam: 4 * pf.delta >= pf.n + 5,
+    "delta >= (n+6)/4": lambda pf, lam: 4 * pf.delta >= pf.n + 6,
+    "delta >= (n+kappa+3)/4": lambda pf, lam: 4 * pf.delta >= pf.n + pf.kappa + 3,
+    "delta >= max{(n+2)/3, alpha}":
+        lambda pf, lam: 3 * pf.delta >= pf.n + 2 and pf.delta >= pf.alpha,
+    "delta >= max{(n+2)/3, alpha-1}":
+        lambda pf, lam: 3 * pf.delta >= pf.n + 2 and pf.delta >= pf.alpha - 1,
+    "delta >= max{n/3, alpha-1}":
+        lambda pf, lam: 3 * pf.delta >= pf.n and pf.delta >= pf.alpha - 1,
+    "delta >= max{(n+kappa+3)/4, alpha}":
+        lambda pf, lam: 4 * pf.delta >= pf.n + pf.kappa + 3 and pf.delta >= pf.alpha,
+    "delta >= max{(n+kappa+3)/4, alpha-1}":
+        lambda pf, lam: 4 * pf.delta >= pf.n + pf.kappa + 3 and pf.delta >= pf.alpha - 1,
+    "delta >= max{(n+kappa+2)/4, alpha}":
+        lambda pf, lam: 4 * pf.delta >= pf.n + pf.kappa + 2 and pf.delta >= pf.alpha,
+    "sigma_2 >= n": lambda pf, lam: pf.sigma2 >= pf.n,
+    "delta_2 >= n/2": lambda pf, lam: 2 * pf.delta2 >= pf.n,
+}
+
+BOUNDS = {
+    "c >= delta+1": lambda pf, lam: pf.delta + 1,
+    "c >= 3delta-3": lambda pf, lam: 3 * pf.delta - 3,
+    "c >= 4delta-kappa-4": lambda pf, lam: 4 * pf.delta - pf.kappa - 4,
+    "c >= (lambda+1)(delta-lambda+1)": lambda pf, lam: (lam + 1) * (pf.delta - lam + 1),
+    "c > lambda": lambda pf, lam: lam,
+    "c >= n/lambda": lambda pf, lam: Fraction(pf.n, lam),
+    "c >= n/ceil(alpha/kappa)": lambda pf, lam: Fraction(pf.n, -(-pf.alpha // pf.kappa)),
+    "c >= min{n, 2delta}": lambda pf, lam: min(pf.n, 2 * pf.delta),
+    "c >= min{n, 2delta+2}": lambda pf, lam: min(pf.n, 2 * pf.delta + 2),
+    "c >= min{n, 2delta+5}": lambda pf, lam: min(pf.n, 2 * pf.delta + 5),
+    "c >= min{n, 2delta_2}": lambda pf, lam: min(pf.n, 2 * pf.delta2),
+    "c >= min{n, 3delta}": lambda pf, lam: min(pf.n, 3 * pf.delta),
+    "c >= min{n, 3delta-3}": lambda pf, lam: min(pf.n, 3 * pf.delta - 3),
+    "c >= min{n, 3delta-kappa}": lambda pf, lam: min(pf.n, 3 * pf.delta - pf.kappa),
+    "c >= min{n, 4delta-2}": lambda pf, lam: min(pf.n, 4 * pf.delta - 2),
+    "c >= min{n, 4delta-2kappa}": lambda pf, lam: min(pf.n, 4 * pf.delta - 2 * pf.kappa),
+    "c >= min{n, 4delta-kappa-4}": lambda pf, lam: min(pf.n, 4 * pf.delta - pf.kappa - 4),
+    "c >= min{n, 6delta-15}": lambda pf, lam: min(pf.n, 6 * pf.delta - 15),
+    "c >= min{n, sigma_2}": lambda pf, lam: min(pf.n, pf.sigma2),
+    "c >= min{n, sigma_2+2}": lambda pf, lam: min(pf.n, pf.sigma2 + 2),
+    "c >= min{n, sigma_3-kappa}": lambda pf, lam: min(pf.n, pf.sigma3 - pf.kappa),
+    "c >= min{n, n+delta-alpha}": lambda pf, lam: min(pf.n, pf.n + pf.delta - pf.alpha),
+    "c >= min{n, n+delta-alpha+1}": lambda pf, lam: min(pf.n, pf.n + pf.delta - pf.alpha + 1),
+    "c >= min{n, (lambda+2)(delta-lambda)}":
+        lambda pf, lam: min(pf.n, (lam + 2) * (pf.delta - lam)),
+    "c >= (p+2)(delta-p) for every longest cycle":
+        lambda pf, p, cbar, lam: (p + 2) * (pf.delta - p),
+    "c >= (cbar+1)(delta-cbar+1) for every longest cycle":
+        lambda pf, p, cbar, lam: (cbar + 1) * (pf.delta - cbar + 1),
+}

@@ -1,6 +1,8 @@
 """Catalog completeness and the spec-level cross-theorem properties."""
 
 import ast
+import dis
+import inspect
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -8,12 +10,20 @@ from pathlib import Path
 import pytest
 
 from cyclekit import cli
-from cyclekit.catalog import _cd_delta_ge, catalog, get
+from cyclekit.catalog import catalog, get
 from cyclekit.graph import complete_bipartite, cycle_graph, power
 from cyclekit.exact import INF
-from cyclekit.registry import Bound, Profile, ResidualBound, audit_sharpness, check
+from cyclekit.registry import (
+    Bound,
+    Premise,
+    Profile,
+    ResidualBound,
+    audit_sharpness,
+    check,
+    numeric,
+)
 from conftest import mixed_corpus, oracle_corpus, seeded_gnp
-from oracles import LAMBDA_PREMISES
+from oracles import BOUNDS, LAMBDA_PREMISES, PREMISES
 
 DATA = Path(__file__).parent / "data"
 
@@ -155,6 +165,24 @@ def _bounds(conclusion):
             yield from _bounds(inner)
 
 
+def _relaxation(case):
+    """The relaxed premise of a premise-tight case, else None."""
+    return inspect.getclosurevars(case.run).nonlocals.get("relaxed")
+
+
+def _parts(spec):
+    """Every numeric premise, relaxed premise and circumference bound of a spec."""
+    parts = [prem for prem in spec.premises if prem.kind == "numeric"]
+    parts += [r for r in map(_relaxation, spec.sharpness) if r is not None]
+    return parts + list(_bounds(spec.conclusion))
+
+
+def _function(part):
+    if isinstance(part, Premise):
+        return part.fn
+    return part.expr if isinstance(part, Bound) else part.bound
+
+
 def _exact_value(x) -> bool:
     """An int, a Fraction or +inf: no bool and no finite float."""
     return type(x) in (int, Fraction) or x == INF and type(x) is float
@@ -203,7 +231,8 @@ def test_cross_multiplied_lambda_premises_match_their_quotients():
         for prem in spec.premises if prem.label in LAMBDA_PREMISES
     ]
     # The relaxed CD premise of the Thm36/g1 premise-tight case.
-    uses += [(spec, "delta >= (n+1)/(lambda+1)+lambda-2", _cd_delta_ge(1))
+    relaxed = numeric("delta >= (n+1)/(lambda+1)+lambda-2").fn
+    uses += [(spec, "delta >= (n+1)/(lambda+1)+lambda-2", relaxed)
              for spec in (get("Thm36"), get("g1"))]
     assert {label for _, label, _ in uses} == set(LAMBDA_PREMISES)
     assert {spec.id for spec, _, _ in uses} == {"Thm14", "Thm36", "g1", "Thm44"}
@@ -228,6 +257,15 @@ def test_no_true_division_on_the_verdict_path():
         assert divisions == [], (name, divisions)
 
 
+def test_no_compiled_label_divides():
+    """A compiled label cross-multiplies or builds a Fraction; it never
+    divides, so it never makes a float."""
+    for spec in catalog():
+        for part in _parts(spec):
+            divisions = [i for i in dis.get_instructions(_function(part)) if i.argrepr == "/"]
+            assert divisions == [], (spec.id, part.label)
+
+
 def test_every_statement_mentions_its_bound():
     # light well-formedness: statements are nonempty and titles carry a source
     for spec in catalog():
@@ -245,3 +283,86 @@ def test_jung_bound_agrees_with_the_exact_toughness():
     for g in graphs:
         got, want = t13.check(Profile(g), None), exact.check(Profile(g), None)
         assert (got.ok, got.detail, got.witness) == (want.ok, want.detail, want.witness), g
+
+
+def _outcome(fn, *args):
+    """The type and value fn returns, or the ZeroDivisionError it raises."""
+    try:
+        x = fn(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+    return type(x), x
+
+
+def test_compiled_labels_match_their_hand_written_oracles():
+    """Every premise, relaxed premise and bound compiled from its label
+    gives its oracle's value, of the same type, at every lambda its spec
+    iterates; residual bounds at every residual pair."""
+    uses = [
+        (spec, part, (PREMISES if isinstance(part, Premise) else BOUNDS)[part.label])
+        for spec in catalog() for part in _parts(spec) if part.given is None
+    ]
+    assert {part.label for _, part, _ in uses} == set(PREMISES) | set(BOUNDS)
+    checked = 0
+    for g in oracle_corpus():
+        pf = Profile(g)
+        residuals = [(p, c) for p in range(pf.n) for c in range(1, pf.n + 1)]
+        for spec, part, oracle in uses:
+            fn = _function(part)
+            for lam in spec.lambdas(pf) if spec.lambdas is not None else [None]:
+                if isinstance(part, ResidualBound):
+                    got = [_outcome(fn, pf, p, c, lam) for p, c in residuals]
+                    want = [_outcome(oracle, pf, p, c, lam) for p, c in residuals]
+                else:
+                    got, want = _outcome(fn, pf, lam), _outcome(oracle, pf, lam)
+                assert got == want, (g, spec.id, part.label, lam)
+                checked += 1
+    assert checked > 100_000
+
+
+# The entries that keep an explicit function: their labels are outside the
+# grammar, apart from T13's, whose function settles the bound from
+# kappa/alpha without the exact tau where it can.
+EXPLICIT = {
+    ("Thm2", "q > max{(n-delta)(n-delta-1)/2+delta^2, ...}"),
+    ("Thm31", "q <= 8 (delta=2) / (3(delta-1)(delta+2)-1)/2 (delta>=3)"),
+    ("Thm42", "q > t*C(lambda,2)+C(r+1,2)"),
+    ("Thm43", "q > max{f(n,2,lambda), f(n,floor(lambda/2),lambda)}"),
+    ("Thm17", "b(G) >= (3a-2)/(2a-1)"),
+    ("T13", "c >= min{n, (tau+1)(delta+1)-1}"),
+    ("T14", "c >= (cbar+1)kappa(delta+2)/(cbar+kappa+1) when cbar >= kappa for every longest cycle"),
+    ("Thm41", "c >= (cbar+1)kappa(delta+2)/(cbar+kappa+1), else (cbar+1)cbar(delta+2)/(2cbar+1) "
+              "for every longest cycle"),
+}
+
+
+def _compiled(part):
+    """The part's label compiled afresh, without its explicit function."""
+    if isinstance(part, Premise):
+        return numeric(part.label).fn
+    return Bound(part.term).expr if isinstance(part, Bound) else ResidualBound(part.term).bound
+
+
+def test_explicit_functions_only_where_the_label_does_not_compile():
+    explicit = [(spec.id, part) for spec in catalog() for part in _parts(spec)
+                if part.given is not None]
+    assert {(spec_id, part.label) for spec_id, part in explicit} == EXPLICIT
+    for spec_id, part in explicit:
+        if spec_id == "T13":
+            _compiled(part)
+        else:
+            with pytest.raises(ValueError):
+                _compiled(part)
+
+
+@pytest.mark.parametrize("label", [
+    "t >= 1",  # unknown names
+    "delta >= (3a-2)/(2a-1)",
+    "q > max{(n-delta)(n-delta-1)/2+delta^2, ...}",
+    "q > f(n,2,lambda)",  # unknown function
+    "q >= n^delta",  # non-constant exponent
+    "q >= (n+1)/ 2 when delta >= 3",
+])
+def test_labels_outside_the_grammar_raise_value_error(label):
+    with pytest.raises(ValueError):
+        numeric(label).fn

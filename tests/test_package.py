@@ -138,6 +138,29 @@ def test_check_does_not_load_sweep():
     assert "cyclekit.sweep" not in loaded
 
 
+def test_catalog_compiles_no_label():
+    """Premise and bound labels compile on first use, so a process pays only
+    for the ones its checks reach."""
+    assert fresh("""
+import inspect, json
+from cyclekit.catalog import catalog
+
+def parts(c):
+    for inner in (getattr(c, "first", None), getattr(c, "second", None), getattr(c, "inner", None)):
+        if inner is not None:
+            yield from parts(inner)
+    yield c
+
+compiled = []
+for spec in catalog():
+    objs = list(spec.premises) + list(parts(spec.conclusion))
+    relaxed = (inspect.getclosurevars(case.run).nonlocals.get("relaxed") for case in spec.sharpness)
+    objs += [r for r in relaxed if r is not None]
+    compiled += [[spec.id, o.label] for o in objs if {"fn", "expr", "bound"} & set(vars(o))]
+print(json.dumps(compiled))
+""") == []
+
+
 def test_bare_import_loads_no_submodule():
     assert fresh("import json, sys, cyclekit\n"
                  "print(json.dumps([m for m in sys.modules if m.startswith('cyclekit.')]))") == []

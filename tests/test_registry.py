@@ -216,38 +216,14 @@ def naive_residual(g, c, bound, lam):
     return True, None
 
 
-def test_cached_longest_cycle_answers_match_naive_loops():
-    graphs = mixed_corpus(seed=59, per_cell=2, ns=range(3, 12)) + [
-        build("Kdd1", delta=5),
-        build("join2Kd-K1", delta=6),
-        build("H", a=1, b=2, t=4, k=3),
-    ]
-    props = [("dominating", None)] + [(p, lam) for p in ("PD", "CD") for lam in range(1, 5)]
-    for g in graphs:
-        c, witness = circumference(g)
-        pf = Profile(g)  # one Profile, so every question below shares its cache
-        for prop, lam in props:
-            fixed = (lambda pf, _lam, lam=lam: lam) if lam else None
-            test = naive_test(g, prop, lam)
-            out = EveryLongestProp(prop, fixed).check(pf, None)
-            assert (out.ok, out.witness) == naive_every(g, c, test), (g, prop, lam)
-            out = ExistsProp(prop, fixed).check(pf, None)
-            want = naive_exists(g, c, witness, test)
-            assert (out.ok, out.witness) == (want is not None, want), (g, prop, lam)
-        for lam in range(1, 5):
-            for label, bound in RESIDUAL_BOUNDS.items():
-                out = ResidualBound(label, bound).check(pf, lam)
-                want = naive_residual(g, c, bound, lam)
-                assert (out.ok, out.witness) == want, (g, label, lam)
-
-
 def test_longest_cycle_answers_match_naive_loops_up_to_14_vertices():
     props = [("dominating", None)] + [(p, lam) for p in ("PD", "CD") for lam in range(1, 5)]
-    for g in listable_corpus():
+    named = [build("Kdd1", delta=5), build("join2Kd-K1", delta=6), build("H", a=1, b=2, t=4, k=3)]
+    for g in listable_corpus() + named:
         if g.n < 3:
             continue
         c, witness = circumference(g)
-        pf = Profile(g)
+        pf = Profile(g)  # one Profile, so every question below shares its cache
         for prop, lam in props:
             fixed = (lambda pf, _lam, lam=lam: lam) if lam else None
             test = naive_test(g, prop, lam)
