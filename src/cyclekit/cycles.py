@@ -12,7 +12,8 @@ below it returns the first optimum in DFS order: the witness the
 exhaustive search returns.  The budget follows the DP's cost, which
 doubles per vertex (``_search_budget``): ``SEARCH_BUDGET`` nodes at 14
 and 15 vertices, doubled per vertex above 15 and halved per vertex below
-14, down to a floor at 9 vertices.
+14, down to a floor at 9 vertices.  The path search gets four times that
+above 15 vertices (``_path_budget``), as its DP costs more.
 ``LongestCycles`` keeps one graph's longest-cycle answers so that every
 universal, existence and residual question reuses them.  Those questions
 depend only on the vertex set a cycle leaves off, so they are answered
@@ -70,6 +71,15 @@ def _search_budget(n: int) -> int | None:
         return None
     shift = n - 15 if n >= 15 else max(n, 9) - 14
     return max(1, SEARCH_BUDGET << shift if shift >= 0 else SEARCH_BUDGET >> -shift)
+
+
+def _path_budget(n: int) -> int | None:
+    """The longest-path search's node budget on n vertices: four times
+    ``_search_budget(n)`` above 15 vertices, where the path DP, which grows
+    paths from every start, costs 2 to 4 times the cycle DP, and the same
+    at 15 vertices and below."""
+    budget = _search_budget(n)
+    return budget * 4 if budget is not None and n > 15 else budget
 
 
 def _node_countdown(budget: int | None) -> int:
@@ -423,7 +433,7 @@ def longest_path(g: Graph) -> tuple[int, PathCert]:
     if n == 0:
         raise GraphError("longest path needs at least one vertex")
     best_path = [0]
-    for path in _path_search(g, range(n), 0, _search_budget(n)):
+    for path in _path_search(g, range(n), 0, _path_budget(n)):
         if path is None:
             p, ends = _path_dp(g)
             s = (ends & -ends).bit_length() - 1

@@ -3,8 +3,9 @@ binding number, degree-sum and distance-degree minima.
 
 Everything is computed exactly.  The NP-hard invariants (alpha, toughness,
 binding number) use exhaustive search with pruning; toughness tries
-cutsets by size from kappa up and stops where min(alpha, n - s) bounds
-the component count too low to beat the best ratio, and the binding
+every kappa-set, then builds each larger cutset that could tie or beat
+the best ratio around its smallest component, and stops where
+min(alpha, n - s) bounds the component count too low; the binding
 number's subset search cuts every subtree whose sets cannot beat the
 best ratio, bounding how many vertices a set can add (room) and how many
 new neighbours they bring (coverage).  Connectivity goes through
@@ -166,6 +167,27 @@ def _union_table(rows: tuple[int, ...]) -> list[int]:
     return table
 
 
+def _connected_sets(rows: tuple[int, ...], m: int) -> list[tuple[int, int, int]]:
+    """Every connected vertex set C of at most m vertices, as (|C|, C, N(C)),
+    by size."""
+    level = {1 << v: row for v, row in enumerate(rows)}
+    out = []
+    for size in range(1, m + 1):
+        out.extend((size, comp, nbhd) for comp, nbhd in level.items())
+        grown: dict[int, int] = {}
+        if size < m:
+            for comp, nbhd in level.items():
+                f = nbhd
+                while f:
+                    low = f & -f
+                    f ^= low
+                    bigger = comp | low
+                    if bigger not in grown:
+                        grown[bigger] = (nbhd | rows[low.bit_length() - 1]) & ~bigger
+        level = grown
+    return out
+
+
 class WithCutBounds(Protocol):
     """A graph ``g`` held with its connectivity and independence number,
     as ``registry.Profile`` holds them."""
@@ -176,16 +198,25 @@ class WithCutBounds(Protocol):
 
 
 def cut_scan(g: Graph | WithCutBounds) -> tuple[Exact, int]:
-    """Toughness by a cut search ordered by size: (tau, witness mask).
+    """Toughness by a smallest-component cut search: (tau, witness mask).
 
-    No set of fewer than kappa vertices disconnects G, so the cutsets S
-    are tried by size s from kappa up.  G - S has at most min(alpha, n - s)
-    components, so no set of size s does better than s / min(alpha, n - s),
-    a ratio that never falls as s grows: the search ends at the first size
-    where it exceeds the best ratio found.  Ties go to the smallest integer
-    S, which is the first minimum of a scan over all 2^n subsets.  Given a
-    graph, kappa and alpha are computed here; given a ``WithCutBounds``,
-    its own are used.
+    No set of fewer than kappa vertices disconnects G, and a separator of
+    kappa vertices leaves at least two components, so tau <= kappa / 2
+    (Chvatal, 1973).  Every kappa-set is tried.  Above kappa, a set S of s
+    vertices ties or beats the best ratio num / den only if G - S has
+    c >= c_min = ceil(s * den / num) components.  The smallest of them, C,
+    is connected, has at most m = (n - s) // c_min vertices, and has all
+    its neighbours in S.  So the connected sets C are listed once, with
+    N(C), up to the first size's m, which only falls as s grows; each S of
+    size s is N(C) plus s - |N(C)| vertices outside C and N(C), and is
+    visited once.  G - S has at most min(alpha, n - s) components, so the
+    search ends at the first size where c_min exceeds that, which is where
+    s / min(alpha, n - s), a ratio that never falls as s grows, exceeds
+    the best ratio.  Ties go to the smallest integer S, which is the first
+    minimum of a scan over all 2^n subsets; once 2^s - 1, the least s-set,
+    exceeds the witness, no s-set can win a tie and c_min asks for a
+    strictly better ratio.  Given a graph, kappa and alpha are computed
+    here; given a ``WithCutBounds``, its own are used.
     """
     bounds, g = (None, g) if isinstance(g, Graph) else (g, g.g)
     n, rows = g.n, g.rows
@@ -195,21 +226,19 @@ def cut_scan(g: Graph | WithCutBounds) -> tuple[Exact, int]:
         kappa, alpha = connectivity(g), independence_number(g)[0]
     else:
         kappa, alpha = bounds.kappa, bounds.alpha
+    if not kappa:
+        return (Fraction(0), 0)  # G is disconnected: S = {} is the witness
     full = g.full_mask
     singletons = [1 << v for v in range(n)]
     # The neighbourhood of a frontier: one table lookup for each of vertices
     # 0..9 and 10..19, then one row per vertex above.
     lo, hi, rest = _union_table(rows[:10]), _union_table(rows[10:20]), rows[20:]
-    # tau = num / den, with 1/0 standing for +inf until the first cutset.
-    num, den, witness = 1, 0, 0
-    for s in range(kappa, n - 1):
-        if s * den > num * min(alpha, n - s):
-            break
-        for combo in combinations(singletons, s):
-            cut = sum(combo)
-            rem = full ^ cut
-            comp = rem & -rem
-            frontier = comp
+
+    def components(rem: int) -> int:
+        """The number of components of G[rem]."""
+        count = 0
+        while rem:
+            comp = frontier = rem & -rem
             while frontier:
                 nxt = lo[frontier & 1023] | hi[frontier >> 10 & 1023]
                 f = frontier >> 20
@@ -219,11 +248,57 @@ def cut_scan(g: Graph | WithCutBounds) -> tuple[Exact, int]:
                     nxt |= rest[low.bit_length() - 1]
                 frontier = nxt & rem & ~comp
                 comp |= frontier
-            if comp == rem:
+            rem ^= comp
+            count += 1
+        return count
+
+    # tau = num / den, with 1/0 standing for +inf until the first cutset.
+    num, den, witness = 1, 0, 0
+    for combo in combinations(singletons, kappa):
+        cut = sum(combo)
+        rem = full ^ cut
+        # The component of the lowest vertex left, inline: the hot loop.
+        comp = frontier = rem & -rem
+        while frontier:
+            nxt = lo[frontier & 1023] | hi[frontier >> 10 & 1023]
+            f = frontier >> 20
+            while f:
+                low = f & -f
+                f ^= low
+                nxt |= rest[low.bit_length() - 1]
+            frontier = nxt & rem & ~comp
+            comp |= frontier
+        if comp != rem:
+            comps = 1 + components(rem ^ comp)
+            if kappa * den < num * comps or (kappa * den == num * comps and cut < witness):
+                num, den, witness = kappa, comps, cut
+    smallest = None
+    for s in range(kappa + 1, n - 1):
+        ties = (1 << s) - 1 < witness
+        c_min = -(-s * den // num) if ties else s * den // num + 1
+        if c_min > min(alpha, n - s):
+            break
+        m = (n - s) // c_min
+        if smallest is None:
+            smallest = _connected_sets(rows, m)
+        seen = set()
+        for size, comp, nbhd in smallest:
+            if size > m:
+                break
+            k = nbhd.bit_count()
+            if k > s:
                 continue
-            comps = g.count_components(rem)
-            if s * den < num * comps or (s * den == num * comps and cut < witness):
-                num, den, witness = s, comps, cut
+            outside = full ^ comp ^ nbhd
+            for combo in combinations([b for b in singletons if b & outside], s - k):
+                cut = nbhd + sum(combo)
+                if cut in seen:
+                    continue
+                seen.add(cut)
+                comps = 1 + components(full ^ cut ^ comp)
+                if comps >= c_min and (
+                    s * den < num * comps or (s * den == num * comps and cut < witness)
+                ):
+                    num, den, witness = s, comps, cut
     return (Fraction(num, den), witness)
 
 

@@ -313,6 +313,11 @@ def test_budget_schedule_follows_the_dp_cost(monkeypatch):
     assert budgets[15:] == [2000, 4000, 8000, 16000, 32000, 64000]
     assert cycles._search_budget(21) is None
     assert budgets[:15] == [62] * 10 + [125, 250, 500, 1000, 2000]
+    # The path DP costs more, so the path search runs four times longer
+    # above 15 vertices.
+    path_budgets = [cycles._path_budget(n) for n in range(21)]
+    assert path_budgets == budgets[:16] + [4 * b for b in budgets[16:]]
+    assert cycles._path_budget(21) is None
     dp_calls = []
     for name in ("_circumference_dp", "_path_dp"):
         dp = getattr(cycles, name)

@@ -263,8 +263,8 @@ def test_integer_comparisons_keep_the_first_minimum():
 
 
 def test_cut_search_matches_the_exhaustive_scan():
-    # The search by size, stopped by the kappa and alpha bounds, gives the
-    # 2^n scan's tau and its first minimum as the witness.
+    # The search from kappa up, stopped by the kappa and alpha bounds, gives
+    # the 2^n scan's tau and its first minimum as the witness.
     for g in oracle_corpus():
         assert cut_scan(g) == exhaustive_cut_scan(g), g
 
@@ -273,6 +273,24 @@ def test_cut_search_matches_the_exhaustive_scan():
 @given(graphs_up_to(12))
 def test_cut_search_matches_the_exhaustive_scan_on_any_graph(g):
     assert cut_scan(g) == exhaustive_cut_scan(g)
+
+
+def test_cut_search_matches_the_exhaustive_scan_up_to_16_vertices():
+    # Past the hypothesis test's 12 vertices, at every density; p = 0.1
+    # leaves some graphs disconnected (kappa = 0).
+    graphs = [
+        g for n in range(13, 17) for p in (0.1, 0.2, 0.3, 0.5, 0.7, 0.85)
+        for g in seeded_gnp(n, p, 2, 800 + 7 * n + int(100 * p))
+    ]
+    assert any(not g.is_connected() for g in graphs)
+    for g in graphs:
+        assert cut_scan(g) == exhaustive_cut_scan(g), g
+
+
+def test_cut_search_of_c20_4():
+    # kappa = 8, alpha = tau = 4: the s / min(alpha, n - s) stop alone would
+    # let every size up to 16 through.  The exhaustive scan's answer.
+    assert cut_scan(power(cycle_graph(20), 4)) == (Fraction(4), 495)
 
 
 def test_cut_search_of_a_large_sparse_graph_is_immediate():

@@ -43,6 +43,7 @@ from cyclekit.registry import (
 from cyclekit.invariants import cut_scan
 from cyclekit.structure import claw, contains_induced
 from conftest import listable_corpus, mixed_corpus, oracle_corpus, seeded_gnp
+from oracles import cut_scan as exhaustive_cut_scan
 from test_invariants import naive_kappa
 
 
@@ -204,13 +205,10 @@ RESIDUAL_BOUNDS = {
 }
 
 
-def naive_residual(g, c, bound, lam):
-    """Verdict and witness of ResidualBound by a loop over every longest cycle."""
-    pf = Profile(g)
-    if c == g.n:
-        return True, None
-    for cert in cycles_of_length(g, c):
-        p_bar, c_bar = residual_params(g, cert)
+def naive_residual(pf, c, longest, bound, lam):
+    """Verdict and witness of ResidualBound by a loop over every longest cycle,
+    each listed with its residual (p_bar, c_bar)."""
+    for cert, p_bar, c_bar in longest:
         if Fraction(c) < bound(pf, p_bar, c_bar, lam):
             return False, cert
     return True, None
@@ -232,10 +230,17 @@ def test_longest_cycle_answers_match_naive_loops_up_to_14_vertices():
             out = ExistsProp(prop, fixed).check(pf, None)
             want = naive_exists(g, c, witness, test)
             assert (out.ok, out.witness) == (want is not None, want), (g, prop, lam)
+        # The longest cycles and their residual parameters, listed once for
+        # every (lambda, bound) pair; none when a hamiltonian cycle leaves nothing.
+        longest = [] if c == g.n else [
+            (cert, *residual_params(g, cert)) for cert in cycles_of_length(g, c)
+        ]
+        ref = Profile(g)
         for lam in range(1, 5):
             for label, bound in RESIDUAL_BOUNDS.items():
                 out = ResidualBound(label, bound).check(pf, lam)
-                assert (out.ok, out.witness) == naive_residual(g, c, bound, lam), (g, label, lam)
+                want = naive_residual(ref, c, longest, bound, lam)
+                assert (out.ok, out.witness) == want, (g, label, lam)
 
 
 # -- kappa by flow, tau by its bounds ----------------------------------------
@@ -246,8 +251,10 @@ H_PARAMS = [(1, 2, 3, 2), (1, 2, 4, 3), (1, 2, 5, 4), (2, 2, 3, 3)]
 
 @pytest.fixture(scope="module")
 def exact_cuts():
-    """(graph, kappa, exact tau), kappa by the naive cut count and tau from the
-    2^n cut scan, over small and named graphs."""
+    """(graph, kappa, exact tau) over small and named graphs: kappa by the
+    naive cut count, tau from the exhaustive 2^n scan of ``oracles`` on up to
+    14 vertices, and C_20^4's tau = 4 pinned rather than scanned over 2^20
+    sets (``test_cut_search_of_c20_4`` holds the value)."""
     graphs = mixed_corpus(seed=61, per_cell=3) + [
         complete(0),
         complete(1),
@@ -257,10 +264,13 @@ def exact_cuts():
         disjoint_union([complete(1), complete(1)]),
         disjoint_union([cycle_graph(5), path_graph(3)]),
         petersen(),
-        power(cycle_graph(20), 4),
         build("join2Kd-K1", delta=6),
     ] + [build("H", a=a, b=b, t=t, k=k) for a, b, t, k in H_PARAMS]
-    return [(g, naive_kappa(g), cut_scan(g)[0]) for g in graphs]
+    assert max(g.n for g in graphs) <= 14
+    c20_4 = power(cycle_graph(20), 4)
+    return [(g, naive_kappa(g), exhaustive_cut_scan(g)[0]) for g in graphs] + [
+        (c20_4, naive_kappa(c20_4), Fraction(4))
+    ]
 
 
 def test_toughness_lies_between_kappa_over_alpha_and_half_kappa(exact_cuts):
