@@ -167,10 +167,15 @@ def _union_table(rows: tuple[int, ...]) -> list[int]:
     return table
 
 
-def _connected_sets(rows: tuple[int, ...], m: int) -> list[tuple[int, int, int]]:
-    """Every connected vertex set C of at most m vertices, as (|C|, C, N(C)),
-    by size."""
-    level = {1 << v: row for v, row in enumerate(rows)}
+def _connected_sets(rows: tuple[int, ...], m: int, reach: int) -> list[tuple[int, int, int]]:
+    """Every connected vertex set C of at most m vertices with
+    |C + N(C)| <= reach, as (|C|, C, N(C)), by size.
+
+    A connected subset C0 of such a set C has both bounds too, because
+    N(C0) lies in C + N(C); so only the sets within them are grown, and
+    every such set is still reached through its connected subsets.
+    """
+    level = {1 << v: row for v, row in enumerate(rows) if row.bit_count() < reach}
     out = []
     for size in range(1, m + 1):
         out.extend((size, comp, nbhd) for comp, nbhd in level.items())
@@ -184,7 +189,7 @@ def _connected_sets(rows: tuple[int, ...], m: int) -> list[tuple[int, int, int]]
                     bigger = comp | low
                     if bigger not in grown:
                         grown[bigger] = (nbhd | rows[low.bit_length() - 1]) & ~bigger
-        level = grown
+        level = {c: nb for c, nb in grown.items() if nb.bit_count() < reach - size}
     return out
 
 
@@ -207,9 +212,10 @@ def cut_scan(g: Graph | WithCutBounds) -> tuple[Exact, int]:
     c >= c_min = ceil(s * den / num) components.  The smallest of them, C,
     is connected, has at most m = (n - s) // c_min vertices, and has all
     its neighbours in S.  So the connected sets C are listed once, with
-    N(C), up to the first size's m, which only falls as s grows; each S of
-    size s is N(C) plus s - |N(C)| vertices outside C and N(C), and is
-    visited once.  G - S has at most min(alpha, n - s) components, so the
+    N(C), up to the first size's m, which only falls as s grows, keeping
+    only those with |C| + |N(C)| at most the largest m + s of the sizes
+    still to run, as C + N(C) lies in C + S; each S of size s is N(C) plus
+    s - |N(C)| vertices outside C and N(C), and is visited once.  G - S has at most min(alpha, n - s) components, so the
     search ends at the first size where c_min exceeds that, which is where
     s / min(alpha, n - s), a ratio that never falls as s grows, exceeds
     the best ratio.  Ties go to the smallest integer S, which is the first
@@ -256,22 +262,11 @@ def cut_scan(g: Graph | WithCutBounds) -> tuple[Exact, int]:
     num, den, witness = 1, 0, 0
     for combo in combinations(singletons, kappa):
         cut = sum(combo)
-        rem = full ^ cut
-        # The component of the lowest vertex left, inline: the hot loop.
-        comp = frontier = rem & -rem
-        while frontier:
-            nxt = lo[frontier & 1023] | hi[frontier >> 10 & 1023]
-            f = frontier >> 20
-            while f:
-                low = f & -f
-                f ^= low
-                nxt |= rest[low.bit_length() - 1]
-            frontier = nxt & rem & ~comp
-            comp |= frontier
-        if comp != rem:
-            comps = 1 + components(rem ^ comp)
-            if kappa * den < num * comps or (kappa * den == num * comps and cut < witness):
-                num, den, witness = kappa, comps, cut
+        comps = components(full ^ cut)
+        if comps > 1 and (
+            kappa * den < num * comps or (kappa * den == num * comps and cut < witness)
+        ):
+            num, den, witness = kappa, comps, cut
     smallest = None
     for s in range(kappa + 1, n - 1):
         ties = (1 << s) - 1 < witness
@@ -280,7 +275,15 @@ def cut_scan(g: Graph | WithCutBounds) -> tuple[Exact, int]:
             break
         m = (n - s) // c_min
         if smallest is None:
-            smallest = _connected_sets(rows, m)
+            # C + N(C) lies in C + S, so it has at most m + s vertices at
+            # every level; num / den only falls, so the caps at the current
+            # ratio (ties allowed) bound those of the levels still to run.
+            caps = (
+                t + (n - t) // -(-t * den // num)
+                for t in range(s, n - 1)
+                if -(-t * den // num) <= min(alpha, n - t)
+            )
+            smallest = _connected_sets(rows, m, max(caps))
         seen = set()
         for size, comp, nbhd in smallest:
             if size > m:

@@ -301,6 +301,22 @@ def test_cut_search_of_a_large_sparse_graph_is_immediate():
     assert perf_counter() - t0 < 1.0
 
 
+def test_cut_search_of_two_cliques_through_two_hubs_is_immediate():
+    # K_14 minus an edge and K_14, with two hubs joined to all 28 vertices:
+    # kappa = 2, alpha = 3 and the hubs are the witness.  At size 3 the
+    # smallest component may have up to 9 vertices, but every vertex's
+    # closed neighbourhood exceeds the 12 that component and a 3-set can
+    # hold, so no connected set is listed; listing all of them would take
+    # millions.  The value is the size-by-size scan's.
+    k = 14
+    edges = [(u, v) for lo in (0, k) for u in range(lo, lo + k) for v in range(u + 1, lo + k)]
+    edges.remove((0, 1))
+    edges += [(hub, v) for hub in (2 * k, 2 * k + 1) for v in range(2 * k)]
+    t0 = perf_counter()
+    assert cut_scan(from_edge_list(2 * k + 2, edges)) == (Fraction(1), 3 << 2 * k)
+    assert perf_counter() - t0 < 1.0
+
+
 def test_isolated_vertex_shortcut_matches_the_full_search():
     graphs = [g for g in mixed_corpus() if 0 in g.rows]
     assert graphs
