@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction as F
 
-from .cycles import CycleCert, is_CD_cycle, is_dominating_cycle, residual_params
+from .cycles import CycleCert, UpperCert, is_CD_cycle, is_dominating_cycle, residual_params
 from .families import build
-from .graph import Graph, induced_subgraph, path_graph
+from .graph import Graph, path_graph
 from .registry import (
     Bound,
     CaseResult,
@@ -141,25 +141,14 @@ def _hub_cycle(t: int, a: int, b: int) -> CycleCert:
     return CycleCert(tuple(seq))
 
 
-def _cut_circ_upper(g: Graph, cut_mask: int) -> int:
-    """Upper bound on circumference: a cycle entering m components of
-    G minus the cutset uses at least m cut vertices."""
-    rest = induced_subgraph(g, g.full_mask & ~cut_mask)
-    sizes = sorted((m.bit_count() for m in rest.component_masks()), reverse=True)
-    k = cut_mask.bit_count()
-    return k + sum(sizes[:k])
-
-
 def _pinned_circumference(t: int, a: int, b: int) -> tuple[Graph, CycleCert, int]:
     """Build tK_a+K_b with its circumference pinned exactly by a witness
-    cycle matching the hub-cut upper bound (no search needed)."""
+    cycle that meets the hub cut's ``UpperCert`` (no search needed)."""
     g = build("tKa-join-Kb", t=t, a=a, b=b)
     cyc = _hub_cycle(t, a, b)
     cyc.validate(g)
-    upper = _cut_circ_upper(g, ((1 << b) - 1) << (t * a))  # the b hubs follow the cliques
-    if len(cyc.vertices) != upper:
-        raise AssertionError("hub cycle does not meet the cut bound")
-    return g, cyc, upper
+    UpperCert(((1 << b) - 1) << (t * a), cyc.length).validate(g)  # the b hubs follow the cliques
+    return g, cyc, cyc.length
 
 
 def _missed_clique_fails(t: int, b: int, prop: str, lam: int | None):

@@ -4,10 +4,13 @@ One branch-and-bound DFS, ``_cycle_search``, answers every cycle question:
 the longest-cycle solvers let its length floor rise, and
 ``cycles_of_length`` pins the floor to list every cycle of one length.
 An O(n + q) block/bipartite bound, ``_cycle_bound``, ends the longest-cycle
-search as soon as it finds a cycle that long.  Once the longest-cycle or
-longest-path search has spent its node budget on a graph of at most
-``DP_MAX_VERTICES`` vertices, a subset DP (Bellman; Held and Karp, 1962)
-computes the optimum instead, and a new search whose floor sits just
+search as soon as it finds a cycle that long.  Once the longest-cycle
+search has spent its node budget, a separator certificate (``UpperCert``:
+a vertex set whose removal leaves too few large components) ends it if its
+bound meets the cycle found so far.  Otherwise, and once the longest-path
+search has spent its budget, on a graph of at most ``DP_MAX_VERTICES``
+vertices a subset DP (Bellman; Held and Karp, 1962) computes the optimum,
+capped at the certificate's bound, and a new search whose floor sits just
 below it returns the first optimum in DFS order: the witness the
 exhaustive search returns.  The budget follows the DP's cost, which
 doubles per vertex (``_search_budget``): ``SEARCH_BUDGET`` nodes at 14
@@ -153,6 +156,37 @@ class PathCert:
         return " ".join(map(str, self.vertices))
 
 
+@dataclass(frozen=True)
+class UpperCert:
+    """c <= bound, by a vertex set S (``cut``, a bitmask).
+
+    With a_1 >= a_2 >= ... the orders of the components of G - S and
+    t = floor(sum over v in S of min(2, |N(v) - S|) / 2), a cycle that
+    misses S lies in one component, and one that meets S leaves it along
+    at most t segments, each inside one component (Chvatal's toughness
+    argument, 1973).  So c <= max(a_1, |S| + a_1 + ... + a_t), or 2 when G
+    has an edge, the 2-cycle of the conventions.
+    """
+
+    cut: int
+    bound: int
+
+    @classmethod
+    def of(cls, g: Graph, cut: int) -> UpperCert:
+        """The certificate of ``cut``, its bound computed in O(n + q)."""
+        rest = g.full_mask & ~cut
+        sizes = sorted((m.bit_count() for m in g.component_masks(rest)), reverse=True)
+        t = sum(min(2, (g.rows[v] & rest).bit_count()) for v in bits(cut)) // 2
+        largest = sizes[0] if sizes else 0
+        return cls(cut, max(largest, cut.bit_count() + sum(sizes[:t]), 2 if g.q else 0))
+
+    def validate(self, g: Graph) -> None:
+        if self.cut >> g.n or self.cut < 0:
+            raise CertificateError("cut vertex out of range")
+        if UpperCert.of(g, self.cut).bound > self.bound:
+            raise CertificateError(f"cut {bits(self.cut)} does not bound c by {self.bound}")
+
+
 # -- cycle search ---------------------------------------------------------
 
 
@@ -285,16 +319,30 @@ def _cycle_bound(g: Graph) -> int:
     return best
 
 
-def _longest_cycle(g: Graph, stop_at: int | None = None) -> tuple[int, list[int]]:
+def _default_cuts(g: Graph) -> tuple[int, int]:
+    """A minimum separator and the complement of a maximum independent set."""
+    from .invariants import independence_number, min_separator
+
+    return min_separator(g)[1], g.full_mask ^ mask_of(independence_number(g)[1])
+
+
+def _longest_cycle(
+    g: Graph, stop_at: int | None = None, cuts: Callable[[], Iterable[int]] | None = None
+) -> tuple[int, list[int]]:
     """Branch-and-bound longest cycle under the degenerate conventions.
 
     Stops at the first cycle of at least min(``stop_at``, ``_cycle_bound``)
     vertices; the bound is never below the circumference, so the result
     is the one an exhaustive search returns: the first cycle in DFS order
     of at least t = min(``stop_at``, circumference) vertices.  When the
-    search spends its budget on a graph the DP reaches, the DP gives t,
-    and a new search with floor t - 1 returns that cycle first, since
-    such a floor cuts no branch that holds it.
+    search spends its budget, ``cuts`` (a minimum separator and the
+    complement of a maximum independent set by default) is called once,
+    and the least ``UpperCert`` bound of its sets caps the answer.  A
+    cycle that long is the answer at once: the search yields the first
+    cycle in DFS order of each length it reaches.  Otherwise, on a graph
+    the DP reaches, the DP gives t, and a new search with floor t - 1
+    returns that cycle first, since such a floor cuts no branch that holds
+    it.
     """
     n = g.n
     if n == 0:
@@ -307,6 +355,10 @@ def _longest_cycle(g: Graph, stop_at: int | None = None) -> tuple[int, list[int]
     if len(best_path) < stop:
         for path in _cycle_search(g, 2, n, _search_budget(n)):
             if path is None:
+                cut_sets = _default_cuts(g) if cuts is None else cuts()
+                stop = min([stop] + [UpperCert.of(g, cut).bound for cut in cut_sets])
+                if stop <= len(best_path):
+                    break
                 t = _circumference_dp(g, len(best_path), stop)
                 if t > len(best_path):
                     best_path = next(_cycle_search(g, t - 1, n))

@@ -68,15 +68,18 @@ def delta_t(g: Graph, t: int) -> Exact:
 # -- connectivity ---------------------------------------------------------
 
 
-def _vertex_max_flow(g: Graph, s: int, t: int, limit: int) -> int:
-    """min(limit, max number of internally vertex-disjoint s-t paths), s and t
+def _vertex_max_flow(g: Graph, s: int, t: int, limit: int) -> tuple[int, int]:
+    """(min(limit, max number of internally vertex-disjoint s-t paths), an s-t
+    separator of that many vertices as a bitmask, or 0 at the limit), s and t
     nonadjacent.
 
     Augmenting paths in the vertex-split network (v_in -> v_out, capacity 1
     inside every vertex but s and t, unbounded along edges), searched with
     bitmasks over the states reached so far.  The flow is held as ``prv[w]``,
     the vertex whose out-node sends w's one unit into w's in-node (-1 when w
-    carries none); every other residual arc follows from it.
+    carries none); every other residual arc follows from it.  Below the
+    limit, the last search reaches the in-node but not the out-node of
+    exactly the vertices of a minimum separator (Menger).
     """
     n, rows = g.n, g.rows
     prv = [-1] * n
@@ -114,7 +117,7 @@ def _vertex_max_flow(g: Graph, s: int, t: int, limit: int) -> int:
                     par_out[u] = w
                     stack.append(u)
         if not found:
-            break
+            return flow, seen_in & ~seen_out
         w = t
         while True:
             u = par_in[w]
@@ -127,35 +130,39 @@ def _vertex_max_flow(g: Graph, s: int, t: int, limit: int) -> int:
                 break
             w = par_out[u]
         flow += 1
-    return flow
+    return flow, 0
 
 
-def connectivity(g: Graph) -> int:
-    """Vertex connectivity; kappa(K_n) = n-1 by convention, 0 if disconnected.
+def min_separator(g: Graph) -> tuple[int, int]:
+    """(kappa, a vertex set of kappa vertices that disconnects G, as a bitmask).
 
+    kappa(K_n) = n-1 by convention, with N(v) as the set, which leaves
+    one vertex; 0 with the empty set if G is disconnected or n <= 1.
     Esfahanian and Hakimi (1984): take v of minimum degree.  A minimum cut
     either misses v, and then separates v from a non-neighbour, or holds
     v, and then separates two non-adjacent neighbours of v.  So only those
     pairs need a flow, and each flow stops at the best cut so far, which
-    starts at N(v).
+    starts at N(v); the set is N(v) or the separator of the last flow
+    that beat the best.
     """
     n, rows = g.n, g.rows
-    if n <= 1:
-        return 0
-    if g.q == n * (n - 1) // 2:
-        return n - 1
-    if not g.is_connected():
-        return 0
+    if n <= 1 or not g.is_connected():
+        return 0, 0
     v = min(range(n), key=lambda u: rows[u].bit_count())
-    best = rows[v].bit_count()
-    for t in bits(g.full_mask & ~rows[v] & ~(1 << v)):
-        best = _vertex_max_flow(g, v, t, best)
+    best, cut = rows[v].bit_count(), rows[v]
+    pairs = [(v, t) for t in bits(g.full_mask & ~rows[v] & ~(1 << v))]
     nbrs = bits(rows[v])
-    for i, x in enumerate(nbrs):
-        for y in nbrs[i + 1:]:
-            if not rows[x] >> y & 1:
-                best = _vertex_max_flow(g, x, y, best)
-    return best
+    pairs += [(x, y) for i, x in enumerate(nbrs) for y in nbrs[i + 1:] if not rows[x] >> y & 1]
+    for s, t in pairs:
+        flow, sep = _vertex_max_flow(g, s, t, best)
+        if flow < best:
+            best, cut = flow, sep
+    return best, cut
+
+
+def connectivity(g: Graph) -> int:
+    """Vertex connectivity; kappa(K_n) = n-1 by convention, 0 if disconnected."""
+    return min_separator(g)[0]
 
 
 def _union_table(rows: tuple[int, ...]) -> list[int]:

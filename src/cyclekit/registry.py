@@ -26,13 +26,13 @@ from .cycles import (
     exists_cycle_satisfying,
 )
 from .exact import Exact, INF, fmt_exact
-from .graph import Graph, are_isomorphic, petersen
+from .graph import Graph, are_isomorphic, mask_of, petersen
 from .invariants import (
-    connectivity,
     cut_scan,
     delta_t,
     independence_number,
     binding_number,
+    min_separator,
     sigma_t,
 )
 from .structure import (
@@ -98,8 +98,13 @@ class Profile:
         return max(self.g.degrees(), default=0)
 
     @cached_property
+    def separator(self) -> tuple[int, int]:
+        """(kappa, a minimum separator as a bitmask), from one set of flows."""
+        return min_separator(self.g)
+
+    @cached_property
     def kappa(self) -> int:
-        return connectivity(self.g)
+        return self.separator[0]
 
     @cached_property
     def complete(self) -> bool:
@@ -146,8 +151,13 @@ class Profile:
         return self.tau > x
 
     @cached_property
+    def independent_set(self) -> tuple[int, list[int]]:
+        """(alpha, a maximum independent set), from one branch and bound."""
+        return independence_number(self.g)
+
+    @cached_property
     def alpha(self) -> int:
-        return independence_number(self.g)[0]
+        return self.independent_set[0]
 
     @cached_property
     def binding(self) -> Exact:
@@ -155,6 +165,15 @@ class Profile:
         if self.n == 0:
             return INF
         return binding_number(self.g)[0]
+
+    def binding_ge(self, x: Exact) -> bool:
+        """b >= x; the exact b is computed only when Woodall's bound
+        b <= (n - 1) / (n - delta) (1973; X = V - N(u) for u of minimum
+        degree, which leaves u out of N(X)) does not rule it out."""
+        n = self.n
+        if n and Fraction(n - 1, n - self.delta) < x:
+            return False
+        return self.binding >= x
 
     @cached_property
     def sigma2(self) -> Exact:
@@ -175,8 +194,12 @@ class Profile:
     @cached_property
     def cycles(self) -> LongestCycles:
         """c, its witness and the cycle vertex sets by length, shared by
-        every longest-cycle conclusion and every lambda."""
-        return LongestCycles(self.g, _longest_cycle(self.g))
+        every longest-cycle conclusion and every lambda.  Should the search
+        run out of budget, its cuts are this Profile's minimum separator and
+        the complement of its maximum independent set."""
+        g = self.g
+        return LongestCycles(g, _longest_cycle(g, cuts=lambda: (
+            self.separator[1], g.full_mask ^ mask_of(self.independent_set[1]))))
 
     @property
     def c(self) -> int:
@@ -418,6 +441,8 @@ def _compile(label: str, params: str) -> Callable:
         r = term(right)
         if isinstance(left, ast.Name) and left.id == "tau" and sym[0] == ">":
             return [f"pf.tau_{'ge' if sym == '>=' else 'gt'}({value(r)})"]
+        if isinstance(left, ast.Name) and left.id == "binding" and sym == ">=":
+            return [f"pf.binding_ge({value(r)})"]
         ln, ld, lp = term(left)
         if lp and r[2]:
             return [f"{_apply(ln, '*', r[1])} {sym} {_apply(r[0], '*', ld)}"]

@@ -12,6 +12,7 @@ from cyclekit.cycles import (
     CertificateError,
     CycleCert,
     LongestCycles,
+    UpperCert,
     _circumference_dp,
     _cycle_bound,
     _cycle_search,
@@ -41,7 +42,7 @@ from cyclekit.graph import (
     path_graph,
     petersen,
 )
-from conftest import graphs_up_to, listable_corpus, mixed_corpus, seeded_gnp, to_networkx
+from conftest import graphs_up_to, listable_corpus, mixed_corpus, oracle_corpus, seeded_gnp, to_networkx
 from oracles import hamiltonian_dp_oracle
 
 
@@ -318,8 +319,10 @@ def test_budget_schedule_follows_the_dp_cost(monkeypatch):
     path_budgets = [cycles._path_budget(n) for n in range(21)]
     assert path_budgets == budgets[:16] + [4 * b for b in budgets[16:]]
     assert cycles._path_budget(21) is None
+    # A cycle search past its budget asks for its cuts, and then for the DP
+    # unless a cut's bound meets the cycle it holds.
     dp_calls = []
-    for name in ("_circumference_dp", "_path_dp"):
+    for name in ("_circumference_dp", "_path_dp", "_default_cuts"):
         dp = getattr(cycles, name)
         monkeypatch.setattr(cycles, name, lambda *a, dp=dp: dp_calls.append(a[0]) or dp(*a))
     # The floor lets a search of a few dozen nodes end without the DP.
@@ -372,6 +375,56 @@ def test_frozen_witnesses_past_the_budget():
         assert hamiltonian(g) is None
     length, path = longest_path(complete_bipartite(6, 7))
     assert (length, path.vertices) == (12, (6, 0, 7, 1, 8, 2, 9, 3, 10, 4, 11, 5, 12))
+
+
+# -- separator certificates -------------------------------------------------
+
+
+def test_separator_bound_holds_for_every_cut():
+    # c from the listing alone: the longest length that has a cycle.
+    corpus = [g for g in oracle_corpus() if g.n <= 10] + [complete(1), complete(2), path_graph(3)]
+    for g in corpus:
+        c = next(k for k in range(g.n, 0, -1) if next(cycles_of_length(g, k), None))
+        for cut in range(1 << g.n):
+            assert UpperCert.of(g, cut).bound >= c, (g, cut)
+
+
+def test_separator_bound_of_one_vertex():
+    # On K_2 the counting formula alone gives 1; the edge is a 2-cycle.
+    assert [UpperCert.of(complete(1), 1).bound] == [1]
+    assert [UpperCert.of(complete(2), 1 << v).bound for v in range(2)] == [2, 2]
+    assert [UpperCert.of(path_graph(3), 1 << v).bound for v in range(3)] == [2, 2, 2]
+    # Two of the three K_4s of 3K_4+K_2 through its two hubs.
+    assert UpperCert.of(build("tKa-join-Kb", t=3, a=4, b=2), 0b11 << 12).bound == 10
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(graphs_up_to(9), st.data())
+def test_mutated_upper_certificates_are_rejected(g, data):
+    cut = data.draw(st.integers(0, (1 << g.n) - 1))
+    cert = UpperCert.of(g, cut)
+    cert.validate(g)
+    UpperCert(cut, cert.bound + 1).validate(g)  # a weaker bound still holds
+    with pytest.raises(CertificateError):
+        UpperCert(cut, cert.bound - data.draw(st.integers(1, 3))).validate(g)
+    with pytest.raises(CertificateError):
+        UpperCert(cut | 1 << data.draw(st.integers(g.n, g.n + 64)), g.n).validate(g)
+
+
+def test_a_certificate_that_meets_the_search_skips_the_dp(monkeypatch):
+    # The hub cut of 3K_4+K_2 and the complement of a maximum independent
+    # set of H(1,2,5,4) bound c by the cycle the search holds when its budget
+    # runs out; either answer is test_frozen_witnesses_past_the_budget's.
+    cases = [build("tKa-join-Kb", t=3, a=4, b=2), build("H", a=1, b=2, t=5, k=4)]
+    want = [_longest_cycle(g) for g in cases]
+
+    def no_dp(*args):
+        raise AssertionError("the subset DP ran")
+
+    monkeypatch.setattr(cycles, "_circumference_dp", no_dp)
+    assert [_longest_cycle(g) for g in cases] == want
+    with pytest.raises(AssertionError):
+        _longest_cycle(cases[0], cuts=lambda: ())
 
 
 # -- cycle vertex sets from the subset DP ------------------------------------

@@ -26,10 +26,11 @@ from cyclekit.invariants import (
     cut_scan,
     delta_t,
     independence_number,
+    min_separator,
     sigma_t,
     toughness,
 )
-from cyclekit.registry import invariant_report
+from cyclekit.registry import Profile, invariant_report
 from conftest import graphs_up_to, mixed_corpus, oracle_corpus, seeded_gnp, to_networkx
 from oracles import binding_number as lexicographic_binding_number
 from oracles import cut_scan as exhaustive_cut_scan
@@ -153,9 +154,18 @@ def test_against_networkx():
         assert all(not g.has_edge(u, v) for u, v in combinations(wit, 2))
 
 
+def assert_separates(g: Graph, kappa: int, cut: int) -> None:
+    """``cut`` has kappa vertices and disconnects g, unless g is complete."""
+    assert cut.bit_count() == kappa, g
+    if g.q < g.n * (g.n - 1) // 2:
+        assert g.count_components(g.full_mask & ~cut) > 1, g
+
+
 def test_flow_connectivity_matches_exhaustive_cuts():
     for g in mixed_corpus(seed=17, per_cell=6, ns=range(2, 9)):
-        assert naive_kappa(g) == connectivity(g)
+        kappa, cut = min_separator(g)
+        assert naive_kappa(g) == kappa == connectivity(g)
+        assert_separates(g, kappa, cut)
 
 
 def test_witnesses_validate():
@@ -205,7 +215,7 @@ MIN_DEGREE_CUT_VERTEX = from_edge_list(11, [
 
 def test_capped_flow_matches_networkx():
     local = nx.algorithms.connectivity.local_node_connectivity
-    assert _vertex_max_flow(BACKTRACKING_FLOW, 0, 4, 9) == 3
+    assert _vertex_max_flow(BACKTRACKING_FLOW, 0, 4, 9)[0] == 3
     for g in mixed_corpus(seed=23, per_cell=2, ns=range(2, 10)) + [BACKTRACKING_FLOW]:
         nxg = to_networkx(g)
         for s, t in combinations(range(g.n), 2):
@@ -213,7 +223,11 @@ def test_capped_flow_matches_networkx():
                 continue
             want = local(nxg, s, t)
             for limit in {0, max(want - 1, 0), want, want + 1, g.n}:
-                assert _vertex_max_flow(g, s, t, limit) == min(want, limit), (g, s, t, limit)
+                flow, cut = _vertex_max_flow(g, s, t, limit)
+                assert flow == min(want, limit), (g, s, t, limit)
+                if flow < limit:  # a minimum s-t separator
+                    assert cut.bit_count() == flow and not cut >> s & 1 and not cut >> t & 1
+                    assert not g.reach_mask(1 << s, g.full_mask & ~cut) >> t & 1, (g, s, t)
 
 
 def test_connectivity_matches_networkx_above_the_small_corpus():
@@ -224,9 +238,11 @@ def test_connectivity_matches_networkx_above_the_small_corpus():
         petersen(),
         MIN_DEGREE_CUT_VERTEX,
     ]
-    assert connectivity(MIN_DEGREE_CUT_VERTEX) == 1
+    assert min_separator(MIN_DEGREE_CUT_VERTEX) == (1, 1)
     for g in graphs:
-        assert connectivity(g) == nx.node_connectivity(to_networkx(g)), g
+        kappa, cut = min_separator(g)
+        assert kappa == connectivity(g) == nx.node_connectivity(to_networkx(g)), g
+        assert_separates(g, kappa, cut)
 
 
 def fraction_cut_scan(g: Graph):
@@ -347,7 +363,14 @@ def test_bounded_binding_search_matches_the_lexicographic_search():
         perfect_matching(20),
     ]
     for g in oracle_corpus() + named:
-        assert binding_number(g) == lexicographic_binding_number(g), g
+        b = lexicographic_binding_number(g)
+        assert binding_number(g) == b, g
+        # Woodall's b <= (n - 1) / (n - delta) settles binding_ge below it.
+        woodall = Fraction(g.n - 1, g.n - min(g.degrees()))
+        assert b[0] <= woodall, g
+        pf = Profile(g)
+        for x in (Fraction(3, 2), b[0], b[0] + Fraction(1, 99), woodall, woodall + Fraction(1, 99)):
+            assert pf.binding_ge(x) == (b[0] >= x), (g, x)
 
 
 @settings(max_examples=300, deadline=None, database=None)
