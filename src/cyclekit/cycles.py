@@ -7,23 +7,22 @@ An O(n + q) block/bipartite bound, ``_cycle_bound``, ends the longest-cycle
 search as soon as it finds a cycle that long.  Once the longest-cycle
 search has spent its node budget, a separator certificate (``UpperCert``:
 a vertex set whose removal leaves too few large components) ends it if its
-bound meets the cycle found so far.  Otherwise, and once the longest-path
-search has spent its budget, on a graph of at most ``DP_MAX_VERTICES``
-vertices a subset DP (Bellman; Held and Karp, 1962) computes the optimum,
-capped at the certificate's bound, and a new search whose floor sits just
-below it returns the first optimum in DFS order: the witness the
-exhaustive search returns.  The budget follows the DP's cost, which
-doubles per vertex (``_search_budget``): ``SEARCH_BUDGET`` nodes at 14
-and 15 vertices, doubled per vertex above 15 and halved per vertex below
-14, down to a floor at 9 vertices.  The path search gets four times that
+bound meets the cycle found so far.  Otherwise, on a graph of at most
+``DP_MAX_VERTICES`` vertices, one subset DP (Bellman; Held and Karp, 1962)
+takes over: ``_cycle_levels`` keeps every level of paths from one minimum
+vertex, capped at the certificate's bound, and ``_first_cycle_in`` grows
+the first optimum in DFS order from them, the witness the exhaustive
+search returns.  The budget follows the DP's cost, which doubles per
+vertex (``_search_budget``): ``SEARCH_BUDGET`` nodes at 14 and 15
+vertices, doubled per vertex above 15 and halved per vertex below 14,
+down to a floor at 9 vertices.  The path search gets four times that
 above 15 vertices (``_path_budget``), as its DP costs more.
 ``LongestCycles`` keeps one graph's longest-cycle answers so that every
 universal, existence and residual question reuses them.  Those questions
 depend only on the vertex set a cycle leaves off, so they are answered
-from the cycles' vertex sets, found by the same subset DP step per
-minimum vertex, and no cycle is listed: a witness is searched for only
-among the sets that qualify, and it is the first qualifying cycle in
-``cycles_of_length`` order, as a listing would find it.
+from the closing sets of the same levels, built once per minimum vertex,
+and no cycle is listed: ``_first_cycle_in`` finds the witness among the
+sets that qualify.
 
 Length conventions: a single vertex counts as a cycle of length 1 and an
 edge as a cycle of length 2, so the circumference of a nonempty graph is
@@ -261,31 +260,65 @@ def _next_level(rows: tuple[int, ...], level: dict[int, int], allowed: int) -> d
     return nxt
 
 
-def _circumference_dp(g: Graph, floor: int, cap: int) -> int:
-    """The circumference capped at ``cap``, or ``floor`` if no cycle is longer.
+def _cycle_levels(g: Graph, s: int, cap: int) -> list[dict[int, int]]:
+    """Every level of the subset DP from minimum vertex s, up to ``cap``.
 
-    For each minimum vertex s, level k maps the vertex set of every
-    k-vertex path from s through larger vertices to the bitset of its far
-    ends; a set with an end adjacent to s closes into a k-cycle (k = 2 is
-    an edge).  Levels are built one at a time and only the last is kept.
+    ``levels[k]`` maps the vertex set of every k-vertex path from s through
+    larger vertices to the bitset of its far ends (``levels[0]`` is empty).
+    Its closing sets, the keys whose ends meet N(s), are the vertex sets of
+    the k-cycles whose minimum vertex is s, each once (k = 2 is an edge).
     """
-    n, rows = g.n, g.rows
-    best = floor
-    for s in range(n):
-        allowed = ((1 << n) - 1) >> s << s
-        if allowed.bit_count() <= best:
+    level = {1 << s: 1 << s}
+    levels = [{}, level]
+    allowed = g.full_mask >> s << s
+    while len(levels) <= cap:
+        level = _next_level(g.rows, level, allowed)
+        if not level:
             break
-        sbit, srow = 1 << s, rows[s]
-        level = {sbit: sbit}
-        k = 1
-        while level:
-            level = _next_level(rows, level, allowed)
-            k += 1
-            if k > best and any(ends & srow for ends in level.values()):
-                best = k
-                if best >= cap:
-                    return cap
-    return best
+        levels.append(level)
+    return levels
+
+
+def _closing_sets(g: Graph, levels: list[dict[int, int]], k: int) -> list[int]:
+    """Level k's keys whose ends meet N(s): the vertex sets of the k-cycles
+    whose minimum vertex is s, for ``levels`` the DP levels from s."""
+    srow = g.rows[next(iter(levels[1])).bit_length() - 1]
+    return [m for m, ends in levels[k].items() if ends & srow]
+
+
+def _first_cycle_in(
+    g: Graph, levels: list[dict[int, int]], k: int, sets: list[int]
+) -> tuple[int, ...]:
+    """The first k-cycle (k >= 3) in ``cycles_of_length`` order whose vertex
+    set is one of ``sets``: closing sets of ``levels``, the DP from their
+    minimum vertex s.
+
+    The path grows from s by the least neighbour u after which some live
+    set T still completes: with i vertices placed (``used``), the rest of
+    the cycle is a path from s to u through exactly (T - used) + {s}, one
+    lookup in level k - i + 1.  The lexicographically least sequence is
+    in canonical direction, since its reverse has the larger second vertex.
+    """
+    rows = g.rows
+    sbit = sets[0] & -sets[0]
+    path = [sbit.bit_length() - 1]
+    used, live = sbit, sets
+    for i in range(1, k):
+        level = levels[k - i + 1]
+        union = 0
+        for t in live:
+            union |= t
+        cand = rows[path[-1]] & union & ~used
+        while cand:
+            ubit = cand & -cand
+            cand ^= ubit
+            nxt = [t for t in live if t & ubit and level.get((t & ~used) | sbit, 0) & ubit]
+            if nxt:
+                break
+        path.append(ubit.bit_length() - 1)
+        used |= ubit
+        live = nxt
+    return tuple(path)
 
 
 def _cycle_bound(g: Graph) -> int:
@@ -326,23 +359,46 @@ def _default_cuts(g: Graph) -> tuple[int, int]:
     return min_separator(g)[1], g.full_mask ^ mask_of(independence_number(g)[1])
 
 
+def _dp_cycle(g: Graph, floor: int, cap: int) -> list[int] | None:
+    """The first cycle of t = min(``cap``, circumference) vertices in
+    ``cycles_of_length`` order, or None if t <= ``floor``.
+
+    Each minimum vertex s, while more than the best length so far remain
+    from s up, gets its DP levels up to ``cap``; the highest with a closing
+    set is s's longest cycle.  The witness comes from the first s that
+    reaches t, the smallest minimum vertex of any t-cycle.
+    """
+    n = g.n
+    best, first = floor, None
+    for s in range(n):
+        if n - s <= best or best >= cap:
+            break
+        levels = _cycle_levels(g, s, cap)
+        for k in range(len(levels) - 1, best, -1):
+            sets = _closing_sets(g, levels, k)
+            if sets:
+                best, first = k, (levels, sets)
+                break
+    if first is None:
+        return None
+    return list(_first_cycle_in(g, first[0], best, first[1]))
+
+
 def _longest_cycle(
     g: Graph, stop_at: int | None = None, cuts: Callable[[], Iterable[int]] | None = None
 ) -> tuple[int, list[int]]:
     """Branch-and-bound longest cycle under the degenerate conventions.
 
-    Stops at the first cycle of at least min(``stop_at``, ``_cycle_bound``)
-    vertices; the bound is never below the circumference, so the result
-    is the one an exhaustive search returns: the first cycle in DFS order
-    of at least t = min(``stop_at``, circumference) vertices.  When the
-    search spends its budget, ``cuts`` (a minimum separator and the
-    complement of a maximum independent set by default) is called once,
-    and the least ``UpperCert`` bound of its sets caps the answer.  A
-    cycle that long is the answer at once: the search yields the first
-    cycle in DFS order of each length it reaches.  Otherwise, on a graph
-    the DP reaches, the DP gives t, and a new search with floor t - 1
-    returns that cycle first, since such a floor cuts no branch that holds
-    it.
+    Returns c and the first longest cycle in DFS order, the one an
+    exhaustive search returns.  The search stops at the first cycle of
+    min(``stop_at``, ``_cycle_bound``) vertices, both at least c
+    (``hamiltonian`` passes n).  When it spends its budget, ``cuts`` (a
+    minimum separator and the complement of a maximum independent set by
+    default) is called once, and the least ``UpperCert`` bound of its sets
+    caps the answer.  A cycle that long is the answer at once: the search
+    yields the first cycle in DFS order of each length it reaches.
+    Otherwise, on a graph the DP reaches, ``_dp_cycle`` gives the first
+    c-cycle in ``cycles_of_length`` order, the same cycle.
     """
     n = g.n
     if n == 0:
@@ -357,11 +413,7 @@ def _longest_cycle(
             if path is None:
                 cut_sets = _default_cuts(g) if cuts is None else cuts()
                 stop = min([stop] + [UpperCert.of(g, cut).bound for cut in cut_sets])
-                if stop <= len(best_path):
-                    break
-                t = _circumference_dp(g, len(best_path), stop)
-                if t > len(best_path):
-                    best_path = next(_cycle_search(g, t - 1, n))
+                best_path = _dp_cycle(g, len(best_path), stop) or best_path
                 break
             best_path = path
             if len(path) >= stop:
@@ -559,65 +611,6 @@ def residual_params(g: Graph, cycle: CycleCert) -> tuple[int | None, int | None]
     return _residual_path(g, off), _residual_cycle(g, off)
 
 
-# -- cycle vertex sets -------------------------------------------------------
-
-
-def _cycle_sets_from(g: Graph, s: int, c: int) -> dict[int, list[int]]:
-    """Length k -> the vertex set of every k-cycle whose minimum vertex is
-    s, for 3 <= k <= c, each set once.
-
-    A subset DP over the vertices from s up, as far as level c: a level-k
-    set (k >= 3) whose path ends include a neighbour of s closes into a
-    k-cycle through s, and each set is one key of its level.
-    """
-    n, rows = g.n, g.rows
-    allowed = ((1 << n) - 1) >> s << s
-    srow = rows[s]
-    sets: dict[int, list[int]] = {}
-    level = {1 << s: 1 << s}
-    for k in range(2, c + 1):
-        level = _next_level(rows, level, allowed)
-        if not level:
-            break
-        if k >= 3:
-            sets[k] = [m for m, ends in level.items() if ends & srow]
-    return sets
-
-
-def _first_cycle_on(g: Graph, k: int, sets: list[int]) -> tuple[int, ...]:
-    """The first k-cycle (k >= 3) in ``cycles_of_length`` order whose vertex
-    set is one of ``sets``: k-cycle vertex sets that share their minimum s.
-
-    The DFS of ``_cycle_search`` from s, through ascending neighbours, cut
-    at every prefix that no set in ``sets`` contains; a full-length prefix
-    is then one of the sets.  The first cycle this finds is in canonical
-    direction, since its reverse, with a smaller second vertex, would come
-    earlier.
-    """
-    rows = g.rows
-    sbit = sets[0] & -sets[0]
-    path = [sbit.bit_length() - 1]
-
-    def dfs(v: int, visited: int, live: list[int]) -> bool:
-        if len(path) == k:
-            return bool(rows[v] & sbit)
-        union = 0
-        for t in live:
-            union |= t
-        cand = rows[v] & union & ~visited
-        while cand:
-            ubit = cand & -cand
-            cand ^= ubit
-            path.append(ubit.bit_length() - 1)
-            if dfs(path[-1], visited | ubit, [t for t in live if t & ubit]):
-                return True
-            path.pop()
-        return False
-
-    dfs(path[0], sbit, sets)
-    return tuple(path)
-
-
 # -- longest-cycle cache ----------------------------------------------------
 
 
@@ -625,13 +618,13 @@ class LongestCycles:
     """Longest-cycle answers for one graph, each computed at most once.
 
     Holds the circumference c and its witness path (the first longest
-    cycle in ``cycles_of_length`` order), the vertex sets of the cycles of
-    each length from 3 to c by minimum vertex (each minimum's subset DP
-    runs once, when a question first reaches it, and serves every length),
-    and p̄ and c̄ for every off-cycle set asked about.  Dominating, PD, CD
-    and the residual bounds are properties of the set a cycle leaves off,
-    so ``first_cycle`` tests sets, not cycles, and searches for a cycle
-    only among the sets that pass.  Nothing is listed on a hamiltonian
+    cycle in ``cycles_of_length`` order), the DP levels up to c from each
+    minimum vertex (``_cycle_levels``, run once, when a question first
+    reaches that vertex, and kept for every length), and p̄ and c̄ for every
+    off-cycle set asked about.  Dominating, PD, CD and the residual bounds
+    are properties of the set a cycle leaves off, so ``first_cycle`` tests
+    the levels' closing sets, not cycles, and ``_first_cycle_in`` finds the
+    witness among the sets that pass.  Nothing is listed on a hamiltonian
     graph, where every question is settled by c = n.  ``registry.Profile``
     holds one; the public functions below take one in place of a graph.
     """
@@ -639,7 +632,7 @@ class LongestCycles:
     def __init__(self, g: Graph, circ: tuple[int, list[int]] | None = None):
         self.g = g
         self.c, self.path = _longest_cycle(g) if circ is None else circ
-        self._by_min: list[dict[int, list[int]]] = []
+        self._levels: list[list[dict[int, int]]] = []
         self._p_bar: dict[int, int] = {}
         self._c_bar: dict[int, int] = {}
 
@@ -648,19 +641,19 @@ class LongestCycles:
         ascending order of minimum vertex.
 
         Lengths 1 and 2 come from the vertex and edge loops of
-        ``cycles_of_length``, in its order.  Longer ones come from one
-        ``_cycle_sets_from`` DP per minimum vertex, run the first time any
-        length reaches that vertex and kept for every length.
+        ``cycles_of_length``, in its order.  Longer ones are the closing
+        sets of level k of each minimum vertex's DP levels.
         """
         if k <= 2:
             for cert in cycles_of_length(self.g, k):
                 yield cert.mask()
             return
-        by_min = self._by_min
+        by_min = self._levels
         for s in range(self.g.n - 2):
             if s == len(by_min):
-                by_min.append(_cycle_sets_from(self.g, s, self.c))
-            yield from by_min[s].get(k, ())
+                by_min.append(_cycle_levels(self.g, s, self.c))
+            if k < len(by_min[s]):
+                yield from _closing_sets(self.g, by_min[s], k)
 
     def first_cycle(self, k: int, test: Callable[[LongestCycles, int], bool]) -> CycleCert | None:
         """The first k-cycle in ``cycles_of_length`` order whose off-cycle
@@ -669,7 +662,7 @@ class LongestCycles:
         That order puts the smaller minimum vertex first, so the sets are
         tested by minimum vertex and none is tested past the first minimum
         that has a passing set; the witness is searched for among that
-        minimum's passing sets.
+        minimum's passing sets, in that minimum's DP levels.
         """
         g, full = self.g, self.g.full_mask
         if k == self.c:
@@ -689,7 +682,8 @@ class LongestCycles:
         if k <= 2:
             cert = CycleCert(tuple(bits(passing[0])))
         else:
-            cert = CycleCert(_first_cycle_on(g, k, passing))
+            s = (passing[0] & -passing[0]).bit_length() - 1
+            cert = CycleCert(_first_cycle_in(g, self._levels[s], k, passing))
         cert.validate(g)
         return cert
 

@@ -177,7 +177,6 @@ def _bound_slack(spec: TheoremSpec, pf: Profile) -> int | Fraction | None:
 def sweep(
     graphs: Iterator[Graph] | Sequence[Graph],
     specs: Sequence[TheoremSpec] | None = None,
-    assume: Sequence[str] = (),
     include_quarantined: bool = False,
     keep_records: bool = True,
 ) -> SweepReport:
@@ -194,7 +193,7 @@ def sweep(
         pf = Profile(g)
         for spec, tally, has_slack in plan:
             t0 = time.perf_counter()
-            v = check(pf, spec, assume)
+            v = check(pf, spec)
             dt = time.perf_counter() - t0
             kind = v.kind
             tally.graphs += 1

@@ -13,9 +13,11 @@ from cyclekit.cycles import (
     CycleCert,
     LongestCycles,
     UpperCert,
-    _circumference_dp,
+    _closing_sets,
     _cycle_bound,
+    _cycle_levels,
     _cycle_search,
+    _first_cycle_in,
     _longest_cycle,
     _path_search,
     all_longest_cycles,
@@ -273,7 +275,7 @@ def test_budget_sized_by_order_keeps_the_exhaustive_witness(monkeypatch):
         for g in seeded_gnp(n, p, 6, 500 + n + int(100 * p))
     ]
     dp_calls = []
-    for name in ("_circumference_dp", "_path_dp"):
+    for name in ("_cycle_levels", "_path_dp"):
         dp = getattr(cycles, name)
         monkeypatch.setattr(cycles, name, lambda *a, dp=dp: dp_calls.append(a[0]) or dp(*a))
 
@@ -322,7 +324,7 @@ def test_budget_schedule_follows_the_dp_cost(monkeypatch):
     # A cycle search past its budget asks for its cuts, and then for the DP
     # unless a cut's bound meets the cycle it holds.
     dp_calls = []
-    for name in ("_circumference_dp", "_path_dp", "_default_cuts"):
+    for name in ("_cycle_levels", "_path_dp", "_default_cuts"):
         dp = getattr(cycles, name)
         monkeypatch.setattr(cycles, name, lambda *a, dp=dp: dp_calls.append(a[0]) or dp(*a))
     # The floor lets a search of a few dozen nodes end without the DP.
@@ -355,8 +357,22 @@ def test_budget_schedule_follows_the_dp_cost(monkeypatch):
 
 
 def test_subset_dp_circumference_vs_oracles():
+    # c is the highest level, over every minimum vertex, with a closing set
+    # (an edge closes at level 2; a bare vertex keeps c = 1).  From 3 up, the
+    # witness finder on a level's closing sets gives the first listed cycle
+    # of that length and minimum vertex.
     for g in mixed_corpus(seed=61, per_cell=6, ns=range(1, 10)):
-        c = _circumference_dp(g, 2 if g.q else 1, g.n)
+        c = 1
+        for s in range(g.n):
+            levels = _cycle_levels(g, s, g.n)
+            for k in range(2, len(levels)):
+                sets = _closing_sets(g, levels, k)
+                if sets:
+                    c = max(c, k)
+                if k >= 3:
+                    first = next((cert.vertices for cert in cycles_of_length(g, k)
+                                  if cert.vertices[0] == s), None)
+                    assert (_first_cycle_in(g, levels, k, sets) if sets else None) == first, (g, s, k)
         assert c == naive_circumference(g), g
         assert (c == g.n) == hamiltonian_dp_oracle(g), g
 
@@ -368,6 +384,8 @@ def test_frozen_witnesses_past_the_budget():
         (build("Gn", n=15, delta=5), (0, 7, 1, 8, 3, 9, 4, 10, 5, 11, 2, 14, 13, 12)),
         (build("H", a=1, b=2, t=5, k=4), (0, 5, 1, 6, 2, 7, 10, 11, 8, 3, 9)),
         (build("tKa-join-Kb", t=3, a=4, b=2), (0, 1, 2, 3, 12, 4, 5, 6, 7, 13)),
+        (build("Gn", n=17, delta=6), (0, 8, 1, 9, 3, 10, 4, 11, 5, 12, 6, 13, 2, 16, 15, 14)),
+        (build("Gstar", n=17), (0, 8, 1, 9, 3, 10, 4, 11, 5, 12, 6, 13, 2, 16, 15, 14)),
     ]
     for g, witness in cases:
         c, cert = circumference(g)
@@ -421,7 +439,7 @@ def test_a_certificate_that_meets_the_search_skips_the_dp(monkeypatch):
     def no_dp(*args):
         raise AssertionError("the subset DP ran")
 
-    monkeypatch.setattr(cycles, "_circumference_dp", no_dp)
+    monkeypatch.setattr(cycles, "_cycle_levels", no_dp)
     assert [_longest_cycle(g) for g in cases] == want
     with pytest.raises(AssertionError):
         _longest_cycle(cases[0], cuts=lambda: ())

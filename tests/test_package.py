@@ -7,6 +7,7 @@ tests run in fresh interpreters, since what a process has imported
 depends on everything it imported before.
 """
 
+import ast
 import json
 import os
 import re
@@ -114,6 +115,19 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["check"])
 print(json.dumps([code, callable(cyclekit.catalog)]))
 """) == [0, True]
+
+
+def test_no_private_name_is_imported_across_modules():
+    """A module imports only public names from its siblings.  The one
+    exception is ``registry``'s ``_longest_cycle``, which the benchmark's
+    tracer patches there under that name."""
+    imported = set()
+    for path in sorted(Path(SRC, "cyclekit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imported |= {(path.stem, alias.name) for alias in node.names
+                             if alias.name.startswith("_")}
+    assert imported == {("registry", "_longest_cycle")}
 
 
 # -- modules each process loads ------------------------------------------------

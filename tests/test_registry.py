@@ -227,7 +227,8 @@ def test_longest_cycle_answers_match_naive_loops_up_to_14_vertices():
         listed = functools.cache(lambda length, g=g: list(cycles_of_length(g, length)))
         for prop, lam in props:
             fixed = (lambda pf, _lam, lam=lam: lam) if lam else None
-            test = naive_test(g, prop, lam)
+            # one answer per listed cycle, shared by both loops
+            test = functools.cache(naive_test(g, prop, lam))
             out = EveryLongestProp(prop, fixed).check(pf, None)
             assert (out.ok, out.witness) == naive_every(g, c, listed, test), (g, prop, lam)
             out = ExistsProp(prop, fixed).check(pf, None)
