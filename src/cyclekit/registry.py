@@ -13,7 +13,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Sequence
 
 from .cycles import (
@@ -64,6 +64,12 @@ ASSERTABLE_CLASSES = {
 }
 
 
+@cache
+def _pattern_alpha(h: Graph) -> int:
+    """alpha of a forbidden pattern, computed once per process on first use."""
+    return independence_number(h)[0]
+
+
 class Profile:
     """Lazily computed invariant bundle for one graph.
 
@@ -76,9 +82,15 @@ class Profile:
         self._free: dict[Graph, bool] = {}
 
     def is_free_of(self, h: Graph) -> bool:
-        """G has no induced h; each distinct pattern is searched at most once."""
+        """G has no induced h; each distinct pattern is searched at most once.
+
+        No search is made when alpha(G) < alpha(h): an induced copy of h
+        would carry an independent set of alpha(h) vertices into G, so the
+        bound alone proves G h-free.
+        """
         if h not in self._free:
-            self._free[h] = contains_induced(self.g, h) is None
+            self._free[h] = (self.alpha < _pattern_alpha(h)
+                             or contains_induced(self.g, h) is None)
         return self._free[h]
 
     @cached_property

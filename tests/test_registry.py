@@ -22,6 +22,7 @@ from cyclekit.exact import INF
 from cyclekit.families import build
 from cyclekit.formats import encode_graph6
 from cyclekit.graph import (
+    complement,
     complete,
     complete_bipartite,
     cycle_graph,
@@ -30,6 +31,7 @@ from cyclekit.graph import (
     path_graph,
     petersen,
     power,
+    star,
 )
 from cyclekit.registry import (
     EveryLongestProp,
@@ -42,8 +44,9 @@ from cyclekit.registry import (
     invariant_report,
 )
 from cyclekit.invariants import cut_scan
-from cyclekit.structure import claw, contains_induced
+from cyclekit.structure import claw, contains_induced, net
 from conftest import listable_corpus, mixed_corpus, oracle_corpus, seeded_gnp
+from oracles import contains_induced as backtracking_contains_induced
 from oracles import cut_scan as exhaustive_cut_scan
 from test_invariants import naive_kappa
 
@@ -172,12 +175,14 @@ def test_one_full_graph_longest_cycle_search_per_check_all(monkeypatch):
 # -- the shared longest-cycle cache against naive loops ---------------------
 
 
-def naive_test(g, prop, lam):
+def naive_test(g, prop, lam, residual):
+    """One cycle's answer.  PD and CD are read from the cycle's residual
+    (p_bar, c_bar): PD is p_bar < lam, CD is c_bar < lam, and both hold
+    when the cycle spans G."""
     if prop == "dominating":
         return lambda cert: is_dominating_cycle(g, cert)
-    if prop == "PD":
-        return lambda cert: is_PD_cycle(g, cert, lam)
-    return lambda cert: is_CD_cycle(g, cert, lam)
+    i = 0 if prop == "PD" else 1
+    return lambda cert: residual(cert)[i] is None or residual(cert)[i] < lam
 
 
 def naive_every(g, c, listed, test):
@@ -223,20 +228,36 @@ def test_longest_cycle_answers_match_naive_loops_up_to_14_vertices():
             continue
         c, witness = circumference(g)
         pf = Profile(g)  # one Profile, so every question below shares its cache
-        # Each length's cycles, listed once for all nine properties.
+        # Each length's cycles, listed once for all nine properties.  A listed
+        # cycle's residual (p_bar, c_bar) is that of G minus its vertex set,
+        # computed once per vertex set for every property, lambda and bound
+        # that asks about it, and kept with the first cycle that asked.
         listed = functools.cache(lambda length, g=g: list(cycles_of_length(g, length)))
+        residuals = {}
+
+        def residual(cert, g=g, residuals=residuals):
+            key = frozenset(cert.vertices)
+            if key not in residuals:
+                residuals[key] = cert, residual_params(g, cert)
+            return residuals[key][1]
+
         for prop, lam in props:
             fixed = (lambda pf, _lam, lam=lam: lam) if lam else None
-            # one answer per listed cycle, shared by both loops
-            test = functools.cache(naive_test(g, prop, lam))
+            test = naive_test(g, prop, lam, residual)
             out = EveryLongestProp(prop, fixed).check(pf, None)
             assert (out.ok, out.witness) == naive_every(g, c, listed, test), (g, prop, lam)
             out = ExistsProp(prop, fixed).check(pf, None)
             want = naive_exists(g, c, witness, listed, test)
             assert (out.ok, out.witness) == (want is not None, want), (g, prop, lam)
+        if g in named:
+            # the residual reading of PD and CD is the oracles' own answer
+            for cert, _ in residuals.values():
+                for lam in range(1, 5):
+                    assert is_PD_cycle(g, cert, lam) == naive_test(g, "PD", lam, residual)(cert)
+                    assert is_CD_cycle(g, cert, lam) == naive_test(g, "CD", lam, residual)(cert)
         # The longest cycles and their residual parameters, listed once for
         # every (lambda, bound) pair; none when a hamiltonian cycle leaves nothing.
-        longest = [] if c == g.n else [(cert, *residual_params(g, cert)) for cert in listed(c)]
+        longest = [] if c == g.n else [(cert, *residual(cert)) for cert in listed(c)]
         ref = Profile(g)
         for lam in range(1, 5):
             for label, bound in RESIDUAL_BOUNDS.items():
@@ -324,6 +345,51 @@ def test_check_all_searches_each_pattern_once_per_profile(monkeypatch):
     assert got == [json.loads(line) for line in frozen.read_text().splitlines()]
     patterns = {h for spec in catalog() for prem in spec.premises for h in prem.patterns}
     assert len(searches) == len(set(searches)) and set(searches) == patterns
+
+
+def test_is_free_of_agrees_with_the_induced_searches():
+    # alpha(G) < alpha(h) settles a pattern without a search; every answer,
+    # settled or searched, must be both searches' own.
+    patterns = {h for spec in catalog() for prem in spec.premises for h in prem.patterns}
+    patterns |= {star(4), cycle_graph(5), complete(4), path_graph(4)}
+    alphas = {h: invariants.independence_number(h)[0] for h in patterns}
+    graphs = oracle_corpus() + [g for n in range(7, 15) for p in (0.5, 0.7, 0.85)
+                                for g in seeded_gnp(n, p, 4, 1900 + 97 * n + int(100 * p))]
+    settled = searched = 0
+    for g in graphs:
+        pf = Profile(g)
+        for h in patterns:
+            free = contains_induced(g, h) is None
+            assert free == (backtracking_contains_induced(g, h) is None), (g, h)
+            assert pf.is_free_of(h) == free, (g, h)
+            if pf.alpha < alphas[h]:
+                settled += 1
+            else:
+                searched += 1
+    assert settled and searched
+
+
+def test_check_all_searches_no_pattern_of_larger_alpha(monkeypatch):
+    # The complement of C_7 and K_8 minus a perfect matching have alpha = 2
+    # and kappa >= 2, so check_all asks about every forbidden pattern but
+    # N_{0,0,3} (its theorem needs n >= 10), and those of alpha 3 (the claw,
+    # P_6 and the nets) need no search.
+    asked, searches = [], []
+    is_free_of = Profile.is_free_of
+    monkeypatch.setattr(Profile, "is_free_of", lambda pf, h: asked.append(h) or is_free_of(pf, h))
+    monkeypatch.setattr(registry, "contains_induced",
+                        lambda g, h: searches.append(h) or contains_induced(g, h))
+    patterns = {h for spec in catalog() for prem in spec.premises for h in prem.patterns}
+    alpha3 = {h for h in patterns if invariants.independence_number(h)[0] == 3}
+    assert claw() in alpha3 and len(alpha3) == 5
+    for g in (complement(cycle_graph(7)), complement(disjoint_union([complete(2)] * 4))):
+        pf = Profile(g)
+        assert pf.alpha == 2 and pf.kappa >= 2
+        asked.clear()
+        searches.clear()
+        check_all(g)
+        assert alpha3 - {net(0, 0, 3)} <= set(asked), g
+        assert not alpha3 & set(searches), g
 
 
 def test_profile_tau_reuses_its_kappa_and_alpha(monkeypatch):
