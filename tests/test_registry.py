@@ -182,7 +182,7 @@ def naive_test(g, prop, lam, residual):
     if prop == "dominating":
         return lambda cert: is_dominating_cycle(g, cert)
     i = 0 if prop == "PD" else 1
-    return lambda cert: residual(cert)[i] is None or residual(cert)[i] < lam
+    return lambda cert: (r := residual(cert)[i]) is None or r < lam
 
 
 def naive_every(g, c, listed, test):
@@ -253,8 +253,9 @@ def test_longest_cycle_answers_match_naive_loops_up_to_14_vertices():
             # the residual reading of PD and CD is the oracles' own answer
             for cert, _ in residuals.values():
                 for lam in range(1, 5):
-                    assert is_PD_cycle(g, cert, lam) == naive_test(g, "PD", lam, residual)(cert)
-                    assert is_CD_cycle(g, cert, lam) == naive_test(g, "CD", lam, residual)(cert)
+                    for prop, oracle in (("PD", is_PD_cycle), ("CD", is_CD_cycle)):
+                        want = oracle(g, cert, lam)
+                        assert naive_test(g, prop, lam, residual)(cert) == want, (g, cert, prop, lam)
         # The longest cycles and their residual parameters, listed once for
         # every (lambda, bound) pair; none when a hamiltonian cycle leaves nothing.
         longest = [] if c == g.n else [(cert, *residual(cert)) for cert in listed(c)]
