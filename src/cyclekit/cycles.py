@@ -9,20 +9,21 @@ search has spent its node budget, a separator certificate (``UpperCert``:
 a vertex set whose removal leaves too few large components) ends it if its
 bound meets the cycle found so far.  Otherwise, on a graph of at most
 ``DP_MAX_VERTICES`` vertices, one subset DP (Bellman; Held and Karp, 1962)
-takes over: ``_cycle_levels`` keeps every level of paths from one minimum
-vertex, capped at the certificate's bound, and ``_first_cycle_in`` grows
-the first optimum in DFS order from them, the witness the exhaustive
-search returns.  The budget follows the DP's cost, which doubles per
-vertex (``_search_budget``): ``SEARCH_BUDGET`` nodes at 14 and 15
-vertices, doubled per vertex above 15 and halved per vertex below 14,
-down to a floor at 9 vertices.  The path search gets four times that
-above 15 vertices (``_path_budget``), as its DP costs more.
+takes over, for cycles and paths alike: ``_path_levels`` keeps every level
+of paths from a set of starts (one minimum vertex for cycles, capped at the
+certificate's bound; every vertex for paths), and ``_first_in`` grows the
+first optimum in DFS order from them, the witness the exhaustive search
+returns.  The budget follows the DP's cost, which doubles per vertex
+(``_search_budget``): ``SEARCH_BUDGET`` nodes at 14 and 15 vertices,
+doubled per vertex above 15 and halved per vertex below 14, down to a
+floor at 9 vertices.  The path search gets four times that above 15
+vertices (``_path_budget``), as its DP, from every start, costs more.
 ``LongestCycles`` keeps one graph's longest-cycle answers so that every
 universal, existence and residual question reuses them.  Those questions
 depend only on the vertex set a cycle leaves off, so they are answered
 from the closing sets of the same levels, built once per minimum vertex,
-and no cycle is listed: ``_first_cycle_in`` finds the witness among the
-sets that qualify.
+and no cycle is listed: ``_first_in`` finds the witness among the sets
+that qualify.
 
 Length conventions: a single vertex counts as a cycle of length 1 and an
 edge as a cycle of length 2, so the circumference of a nonempty graph is
@@ -260,17 +261,20 @@ def _next_level(rows: tuple[int, ...], level: dict[int, int], allowed: int) -> d
     return nxt
 
 
-def _cycle_levels(g: Graph, s: int, cap: int) -> list[dict[int, int]]:
-    """Every level of the subset DP from minimum vertex s, up to ``cap``.
+def _path_levels(g: Graph, starts: int, cap: int) -> list[dict[int, int]]:
+    """Every level of the subset DP from the vertex set ``starts``, up to
+    ``cap`` vertices.
 
-    ``levels[k]`` maps the vertex set of every k-vertex path from s through
-    larger vertices to the bitset of its far ends (``levels[0]`` is empty).
-    Its closing sets, the keys whose ends meet N(s), are the vertex sets of
+    ``levels[k]`` maps the vertex set of every k-vertex path that starts in
+    ``starts`` and runs through vertices no lower than its least start to
+    the bitset of its far ends (``levels[0]`` is empty).  From one vertex s,
+    the closing sets, the keys whose ends meet N(s), are the vertex sets of
     the k-cycles whose minimum vertex is s, each once (k = 2 is an edge).
+    From every vertex, a key's ends are the ends of its set's Hamilton paths.
     """
-    level = {1 << s: 1 << s}
+    level = {1 << v: 1 << v for v in bits(starts)}
     levels = [{}, level]
-    allowed = g.full_mask >> s << s
+    allowed = g.full_mask & -(starts & -starts)
     while len(levels) <= cap:
         level = _next_level(g.rows, level, allowed)
         if not level:
@@ -286,25 +290,29 @@ def _closing_sets(g: Graph, levels: list[dict[int, int]], k: int) -> list[int]:
     return [m for m, ends in levels[k].items() if ends & srow]
 
 
-def _first_cycle_in(
-    g: Graph, levels: list[dict[int, int]], k: int, sets: list[int]
+def _first_in(
+    g: Graph, levels: list[dict[int, int]], k: int, live: list[int], start: int, closed: bool
 ) -> tuple[int, ...]:
-    """The first k-cycle (k >= 3) in ``cycles_of_length`` order whose vertex
-    set is one of ``sets``: closing sets of ``levels``, the DP from their
-    minimum vertex s.
+    """The lexicographically least k-vertex path from ``start`` whose vertex
+    set is one of ``live``, keys of level k of ``levels``; with ``closed``,
+    the least k-cycle (k >= 3) through minimum vertex ``start``, the first in
+    ``cycles_of_length`` order, ``live`` then being closing sets of the DP
+    from ``start``.
 
-    The path grows from s by the least neighbour u after which some live
-    set T still completes: with i vertices placed (``used``), the rest of
-    the cycle is a path from s to u through exactly (T - used) + {s}, one
-    lookup in level k - i + 1.  The lexicographically least sequence is
-    in canonical direction, since its reverse has the larger second vertex.
+    The path grows by the least neighbour u after which some live set T
+    still completes: with i vertices placed (``used``), the rest is a path
+    ending at u through exactly T - used, one lookup in level k - i, or for
+    a cycle a path from s to u through (T - used) + {s}, in level k - i + 1.
+    The least cycle sequence is in canonical direction, since its reverse
+    has the larger second vertex.
     """
     rows = g.rows
-    sbit = sets[0] & -sets[0]
-    path = [sbit.bit_length() - 1]
-    used, live = sbit, sets
+    sbit = 1 << start
+    back = sbit if closed else 0
+    path = [start]
+    used = sbit
     for i in range(1, k):
-        level = levels[k - i + 1]
+        level = levels[k - i + closed]
         union = 0
         for t in live:
             union |= t
@@ -312,7 +320,7 @@ def _first_cycle_in(
         while cand:
             ubit = cand & -cand
             cand ^= ubit
-            nxt = [t for t in live if t & ubit and level.get((t & ~used) | sbit, 0) & ubit]
+            nxt = [t for t in live if t & ubit and level.get((t & ~used) | back, 0) & ubit]
             if nxt:
                 break
         path.append(ubit.bit_length() - 1)
@@ -373,15 +381,16 @@ def _dp_cycle(g: Graph, floor: int, cap: int) -> list[int] | None:
     for s in range(n):
         if n - s <= best or best >= cap:
             break
-        levels = _cycle_levels(g, s, cap)
+        levels = _path_levels(g, 1 << s, cap)
         for k in range(len(levels) - 1, best, -1):
             sets = _closing_sets(g, levels, k)
             if sets:
-                best, first = k, (levels, sets)
+                best, first = k, (levels, sets, s)
                 break
     if first is None:
         return None
-    return list(_first_cycle_in(g, first[0], best, first[1]))
+    levels, sets, s = first
+    return list(_first_in(g, levels, best, sets, s, True))
 
 
 def _longest_cycle(
@@ -465,11 +474,9 @@ def hamiltonian(g: Graph) -> CycleCert | None:
 # -- longest path ---------------------------------------------------------
 
 
-def _path_search(
-    g: Graph, starts: Iterable[int], best: int, budget: int | None = None
-) -> Iterator[list[int] | None]:
-    """Paths longer than ``best`` edges, each longer than the last, by DFS
-    from each start in turn.
+def _path_search(g: Graph, budget: int | None = None) -> Iterator[list[int] | None]:
+    """Paths of at least one edge, each longer than the last, by DFS from
+    each vertex in turn.
 
     A branch is cut once the vertices it can still reach cannot beat the
     longest path so far.  With a budget, None comes out once the search
@@ -478,6 +485,7 @@ def _path_search(
     n, rows, reach = g.n, g.rows, g.reach_mask
     full = (1 << n) - 1
     buf = [0] * n
+    best = 0
     left = _node_countdown(budget)
 
     def dfs(v: int, visited: int, length: int) -> Iterator[list[int] | None]:
@@ -499,29 +507,9 @@ def _path_search(
             buf[length + 1] = u
             yield from dfs(u, visited | ubit, length + 1)
 
-    for s in starts:
+    for s in range(n):
         buf[0] = s
         yield from dfs(s, 1 << s, 0)
-
-
-def _path_dp(g: Graph) -> tuple[int, int]:
-    """(p, ends): the longest path length in edges and the bitset of the
-    vertices that end some path of that length.
-
-    Level k maps the vertex set of every k-vertex path to the bitset of
-    its ends; the last nonempty level holds the longest paths.
-    """
-    level = {1 << v: 1 << v for v in range(g.n)}
-    p = 0
-    while True:
-        nxt = _next_level(g.rows, level, g.full_mask)
-        if not nxt:
-            ends = 0
-            for e in level.values():
-                ends |= e
-            return p, ends
-        level = nxt
-        p += 1
 
 
 def longest_path(g: Graph) -> tuple[int, PathCert]:
@@ -529,19 +517,23 @@ def longest_path(g: Graph) -> tuple[int, PathCert]:
 
     The witness is the first longest path in DFS order over the starts.
     When the search spends its budget on a graph the DP reaches, the DP
-    gives the length p and the first vertex s that ends a p-path, which
-    is the first start of one; a new search from s that beats p - 1 edges
-    returns its first p-path, since that floor cuts no branch holding one.
+    levels from every vertex give the vertex sets of the longest paths,
+    and ``_first_in`` grows the lexicographically least one from s, the
+    least vertex that ends one.  That is the search's witness: while its
+    best is below p edges, the search cuts no branch holding a p-edge path,
+    so its first p-path is the least such vertex sequence.
     """
     n = g.n
     if n == 0:
         raise GraphError("longest path needs at least one vertex")
     best_path = [0]
-    for path in _path_search(g, range(n), 0, _path_budget(n)):
+    for path in _path_search(g, _path_budget(n)):
         if path is None:
-            p, ends = _path_dp(g)
-            s = (ends & -ends).bit_length() - 1
-            best_path = next(_path_search(g, (s,), p - 1))
+            levels = _path_levels(g, g.full_mask, n)
+            top = levels[-1]
+            sbit = min(ends & -ends for ends in top.values())
+            live = [t for t, ends in top.items() if ends & sbit]
+            best_path = _first_in(g, levels, len(levels) - 1, live, sbit.bit_length() - 1, False)
             break
         best_path = path
         if len(path) == n:
@@ -619,11 +611,11 @@ class LongestCycles:
 
     Holds the circumference c and its witness path (the first longest
     cycle in ``cycles_of_length`` order), the DP levels up to c from each
-    minimum vertex (``_cycle_levels``, run once, when a question first
+    minimum vertex (``_path_levels``, run once, when a question first
     reaches that vertex, and kept for every length), and p̄ and c̄ for every
     off-cycle set asked about.  Dominating, PD, CD and the residual bounds
     are properties of the set a cycle leaves off, so ``first_cycle`` tests
-    the levels' closing sets, not cycles, and ``_first_cycle_in`` finds the
+    the levels' closing sets, not cycles, and ``_first_in`` finds the
     witness among the sets that pass.  Nothing is listed on a hamiltonian
     graph, where every question is settled by c = n.  ``registry.Profile``
     holds one; the public functions below take one in place of a graph.
@@ -651,7 +643,7 @@ class LongestCycles:
         by_min = self._levels
         for s in range(self.g.n - 2):
             if s == len(by_min):
-                by_min.append(_cycle_levels(self.g, s, self.c))
+                by_min.append(_path_levels(self.g, 1 << s, self.c))
             if k < len(by_min[s]):
                 yield from _closing_sets(self.g, by_min[s], k)
 
@@ -683,7 +675,7 @@ class LongestCycles:
             cert = CycleCert(tuple(bits(passing[0])))
         else:
             s = (passing[0] & -passing[0]).bit_length() - 1
-            cert = CycleCert(_first_cycle_in(g, self._levels[s], k, passing))
+            cert = CycleCert(_first_in(g, self._levels[s], k, passing, s, True))
         cert.validate(g)
         return cert
 

@@ -64,6 +64,16 @@ def test_solve_every_longest():
     assert code == 0 and "every longest cycle is dominating" in out
 
 
+def test_solve_longest_path_past_the_budget():
+    # G*_17's path search outruns its budget; the path DP gives the witness.
+    _, g6, _ = run(["construct", "Gstar", "--n", "17"])
+    code, out, _ = run(["solve", "longest-path", "--json"], stdin=g6)
+    rec = json.loads(out)
+    assert code == 0
+    assert rec["longestPath"] == 16
+    assert rec["path"] == "0 8 1 15 14 16 2 9 3 10 4 11 5 12 6 13 7"
+
+
 def test_free_patterns():
     _, g6, _ = run(["construct", "petersen"])
     code, out, _ = run(["free", "--patterns", "K3,claw"], stdin=g6)

@@ -1,6 +1,7 @@
 """Cycle solvers: certificates, degenerate conventions, oracles."""
 
 import random
+from itertools import permutations
 
 import networkx as nx
 import pytest
@@ -15,10 +16,10 @@ from cyclekit.cycles import (
     UpperCert,
     _closing_sets,
     _cycle_bound,
-    _cycle_levels,
     _cycle_search,
-    _first_cycle_in,
+    _first_in,
     _longest_cycle,
+    _path_levels,
     _path_search,
     all_longest_cycles,
     circumference,
@@ -35,6 +36,7 @@ from cyclekit.cycles import (
 from cyclekit.families import build
 from cyclekit.graph import (
     Graph,
+    bits,
     complete,
     complete_bipartite,
     cycle_graph,
@@ -275,9 +277,8 @@ def test_budget_sized_by_order_keeps_the_exhaustive_witness(monkeypatch):
         for g in seeded_gnp(n, p, 6, 500 + n + int(100 * p))
     ]
     dp_calls = []
-    for name in ("_cycle_levels", "_path_dp"):
-        dp = getattr(cycles, name)
-        monkeypatch.setattr(cycles, name, lambda *a, dp=dp: dp_calls.append(a[0]) or dp(*a))
+    dp = cycles._path_levels
+    monkeypatch.setattr(cycles, "_path_levels", lambda *a: dp_calls.append(a[0]) or dp(*a))
 
     def answers():
         return [
@@ -299,9 +300,9 @@ def test_search_budget_is_never_below_one(monkeypatch):
         with pytest.raises(ValueError):
             next(_cycle_search(g, 2, g.n, budget))
         with pytest.raises(ValueError):
-            next(_path_search(g, range(g.n), 0, budget))
+            next(_path_search(g, budget))
     assert next(_cycle_search(g, 2, g.n, 1)) is None
-    assert next(_path_search(g, range(g.n), 0, 1)) is None
+    assert next(_path_search(g, 1)) is None
     # test_subset_dp_finishes_with_the_exhaustive_witness sends every graph
     # of up to 14 vertices to the DP with SEARCH_BUDGET = 1, which every
     # order up to 15 keeps as 1; above 15 it doubles per vertex, as before.
@@ -324,7 +325,7 @@ def test_budget_schedule_follows_the_dp_cost(monkeypatch):
     # A cycle search past its budget asks for its cuts, and then for the DP
     # unless a cut's bound meets the cycle it holds.
     dp_calls = []
-    for name in ("_cycle_levels", "_path_dp", "_default_cuts"):
+    for name in ("_path_levels", "_default_cuts"):
         dp = getattr(cycles, name)
         monkeypatch.setattr(cycles, name, lambda *a, dp=dp: dp_calls.append(a[0]) or dp(*a))
     # The floor lets a search of a few dozen nodes end without the DP.
@@ -364,7 +365,7 @@ def test_subset_dp_circumference_vs_oracles():
     for g in mixed_corpus(seed=61, per_cell=6, ns=range(1, 10)):
         c = 1
         for s in range(g.n):
-            levels = _cycle_levels(g, s, g.n)
+            levels = _path_levels(g, 1 << s, g.n)
             for k in range(2, len(levels)):
                 sets = _closing_sets(g, levels, k)
                 if sets:
@@ -372,9 +373,46 @@ def test_subset_dp_circumference_vs_oracles():
                 if k >= 3:
                     first = next((cert.vertices for cert in cycles_of_length(g, k)
                                   if cert.vertices[0] == s), None)
-                    assert (_first_cycle_in(g, levels, k, sets) if sets else None) == first, (g, s, k)
+                    assert (_first_in(g, levels, k, sets, s, True) if sets else None) == first, (g, s, k)
         assert c == naive_circumference(g), g
         assert (c == g.n) == hamiltonian_dp_oracle(g), g
+
+
+def networkx_longest_path_vertices(nxg) -> int:
+    """Vertices of a longest simple path, from networkx's listing; a Hamilton
+    path ends it early."""
+    n = nxg.number_of_nodes()
+    best = 1
+    for u in nxg:
+        for path in nx.all_simple_paths(nxg, u, set(nxg) - {u}):
+            best = max(best, len(path))
+            if best == n:
+                return n
+    return best
+
+
+def least_path_through(nxg, t: int) -> tuple[int, ...]:
+    """The lexicographically least ordering of the vertex set t that is a
+    path, by trying every ordering in lexicographic order."""
+    adj = {v: set(nxg[v]) for v in bits(t)}
+    return next(p for p in permutations(bits(t)) if all(b in adj[a] for a, b in zip(p, p[1:])))
+
+
+def test_subset_dp_longest_path_vs_oracles():
+    # The DP from every vertex tops out at the longest path, and at every
+    # level the witness finder, given about half of the keys, grows the
+    # least path whose vertex set is one of them from the least vertex that
+    # ends one.
+    rng = random.Random(20)
+    for g in mixed_corpus(ns=range(1, 10)):
+        nxg = to_networkx(g)
+        levels = _path_levels(g, g.full_mask, g.n)
+        assert len(levels) - 1 == networkx_longest_path_vertices(nxg), g
+        for k in range(1, len(levels)):
+            live = [t for t in levels[k] if rng.random() < 0.5] or list(levels[k])
+            sbit = min(levels[k][t] & -levels[k][t] for t in live)
+            want = min(least_path_through(nxg, t) for t in live)
+            assert _first_in(g, levels, k, live, sbit.bit_length() - 1, False) == want, (g, k)
 
 
 def test_frozen_witnesses_past_the_budget():
@@ -393,6 +431,11 @@ def test_frozen_witnesses_past_the_budget():
         assert hamiltonian(g) is None
     length, path = longest_path(complete_bipartite(6, 7))
     assert (length, path.vertices) == (12, (6, 0, 7, 1, 8, 2, 9, 3, 10, 4, 11, 5, 12))
+    # The path searches outrun their budgets too, so the path DP and the
+    # witness finder give these paths.
+    for g in (build("Gn", n=17, delta=6), build("Gstar", n=17)):
+        length, path = longest_path(g)
+        assert (length, path.vertices) == (16, (0, 8, 1, 15, 14, 16, 2, 9, 3, 10, 4, 11, 5, 12, 6, 13, 7))
 
 
 # -- separator certificates -------------------------------------------------
@@ -439,7 +482,7 @@ def test_a_certificate_that_meets_the_search_skips_the_dp(monkeypatch):
     def no_dp(*args):
         raise AssertionError("the subset DP ran")
 
-    monkeypatch.setattr(cycles, "_cycle_levels", no_dp)
+    monkeypatch.setattr(cycles, "_path_levels", no_dp)
     assert [_longest_cycle(g) for g in cases] == want
     with pytest.raises(AssertionError):
         _longest_cycle(cases[0], cuts=lambda: ())
