@@ -1,23 +1,26 @@
 """Exact cycle and path solvers with checkable certificates.
 
-One branch-and-bound DFS, ``_cycle_search``, answers every cycle question:
-the longest-cycle solvers let its length floor rise, and
-``cycles_of_length`` pins the floor to list every cycle of one length.
+One branch-and-bound DFS, ``_cycle_search``, answers every cycle question
+and, through a cone, every path question: the longest-cycle solvers let
+its length floor rise, and ``cycles_of_length`` pins the floor to list
+every cycle of one length.
 An O(n + q) block/bipartite bound, ``_cycle_bound``, ends the longest-cycle
 search as soon as it finds a cycle that long.  Once the longest-cycle
 search has spent its node budget, a separator certificate (``UpperCert``:
 a vertex set whose removal leaves too few large components) ends it if its
 bound meets the cycle found so far.  Otherwise, on a graph of at most
-``DP_MAX_VERTICES`` vertices, one subset DP (Bellman; Held and Karp, 1962)
-takes over, for cycles and paths alike: ``_path_levels`` keeps every level
-of paths from a set of starts (one minimum vertex for cycles, capped at the
-certificate's bound; every vertex for paths), and ``_first_in`` grows the
+``DP_MAX_VERTICES`` vertices, a subset DP (Bellman; Held and Karp, 1962)
+takes over: ``_path_levels`` keeps every level of paths from one minimum
+vertex, capped at the certificate's bound, and ``_first_in`` grows the
 first optimum in DFS order from them, the witness the exhaustive search
 returns.  The budget follows the DP's cost, which doubles per vertex
 (``_search_budget``): ``SEARCH_BUDGET`` nodes at 14 and 15 vertices,
 doubled per vertex above 15 and halved per vertex below 14, down to a
-floor at 9 vertices.  The path search gets four times that above 15
-vertices (``_path_budget``), as its DP, from every start, costs more.
+floor at 9 vertices.  A longest path is a longest cycle too: the longest
+cycles of the cone K_1 + G all pass through its apex, and dropping the
+apex leaves the longest paths of G (``longest_path``); the cone's budget
+is that of G's order, so the DP takes over wherever G has at most
+``DP_MAX_VERTICES`` vertices.
 ``LongestCycles`` keeps one graph's longest-cycle answers so that every
 universal, existence and residual question reuses them.  Those questions
 depend only on the vertex set a cycle leaves off, so they are answered
@@ -49,8 +52,8 @@ class CeilingError(RuntimeError):
 
 ENUMERATION_CEILING = 14
 
-# DFS nodes the longest-cycle and longest-path searches visit on a graph of
-# at most DP_MAX_VERTICES vertices before a subset DP settles the optimum.
+# DFS nodes the longest-cycle search visits on a graph of at most
+# DP_MAX_VERTICES vertices before a subset DP settles the optimum.
 # Counted in nodes, not seconds, so no result depends on machine speed;
 # the witness does not depend on it at all.
 SEARCH_BUDGET = 2000
@@ -74,24 +77,6 @@ def _search_budget(n: int) -> int | None:
         return None
     shift = n - 15 if n >= 15 else max(n, 9) - 14
     return max(1, SEARCH_BUDGET << shift if shift >= 0 else SEARCH_BUDGET >> -shift)
-
-
-def _path_budget(n: int) -> int | None:
-    """The longest-path search's node budget on n vertices: four times
-    ``_search_budget(n)`` above 15 vertices, where the path DP, which grows
-    paths from every start, costs 2 to 4 times the cycle DP, and the same
-    at 15 vertices and below."""
-    budget = _search_budget(n)
-    return budget * 4 if budget is not None and n > 15 else budget
-
-
-def _node_countdown(budget: int | None) -> int:
-    """The node countdown for a search with this budget: -1 for no budget."""
-    if budget is None:
-        return -1
-    if budget < 1:
-        raise ValueError(f"search budget must be >= 1, got {budget}")
-    return budget
 
 
 @dataclass(frozen=True)
@@ -197,22 +182,31 @@ def _cycle_search(
 
     A cycle starts at its minimum vertex s and comes out once, in the
     direction whose second vertex is smaller.  The DFS extends paths from
-    s through larger vertices only and cuts a branch once the vertices it
-    can still reach cannot lead back to s or cannot beat the floor.  Each
-    cycle shorter than the cap raises the floor to its length; with
-    floor = cap - 1 the floor stays put and every cycle of length cap
-    comes out.  Keeping one direction hides no longer cycle: its reverse
-    lies in an earlier branch, which no lower floor cuts.  With a budget,
-    None comes out once the search has visited that many DFS nodes.
+    s, which needs two larger neighbours, through larger vertices only.  A
+    longer cycle goes on through the vertices the path end reaches among
+    the free ones, and back to s from a neighbour of s among them, so a
+    branch is cut once those vertices miss N(s) or are too few to beat the
+    floor.  The flood stays out of s, which on a cone (``longest_path``)
+    would reach every free vertex through the apex.  Each cycle shorter
+    than the cap raises the floor to its length; with floor = cap - 1 the
+    floor stays put and every cycle of length cap comes out.  Keeping one
+    direction hides no longer cycle: its reverse lies in an earlier branch,
+    which no lower floor cuts.  With a budget (at least 1, since a
+    countdown from 0 never reaches 0 again), None comes out once the
+    search has visited that many DFS nodes.
     """
+    if budget is not None and budget < 1:
+        raise ValueError(f"search budget must be >= 1, got {budget}")
     n, rows, reach = g.n, g.rows, g.reach_mask
     path = [0] * n
-    left = _node_countdown(budget)
+    left = -1 if budget is None else budget
     for s in range(n):
         allowed = ((1 << n) - 1) >> s << s
         if allowed.bit_count() <= floor:
             return
-        sbit = 1 << s
+        sbit, srow = 1 << s, rows[s]
+        if (srow & allowed).bit_count() < 2:
+            continue
         path[0] = s
 
         def dfs(v: int, visited: int, length: int) -> Iterator[list[int] | None]:
@@ -227,8 +221,8 @@ def _cycle_search(
             if length == cap:
                 return
             free = allowed & ~visited
-            comp = reach(rows[v], free | sbit)
-            if not comp & sbit or length + comp.bit_count() - 1 <= floor:
+            comp = reach(rows[v], free)
+            if not comp & srow or length + comp.bit_count() <= floor:
                 return
             cand = rows[v] & free
             while cand:
@@ -261,20 +255,18 @@ def _next_level(rows: tuple[int, ...], level: dict[int, int], allowed: int) -> d
     return nxt
 
 
-def _path_levels(g: Graph, starts: int, cap: int) -> list[dict[int, int]]:
-    """Every level of the subset DP from the vertex set ``starts``, up to
-    ``cap`` vertices.
+def _path_levels(g: Graph, s: int, cap: int) -> list[dict[int, int]]:
+    """Every level of the subset DP from vertex s, up to ``cap`` vertices.
 
-    ``levels[k]`` maps the vertex set of every k-vertex path that starts in
-    ``starts`` and runs through vertices no lower than its least start to
-    the bitset of its far ends (``levels[0]`` is empty).  From one vertex s,
-    the closing sets, the keys whose ends meet N(s), are the vertex sets of
-    the k-cycles whose minimum vertex is s, each once (k = 2 is an edge).
-    From every vertex, a key's ends are the ends of its set's Hamilton paths.
+    ``levels[k]`` maps the vertex set of every k-vertex path that starts at
+    s and runs through vertices no lower than s to the bitset of its far
+    ends (``levels[0]`` is empty).  The closing sets, the keys whose ends
+    meet N(s), are the vertex sets of the k-cycles whose minimum vertex is
+    s, each once (k = 2 is an edge).
     """
-    level = {1 << v: 1 << v for v in bits(starts)}
+    level = {1 << s: 1 << s}
     levels = [{}, level]
-    allowed = g.full_mask & -(starts & -starts)
+    allowed = g.full_mask >> s << s
     while len(levels) <= cap:
         level = _next_level(g.rows, level, allowed)
         if not level:
@@ -291,28 +283,25 @@ def _closing_sets(g: Graph, levels: list[dict[int, int]], k: int) -> list[int]:
 
 
 def _first_in(
-    g: Graph, levels: list[dict[int, int]], k: int, live: list[int], start: int, closed: bool
+    g: Graph, levels: list[dict[int, int]], k: int, live: list[int], s: int
 ) -> tuple[int, ...]:
-    """The lexicographically least k-vertex path from ``start`` whose vertex
-    set is one of ``live``, keys of level k of ``levels``; with ``closed``,
-    the least k-cycle (k >= 3) through minimum vertex ``start``, the first in
-    ``cycles_of_length`` order, ``live`` then being closing sets of the DP
-    from ``start``.
+    """The least k-cycle (k >= 2, an edge at 2) through minimum vertex s
+    whose vertex set is one of ``live``, closing sets of level k of
+    ``levels``, the DP from s: the first such cycle in ``cycles_of_length``
+    order.
 
-    The path grows by the least neighbour u after which some live set T
+    The cycle grows by the least neighbour u after which some live set T
     still completes: with i vertices placed (``used``), the rest is a path
-    ending at u through exactly T - used, one lookup in level k - i, or for
-    a cycle a path from s to u through (T - used) + {s}, in level k - i + 1.
-    The least cycle sequence is in canonical direction, since its reverse
-    has the larger second vertex.
+    from s to u through exactly (T - used) + {s}, one lookup in level
+    k - i + 1.  The least cycle sequence is in canonical direction, since
+    its reverse has the larger second vertex.
     """
     rows = g.rows
-    sbit = 1 << start
-    back = sbit if closed else 0
-    path = [start]
+    sbit = 1 << s
+    path = [s]
     used = sbit
     for i in range(1, k):
-        level = levels[k - i + closed]
+        level = levels[k - i + 1]
         union = 0
         for t in live:
             union |= t
@@ -320,7 +309,7 @@ def _first_in(
         while cand:
             ubit = cand & -cand
             cand ^= ubit
-            nxt = [t for t in live if t & ubit and level.get((t & ~used) | back, 0) & ubit]
+            nxt = [t for t in live if t & ubit and level.get((t & ~used) | sbit, 0) & ubit]
             if nxt:
                 break
         path.append(ubit.bit_length() - 1)
@@ -381,7 +370,7 @@ def _dp_cycle(g: Graph, floor: int, cap: int) -> list[int] | None:
     for s in range(n):
         if n - s <= best or best >= cap:
             break
-        levels = _path_levels(g, 1 << s, cap)
+        levels = _path_levels(g, s, cap)
         for k in range(len(levels) - 1, best, -1):
             sets = _closing_sets(g, levels, k)
             if sets:
@@ -390,11 +379,14 @@ def _dp_cycle(g: Graph, floor: int, cap: int) -> list[int] | None:
     if first is None:
         return None
     levels, sets, s = first
-    return list(_first_in(g, levels, best, sets, s, True))
+    return list(_first_in(g, levels, best, sets, s))
 
 
 def _longest_cycle(
-    g: Graph, stop_at: int | None = None, cuts: Callable[[], Iterable[int]] | None = None
+    g: Graph,
+    stop_at: int | None = None,
+    cuts: Callable[[], Iterable[int]] | None = None,
+    order: int | None = None,
 ) -> tuple[int, list[int]]:
     """Branch-and-bound longest cycle under the degenerate conventions.
 
@@ -407,18 +399,21 @@ def _longest_cycle(
     caps the answer.  A cycle that long is the answer at once: the search
     yields the first cycle in DFS order of each length it reaches.
     Otherwise, on a graph the DP reaches, ``_dp_cycle`` gives the first
-    c-cycle in ``cycles_of_length`` order, the same cycle.
+    c-cycle in ``cycles_of_length`` order, the same cycle.  The budget is
+    that of ``order`` vertices, n by default; ``longest_path`` passes G's
+    order for its cone, so the DP reaches every cone of a G it reaches.
     """
     n = g.n
     if n == 0:
         raise GraphError("circumference needs at least one vertex")
-    edges = g.edges()
-    best_path = list(edges[0]) if edges else [0]
+    # The first edge in ``g.edges()`` order, or the bare vertex 0.
+    low = next((v for v in range(n) if g.rows[v] >> v), None)
+    best_path = [0] if low is None else [low, low + bits(g.rows[low] >> low)[0]]
     stop = n if stop_at is None else min(stop_at, n)
     if len(best_path) < stop:
         stop = min(stop, _cycle_bound(g))
     if len(best_path) < stop:
-        for path in _cycle_search(g, 2, n, _search_budget(n)):
+        for path in _cycle_search(g, 2, n, _search_budget(n if order is None else order)):
             if path is None:
                 cut_sets = _default_cuts(g) if cuts is None else cuts()
                 stop = min([stop] + [UpperCert.of(g, cut).bound for cut in cut_sets])
@@ -474,73 +469,38 @@ def hamiltonian(g: Graph) -> CycleCert | None:
 # -- longest path ---------------------------------------------------------
 
 
-def _path_search(g: Graph, budget: int | None = None) -> Iterator[list[int] | None]:
-    """Paths of at least one edge, each longer than the last, by DFS from
-    each vertex in turn.
+def _cone(g: Graph) -> Graph:
+    """K_1 + G: the apex is vertex 0 and G's vertex v is v + 1.
 
-    A branch is cut once the vertices it can still reach cannot beat the
-    longest path so far.  With a budget, None comes out once the search
-    has visited that many DFS nodes.
+    Built past ``Graph``'s checks, which G has passed and which the cone's
+    rows pass too (symmetric, no loops), so a G of ``MAX_VERTICES``
+    vertices has a cone of one more.  Nothing builds a graph of that order
+    from it: only a search past its budget, on a cone of at most
+    ``DP_MAX_VERTICES`` + 1 vertices, goes on to the cuts and the DP.
     """
-    n, rows, reach = g.n, g.rows, g.reach_mask
-    full = (1 << n) - 1
-    buf = [0] * n
-    best = 0
-    left = _node_countdown(budget)
-
-    def dfs(v: int, visited: int, length: int) -> Iterator[list[int] | None]:
-        nonlocal best, left
-        left -= 1
-        if not left:
-            yield None
-        if length > best:
-            best = length
-            yield buf[: length + 1]
-        free = ~visited & full
-        if length + reach(rows[v], free).bit_count() <= best:
-            return
-        cand = rows[v] & free
-        while cand:
-            ubit = cand & -cand
-            cand ^= ubit
-            u = ubit.bit_length() - 1
-            buf[length + 1] = u
-            yield from dfs(u, visited | ubit, length + 1)
-
-    for s in range(n):
-        buf[0] = s
-        yield from dfs(s, 1 << s, 0)
+    cone = object.__new__(Graph)
+    object.__setattr__(cone, "n", g.n + 1)
+    object.__setattr__(cone, "rows", (g.full_mask << 1,) + tuple(row << 1 | 1 for row in g.rows))
+    return cone
 
 
 def longest_path(g: Graph) -> tuple[int, PathCert]:
     """Longest simple path; length in edges (a bare vertex has length 0).
 
-    The witness is the first longest path in DFS order over the starts.
-    When the search spends its budget on a graph the DP reaches, the DP
-    levels from every vertex give the vertex sets of the longest paths,
-    and ``_first_in`` grows the lexicographically least one from s, the
-    least vertex that ends one.  That is the search's witness: while its
-    best is below p edges, the search cuts no branch holding a p-edge path,
-    so its first p-path is the least such vertex sequence.
+    A path of G on k vertices closes through the apex of the cone K_1 + G
+    into a cycle of k + 1, and a cycle of the cone that misses the apex
+    holds a path on as many vertices, so every longest cycle of the cone
+    passes through the apex.  The apex is the least vertex, so the cone's
+    first longest cycle is the apex followed by the lexicographically least
+    longest path of G, shifted by one: that path, the apex dropped, is the
+    witness.  The cone's search is budgeted by G's order.
     """
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         raise GraphError("longest path needs at least one vertex")
-    best_path = [0]
-    for path in _path_search(g, _path_budget(n)):
-        if path is None:
-            levels = _path_levels(g, g.full_mask, n)
-            top = levels[-1]
-            sbit = min(ends & -ends for ends in top.values())
-            live = [t for t, ends in top.items() if ends & sbit]
-            best_path = _first_in(g, levels, len(levels) - 1, live, sbit.bit_length() - 1, False)
-            break
-        best_path = path
-        if len(path) == n:
-            break
-    cert = PathCert(tuple(best_path))
+    _, cycle = _longest_cycle(_cone(g), order=g.n)
+    cert = PathCert(tuple(v - 1 for v in cycle[1:]))
     cert.validate(g)
-    return len(best_path) - 1, cert
+    return cert.edge_length, cert
 
 
 # -- domination predicates ------------------------------------------------
@@ -643,7 +603,7 @@ class LongestCycles:
         by_min = self._levels
         for s in range(self.g.n - 2):
             if s == len(by_min):
-                by_min.append(_path_levels(self.g, 1 << s, self.c))
+                by_min.append(_path_levels(self.g, s, self.c))
             if k < len(by_min[s]):
                 yield from _closing_sets(self.g, by_min[s], k)
 
@@ -675,7 +635,7 @@ class LongestCycles:
             cert = CycleCert(tuple(bits(passing[0])))
         else:
             s = (passing[0] & -passing[0]).bit_length() - 1
-            cert = CycleCert(_first_in(g, self._levels[s], k, passing, s, True))
+            cert = CycleCert(_first_in(g, self._levels[s], k, passing, s))
         cert.validate(g)
         return cert
 

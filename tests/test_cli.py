@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,6 +16,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cyclekit import cli
+from cyclekit.formats import encode_graph6
+from cyclekit.graph import from_edge_list, path_graph
 
 DATA = Path(__file__).parent / "data"
 
@@ -65,13 +68,30 @@ def test_solve_every_longest():
 
 
 def test_solve_longest_path_past_the_budget():
-    # G*_17's path search outruns its budget; the path DP gives the witness.
+    # The search of G*_17's cone outruns its budget; the DP gives the witness.
     _, g6, _ = run(["construct", "Gstar", "--n", "17"])
     code, out, _ = run(["solve", "longest-path", "--json"], stdin=g6)
     rec = json.loads(out)
     assert code == 0
     assert rec["longestPath"] == 16
     assert rec["path"] == "0 8 1 15 14 16 2 9 3 10 4 11 5 12 6 13 7"
+
+
+def test_solve_longest_path_at_the_graph_cap():
+    # A 64-vertex tree plus seven chords: the longest path is the longest
+    # cycle through the apex of its 65-vertex cone, one vertex above the
+    # cap on graphs, which graph6 and the CLI keep at 64.
+    rng = random.Random(6404)
+    edges = [(v, rng.randrange(v)) for v in range(1, 64)]
+    edges += [tuple(rng.sample(range(64), 2)) for _ in range(8)]
+    g6 = encode_graph6(from_edge_list(64, edges))
+    path = "47 28 4 5 6 31 45 10 32 17 20 24 49 12 2 27 55 11 3 1 0 9 37 58"
+    assert run(["solve", "longest-path"], stdin=g6 + "\n") == (
+        0, f"{g6}: longest path has 23 edges: {path}\n", "")
+    assert run(["solve", "longest-path", "--json"], stdin=g6 + "\n") == (
+        0, json.dumps({"graph6": g6, "longestPath": 23, "path": path}) + "\n", "")
+    code, _, err = run(["solve", "longest-path"], stdin=encode_graph6(path_graph(64)) + "\n")
+    assert code == 0 and err == ""
 
 
 def test_free_patterns():

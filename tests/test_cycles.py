@@ -15,12 +15,12 @@ from cyclekit.cycles import (
     LongestCycles,
     UpperCert,
     _closing_sets,
+    _cone,
     _cycle_bound,
     _cycle_search,
     _first_in,
     _longest_cycle,
     _path_levels,
-    _path_search,
     all_longest_cycles,
     circumference,
     cycles_of_length,
@@ -45,6 +45,7 @@ from cyclekit.graph import (
     from_edge_list,
     path_graph,
     petersen,
+    star,
 )
 from conftest import graphs_up_to, listable_corpus, mixed_corpus, oracle_corpus, seeded_gnp, to_networkx
 from oracles import hamiltonian_dp_oracle
@@ -299,10 +300,7 @@ def test_search_budget_is_never_below_one(monkeypatch):
     for budget in (0, -1):
         with pytest.raises(ValueError):
             next(_cycle_search(g, 2, g.n, budget))
-        with pytest.raises(ValueError):
-            next(_path_search(g, budget))
     assert next(_cycle_search(g, 2, g.n, 1)) is None
-    assert next(_path_search(g, 1)) is None
     # test_subset_dp_finishes_with_the_exhaustive_witness sends every graph
     # of up to 14 vertices to the DP with SEARCH_BUDGET = 1, which every
     # order up to 15 keeps as 1; above 15 it doubles per vertex, as before.
@@ -317,11 +315,6 @@ def test_budget_schedule_follows_the_dp_cost(monkeypatch):
     assert budgets[15:] == [2000, 4000, 8000, 16000, 32000, 64000]
     assert cycles._search_budget(21) is None
     assert budgets[:15] == [62] * 10 + [125, 250, 500, 1000, 2000]
-    # The path DP costs more, so the path search runs four times longer
-    # above 15 vertices.
-    path_budgets = [cycles._path_budget(n) for n in range(21)]
-    assert path_budgets == budgets[:16] + [4 * b for b in budgets[16:]]
-    assert cycles._path_budget(21) is None
     # A cycle search past its budget asks for its cuts, and then for the DP
     # unless a cut's bound meets the cycle it holds.
     dp_calls = []
@@ -365,7 +358,7 @@ def test_subset_dp_circumference_vs_oracles():
     for g in mixed_corpus(seed=61, per_cell=6, ns=range(1, 10)):
         c = 1
         for s in range(g.n):
-            levels = _path_levels(g, 1 << s, g.n)
+            levels = _path_levels(g, s, g.n)
             for k in range(2, len(levels)):
                 sets = _closing_sets(g, levels, k)
                 if sets:
@@ -373,7 +366,7 @@ def test_subset_dp_circumference_vs_oracles():
                 if k >= 3:
                     first = next((cert.vertices for cert in cycles_of_length(g, k)
                                   if cert.vertices[0] == s), None)
-                    assert (_first_in(g, levels, k, sets, s, True) if sets else None) == first, (g, s, k)
+                    assert (_first_in(g, levels, k, sets, s) if sets else None) == first, (g, s, k)
         assert c == naive_circumference(g), g
         assert (c == g.n) == hamiltonian_dp_oracle(g), g
 
@@ -399,20 +392,24 @@ def least_path_through(nxg, t: int) -> tuple[int, ...]:
 
 
 def test_subset_dp_longest_path_vs_oracles():
-    # The DP from every vertex tops out at the longest path, and at every
-    # level the witness finder, given about half of the keys, grows the
-    # least path whose vertex set is one of them from the least vertex that
-    # ends one.
+    # On the cone K_1 + G, the DP from the apex tops out one level above the
+    # longest path of G, and at every level the witness finder, given about
+    # half of the closing sets, grows the apex followed by the least path of
+    # G, shifted by one, whose vertex set (the apex dropped) is one of them.
     rng = random.Random(20)
     for g in mixed_corpus(ns=range(1, 10)):
         nxg = to_networkx(g)
-        levels = _path_levels(g, g.full_mask, g.n)
-        assert len(levels) - 1 == networkx_longest_path_vertices(nxg), g
-        for k in range(1, len(levels)):
-            live = [t for t in levels[k] if rng.random() < 0.5] or list(levels[k])
-            sbit = min(levels[k][t] & -levels[k][t] for t in live)
-            want = min(least_path_through(nxg, t) for t in live)
-            assert _first_in(g, levels, k, live, sbit.bit_length() - 1, False) == want, (g, k)
+        cone = _cone(g)
+        levels = _path_levels(cone, 0, cone.n)
+        assert len(levels) - 2 == networkx_longest_path_vertices(nxg), g
+        for k in range(2, len(levels)):
+            sets = _closing_sets(cone, levels, k)
+            assert sets == list(levels[k]), (g, k)
+            live = [t for t in sets if rng.random() < 0.5] or sets
+            want = min(least_path_through(nxg, t >> 1) for t in live)
+            assert _first_in(cone, levels, k, live, 0) == (0, *(v + 1 for v in want)), (g, k)
+        top = _first_in(cone, levels, len(levels) - 1, list(levels[-1]), 0)
+        assert longest_path(g)[1].vertices == tuple(v - 1 for v in top[1:]), g
 
 
 def test_frozen_witnesses_past_the_budget():
@@ -431,11 +428,69 @@ def test_frozen_witnesses_past_the_budget():
         assert hamiltonian(g) is None
     length, path = longest_path(complete_bipartite(6, 7))
     assert (length, path.vertices) == (12, (6, 0, 7, 1, 8, 2, 9, 3, 10, 4, 11, 5, 12))
-    # The path searches outrun their budgets too, so the path DP and the
-    # witness finder give these paths.
+    # The searches of their cones outrun the budgets of 17 vertices too, so
+    # the DP on each cone and the witness finder give these paths.
     for g in (build("Gn", n=17, delta=6), build("Gstar", n=17)):
         length, path = longest_path(g)
         assert (length, path.vertices) == (16, (0, 8, 1, 15, 14, 16, 2, 9, 3, 10, 4, 11, 5, 12, 6, 13, 7))
+
+
+def seeded_tree(n: int, seed: int) -> Graph:
+    """A random recursive tree on n vertices, its labels shuffled."""
+    rng = random.Random(seed)
+    label = list(range(n))
+    rng.shuffle(label)
+    return from_edge_list(n, [(label[v], label[rng.randrange(v)]) for v in range(1, n)])
+
+
+def least_diameter_path(nxt) -> tuple[int, ...]:
+    """The lexicographically least longest path of a tree: the least of the
+    unique paths between two vertices at the diameter's distance."""
+    dist = dict(nx.all_pairs_shortest_path_length(nxt))
+    d = max(max(row.values()) for row in dist.values())
+    return min(tuple(nx.shortest_path(nxt, u, v)) for u in nxt for v in nxt if dist[u][v] == d)
+
+
+def test_longest_path_above_the_dp_cap_and_at_the_graph_cap():
+    # The cone of a 64-vertex graph has 65 vertices, one more than a Graph
+    # may have; above 20 vertices no DP backs the search, so it must end by
+    # its pruning alone.
+    trees = [path_graph(64), star(63), seeded_tree(40, 40), seeded_tree(64, 64)]
+    assert [t.n for t in trees] == [64, 64, 40, 64]
+    for t in trees:
+        nxt = to_networkx(t)
+        assert nx.is_tree(nxt)
+        length, cert = longest_path(t)
+        cert.validate(t)
+        assert length == cert.edge_length == nx.diameter(nxt), t
+        assert cert.vertices == least_diameter_path(nxt), t
+    assert longest_path(star(63))[1].vertices == (1, 0, 2)
+
+
+def test_cycle_search_prunes_inside_the_free_vertices():
+    # Flooding through s would reach every free vertex of a cone through its
+    # apex: the exhaustive search of this cone took 61,138 nodes that way
+    # and takes 495 with the flood kept inside the free vertices.  The
+    # plain cycle search visits 667 nodes here, against 1,340.
+    g = seeded_gnp(22, 0.15, 2, 3022)[0]
+    for h in (g, _cone(g)):
+        assert None not in _cycle_search(h, 2, h.n, 1000), h
+    assert None in _cycle_search(g, 2, g.n, 600)
+
+
+def test_the_cone_is_budgeted_by_the_order_of_g(monkeypatch):
+    # A graph at the DP cap reaches the DP through its cone, one vertex
+    # above the cap, and gets the exhaustive search's witness from it.
+    g = petersen()
+    monkeypatch.setattr(cycles, "DP_MAX_VERTICES", 0)
+    want = longest_path(g)
+    dp_calls = []
+    dp = cycles._path_levels
+    monkeypatch.setattr(cycles, "_path_levels", lambda *a: dp_calls.append(a[0]) or dp(*a))
+    monkeypatch.setattr(cycles, "DP_MAX_VERTICES", g.n)
+    monkeypatch.setattr(cycles, "SEARCH_BUDGET", 1)
+    assert longest_path(g) == want
+    assert dp_calls and {h.n for h in dp_calls} == {g.n + 1}
 
 
 # -- separator certificates -------------------------------------------------
