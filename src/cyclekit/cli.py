@@ -372,12 +372,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="cycle and path solvers with certificates")
     p.add_argument("problem", choices=[
         "hamilton", "circumference", "longest-path", "every-longest", "exists"])
-    p.add_argument("prop", nargs="?", choices=["dominating", "PD", "CD"],
+    # No choices: for the problems that take no property, a lone second
+    # positional is the input file, which main() moves to graphs.
+    p.add_argument("prop", nargs="?", metavar="{dominating,PD,CD}",
                    help="property for every-longest / exists")
     p.add_argument("--lambda", dest="lam", type=_lambda, default=None,
                    help="parameter for PD/CD properties")
     common(p)
-    p.set_defaults(fn=_cmd_solve)
+    p.set_defaults(fn=_cmd_solve, solve_error=p.error)
 
     p = sub.add_parser("free", help="forbidden induced subgraph test")
     p.add_argument("--patterns", required=True,
@@ -434,6 +436,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Run one command and return its exit code; internal errors propagate."""
     parser = _build_parser()
     args = parser.parse_args(argv)
+    props = ("dominating", "PD", "CD")
+    if args.command == "solve" and args.prop is not None and args.prop not in props:
+        if args.problem in ("every-longest", "exists") or args.graphs is not None:
+            args.solve_error(f"argument prop: invalid choice: {args.prop!r} "
+                             f"(choose from {', '.join(map(repr, props))})")
+        args.prop, args.graphs = None, args.prop
     if args.command == "solve" and args.problem in ("every-longest", "exists"):
         if args.prop is None:
             parser.error(f"solve {args.problem} needs a property argument")

@@ -6,16 +6,18 @@ its length floor rise, and ``cycles_of_length`` pins the floor to list
 every cycle of one length.
 An O(n + q) block/bipartite bound, ``_cycle_bound``, ends the longest-cycle
 search as soon as it finds a cycle that long.  Once the longest-cycle
-search has spent its node budget, a separator certificate (``UpperCert``:
-a vertex set whose removal leaves too few large components) ends it if its
-bound meets the cycle found so far.  Otherwise, on a graph of at most
-``DP_MAX_VERTICES`` vertices, a subset DP (Bellman; Held and Karp, 1962)
-takes over: ``_path_levels`` keeps every level of paths from one minimum
-vertex, capped at the certificate's bound, and ``_first_in`` grows the
-first optimum in DFS order from them, the witness the exhaustive search
+search has spent the floor budget, ``_search_budget(0)`` nodes, a
+separator certificate (``UpperCert``: a vertex set whose removal leaves
+too few large components) ends it if its bound meets the cycle found so
+far, and otherwise stops it at the first cycle that long.  Once it has
+spent its whole node budget, on a graph of at most ``DP_MAX_VERTICES``
+vertices, a subset DP (Bellman; Held and Karp, 1962) takes over:
+``_path_levels`` keeps every level of paths from one minimum vertex,
+capped at the certificate's bound, and ``_first_in`` grows the first
+optimum in DFS order from them, the witness the exhaustive search
 returns.  The budget follows the DP's cost, which doubles per vertex
 (``_search_budget``): ``SEARCH_BUDGET`` nodes at 14 and 15 vertices,
-doubled per vertex above 15 and halved per vertex below 14, down to a
+doubled per vertex above 15 and halved per vertex below 14, down to the
 floor at 9 vertices.  A longest path is a longest cycle too: the longest
 cycles of the cone K_1 + G all pass through its apex, and dropping the
 apex leaves the longest paths of G (``longest_path``); the cone's budget
@@ -192,8 +194,8 @@ def _cycle_search(
     floor stays put and every cycle of length cap comes out.  Keeping one
     direction hides no longer cycle: its reverse lies in an earlier branch,
     which no lower floor cuts.  With a budget (at least 1, since a
-    countdown from 0 never reaches 0 again), None comes out once the
-    search has visited that many DFS nodes.
+    countdown from 0 never reaches 0 again), None comes out each time the
+    search has visited that many more DFS nodes.
     """
     if budget is not None and budget < 1:
         raise ValueError(f"search budget must be >= 1, got {budget}")
@@ -213,6 +215,7 @@ def _cycle_search(
             nonlocal floor, left
             left -= 1
             if not left:
+                left = budget
                 yield None
             if length > floor and rows[v] & sbit and path[1] < v:
                 yield path[:length]
@@ -393,15 +396,19 @@ def _longest_cycle(
     Returns c and the first longest cycle in DFS order, the one an
     exhaustive search returns.  The search stops at the first cycle of
     min(``stop_at``, ``_cycle_bound``) vertices, both at least c
-    (``hamiltonian`` passes n).  When it spends its budget, ``cuts`` (a
+    (``hamiltonian`` passes n).  On a graph the DP reaches, once the search
+    has spent the floor budget, ``_search_budget(0)`` nodes, ``cuts`` (a
     minimum separator and the complement of a maximum independent set by
     default) is called once, and the least ``UpperCert`` bound of its sets
-    caps the answer.  A cycle that long is the answer at once: the search
-    yields the first cycle in DFS order of each length it reaches.
-    Otherwise, on a graph the DP reaches, ``_dp_cycle`` gives the first
-    c-cycle in ``cycles_of_length`` order, the same cycle.  The budget is
-    that of ``order`` vertices, n by default; ``longest_path`` passes G's
-    order for its cone, so the DP reaches every cone of a G it reaches.
+    caps the answer.  A cycle that long is the answer, at once if the
+    search holds one and else at the first it finds: the search yields the
+    first cycle in DFS order of each length it reaches.  A search that ends
+    within the floor never calls ``cuts``.  Once the search has spent its
+    whole budget (counted in floor budgets, so up to one floor budget
+    more), ``_dp_cycle`` gives the first c-cycle in ``cycles_of_length``
+    order, the same cycle.  The budget is that of
+    ``order`` vertices, n by default; ``longest_path`` passes G's order for
+    its cone, so the DP reaches every cone of a G it reaches.
     """
     n = g.n
     if n == 0:
@@ -413,12 +420,21 @@ def _longest_cycle(
     if len(best_path) < stop:
         stop = min(stop, _cycle_bound(g))
     if len(best_path) < stop:
-        for path in _cycle_search(g, 2, n, _search_budget(n if order is None else order)):
+        budget = _search_budget(n if order is None else order)
+        step = None if budget is None else _search_budget(0)
+        spent = 0
+        for path in _cycle_search(g, 2, n, step):
             if path is None:
-                cut_sets = _default_cuts(g) if cuts is None else cuts()
-                stop = min([stop] + [UpperCert.of(g, cut).bound for cut in cut_sets])
-                best_path = _dp_cycle(g, len(best_path), stop) or best_path
-                break
+                if not spent:
+                    cut_sets = _default_cuts(g) if cuts is None else cuts()
+                    stop = min([stop] + [UpperCert.of(g, cut).bound for cut in cut_sets])
+                    if len(best_path) >= stop:
+                        break
+                spent += step
+                if spent >= budget:
+                    best_path = _dp_cycle(g, len(best_path), stop) or best_path
+                    break
+                continue
             best_path = path
             if len(path) >= stop:
                 break

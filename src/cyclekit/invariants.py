@@ -2,21 +2,23 @@
 binding number, degree-sum and distance-degree minima.
 
 Everything is computed exactly.  The NP-hard invariants (alpha, toughness,
-binding number) use exhaustive search with pruning; toughness tries
-every kappa-set, then builds each larger cutset that could tie or beat
-the best ratio around its smallest component, and stops where
-min(alpha, n - s) bounds the component count too low; the binding
-number's subset search cuts every subtree whose sets cannot beat the
-best ratio, bounding how many vertices a set can add (room) and how many
-new neighbours they bring (coverage).  Connectivity goes through
-unit-capacity vertex max-flow.  The test suite checks each against an
-exhaustive search.
+binding number) use exhaustive search with pruning; toughness tries the
+kappa-separators, listed as the neighbourhoods of small connected sets or
+as all kappa-sets, whichever list is shorter, then builds each larger
+cutset that could tie or beat the best ratio around its smallest
+component, and stops where min(alpha, n - s) bounds the component count
+too low; the binding number's subset search cuts every subtree whose
+sets cannot beat the best ratio, bounding how many vertices a set can
+add (room) and how many new neighbours they bring (coverage).
+Connectivity goes through unit-capacity vertex max-flow.  The test suite
+checks each against an exhaustive search.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Protocol
 
 from .exact import Exact, INF
@@ -174,9 +176,12 @@ def _union_table(rows: tuple[int, ...]) -> list[int]:
     return table
 
 
-def _connected_sets(rows: tuple[int, ...], m: int, reach: int) -> list[tuple[int, int, int]]:
+def _connected_sets(
+    rows: tuple[int, ...], m: int, reach: int, limit: int | None = None
+) -> list[tuple[int, int, int]] | None:
     """Every connected vertex set C of at most m vertices with
-    |C + N(C)| <= reach, as (|C|, C, N(C)), by size.
+    |C + N(C)| <= reach, as (|C|, C, N(C)), by size; None as soon as more
+    than ``limit`` sets are listed.
 
     A connected subset C0 of such a set C has both bounds too, because
     N(C0) lies in C + N(C); so only the sets within them are grown, and
@@ -186,6 +191,8 @@ def _connected_sets(rows: tuple[int, ...], m: int, reach: int) -> list[tuple[int
     out = []
     for size in range(1, m + 1):
         out.extend((size, comp, nbhd) for comp, nbhd in level.items())
+        if limit is not None and len(out) > limit:
+            return None
         grown: dict[int, int] = {}
         if size < m:
             for comp, nbhd in level.items():
@@ -214,7 +221,12 @@ def cut_scan(g: Graph | WithCutBounds) -> tuple[Exact, int]:
 
     No set of fewer than kappa vertices disconnects G, and a separator of
     kappa vertices leaves at least two components, so tau <= kappa / 2
-    (Chvatal, 1973).  Every kappa-set is tried.  Above kappa, a set S of s
+    (Chvatal, 1973).  A kappa-set S disconnects G only if S = N(C) for the
+    smallest component C of G - S: N(C) lies in S and disconnects C from
+    the rest, so it has kappa vertices too.  C is connected and has at
+    most (n - kappa) // 2 vertices, so the kappa-sets tried are the N(C)
+    of kappa vertices over those C, unless the C outnumber the C(n, kappa)
+    kappa-sets, and then every kappa-set is.  Above kappa, a set S of s
     vertices ties or beats the best ratio num / den only if G - S has
     c >= c_min = ceil(s * den / num) components.  The smallest of them, C,
     is connected, has at most m = (n - s) // c_min vertices, and has all
@@ -267,8 +279,13 @@ def cut_scan(g: Graph | WithCutBounds) -> tuple[Exact, int]:
 
     # tau = num / den, with 1/0 standing for +inf until the first cutset.
     num, den, witness = 1, 0, 0
-    for combo in combinations(singletons, kappa):
-        cut = sum(combo)
+    half = (n - kappa) // 2
+    small = _connected_sets(rows, half, half + kappa, comb(n, kappa))
+    if small is None:
+        cuts = map(sum, combinations(singletons, kappa))
+    else:
+        cuts = {nbhd for _, _, nbhd in small if nbhd.bit_count() == kappa}
+    for cut in cuts:
         comps = components(full ^ cut)
         if comps > 1 and (
             kappa * den < num * comps or (kappa * den == num * comps and cut < witness)

@@ -86,11 +86,18 @@ class Profile:
 
         No search is made when alpha(G) < alpha(h): an induced copy of h
         would carry an independent set of alpha(h) vertices into G, so the
-        bound alone proves G h-free.
+        bound alone proves G h-free.  Nor for P_3, the one graph of three
+        vertices and two edges: G is P_3-free iff every edge uv has
+        N[u] = N[v], as an induced u-v-w has w in N[v] but not in N[u].
         """
         if h not in self._free:
-            self._free[h] = (self.alpha < _pattern_alpha(h)
-                             or contains_induced(self.g, h) is None)
+            g = self.g
+            if h.n == 3 and h.q == 2:
+                closed = [row | 1 << v for v, row in enumerate(g.rows)]
+                free = all(closed[u] == closed[v] for u, v in g.edges())
+            else:
+                free = self.alpha < _pattern_alpha(h) or contains_induced(g, h) is None
+            self._free[h] = free
         return self._free[h]
 
     @cached_property
@@ -207,8 +214,8 @@ class Profile:
     def cycles(self) -> LongestCycles:
         """c, its witness and the cycle vertex sets by length, shared by
         every longest-cycle conclusion and every lambda.  Should the search
-        run out of budget, its cuts are this Profile's minimum separator and
-        the complement of its maximum independent set."""
+        pass its floor budget, its cuts are this Profile's minimum separator
+        and the complement of its maximum independent set."""
         g = self.g
         return LongestCycles(g, _longest_cycle(g, cuts=lambda: (
             self.separator[1], g.full_mask ^ mask_of(self.independent_set[1]))))

@@ -94,6 +94,23 @@ def test_solve_longest_path_at_the_graph_cap():
     assert code == 0 and err == ""
 
 
+def test_solve_reads_a_file_for_every_problem(tmp_path):
+    # The optional property positional must not take the path from the
+    # problems that have no property.
+    path = tmp_path / "petersen.g6"
+    path.write_text("IheA@GUAo\n")
+    for problem in ("hamilton", "circumference", "longest-path"):
+        from_stdin = run(["solve", problem], stdin="IheA@GUAo\n")
+        assert from_stdin[0] == 0 and from_stdin[1]
+        assert run(["solve", problem, str(path)]) == from_stdin, problem
+    code, out, _ = run(["solve", "exists", "dominating", str(path)])
+    assert code == 0 and out == "IheA@GUAo: dominating cycle of length 9: 0 1 2 3 4 9 6 8 5\n"
+    code, out, err = run(["solve", "exists", str(path)])
+    assert code == 2 and out == ""
+    assert err.endswith(f"error: argument prop: invalid choice: '{path}' "
+                        "(choose from 'dominating', 'PD', 'CD')\n")
+
+
 def test_free_patterns():
     _, g6, _ = run(["construct", "petersen"])
     code, out, _ = run(["free", "--patterns", "K3,claw"], stdin=g6)

@@ -413,8 +413,8 @@ def test_subset_dp_longest_path_vs_oracles():
 
 
 def test_frozen_witnesses_past_the_budget():
-    # Each search below outruns the node budget, so the DP gives the optimum;
-    # the witnesses are those of the exhaustive search.
+    # Each search below outruns the floor budget, so a cut certificate or the
+    # DP gives the optimum; the witnesses are those of the exhaustive search.
     cases = [
         (build("Gn", n=15, delta=5), (0, 7, 1, 8, 3, 9, 4, 10, 5, 11, 2, 14, 13, 12)),
         (build("H", a=1, b=2, t=5, k=4), (0, 5, 1, 6, 2, 7, 10, 11, 8, 3, 9)),
@@ -529,16 +529,33 @@ def test_mutated_upper_certificates_are_rejected(g, data):
 
 def test_a_certificate_that_meets_the_search_skips_the_dp(monkeypatch):
     # The hub cut of 3K_4+K_2 and the complement of a maximum independent
-    # set of H(1,2,5,4) bound c by the cycle the search holds when its budget
-    # runs out; either answer is test_frozen_witnesses_past_the_budget's.
+    # set of H(1,2,5,4) bound c by c itself, so the search ends at its first
+    # c-cycle; either answer is test_frozen_witnesses_past_the_budget's.
     cases = [build("tKa-join-Kb", t=3, a=4, b=2), build("H", a=1, b=2, t=5, k=4)]
     want = [_longest_cycle(g) for g in cases]
 
     def no_dp(*args):
         raise AssertionError("the subset DP ran")
 
+    # The search yields None every floor budget of nodes, and the cuts are
+    # asked for at the first None, well before the budget of 14 vertices.
+    steps, checkpoints, asked = [], [0], []
+    search = cycles._cycle_search
+
+    def counted(g, floor, cap, budget=None):
+        steps.append(budget)
+        for path in search(g, floor, cap, budget):
+            checkpoints[0] += path is None
+            yield path
+
     monkeypatch.setattr(cycles, "_path_levels", no_dp)
-    assert [_longest_cycle(g) for g in cases] == want
+    monkeypatch.setattr(cycles, "_cycle_search", counted)
+    for g, answer in zip(cases, want):
+        checkpoints[0] = 0
+        cuts = cycles._default_cuts(g)
+        assert _longest_cycle(g, cuts=lambda: asked.append(checkpoints[0]) or cuts) == answer
+    assert steps == [cycles._search_budget(0)] * 2 and asked == [1, 1]
+    assert [cycles._search_budget(g.n) for g in cases] == [2000, 500]
     with pytest.raises(AssertionError):
         _longest_cycle(cases[0], cuts=lambda: ())
 

@@ -7,10 +7,13 @@ from time import perf_counter
 import networkx as nx
 from hypothesis import given, settings
 
+from cyclekit import invariants
 from cyclekit.exact import INF
+from cyclekit.families import build
 from cyclekit.graph import (
     Graph,
     bits,
+    complement,
     complete,
     complete_bipartite,
     cycle_graph,
@@ -301,6 +304,51 @@ def test_cut_search_matches_the_exhaustive_scan_up_to_16_vertices():
     assert any(not g.is_connected() for g in graphs)
     for g in graphs:
         assert cut_scan(g) == exhaustive_cut_scan(g), g
+
+
+def chain_of_cliques(sizes: list[int]) -> Graph:
+    """Cliques of the given sizes in a row, each sharing one vertex with the
+    next: a tree of blocks with kappa = 1."""
+    edges, start = [], 0
+    for k in sizes:
+        edges += list(combinations(range(start, start + k), 2))
+        start += k - 1
+    return from_edge_list(start + 1, edges)
+
+
+def test_kappa_level_lists_either_set_and_keeps_the_scan(monkeypatch):
+    # The kappa-separators are the N(C) of kappa vertices over the connected
+    # sets C of at most (n - kappa) // 2 vertices, unless those outnumber the
+    # C(n, kappa) kappa-sets.  Either list gives the 2^n scan's tau and
+    # witness, ties included: every cycle, C_n^k, the Petersen graph and
+    # every complement of a cycle has many separators of the least ratio.
+    # Paths and chains of cliques (kappa = 1) have more connected sets than
+    # vertices, so they take the kappa-sets.
+    listed = []
+    connected_sets = invariants._connected_sets
+
+    def recorded(rows, m, reach, limit=None):
+        found = connected_sets(rows, m, reach, limit)
+        if limit is not None:
+            listed.append(found is not None)
+        return found
+
+    monkeypatch.setattr(invariants, "_connected_sets", recorded)
+    by_neighbourhoods = (
+        [complete_bipartite(a, a + 1) for a in range(2, 7)]
+        + [power(cycle_graph(n), k) for n, k in ((9, 2), (12, 2), (13, 3), (14, 4))]
+        + [petersen()] + [complement(cycle_graph(n)) for n in (6, 7, 9, 12)]
+        + [cycle_graph(n) for n in (4, 5, 8, 11, 14)]
+        + [build("theta", i=i, j=j, k=k) for i, j, k in ((2, 2, 2), (2, 3, 4), (3, 4, 5), (2, 2, 6))]
+        + [build("clique-plus-pendant", n=8)]
+    )
+    by_kappa_sets = [chain_of_cliques(sizes) for sizes in ([3, 4, 3], [3, 3, 3, 3], [2, 5, 3, 2])]
+    by_kappa_sets.append(path_graph(9))
+    for graphs, expected in ((by_neighbourhoods, True), (by_kappa_sets, False)):
+        for g in graphs:
+            listed.clear()
+            assert cut_scan(g) == exhaustive_cut_scan(g), g
+            assert listed == [expected], g
 
 
 def test_cut_search_of_c20_4():

@@ -335,7 +335,8 @@ def test_check_all_on_c20_4_runs_no_cut_scan(monkeypatch):
 
 def test_check_all_searches_each_pattern_once_per_profile(monkeypatch):
     # C_20^4 is 8-connected and claw-free, so every free premise is evaluated,
-    # and five of them name the claw.
+    # and five of them name the claw.  P_3 is settled by closed
+    # neighbourhoods, without a search.
     searches = []
     monkeypatch.setattr(registry, "contains_induced",
                         lambda g, h: searches.append(h) or contains_induced(g, h))
@@ -345,7 +346,7 @@ def test_check_all_searches_each_pattern_once_per_profile(monkeypatch):
     frozen = Path(__file__).parent / "data" / "check_all_C20_4.jsonl"
     assert got == [json.loads(line) for line in frozen.read_text().splitlines()]
     patterns = {h for spec in catalog() for prem in spec.premises for h in prem.patterns}
-    assert len(searches) == len(set(searches)) and set(searches) == patterns
+    assert len(searches) == len(set(searches)) and set(searches) == patterns - {path_graph(3)}
 
 
 def test_is_free_of_agrees_with_the_induced_searches():
@@ -356,6 +357,9 @@ def test_is_free_of_agrees_with_the_induced_searches():
     alphas = {h: invariants.independence_number(h)[0] for h in patterns}
     graphs = oracle_corpus() + [g for n in range(7, 15) for p in (0.5, 0.7, 0.85)
                                 for g in seeded_gnp(n, p, 4, 1900 + 97 * n + int(100 * p))]
+    # P_3-free graphs are disjoint unions of cliques; the last one is not.
+    graphs += [edgeless(3), disjoint_union([complete(1), complete(2), complete(4)]),
+               disjoint_union([complete(3), complete(2), path_graph(3)])]
     settled = searched = 0
     for g in graphs:
         pf = Profile(g)
