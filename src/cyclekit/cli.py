@@ -442,6 +442,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.solve_error(f"argument prop: invalid choice: {args.prop!r} "
                              f"(choose from {', '.join(map(repr, props))})")
         args.prop, args.graphs = None, args.prop
+    if args.command == "solve" and args.prop is not None and args.problem not in (
+            "every-longest", "exists"):
+        args.solve_error(f"solve {args.problem} takes no property argument")
     if args.command == "solve" and args.problem in ("every-longest", "exists"):
         if args.prop is None:
             parser.error(f"solve {args.problem} needs a property argument")

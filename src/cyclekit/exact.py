@@ -23,8 +23,8 @@ Exact = Union[int, Fraction, float]
 
 def fmt_exact(x: Exact) -> str:
     """Render as "p/q" (or plain integer) with "inf" for +infinity."""
-    if type(x) is int:
-        return str(x)
+    if type(x) is int or type(x) is Fraction:
+        return str(x)  # a Fraction's str is already "p/q", or "p" when q = 1
     if x == INF:
         return "inf"
     f = Fraction(x)

@@ -9,9 +9,11 @@ cutset that could tie or beat the best ratio around its smallest
 component, and stops where min(alpha, n - s) bounds the component count
 too low; the binding number's subset search cuts every subtree whose
 sets cannot beat the best ratio, bounding how many vertices a set can
-add (room) and how many new neighbours they bring (coverage).
-Connectivity goes through unit-capacity vertex max-flow.  The test suite
-checks each against an exhaustive search.
+add (room) and how many new neighbours they bring (coverage); started
+from a ratio x, the same search decides b >= x at the first set below x.
+Connectivity goes through unit-capacity vertex max-flow, each flow seeded
+with the two-edge paths through the common neighbours of its pair.  The
+test suite checks each against an exhaustive search.
 """
 
 from __future__ import annotations
@@ -79,15 +81,26 @@ def _vertex_max_flow(g: Graph, s: int, t: int, limit: int) -> tuple[int, int]:
     inside every vertex but s and t, unbounded along edges), searched with
     bitmasks over the states reached so far.  The flow is held as ``prv[w]``,
     the vertex whose out-node sends w's one unit into w's in-node (-1 when w
-    carries none); every other residual arc follows from it.  Below the
-    limit, the last search reaches the in-node but not the out-node of
-    exactly the vertices of a minimum separator (Menger).
+    carries none); every other residual arc follows from it.  It starts
+    from the paths s-w-t, one for each common neighbour w (``prv[w] = s``,
+    what an augmentation along s-w-t records), so a pair with at least
+    ``limit`` common neighbours needs no search.  Below the limit, the last
+    search reaches the in-node but not the out-node of exactly the vertices
+    of a minimum separator (Menger).  The states it reaches are the same
+    for every maximum flow: the least s-side of a minimum cut.  So the
+    separator, the one whose s-side lies inside every other's, does not
+    depend on the flow the searches started from.
     """
     n, rows = g.n, g.rows
+    common = rows[s] & rows[t]
+    flow = common.bit_count()
+    if flow >= limit:
+        return limit, 0
     prv = [-1] * n
+    for w in bits(common):
+        prv[w] = s
     par_in = [0] * n  # in-node w entered from u's out-node (u), or from w's own (-1)
     par_out = [0] * n  # out-node v entered from x's in-node (x == v: inside v)
-    flow = 0
     while flow < limit:
         seen_in = seen_out = 1 << s
         stack = [s]
@@ -145,7 +158,8 @@ def min_separator(g: Graph) -> tuple[int, int]:
     v, and then separates two non-adjacent neighbours of v.  So only those
     pairs need a flow, and each flow stops at the best cut so far, which
     starts at N(v); the set is N(v) or the separator of the last flow
-    that beat the best.
+    that beat the best, the one whose v-side (s-side) lies inside every
+    other minimum separator's.
     """
     n, rows = g.n, g.rows
     if n <= 1 or not g.is_connected():
@@ -364,7 +378,7 @@ def independence_number(g: Graph) -> tuple[int, list[int]]:
 # -- binding number -------------------------------------------------------
 
 
-def binding_number(g: Graph) -> tuple[Exact, list[int]]:
+def binding_number(g: Graph, below: Exact | None = None) -> tuple[Exact, list[int]]:
     """Woodall's binding number: min |N(X)|/|X| over nonempty X with N(X) != V.
 
     A search over the sets X in lexicographic order, which keeps the first
@@ -374,6 +388,11 @@ def binding_number(g: Graph) -> tuple[Exact, list[int]]:
     first minimum is still found (``cannot_beat`` gives the bounds).  An
     isolated vertex v gives N({v}) = {} and the value 0 at once;
     {smallest isolated v} is also the first zero of the search.
+
+    Given ``below``, only b < below is asked: the search starts from
+    ``below`` as its best ratio and returns at the first X that beats it,
+    with X's ratio; ``(below, [])`` says that no X does, so b >= below.
+    ``cannot_beat`` holds for any best ratio, so no such X is pruned.
     """
     if g.n == 0:
         raise ValueError("binding number needs n >= 1")
@@ -383,7 +402,8 @@ def binding_number(g: Graph) -> tuple[Exact, list[int]]:
     full = g.full_mask
     # best = num / den, with 1/0 standing for +inf; the strict
     # cross-multiplied test keeps the first minimum found.
-    num, den, witness = 1, 0, 0
+    num, den = (1, 0) if below is None or below == INF else Fraction(below).as_integer_ratio()
+    witness = 0
 
     def cannot_beat(start: int, size: int, k: int, nbhd: int) -> bool:
         """No set below X (``size`` vertices, neighbourhood ``nbhd`` of k
@@ -429,19 +449,22 @@ def binding_number(g: Graph) -> tuple[Exact, list[int]]:
             room <= share or (k * share + room * m) * den >= num * share * (size + room)
         )
 
-    def extend(start: int, chosen: int, size: int, nbhd: int) -> None:
+    def extend(start: int, chosen: int, size: int, nbhd: int) -> bool:
+        """Search the sets below X; True once one beats ``below``."""
         nonlocal num, den, witness
         if size:
             k = nbhd.bit_count()
             if k * den < num * size:
                 num, den, witness = k, size, chosen
+                if below is not None:
+                    return True
             if den and cannot_beat(start, size, k, nbhd):
-                return
+                return False
         for v in range(start, n):
             nb = nbhd | rows[v]
-            if nb == full:
-                continue
-            extend(v + 1, chosen | (1 << v), size + 1, nb)
+            if nb != full and extend(v + 1, chosen | (1 << v), size + 1, nb):
+                return True
+        return False
 
     extend(0, 0, 0, 0)
     return (Fraction(num, den) if den else INF), bits(witness)

@@ -186,13 +186,18 @@ class Profile:
         return binding_number(self.g)[0]
 
     def binding_ge(self, x: Exact) -> bool:
-        """b >= x; the exact b is computed only when Woodall's bound
-        b <= (n - 1) / (n - delta) (1973; X = V - N(u) for u of minimum
-        degree, which leaves u out of N(X)) does not rule it out."""
+        """b >= x.  Woodall's bound b <= (n - 1) / (n - delta) (1973;
+        X = V - N(u) for u of minimum degree, which leaves u out of N(X))
+        rules x out first.  Otherwise the subset search starts from x and
+        stops at the first X with |N(X)| < x |X|, so the exact b is not
+        computed; it is compared instead when already held, or when an
+        isolated vertex (delta = 0) makes it 0 at once."""
         n = self.n
         if n and Fraction(n - 1, n - self.delta) < x:
             return False
-        return self.binding >= x
+        if not self.delta or "binding" in self.__dict__:
+            return self.binding >= x
+        return binding_number(self.g, x)[0] >= x
 
     @cached_property
     def sigma2(self) -> Exact:

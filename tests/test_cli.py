@@ -111,6 +111,20 @@ def test_solve_reads_a_file_for_every_problem(tmp_path):
                         "(choose from 'dominating', 'PD', 'CD')\n")
 
 
+def test_solve_rejects_a_property_where_the_problem_takes_none(tmp_path):
+    path = tmp_path / "petersen.g6"
+    path.write_text("IheA@GUAo\n")
+    for problem in ("hamilton", "circumference", "longest-path"):
+        for prop in ("dominating", "PD", "CD"):
+            code, out, err = run(["solve", problem, prop, str(path)])
+            assert code == 2 and out == "", (problem, prop)
+            assert err.endswith(f"error: solve {problem} takes no property argument\n")
+    code, out, _ = run(["solve", "hamilton", str(path)])
+    assert code == 0 and out == "IheA@GUAo: non-hamiltonian\n"
+    code, out, _ = run(["solve", "exists", "dominating", str(path)])
+    assert code == 0 and out == "IheA@GUAo: dominating cycle of length 9: 0 1 2 3 4 9 6 8 5\n"
+
+
 def test_free_patterns():
     _, g6, _ = run(["construct", "petersen"])
     code, out, _ = run(["free", "--patterns", "K3,claw"], stdin=g6)

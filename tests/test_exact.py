@@ -24,6 +24,25 @@ def test_inf_interacts_with_fractions():
     assert (INF + 1) * (Fraction(4) + 1) - 1 == INF
 
 
+def old_fmt_exact(x) -> str:
+    """fmt_exact as it was before Fractions were printed with str."""
+    if type(x) is int:
+        return str(x)
+    if x == INF:
+        return "inf"
+    f = Fraction(x)
+    if f.denominator == 1:
+        return str(f.numerator)
+    return f"{f.numerator}/{f.denominator}"
+
+
+def test_format_matches_the_numerator_denominator_form():
+    values = [Fraction(p, q) for p in range(-30, 31) for q in range(1, 13)]
+    values += list(range(-30, 31)) + [INF]
+    for x in values:
+        assert fmt_exact(x) == old_fmt_exact(x), x
+
+
 @given(st.integers())
 def test_an_int_formats_as_its_fraction(k):
     assert fmt_exact(k) == fmt_exact(Fraction(k)) == str(k)

@@ -1,7 +1,9 @@
 """Invariant solvers against naive re-implementations and networkx."""
 
+import json
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 from time import perf_counter
 
 import networkx as nx
@@ -33,7 +35,7 @@ from cyclekit.invariants import (
     sigma_t,
     toughness,
 )
-from cyclekit.registry import Profile, invariant_report
+from cyclekit.registry import Profile, check_all, invariant_report
 from conftest import graphs_up_to, mixed_corpus, oracle_corpus, seeded_gnp, to_networkx
 from oracles import binding_number as lexicographic_binding_number
 from oracles import cut_scan as exhaustive_cut_scan
@@ -216,6 +218,19 @@ MIN_DEGREE_CUT_VERTEX = from_edge_list(11, [
 ] + [(0, 1), (0, 2), (0, 6), (0, 7)])
 
 
+def s_sides(g: Graph, s: int, t: int, size: int) -> dict[int, int]:
+    """{S: the vertices reachable from s in G - S} over every s-t separator S
+    of ``size`` vertices."""
+    others = [1 << v for v in range(g.n) if v not in (s, t)]
+    sides = {}
+    for combo in combinations(others, size):
+        cut = sum(combo)
+        side = g.reach_mask(1 << s, g.full_mask & ~cut)
+        if not side >> t & 1:
+            sides[cut] = side
+    return sides
+
+
 def test_capped_flow_matches_networkx():
     local = nx.algorithms.connectivity.local_node_connectivity
     assert _vertex_max_flow(BACKTRACKING_FLOW, 0, 4, 9)[0] == 3
@@ -225,12 +240,16 @@ def test_capped_flow_matches_networkx():
             if g.has_edge(s, t):
                 continue
             want = local(nxg, s, t)
+            sides = s_sides(g, s, t, want)
             for limit in {0, max(want - 1, 0), want, want + 1, g.n}:
                 flow, cut = _vertex_max_flow(g, s, t, limit)
                 assert flow == min(want, limit), (g, s, t, limit)
-                if flow < limit:  # a minimum s-t separator
-                    assert cut.bit_count() == flow and not cut >> s & 1 and not cut >> t & 1
-                    assert not g.reach_mask(1 << s, g.full_mask & ~cut) >> t & 1, (g, s, t)
+                if flow < limit:
+                    # The minimum s-t separator whose s-side lies inside
+                    # every other one's: the same for every maximum flow,
+                    # so seeding the flow cannot change it.
+                    assert cut in sides, (g, s, t)
+                    assert all(sides[cut] & ~side == 0 for side in sides.values()), (g, s, t)
 
 
 def test_connectivity_matches_networkx_above_the_small_corpus():
@@ -410,15 +429,46 @@ def test_bounded_binding_search_matches_the_lexicographic_search():
         perfect_matching(16),
         perfect_matching(20),
     ]
-    for g in oracle_corpus() + named:
+    isolated = from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    for g in oracle_corpus() + named + [isolated]:
         b = lexicographic_binding_number(g)
         assert binding_number(g) == b, g
         # Woodall's b <= (n - 1) / (n - delta) settles binding_ge below it.
         woodall = Fraction(g.n - 1, g.n - min(g.degrees()))
         assert b[0] <= woodall, g
-        pf = Profile(g)
-        for x in (Fraction(3, 2), b[0], b[0] + Fraction(1, 99), woodall, woodall + Fraction(1, 99)):
-            assert pf.binding_ge(x) == (b[0] >= x), (g, x)
+        xs = (Fraction(3, 2), b[0], b[0] + Fraction(1, 99), woodall, woodall + Fraction(1, 99))
+        # The search that starts from x answers the first X below x, or none.
+        for x in xs:
+            below, witness = binding_number(g, x)
+            if 0 in g.rows:
+                assert (below, witness) == b, (g, x)
+            elif b[0] < x:
+                nbhd = 0
+                for v in witness:
+                    nbhd |= g.rows[v]
+                assert witness and nbhd != g.full_mask, (g, x)
+                assert below == Fraction(nbhd.bit_count(), len(witness)) < x, (g, x)
+            else:
+                assert (below, witness) == (x, []), (g, x)
+        # Decided from x, or compared with the exact b once it is held.
+        held = Profile(g)
+        held.binding
+        for pf in (Profile(g), held):
+            for x in xs:
+                assert pf.binding_ge(x) == (b[0] >= x), (g, x)
+    assert Profile(isolated).binding_ge(Fraction(1, 99)) is False
+
+
+def test_check_all_on_c20_4_decides_the_binding_premise_from_three_halves():
+    # b(C_20^4) = 19/12 is at least 3/2, and Woodall's bound 19/12 does not
+    # rule 3/2 out; the search from 3/2 proves it without the exact b.
+    g = power(cycle_graph(20), 4)
+    pf = Profile(g)
+    got = [v.to_record() for v in check_all(pf).verdicts]
+    frozen = Path(__file__).parent / "data" / "check_all_C20_4.jsonl"
+    assert got == [json.loads(line) for line in frozen.read_text().splitlines()]
+    assert next(r for r in got if r["theorem"] == "Thm17")["verdict"] == "holds"
+    assert "binding" not in pf.__dict__
 
 
 @settings(max_examples=300, deadline=None, database=None)
