@@ -389,10 +389,11 @@ def binding_number(g: Graph, below: Exact | None = None) -> tuple[Exact, list[in
     isolated vertex v gives N({v}) = {} and the value 0 at once;
     {smallest isolated v} is also the first zero of the search.
 
-    Given ``below``, only b < below is asked: the search starts from
-    ``below`` as its best ratio and returns at the first X that beats it,
-    with X's ratio; ``(below, [])`` says that no X does, so b >= below.
-    ``cannot_beat`` holds for any best ratio, so no such X is pruned.
+    Given ``below``, only b < below is asked (an isolated vertex still
+    answers 0 at once): the search starts from ``below`` as its best ratio
+    and returns at the first X that beats it, with X's ratio;
+    ``(below, [])`` says that no X does, so b >= below.  ``cannot_beat``
+    holds for any best ratio, so no such X is pruned.
     """
     if g.n == 0:
         raise ValueError("binding number needs n >= 1")
