@@ -155,7 +155,7 @@ def _missed_clique_fails(t: int, b: int, prop: str, lam: int | None):
     """Conclusion-failure witness for universal conclusions on tK_a+K_b
     (t > b), with a read off n = t*a+b: the pinned longest cycle misses a
     whole clique.  The cut bound pins c without enumeration, so family
-    members above the enumeration ceiling need no search."""
+    members above the 20-vertex ``ENUMERATION_CEILING`` need no search."""
 
     def fails(pf: Profile) -> tuple[bool, str]:
         a = (pf.n - b) // t

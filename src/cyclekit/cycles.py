@@ -10,7 +10,7 @@ search has spent the floor budget, ``_search_budget(0)`` nodes, a
 separator certificate (``UpperCert``: a vertex set whose removal leaves
 too few large components) ends it if its bound meets the cycle found so
 far, and otherwise stops it at the first cycle that long.  Once it has
-spent its whole node budget, on a graph of at most ``DP_MAX_VERTICES``
+spent its whole node budget, on a graph of at most ``ENUMERATION_CEILING``
 vertices, a subset DP (Bellman; Held and Karp, 1962) takes over:
 ``_path_levels`` keeps every level of paths from one minimum vertex,
 capped at the certificate's bound, and ``_first_in`` grows the first
@@ -22,13 +22,15 @@ floor at 9 vertices.  A longest path is a longest cycle too: the longest
 cycles of the cone K_1 + G all pass through its apex, and dropping the
 apex leaves the longest paths of G (``longest_path``); the cone's budget
 is that of G's order, so the DP takes over wherever G has at most
-``DP_MAX_VERTICES`` vertices.
+``ENUMERATION_CEILING`` vertices.
 ``LongestCycles`` keeps one graph's longest-cycle answers so that every
 universal, existence and residual question reuses them.  Those questions
 depend only on the vertex set a cycle leaves off, so they are answered
 from the closing sets of the same levels, built once per minimum vertex,
 and no cycle is listed: ``_first_in`` finds the witness among the sets
-that qualify.
+that qualify.  One cap holds for the DP and for them,
+``ENUMERATION_CEILING`` = 20 vertices: above it there is no DP to read,
+and ``CeilingError`` says so.
 
 Length conventions: a single vertex counts as a cycle of length 1 and an
 edge as a cycle of length 2, so the circumference of a nonempty graph is
@@ -49,21 +51,30 @@ class CertificateError(ValueError):
 
 
 class CeilingError(RuntimeError):
-    """An enumeration ceiling was exceeded."""
+    """A question answered from the subset DP's cycle sets (every longest
+    cycle, some cycle with a property, a residual bound) was asked of a
+    graph above ``ENUMERATION_CEILING`` (20) vertices."""
 
 
-ENUMERATION_CEILING = 14
+# The one vertex cap, of the subset DP and of every question that reads its
+# cycle sets.  Read at call time, so one patch moves every check.
+ENUMERATION_CEILING = 20
 
 # DFS nodes the longest-cycle search visits on a graph of at most
-# DP_MAX_VERTICES vertices before a subset DP settles the optimum.
+# ENUMERATION_CEILING vertices before a subset DP settles the optimum.
 # Counted in nodes, not seconds, so no result depends on machine speed;
 # the witness does not depend on it at all.
 SEARCH_BUDGET = 2000
-DP_MAX_VERTICES = 20
+
+
+def _check_cap(n: int) -> None:
+    """Raise ``CeilingError`` if n vertices is above the cap."""
+    if n > ENUMERATION_CEILING:
+        raise CeilingError(f"longest-cycle check capped at {ENUMERATION_CEILING} vertices (n={n})")
 
 
 def _search_budget(n: int) -> int | None:
-    """The node budget on n vertices, or None (no DP) above DP_MAX_VERTICES.
+    """The node budget on n vertices, or None (no DP) above ENUMERATION_CEILING.
 
     About as many nodes as the DP takes time, so a search that cannot end
     soon hands over early: SEARCH_BUDGET at 14 and 15 vertices, doubled
@@ -75,7 +86,7 @@ def _search_budget(n: int) -> int | None:
     search does on every graph of at most 6 vertices.  Never below 1,
     since a countdown from 0 never reaches 0 again and would mean no limit.
     """
-    if n > DP_MAX_VERTICES:
+    if n > ENUMERATION_CEILING:
         return None
     shift = n - 15 if n >= 15 else max(n, 9) - 14
     return max(1, SEARCH_BUDGET << shift if shift >= 0 else SEARCH_BUDGET >> -shift)
@@ -492,7 +503,7 @@ def _cone(g: Graph) -> Graph:
     rows pass too (symmetric, no loops), so a G of ``MAX_VERTICES``
     vertices has a cone of one more.  Nothing builds a graph of that order
     from it: only a search past its budget, on a cone of at most
-    ``DP_MAX_VERTICES`` + 1 vertices, goes on to the cuts and the DP.
+    ``ENUMERATION_CEILING`` + 1 vertices, goes on to the cuts and the DP.
     """
     cone = object.__new__(Graph)
     object.__setattr__(cone, "n", g.n + 1)
@@ -630,9 +641,12 @@ class LongestCycles:
         That order puts the smaller minimum vertex first, so the sets are
         tested by minimum vertex and none is tested past the first minimum
         that has a passing set; the witness is searched for among that
-        minimum's passing sets, in that minimum's DP levels.
+        minimum's passing sets, in that minimum's DP levels.  Raises
+        ``CeilingError`` above ``ENUMERATION_CEILING`` vertices, before any
+        set is tested.
         """
         g, full = self.g, self.g.full_mask
+        _check_cap(g.n)
         if k == self.c:
             # The circumference witness is the first longest cycle.
             first = CycleCert(tuple(self.path))
@@ -680,10 +694,10 @@ def _cycles_of(g: Graph | LongestCycles) -> LongestCycles:
 def all_longest_cycles(g: Graph) -> Iterator[CycleCert]:
     """Every longest cycle exactly once up to rotation and reflection.
 
-    Canonical form and order as in ``cycles_of_length``.
+    Canonical form and order as in ``cycles_of_length``.  Raises
+    ``CeilingError`` above ``ENUMERATION_CEILING`` vertices.
     """
-    if g.n > ENUMERATION_CEILING:
-        raise CeilingError(f"longest-cycle enumeration capped at {ENUMERATION_CEILING} vertices")
+    _check_cap(g.n)
     c, _ = _longest_cycle(g)
     yield from cycles_of_length(g, c)
 
@@ -721,8 +735,6 @@ def every_longest_cycle_satisfies(
     lc = _cycles_of(g)
     if lc.c == lc.g.n:
         return True, None
-    if lc.g.n > ENUMERATION_CEILING:
-        raise CeilingError(f"universal longest-cycle check capped at {ENUMERATION_CEILING} vertices")
     counter = lc.first_cycle(lc.c, lambda lc, off: not test(lc, off))
     return counter is None, counter
 
@@ -746,8 +758,6 @@ def exists_cycle_satisfying(
         cert = CycleCert(tuple(lc.path))
         cert.validate(g)
         return cert
-    if g.n > ENUMERATION_CEILING:
-        raise CeilingError(f"cycle-existence search capped at {ENUMERATION_CEILING} vertices")
     for length in range(lc.c, 0, -1):
         cert = lc.first_cycle(length, test)
         if cert is not None:

@@ -17,7 +17,6 @@ from functools import cache, cached_property
 from typing import Callable, Iterable, Sequence
 
 from .cycles import (
-    ENUMERATION_CEILING,
     CeilingError,
     CycleCert,
     LongestCycles,
@@ -617,7 +616,8 @@ class ResidualBound(Conclusion):
     only on the off-cycle set, so each longest cycle's vertex set from the
     subset DP is checked once, and a cycle is searched for only as the
     counterexample of a failing set: the first in ``cycles_of_length``
-    order.  That check is capped at ``ENUMERATION_CEILING`` vertices.
+    order.  That check is capped, as every read of the DP's cycle sets is,
+    at ``cycles.ENUMERATION_CEILING`` (20) vertices.
     Without ``bound`` the label is compiled on first use.
     """
 
@@ -644,10 +644,6 @@ class ResidualBound(Conclusion):
                     worst = b
         if c >= worst:
             return Outcome(True, f"c={c} >= worst-case residual bound {fmt_exact(worst)}")
-        if n > ENUMERATION_CEILING:
-            raise CeilingError(
-                f"residual-bound enumeration capped at {ENUMERATION_CEILING} vertices (n={n})"
-            )
 
         def fails(lc: LongestCycles, off: int) -> bool:
             return c < self.bound(pf, lc.p_bar(off), lc.c_bar(off), lam)

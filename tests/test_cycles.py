@@ -143,13 +143,15 @@ def test_all_longest_cycles_canonical():
 
 
 def test_enumeration_ceiling():
-    g = disjoint_union([cycle_graph(8), cycle_graph(7)])  # n=15, non-spanning
+    g = disjoint_union([cycle_graph(11), cycle_graph(10)])  # n=21, non-spanning
     with pytest.raises(CeilingError):
         list(all_longest_cycles(g))
     with pytest.raises(CeilingError):
         every_longest_cycle_satisfies(g, "dominating")
+    with pytest.raises(CeilingError):
+        exists_cycle_satisfying(g, "dominating")
     # spanning shortcut avoids enumeration even above the ceiling
-    ok, _ = every_longest_cycle_satisfies(cycle_graph(20), "dominating")
+    ok, _ = every_longest_cycle_satisfies(cycle_graph(24), "dominating")
     assert ok
 
 
@@ -262,9 +264,9 @@ def test_subset_dp_finishes_with_the_exhaustive_witness(monkeypatch):
             for g in corpus
         ]
 
-    monkeypatch.setattr(cycles, "DP_MAX_VERTICES", 0)
+    monkeypatch.setattr(cycles, "ENUMERATION_CEILING", 0)
     exhaustive = answers()
-    monkeypatch.setattr(cycles, "DP_MAX_VERTICES", 20)
+    monkeypatch.setattr(cycles, "ENUMERATION_CEILING", 20)
     monkeypatch.setattr(cycles, "SEARCH_BUDGET", 1)
     assert answers() == exhaustive
 
@@ -289,7 +291,7 @@ def test_budget_sized_by_order_keeps_the_exhaustive_witness(monkeypatch):
 
     budgeted = answers()
     assert len(set(dp_calls)) >= 10
-    monkeypatch.setattr(cycles, "DP_MAX_VERTICES", 0)
+    monkeypatch.setattr(cycles, "ENUMERATION_CEILING", 0)
     assert answers() == budgeted
 
 
@@ -346,7 +348,7 @@ def test_budget_schedule_follows_the_dp_cost(monkeypatch):
     budgeted = answers()
     for g in corpus:
         assert g in dp_calls, g
-    monkeypatch.setattr(cycles, "DP_MAX_VERTICES", 0)
+    monkeypatch.setattr(cycles, "ENUMERATION_CEILING", 0)
     assert answers() == budgeted
 
 
@@ -482,12 +484,12 @@ def test_the_cone_is_budgeted_by_the_order_of_g(monkeypatch):
     # A graph at the DP cap reaches the DP through its cone, one vertex
     # above the cap, and gets the exhaustive search's witness from it.
     g = petersen()
-    monkeypatch.setattr(cycles, "DP_MAX_VERTICES", 0)
+    monkeypatch.setattr(cycles, "ENUMERATION_CEILING", 0)
     want = longest_path(g)
     dp_calls = []
     dp = cycles._path_levels
     monkeypatch.setattr(cycles, "_path_levels", lambda *a: dp_calls.append(a[0]) or dp(*a))
-    monkeypatch.setattr(cycles, "DP_MAX_VERTICES", g.n)
+    monkeypatch.setattr(cycles, "ENUMERATION_CEILING", g.n)
     monkeypatch.setattr(cycles, "SEARCH_BUDGET", 1)
     assert longest_path(g) == want
     assert dp_calls and {h.n for h in dp_calls} == {g.n + 1}

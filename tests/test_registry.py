@@ -4,6 +4,7 @@ import functools
 import json
 import time
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -109,16 +110,10 @@ def test_lambda_iteration():
 
 
 def test_ceiling_verdict():
-    g = disjoint_union([cycle_graph(8), cycle_graph(7)])  # n=15, c=8<n
-    v = check(g, get("T11"))
-    # residual worst-case pruning may settle it; force an every-longest entry
-    v2 = check(g, get("Thm33"))
-    assert v2.kind in ("vacuous", "ceiling")
-    big = disjoint_union([complete(8), complete(8)])
-    # connected? no -> premises fail; use a connected non-ham n=16 graph
-    from cyclekit.families import build as fam
-
-    h = fam("tKa-join-Kb", t=3, a=4, b=2)  # n=14 at the ceiling: enumerable
+    # n = 21 > 20 and c = 20 < n: every-longest entries are past the cap
+    v = check(complete_bipartite(10, 11), get("Thm31"))
+    assert v.kind == "ceiling"
+    h = build("tKa-join-Kb", t=3, a=4, b=2)  # n = 14, within the cap
     assert check(h, get("Thm31")).kind in ("holds", "vacuous")
 
 
@@ -222,7 +217,12 @@ def naive_residual(pf, c, longest, bound, lam):
 
 def test_longest_cycle_answers_match_naive_loops_up_to_14_vertices():
     props = [("dominating", None)] + [(p, lam) for p in ("PD", "CD") for lam in range(1, 5)]
-    named = [build("Kdd1", delta=5), build("join2Kd-K1", delta=6), build("H", a=1, b=2, t=4, k=3)]
+    named = [
+        build("Kdd1", delta=5),
+        build("join2Kd-K1", delta=6),
+        build("H", a=1, b=2, t=4, k=3),
+        build("moon-moser-cut", quarter=4),
+    ]
     for g in listable_corpus() + named:
         if g.n < 3:
             continue
@@ -425,10 +425,59 @@ def test_check_rejects_lambda_below_one():
 
 def test_residual_bound_enumeration_hits_the_ceiling():
     start = time.perf_counter()
-    v = check(Profile(complete_bipartite(7, 9)), get("T12"))  # n = 16, c = 14
+    pf = Profile(complete_bipartite(9, 12))  # n = 21, c = 18
+    verdicts = [check(pf, get(spec_id)) for spec_id in ("T11", "T12")]
     assert time.perf_counter() - start < 10
+    for v in verdicts:
+        assert v.kind == "ceiling"
+        assert "capped at 20 vertices" in v.detail and "n=21" in v.detail
+
+
+def test_one_vertex_cap_is_read_at_call_time(monkeypatch):
+    # Patching the one public cap moves every check: the residual bound,
+    # the search budget and the listing.
+    g = complete_bipartite(7, 9)  # n = 16, c = 14
+    assert check(Profile(g), get("T12")).kind == "holds"
+    monkeypatch.setattr(cycles, "ENUMERATION_CEILING", 15)
+    v = check(Profile(g), get("T12"))
     assert v.kind == "ceiling"
-    assert "capped at 14 vertices" in v.detail and "n=16" in v.detail
+    assert "capped at 15 vertices" in v.detail and "n=16" in v.detail
+    assert cycles._search_budget(16) is None
+    with pytest.raises(cycles.CeilingError):
+        list(cycles.all_longest_cycles(g))
+
+
+def test_longest_cycle_answers_on_k79_match_the_construction():
+    # K_{7,9} has no Hamilton cycle, and a longest cycle alternates sides,
+    # so it spans the 7-side and seven of the 9-side.  The two vertices it
+    # leaves off are nonadjacent: p_bar = 0 and c_bar = 1 for every one.
+    g = complete_bipartite(7, 9)
+    pf = Profile(g)
+    c, witness = circumference(g)
+    assert pf.c == c == 14
+    small = (1 << 7) - 1
+    want = sorted(small | sum(1 << v for v in big) for big in combinations(range(7, 16), 7))
+    assert sorted(pf.cycles.cycle_sets(c)) == want
+    for t in want:
+        off = g.full_mask ^ t
+        assert (pf.cycles.p_bar(off), pf.cycles.c_bar(off)) == (0, 1)
+    # Dominating and PD hold for every longest cycle and CD(lam) for lam >= 2.
+    # CD(1) fails for the first longest cycle, and for every cycle, since
+    # each leaves a vertex off (c_bar >= 1).
+    for prop, lam in [("dominating", None)] + [(p, lam) for p in ("PD", "CD") for lam in range(1, 5)]:
+        fixed = (lambda pf, _lam, lam=lam: lam) if lam else None
+        ok = prop != "CD" or lam > 1
+        out = EveryLongestProp(prop, fixed).check(pf, None)
+        assert (out.ok, out.witness) == (ok, None if ok else witness), (prop, lam)
+        out = ExistsProp(prop, fixed).check(pf, None)
+        assert (out.ok, out.witness) == (ok, witness if ok else None), (prop, lam)
+    for lam in range(1, 5):
+        for label, bound in RESIDUAL_BOUNDS.items():
+            out = ResidualBound(label, bound).check(pf, lam)
+            assert (out.ok, out.witness) == naive_residual(pf, c, [(witness, 0, 1)], bound, lam)
+    for spec_id in ("T11", "T12"):
+        assert check(pf, get(spec_id)).kind == "holds"
+    assert not check_all(g).violated
 
 
 # -- the invariant report as a view over Profile -------------------------

@@ -113,7 +113,7 @@ CHECK_RUNS = (
 
 def frozen_sweep_corpus():
     """Seeded G(n, p) on 3..12 vertices plus named graphs of 7 to 16
-    vertices, two of which have ceiling verdicts."""
+    vertices, all within the 20-vertex cap, so no verdict is ``ceiling``."""
     return mixed_corpus(seed=1010, per_cell=2, ns=range(3, 13)) + frozen_check_corpus()
 
 
