@@ -26,11 +26,13 @@ is that of G's order, so the DP takes over wherever G has at most
 ``LongestCycles`` keeps one graph's longest-cycle answers so that every
 universal, existence and residual question reuses them.  Those questions
 depend only on the vertex set a cycle leaves off, so they are answered
-from the closing sets of the same levels, built once per minimum vertex,
-and no cycle is listed: ``_first_in`` finds the witness among the sets
-that qualify.  One cap holds for the DP and for them,
-``ENUMERATION_CEILING`` = 20 vertices: above it there is no DP to read,
-and ``CeilingError`` says so.
+from the closing sets of the same levels, and no cycle is listed:
+``_first_in`` finds the witness among the sets that qualify.  The levels
+are kept in one list per graph, indexed by minimum vertex and trimmed to
+c; ``_levels_of`` builds an entry when the search's DP or a question
+first reaches its vertex, and every later reader shares it.  One cap
+holds for the DP and for them, ``ENUMERATION_CEILING`` = 20 vertices:
+above it there is no DP to read, and ``CeilingError`` says so.
 
 Length conventions: a single vertex counts as a cycle of length 1 and an
 edge as a cycle of length 2, so the circumference of a nonempty graph is
@@ -370,26 +372,43 @@ def _default_cuts(g: Graph) -> tuple[int, int]:
     return min_separator(g)[1], g.full_mask ^ mask_of(independence_number(g)[1])
 
 
-def _dp_cycle(g: Graph, floor: int, cap: int) -> list[int] | None:
+def _levels_of(
+    g: Graph, by_min: list[list[dict[int, int]]], s: int, cap: int
+) -> list[dict[int, int]]:
+    """``by_min[s]``, the DP levels from minimum vertex s, built up to
+    ``cap`` if missing.  Both readers walk s upwards from 0, so ``by_min``
+    holds the vertices below s already."""
+    if s == len(by_min):
+        by_min.append(_path_levels(g, s, cap))
+    return by_min[s]
+
+
+def _dp_cycle(
+    g: Graph, floor: int, cap: int, by_min: list[list[dict[int, int]]]
+) -> list[int] | None:
     """The first cycle of t = min(``cap``, circumference) vertices in
     ``cycles_of_length`` order, or None if t <= ``floor``.
 
     Each minimum vertex s, while more than the best length so far remain
-    from s up, gets its DP levels up to ``cap``; the highest with a closing
-    set is s's longest cycle.  The witness comes from the first s that
-    reaches t, the smallest minimum vertex of any t-cycle.
+    from s up, gets its DP levels up to ``cap``, kept in ``by_min``; the
+    highest with a closing set is s's longest cycle.  The witness comes
+    from the first s that reaches t, the smallest minimum vertex of any
+    t-cycle.  ``cap`` is at least the circumference, so t is c; the kept
+    levels are trimmed to c, all that ``LongestCycles`` reads of them.
     """
     n = g.n
     best, first = floor, None
     for s in range(n):
         if n - s <= best or best >= cap:
             break
-        levels = _path_levels(g, s, cap)
+        levels = _levels_of(g, by_min, s, cap)
         for k in range(len(levels) - 1, best, -1):
             sets = _closing_sets(g, levels, k)
             if sets:
                 best, first = k, (levels, sets, s)
                 break
+    for kept in by_min:
+        del kept[best + 1:]
     if first is None:
         return None
     levels, sets, s = first
@@ -398,26 +417,27 @@ def _dp_cycle(g: Graph, floor: int, cap: int) -> list[int] | None:
 
 def _longest_cycle(
     g: Graph,
-    stop_at: int | None = None,
     cuts: Callable[[], Iterable[int]] | None = None,
     order: int | None = None,
+    levels: list[list[dict[int, int]]] | None = None,
 ) -> tuple[int, list[int]]:
     """Branch-and-bound longest cycle under the degenerate conventions.
 
     Returns c and the first longest cycle in DFS order, the one an
     exhaustive search returns.  The search stops at the first cycle of
-    min(``stop_at``, ``_cycle_bound``) vertices, both at least c
-    (``hamiltonian`` passes n).  On a graph the DP reaches, once the search
-    has spent the floor budget, ``_search_budget(0)`` nodes, ``cuts`` (a
-    minimum separator and the complement of a maximum independent set by
-    default) is called once, and the least ``UpperCert`` bound of its sets
-    caps the answer.  A cycle that long is the answer, at once if the
-    search holds one and else at the first it finds: the search yields the
-    first cycle in DFS order of each length it reaches.  A search that ends
+    ``_cycle_bound`` vertices, at least c.  On a graph the DP reaches, once
+    the search has spent the floor budget, ``_search_budget(0)`` nodes,
+    ``cuts`` (a minimum separator and the complement of a maximum
+    independent set by default) is called once, and the least ``UpperCert``
+    bound of its sets caps the answer.  A cycle that long is the answer, at
+    once if the search holds one and else at the first it finds: the search
+    yields the first cycle in DFS order of each length it reaches.  A search that ends
     within the floor never calls ``cuts``.  Once the search has spent its
     whole budget (counted in floor budgets, so up to one floor budget
     more), ``_dp_cycle`` gives the first c-cycle in ``cycles_of_length``
-    order, the same cycle.  The budget is that of
+    order, the same cycle, and keeps its levels, trimmed to c, in
+    ``levels`` (one list per graph, indexed by minimum vertex; a fresh one
+    by default), where ``LongestCycles`` reads them.  The budget is that of
     ``order`` vertices, n by default; ``longest_path`` passes G's order for
     its cone, so the DP reaches every cone of a G it reaches.
     """
@@ -427,9 +447,7 @@ def _longest_cycle(
     # The first edge in ``g.edges()`` order, or the bare vertex 0.
     low = next((v for v in range(n) if g.rows[v] >> v), None)
     best_path = [0] if low is None else [low, low + bits(g.rows[low] >> low)[0]]
-    stop = n if stop_at is None else min(stop_at, n)
-    if len(best_path) < stop:
-        stop = min(stop, _cycle_bound(g))
+    stop = _cycle_bound(g)
     if len(best_path) < stop:
         budget = _search_budget(n if order is None else order)
         step = None if budget is None else _search_budget(0)
@@ -443,7 +461,8 @@ def _longest_cycle(
                         break
                 spent += step
                 if spent >= budget:
-                    best_path = _dp_cycle(g, len(best_path), stop) or best_path
+                    by_min = [] if levels is None else levels
+                    best_path = _dp_cycle(g, len(best_path), stop, by_min) or best_path
                     break
                 continue
             best_path = path
@@ -485,7 +504,7 @@ def hamiltonian(g: Graph) -> CycleCert | None:
         raise GraphError("hamiltonicity needs at least one vertex")
     if _cycle_bound(g) < g.n:
         return None
-    c, path = _longest_cycle(g, stop_at=g.n)
+    c, path = _longest_cycle(g)
     if c == g.n:
         cert = CycleCert(tuple(path))
         cert.validate(g)
@@ -598,20 +617,27 @@ class LongestCycles:
 
     Holds the circumference c and its witness path (the first longest
     cycle in ``cycles_of_length`` order), the DP levels up to c from each
-    minimum vertex (``_path_levels``, run once, when a question first
-    reaches that vertex, and kept for every length), and p̄ and c̄ for every
-    off-cycle set asked about.  Dominating, PD, CD and the residual bounds
-    are properties of the set a cycle leaves off, so ``first_cycle`` tests
-    the levels' closing sets, not cycles, and ``_first_in`` finds the
-    witness among the sets that pass.  Nothing is listed on a hamiltonian
+    minimum vertex (``levels``, one list per graph: the search's DP fills
+    the entries it reaches, a question the rest, and each is built once
+    and kept for every length; a fresh list by default, which the search
+    fills when ``circ`` is not given), and p̄ and c̄ for every off-cycle
+    set asked about.  Dominating, PD, CD and the residual bounds are
+    properties of the set a cycle leaves off, so ``first_cycle`` tests the
+    levels' closing sets, not cycles, and ``_first_in`` finds the witness
+    among the sets that pass.  Nothing is listed on a hamiltonian
     graph, where every question is settled by c = n.  ``registry.Profile``
     holds one; the public functions below take one in place of a graph.
     """
 
-    def __init__(self, g: Graph, circ: tuple[int, list[int]] | None = None):
+    def __init__(
+        self,
+        g: Graph,
+        circ: tuple[int, list[int]] | None = None,
+        levels: list[list[dict[int, int]]] | None = None,
+    ):
         self.g = g
-        self.c, self.path = _longest_cycle(g) if circ is None else circ
-        self._levels: list[list[dict[int, int]]] = []
+        self._levels: list[list[dict[int, int]]] = [] if levels is None else levels
+        self.c, self.path = _longest_cycle(g, levels=self._levels) if circ is None else circ
         self._p_bar: dict[int, int] = {}
         self._c_bar: dict[int, int] = {}
 
@@ -627,12 +653,11 @@ class LongestCycles:
             for cert in cycles_of_length(self.g, k):
                 yield cert.mask()
             return
-        by_min = self._levels
-        for s in range(self.g.n - 2):
-            if s == len(by_min):
-                by_min.append(_path_levels(self.g, s, self.c))
-            if k < len(by_min[s]):
-                yield from _closing_sets(self.g, by_min[s], k)
+        g = self.g
+        for s in range(g.n - 2):
+            levels = _levels_of(g, self._levels, s, self.c)
+            if k < len(levels):
+                yield from _closing_sets(g, levels, k)
 
     def first_cycle(self, k: int, test: Callable[[LongestCycles, int], bool]) -> CycleCert | None:
         """The first k-cycle in ``cycles_of_length`` order whose off-cycle
@@ -746,9 +771,10 @@ def exists_cycle_satisfying(
 ) -> CycleCert | None:
     """Find some cycle with the property, longest lengths first.
 
-    A Hamilton cycle settles every property immediately.  Otherwise the
-    lengths go down from c, and the first length with a cycle vertex set
-    that passes gives the answer: the first such cycle in
+    A Hamilton cycle settles every property immediately.  Without one,
+    CD(1) fails on every cycle: a vertex left off is a cycle of length 1.
+    Otherwise the lengths go down from c, and the first length with a
+    cycle vertex set that passes gives the answer: the first such cycle in
     ``cycles_of_length`` order.
     """
     test = _cycle_test(prop, lam)
@@ -758,6 +784,8 @@ def exists_cycle_satisfying(
         cert = CycleCert(tuple(lc.path))
         cert.validate(g)
         return cert
+    if prop == "CD" and lam == 1:
+        return None
     for length in range(lc.c, 0, -1):
         cert = lc.first_cycle(length, test)
         if cert is not None:

@@ -219,10 +219,14 @@ class Profile:
         """c, its witness and the cycle vertex sets by length, shared by
         every longest-cycle conclusion and every lambda.  Should the search
         pass its floor budget, its cuts are this Profile's minimum separator
-        and the complement of its maximum independent set."""
+        and the complement of its maximum independent set.  The DP levels
+        the search builds, should it reach the DP, are the ones the checks
+        read: one list, built once per minimum vertex."""
         g = self.g
-        return LongestCycles(g, _longest_cycle(g, cuts=lambda: (
-            self.separator[1], g.full_mask ^ mask_of(self.independent_set[1]))))
+        levels: list[list[dict[int, int]]] = []
+        circ = _longest_cycle(g, cuts=lambda: (
+            self.separator[1], g.full_mask ^ mask_of(self.independent_set[1])), levels=levels)
+        return LongestCycles(g, circ, levels)
 
     @property
     def c(self) -> int:

@@ -27,7 +27,6 @@ from .graph import (
     cycle_graph,
     edgeless,
     from_edge_list,
-    induced_subgraph,
     mask_of,
     path_graph,
     petersen,
@@ -186,13 +185,13 @@ def is_balanced_bipartite(g: Graph) -> bool:
     """
     if g.n % 2:
         return False
-    if bipartition(g) is None:
+    sides = bipartition(g)
+    if sides is None:
         return False
+    s0, s1 = sides
     sums = {0}
     for comp in g.component_masks():
-        sub = induced_subgraph(g, comp)
-        s0, s1 = bipartition(sub)  # type: ignore[misc]
-        a, b = s0.bit_count(), s1.bit_count()
+        a, b = (s0 & comp).bit_count(), (s1 & comp).bit_count()
         sums = {x + a for x in sums} | {x + b for x in sums}
     return g.n // 2 in sums
 

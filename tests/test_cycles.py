@@ -260,7 +260,7 @@ def test_subset_dp_finishes_with_the_exhaustive_witness(monkeypatch):
 
     def answers():
         return [
-            (_longest_cycle(g), _longest_cycle(g, stop_at=g.n), longest_path(g))
+            (_longest_cycle(g), hamiltonian(g), longest_path(g))
             for g in corpus
         ]
 
@@ -285,7 +285,7 @@ def test_budget_sized_by_order_keeps_the_exhaustive_witness(monkeypatch):
 
     def answers():
         return [
-            (_longest_cycle(g), _longest_cycle(g, stop_at=g.n), longest_path(g))
+            (_longest_cycle(g), hamiltonian(g), longest_path(g))
             for g in corpus
         ]
 
@@ -341,7 +341,7 @@ def test_budget_schedule_follows_the_dp_cost(monkeypatch):
 
     def answers():
         return [
-            (_longest_cycle(g), _longest_cycle(g, stop_at=g.n), longest_path(g))
+            (_longest_cycle(g), hamiltonian(g), longest_path(g))
             for g in corpus
         ]
 
@@ -596,6 +596,36 @@ def test_first_cycle_is_the_first_listed_cycle_that_passes(g, salt, spread):
     for k in range(1, lc.c + 1):
         want = next((cert for cert in cycles_of_length(g, k) if test(lc, full ^ cert.mask())), None)
         assert lc.first_cycle(k, test) == want, (g, k)
+
+
+def test_dp_levels_are_built_once_per_minimum_vertex(monkeypatch):
+    # The search's DP and the checks share one level list per graph: no
+    # (graph, minimum vertex) pair is built twice, whichever asks first.
+    from cyclekit.registry import Profile, check_all
+
+    built = []
+    build_levels = cycles._path_levels
+    monkeypatch.setattr(cycles, "_path_levels", lambda g, s, cap: built.append((g, s)) or build_levels(g, s, cap))
+    gstar, gn = build("Gstar", n=17), build("Gn", n=17, delta=6)
+    check_all(Profile(gstar))
+    every_longest_cycle_satisfies(gn, "dominating")
+    assert {g for g, _ in built} == {gstar, gn}
+    assert len(built) == len(set(built))
+
+
+def test_cd1_without_a_hamilton_cycle_tests_no_cycle(monkeypatch):
+    # CD(1) needs c-bar < 1, which only a spanning cycle meets: a vertex left
+    # off is a cycle of length 1.
+    calls = []
+    first_cycle = LongestCycles.first_cycle
+    monkeypatch.setattr(LongestCycles, "first_cycle", lambda *a: calls.append(a[1]) or first_cycle(*a))
+    g = build("Gn", n=15, delta=5)
+    lc = LongestCycles(g)
+    assert lc.c < g.n
+    assert exists_cycle_satisfying(lc, "CD", 1) is None
+    assert not calls
+    assert every_longest_cycle_satisfies(lc, "CD", 1)[0] is False
+    assert exists_cycle_satisfying(cycle_graph(5), "CD", 1) == CycleCert((0, 1, 2, 3, 4))
 
 
 # -- certificate rejection under mutation -------------------------------------
