@@ -40,7 +40,6 @@ from .registry import (
     free_of,
     in_class,
     numeric,
-    premise_necessary_case,
     premise_tight_case,
 )
 from .structure import claw, net
@@ -141,14 +140,13 @@ def _hub_cycle(t: int, a: int, b: int) -> CycleCert:
     return CycleCert(tuple(seq))
 
 
-def _pinned_circumference(t: int, a: int, b: int) -> tuple[Graph, CycleCert, int]:
-    """Build tK_a+K_b with its circumference pinned exactly by a witness
-    cycle that meets the hub cut's ``UpperCert`` (no search needed)."""
-    g = build("tKa-join-Kb", t=t, a=a, b=b)
+def _pinned_circumference(g: Graph, t: int, a: int, b: int) -> tuple[CycleCert, int]:
+    """The circumference of g = tK_a+K_b, pinned exactly by a witness cycle
+    that meets the hub cut's ``UpperCert`` (no search needed)."""
     cyc = _hub_cycle(t, a, b)
     cyc.validate(g)
     UpperCert(((1 << b) - 1) << (t * a), cyc.length).validate(g)  # the b hubs follow the cliques
-    return g, cyc, cyc.length
+    return cyc, cyc.length
 
 
 def _missed_clique_fails(t: int, b: int, prop: str, lam: int | None):
@@ -159,11 +157,11 @@ def _missed_clique_fails(t: int, b: int, prop: str, lam: int | None):
 
     def fails(pf: Profile) -> tuple[bool, str]:
         a = (pf.n - b) // t
-        g, cyc, c = _pinned_circumference(t, a, b)
+        cyc, c = _pinned_circumference(pf.g, t, a, b)
         if prop == "dominating":
-            bad = not is_dominating_cycle(g, cyc)
+            bad = not is_dominating_cycle(pf.g, cyc)
         else:
-            bad = not is_CD_cycle(g, cyc, lam)  # type: ignore[arg-type]
+            bad = not is_CD_cycle(pf.g, cyc, lam)  # type: ignore[arg-type]
         return bad, f"longest cycle (length {c}) misses a K_{a} block, not {prop}"
 
     return fails
@@ -424,7 +422,7 @@ def _build() -> list[TheoremSpec]:
             numeric("delta >= (n-4)/2"),
         ],
         n_floor=11,
-        sharpness=[premise_necessary_case(
+        sharpness=[premise_tight_case(
             "the Petersen graph needs the order floor",
             petersen,
             "n >= 11",
@@ -457,7 +455,7 @@ def _build() -> list[TheoremSpec]:
         Ham(),
         [_K2, numeric("delta >= (n+kappa)/3")],
         sharpness=[
-            premise_necessary_case(
+            premise_tight_case(
                 "2K_delta+K_1 needs the connectivity premise",
                 _per_delta(*_PD_2KD_K1, range(2, 5)),
                 "kappa >= 2",
@@ -962,15 +960,15 @@ def _fan_f(n: int, t: int, lam: int) -> int:
 
 
 def _thm52_gap_fails(pf: Profile) -> tuple[bool, str]:
-    g, cyc, c = _pinned_circumference(4, 3, 3)
+    _, c = _pinned_circumference(pf.g, 4, 3, 3)
     bound = _T18_BOUND.expr(pf, None)
     return c < bound, f"c={c} (pinned by cut bound) < min{{n, 4delta-kappa-4}}={bound}"
 
 
 def _thm56_both_fail(pf: Profile) -> tuple[bool, str]:
-    g, cyc, c = _pinned_circumference(4, 3, 3)
+    cyc, c = _pinned_circumference(pf.g, 4, 3, 3)
     bound = _T18_BOUND.expr(pf, None)
-    not_dom = not is_dominating_cycle(g, cyc)
+    not_dom = not is_dominating_cycle(pf.g, cyc)
     return (
         c < bound and not_dom,
         f"c={c} < bound {bound} and the pinned longest cycle misses a K_3 block",
@@ -993,7 +991,8 @@ def _residual_equality_runner(param_range: str | None) -> list[CaseResult]:
             combos.append((kappa, delta, f"{kappa + 1}K_{delta - kappa + 1}+K_{kappa}"))
     for kappa, delta, label in combos:
         t, a = kappa + 1, delta - kappa + 1
-        g, cyc, c = _pinned_circumference(t, a, kappa)
+        g = build("tKa-join-Kb", t=t, a=a, b=kappa)
+        cyc, c = _pinned_circumference(g, t, a, kappa)
         p_bar, c_bar = residual_params(g, cyc)
         eq39 = (p_bar + 2) * (delta - p_bar) == c
         eq40 = (c_bar + 1) * (delta - c_bar + 1) == c

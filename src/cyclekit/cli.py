@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Graphs are read one per line (graph6, or a whole edge-list/DIMACS text
-when the input holds a single graph) from a file argument or stdin, and
-all reports go to stdout.  ``--json`` switches every command to
-line-delimited JSON records mirroring the human output field-for-field.
+Graphs are read from a file argument or stdin, and all reports go to
+stdout.  The input's first token decides how it is read: ``p`` or ``c``
+starts one DIMACS graph, a digit string one edge-list graph, and
+anything else is one graph6 string per line.  ``--json`` switches every
+command to line-delimited JSON records mirroring the human output
+field-for-field.
 
 Exit codes: 0 success, 1 a VIOLATED verdict or failed audit case was
 found, 2 usage error or unreadable input, 3 internal error.
@@ -27,7 +29,7 @@ from .cycles import (
     hamiltonian,
     longest_path,
 )
-from .formats import FormatError, encode_graph6, parse_any, parse_graph6
+from .formats import FormatError, encode_graph6, parse_document, parse_graph6
 from .graph import Graph, GraphError
 from .registry import (
     ASSERTABLE_CLASSES,
@@ -101,8 +103,8 @@ def _theorem(theorem_id: str) -> TheoremSpec:
 def _read_graphs(path: str | None) -> Iterator[tuple[str, Graph]]:
     """Yield (label, graph) pairs from a file or stdin.
 
-    Lines are treated as graph6; if the first line starts a DIMACS or
-    edge-list document, the whole input is parsed as one graph.
+    A DIMACS or edge-list document, told apart by ``parse_document``, is
+    one graph; any other input is one graph6 string per line.
     """
     if path in (None, "-"):
         text = sys.stdin.read()
@@ -110,13 +112,9 @@ def _read_graphs(path: str | None) -> Iterator[tuple[str, Graph]]:
         with open(path) as f:
             text = f.read()
     stripped = text.strip()
-    if not stripped:
-        return
-    first = stripped.splitlines()[0].strip()
-    if first.startswith(("p ", "c ")) or (
-        len(first.split()) == 2 and all(tok.isdigit() for tok in first.split())
-    ):
-        yield "input", parse_any(text)
+    g = parse_document(stripped)
+    if g is not None:
+        yield "input", g
         return
     for i, line in enumerate(stripped.splitlines()):
         line = line.strip()

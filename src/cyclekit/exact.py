@@ -23,14 +23,7 @@ Exact = Union[int, Fraction, float]
 
 def fmt_exact(x: Exact) -> str:
     """Render as "p/q" (or plain integer) with "inf" for +infinity."""
-    if type(x) is int or type(x) is Fraction:
-        return str(x)  # a Fraction's str is already "p/q", or "p" when q = 1
-    if x == INF:
-        return "inf"
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return "inf" if x == INF else str(x)  # a Fraction's str is "p/q", or "p" when q = 1
 
 
 def parse_exact(text: str) -> Exact:

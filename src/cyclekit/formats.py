@@ -142,14 +142,25 @@ def parse_dimacs(text: str) -> Graph:
         raise FormatError(str(exc)) from exc
 
 
+def parse_document(text: str) -> Graph | None:
+    """Parse a DIMACS or edge-list document, or return None for graph6.
+
+    The first token decides: ``p`` or ``c`` starts DIMACS, a digit string
+    an edge list (graph6 bytes are 63..126, so no graph6 string starts
+    with a digit), and anything else is graph6.
+    """
+    first = (text.split(maxsplit=1) or [""])[0]
+    if first in ("p", "c"):
+        return parse_dimacs(text)
+    if first.isdigit():
+        return parse_edge_list(text)
+    return None
+
+
 def parse_any(text: str) -> Graph:
-    """Best-effort dispatch over the accepted input formats."""
+    """Parse one graph in any accepted input format."""
     s = text.strip()
     if not s:
         raise FormatError("empty graph text")
-    if s.startswith(("p ", "p\t", "c ", "c\t")):
-        return parse_dimacs(s)
-    tokens = s.split()
-    if len(tokens) >= 2 and all(t.isdigit() for t in tokens):
-        return parse_edge_list(s)
-    return parse_graph6(s)
+    g = parse_document(s)
+    return parse_graph6(s) if g is None else g

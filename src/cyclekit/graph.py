@@ -61,10 +61,6 @@ class Graph:
     def degrees(self) -> list[int]:
         return [row.bit_count() for row in self.rows]
 
-    def neighbors(self, u: int) -> list[int]:
-        self._check_vertex(u)
-        return bits(self.rows[u])
-
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for u in range(self.n):
@@ -323,14 +319,6 @@ def all_distances(g: Graph, source: int) -> list[int]:
         for v in bits(frontier):
             dist[v] = d
     return dist
-
-
-def distance(g: Graph, u: int, v: int) -> int | None:
-    """Shortest-path edge count, or None across components."""
-    g._check_vertex(u)
-    g._check_vertex(v)
-    d = all_distances(g, u)[v]
-    return None if d < 0 else d
 
 
 def power(g: Graph, k: int) -> Graph:

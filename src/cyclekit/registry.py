@@ -898,26 +898,19 @@ def _premise_status(
     return ok, notes, warnings
 
 
-def _conclusion_fails(
-    spec: TheoremSpec, pf: Profile, lam: int | None, override: FailCheck | None
-) -> tuple[bool, str]:
-    if override is not None:
-        return override(pf)
-    out = spec.conclusion.check(pf, lam)
-    return (not out.ok, out.detail)
-
-
 def premise_tight_case(
     label: str,
     graphs: GraphList,
     target: str,
-    relaxed: Premise,
+    relaxed: Premise | None = None,
     lam: int | None = None,
     waive: tuple[str, ...] = (),
     conclusion_fails: FailCheck | None = None,
 ) -> SharpnessCase:
     """Role (i): the target premise fails, its declared relaxation holds,
-    every other premise holds, and the conclusion fails."""
+    every other premise holds, and the conclusion fails.  With no
+    relaxation this is role (iii), premise-necessary: dropping the target
+    premise entirely admits the example."""
 
     def run(spec: TheoremSpec, param_range: str | None) -> list[CaseResult]:
         results = []
@@ -926,18 +919,24 @@ def premise_tight_case(
             ok, notes, warnings = _premise_status(spec, pf, lam, skip=(target,), waive=waive)
             tgt = next(p for p in spec.premises if p.label == target)
             tgt_holds = bool(tgt.evaluate(pf, lam, frozenset()))
-            rel_holds = relaxed.fn(pf, lam)
-            failed, fail_detail = _conclusion_fails(spec, pf, lam, conclusion_fails)
+            rel_holds = relaxed is None or relaxed.fn(pf, lam)
+            if conclusion_fails is not None:
+                failed, fail_detail = conclusion_fails(pf)
+            else:
+                out = spec.conclusion.check(pf, lam)
+                failed, fail_detail = not out.ok, out.detail
             passed = ok and not tgt_holds and rel_holds and failed
-            detail = (
-                f"original '{target}' {'holds (unexpected)' if tgt_holds else 'fails'}; "
-                f"relaxed '{relaxed.label}' {'holds' if rel_holds else 'FAILS'}; "
-                f"conclusion: {fail_detail}; " + "; ".join(notes)
-            )
+            if relaxed is None:
+                status = (f"dropped '{target}' "
+                          f"{'holds (unexpected)' if tgt_holds else 'fails as required'}")
+            else:
+                status = (f"original '{target}' {'holds (unexpected)' if tgt_holds else 'fails'}; "
+                          f"relaxed '{relaxed.label}' {'holds' if rel_holds else 'FAILS'}")
+            detail = f"{status}; conclusion: {fail_detail}; " + "; ".join(notes)
             results.append(CaseResult(label, glabel, passed, detail, warnings))
         return results
 
-    return SharpnessCase(label, "premise-tight", run)
+    return SharpnessCase(label, "premise-necessary" if relaxed is None else "premise-tight", run)
 
 
 def conclusion_tight_case(
@@ -968,35 +967,6 @@ def conclusion_tight_case(
         return results
 
     return SharpnessCase(label, "conclusion-tight", run)
-
-
-def premise_necessary_case(
-    label: str,
-    graphs: GraphList,
-    target: str,
-    lam: int | None = None,
-    conclusion_fails: FailCheck | None = None,
-) -> SharpnessCase:
-    """Role (iii): dropping the target premise entirely admits the example."""
-
-    def run(spec: TheoremSpec, param_range: str | None) -> list[CaseResult]:
-        results = []
-        for glabel, g in graphs(param_range):
-            pf = Profile(g)
-            ok, notes, warnings = _premise_status(spec, pf, lam, skip=(target,))
-            tgt = next(p for p in spec.premises if p.label == target)
-            tgt_holds = bool(tgt.evaluate(pf, lam, frozenset()))
-            failed, fail_detail = _conclusion_fails(spec, pf, lam, conclusion_fails)
-            passed = ok and not tgt_holds and failed
-            detail = (
-                f"dropped '{target}' "
-                f"{'holds (unexpected)' if tgt_holds else 'fails as required'}; "
-                f"conclusion: {fail_detail}; " + "; ".join(notes)
-            )
-            results.append(CaseResult(label, glabel, passed, detail, warnings))
-        return results
-
-    return SharpnessCase(label, "premise-necessary", run)
 
 
 def custom_case(label: str, role: str, fn: Callable[[str | None], list[CaseResult]]) -> SharpnessCase:

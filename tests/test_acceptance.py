@@ -102,8 +102,10 @@ def test_criterion_3_anchored_sharpness_audits():
         for r in results:
             assert r.passed, (tid, r.case, r.graph_label, r.detail)
     # role coverage required by the criterion
-    thm31_roles = {c.role for c in get("Thm31").sharpness}
-    assert thm31_roles == {"premise-tight", "conclusion-tight"}
+    roles = {tid: {c.role for c in get(tid).sharpness} for tid in ("Thm31", "Thm8", "Thm10")}
+    assert roles == {"Thm31": {"premise-tight", "conclusion-tight"},
+                     "Thm8": {"premise-necessary"},
+                     "Thm10": {"premise-necessary", "premise-tight"}}
     labels31 = [r.graph_label for r in audit_sharpness(get("Thm31"))]
     assert any("v1..v8" in lab for lab in labels31)
     labels3940 = [r.graph_label for r in audit_sharpness(get("Thm39"))]

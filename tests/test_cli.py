@@ -192,6 +192,19 @@ def test_unreadable_input_exits_2():
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_first_token_picks_the_input_format():
+    """A ``p`` or ``c`` token starts DIMACS and a digit string an edge list,
+    whatever separates it from the rest of the document."""
+    p2, p3 = path_graph(2), path_graph(3)
+    for text, g in (("p\tedge 3 2\ne 1 2\ne 2 3\n", p3),
+                    ("c\tcomment\np edge 3 2\ne 1 2\ne 2 3\n", p3),
+                    ("3 2 0 1 1 2\n", p3), ("2\n1 0 1\n", p2)):
+        code, out, err = run(["solve", "circumference"], stdin=text)
+        assert code == 0 and out.startswith(f"{encode_graph6(g)}: c = "), (text, err)
+    code, out, err = run(["solve", "circumference"], stdin="3 2\n0 1\n1 x\n")
+    assert code == 2 and out == "" and err.startswith("error: bad integer in edge list")
+
+
 def test_input_file_is_closed(tmp_path):
     path = tmp_path / "petersen.g6"
     path.write_text("IheA@GUAo\n")

@@ -93,3 +93,11 @@ def test_parse_any_dispatch():
     assert parse_any("p edge 3 1\ne 1 3\n").has_edge(0, 2)
     assert parse_any("2 1\n0 1\n").q == 1
     assert are_isomorphic(parse_any(encode_graph6(petersen())), petersen())
+    # the first token picks the format, whatever follows it
+    p3 = from_edge_list(3, [(0, 1), (1, 2)])
+    for text in ("p\tedge 3 2\ne 1 2\ne 2 3", "c\tcomment\np edge 3 2\ne 1 2\ne 2 3",
+                 "3 2 0 1 1 2", "3 2\n0 1\n1 2"):
+        assert parse_any(text) == p3, text
+    assert parse_any("2\n1 0 1") == from_edge_list(2, [(0, 1)])
+    with pytest.raises(FormatError, match="bad integer in edge list"):
+        parse_any("3 2\n0 1\n1 x")

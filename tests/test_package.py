@@ -130,6 +130,30 @@ def test_no_private_name_is_imported_across_modules():
     assert imported == {("registry", "_longest_cycle")}
 
 
+def test_no_dead_helper():
+    """Every top-level function and class of the package, and every method,
+    is referenced by name (or by a string, as the lazy exports and the class
+    predicates are) somewhere in the source, tests, demos or benchmark."""
+    defined = set()
+    for path in Path(SRC, "cyclekit").glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined |= {m.name for m in node.body if isinstance(m, ast.FunctionDef)}
+    used = set()
+    for top in ("src", "tests", "demos", "perfbench"):
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    used.add(node.value)
+    assert {name for name in defined - used if not re.fullmatch(r"__\w+__", name)} == set()
+
+
 # -- modules each process loads ------------------------------------------------
 
 
