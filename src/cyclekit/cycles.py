@@ -23,10 +23,11 @@ cycles of the cone K_1 + G all pass through its apex, and dropping the
 apex leaves the longest paths of G (``longest_path``); the cone's budget
 is that of G's order, so the DP takes over wherever G has at most
 ``ENUMERATION_CEILING`` vertices.
-``LongestCycles`` keeps one graph's longest-cycle answers so that every
-universal, existence and residual question reuses them.  Those questions
-depend only on the vertex set a cycle leaves off, so they are answered
-from the closing sets of the same levels, and no cycle is listed:
+``LongestCycles`` runs that search once per graph and keeps its answers,
+the witness validated once, so that ``circumference``, ``hamiltonian``
+and every universal, existence and residual question reuse them.  Those
+questions depend only on the vertex set a cycle leaves off, so they are
+answered from the closing sets of the same levels, and no cycle is listed:
 ``_first_in`` finds the witness among the sets that qualify.  The levels
 are kept in one list per graph, indexed by minimum vertex and trimmed to
 c; ``_levels_of`` builds an entry when the search's DP or a question
@@ -489,10 +490,8 @@ def cycles_of_length(g: Graph, c: int) -> Iterator[CycleCert]:
 
 
 def circumference(g: Graph) -> tuple[int, CycleCert]:
-    c, path = _longest_cycle(g)
-    cert = CycleCert(tuple(path))
-    cert.validate(g)
-    return c, cert
+    lc = LongestCycles(g)
+    return lc.c, lc.cycle
 
 
 def hamiltonian(g: Graph) -> CycleCert | None:
@@ -504,12 +503,8 @@ def hamiltonian(g: Graph) -> CycleCert | None:
         raise GraphError("hamiltonicity needs at least one vertex")
     if _cycle_bound(g) < g.n:
         return None
-    c, path = _longest_cycle(g)
-    if c == g.n:
-        cert = CycleCert(tuple(path))
-        cert.validate(g)
-        return cert
-    return None
+    lc = LongestCycles(g)
+    return lc.cycle if lc.c == g.n else None
 
 
 # -- longest path ---------------------------------------------------------
@@ -615,29 +610,28 @@ def residual_params(g: Graph, cycle: CycleCert) -> tuple[int | None, int | None]
 class LongestCycles:
     """Longest-cycle answers for one graph, each computed at most once.
 
-    Holds the circumference c and its witness path (the first longest
-    cycle in ``cycles_of_length`` order), the DP levels up to c from each
-    minimum vertex (``levels``, one list per graph: the search's DP fills
-    the entries it reaches, a question the rest, and each is built once
-    and kept for every length; a fresh list by default, which the search
-    fills when ``circ`` is not given), and p̄ and c̄ for every off-cycle
-    set asked about.  Dominating, PD, CD and the residual bounds are
-    properties of the set a cycle leaves off, so ``first_cycle`` tests the
-    levels' closing sets, not cycles, and ``_first_in`` finds the witness
-    among the sets that pass.  Nothing is listed on a hamiltonian
+    Runs the longest-cycle search itself, passing ``cuts`` on to
+    ``_longest_cycle`` (its default cuts when None), and holds what it
+    finds: the circumference c; its witness ``cycle``, the first longest
+    cycle in ``cycles_of_length`` order, a ``CycleCert`` validated here
+    and returned by every answer that is that cycle; the DP levels up to
+    c from each minimum vertex, one list of its own that the search's DP
+    fills where it reaches and a question fills for the rest, each entry
+    built once and kept for every length; and p̄ and c̄ for every
+    off-cycle set asked about.  Dominating, PD, CD and the residual bounds
+    are properties of the set a cycle leaves off, so ``first_cycle`` tests
+    the levels' closing sets, not cycles, and ``_first_in`` finds the
+    witness among the sets that pass.  Nothing is listed on a hamiltonian
     graph, where every question is settled by c = n.  ``registry.Profile``
     holds one; the public functions below take one in place of a graph.
     """
 
-    def __init__(
-        self,
-        g: Graph,
-        circ: tuple[int, list[int]] | None = None,
-        levels: list[list[dict[int, int]]] | None = None,
-    ):
+    def __init__(self, g: Graph, cuts: Callable[[], Iterable[int]] | None = None):
         self.g = g
-        self._levels: list[list[dict[int, int]]] = [] if levels is None else levels
-        self.c, self.path = _longest_cycle(g, levels=self._levels) if circ is None else circ
+        self._levels: list[list[dict[int, int]]] = []
+        self.c, path = _longest_cycle(g, cuts, levels=self._levels)
+        self.cycle = CycleCert(tuple(path))
+        self.cycle.validate(g)
         self._p_bar: dict[int, int] = {}
         self._c_bar: dict[int, int] = {}
 
@@ -672,12 +666,9 @@ class LongestCycles:
         """
         g, full = self.g, self.g.full_mask
         _check_cap(g.n)
-        if k == self.c:
+        if k == self.c and test(self, full ^ self.cycle.mask()):
             # The circumference witness is the first longest cycle.
-            first = CycleCert(tuple(self.path))
-            if test(self, full ^ first.mask()):
-                first.validate(g)
-                return first
+            return self.cycle
         passing: list[int] = []
         for t in self.cycle_sets(k):
             if passing and (k <= 2 or t & -t != passing[0] & -passing[0]):
@@ -779,11 +770,8 @@ def exists_cycle_satisfying(
     """
     test = _cycle_test(prop, lam)
     lc = _cycles_of(g)
-    g = lc.g
-    if lc.c == g.n:
-        cert = CycleCert(tuple(lc.path))
-        cert.validate(g)
-        return cert
+    if lc.c == lc.g.n:
+        return lc.cycle
     if prop == "CD" and lam == 1:
         return None
     for length in range(lc.c, 0, -1):

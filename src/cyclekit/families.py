@@ -156,7 +156,7 @@ def moon_moser_sharp(delta: int, half: int) -> Graph:
     size = half - delta
     # layout: P (delta), Q (size), R (delta), S (size)
     edges = []
-    p0, q0, r0, s0 = 0, delta, half, half + delta
+    p0, q0, r0 = 0, delta, half
     for x in range(p0, p0 + delta):
         for y in range(r0, r0 + delta):
             edges.append((x, y))
@@ -199,26 +199,27 @@ def ktt_minus_star(t: int) -> Graph:
     return from_edge_list(2 * t, edges)
 
 
+def _clique_with_common_fan(n: int, core: int, t: int) -> Graph:
+    """K_core on vertices 0..core-1 plus n - core independent vertices,
+    each seeing clique vertices 0..t-1."""
+    check_order(n)
+    edges = [(u, v) for u in range(core) for v in range(u + 1, core)]
+    edges += [(v, x) for x in range(core, n) for v in range(t)]
+    return from_edge_list(n, edges)
+
+
 def clique_plus_pendant(n: int) -> Graph:
     """K_{n-1} with one pendant vertex: the size-bound extremal graph."""
     if n < 2:
         raise GraphError("needs n >= 2")
-    check_order(n)
-    edges = [(u, v) for u in range(n - 1) for v in range(u + 1, n - 1)]
-    edges.append((0, n - 1))
-    return from_edge_list(n, edges)
+    return _clique_with_common_fan(n, n - 1, 1)
 
 
 def clique_with_fan(n: int, delta: int) -> Graph:
     """K_{n-delta} plus delta independent vertices, each seeing the same delta clique vertices."""
     if not 1 <= delta <= n - delta:
         raise GraphError("needs 1 <= delta and 2*delta <= n")
-    check_order(n)
-    edges = [(u, v) for u in range(n - delta) for v in range(u + 1, n - delta)]
-    for x in range(n - delta, n):
-        for v in range(delta):
-            edges.append((v, x))
-    return from_edge_list(n, edges)
+    return _clique_with_common_fan(n, n - delta, delta)
 
 
 def star_of_cliques(t: int, lam: int, r: int) -> Graph:
@@ -243,12 +244,7 @@ def clique_with_pendant_fan(n: int, t: int, lam: int) -> Graph:
     core = lam + 1 - t
     if not (1 <= t <= core and core <= n):
         raise GraphError("needs 1 <= t <= lam+1-t <= n")
-    check_order(n)
-    edges = [(u, v) for u in range(core) for v in range(u + 1, core)]
-    for x in range(core, n):
-        for v in range(t):
-            edges.append((v, x))
-    return from_edge_list(n, edges)
+    return _clique_with_common_fan(n, core, t)
 
 
 def matchings_join_independent(a: int) -> Graph:

@@ -137,6 +137,15 @@ def test_audit_command():
     assert out.count("PASS") == 6 and "FAIL" not in out
 
 
+def test_audit_above_the_cap_fails_the_case_and_exits_1():
+    # K_1+2K_10 has 21 vertices, past the 20-vertex cap of Thm31's
+    # every-longest-cycle conclusion: a failed case, not an internal error.
+    code, out, err = run(["audit", "--theorem", "Thm31", "--range", "10..10"])
+    assert code == 1 and err == ""
+    assert "K_1+2K_10 delta=10: FAIL" in out
+    assert "conclusion: ceiling: longest-cycle check capped at 20 vertices (n=21)" in out
+
+
 def test_check_json_fields():
     _, g6, _ = run(["construct", "complete", "--n", "5"])
     code, out, _ = run(["check", "--theorem", "T1", "--json"], stdin=g6)

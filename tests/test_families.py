@@ -5,7 +5,7 @@ import pytest
 from cyclekit.cycles import circumference, hamiltonian
 from cyclekit.families import FAMILIES, build, list_families
 from cyclekit.formats import encode_graph6
-from cyclekit.graph import GraphError, are_isomorphic, complete
+from cyclekit.graph import GraphError, complete
 from cyclekit.invariants import binding_number, connectivity, independence_number, toughness
 from cyclekit.registry import Profile
 from fractions import Fraction
@@ -120,10 +120,14 @@ def test_star_of_cliques_and_fans():
     fan = build("clique-with-pendant-fan", n=8, t=2, lam=5)
     assert fan.n == 8
     pend = build("clique-plus-pendant", n=6)
-    assert are_isomorphic(
-        pend, build("clique-plus-pendant", n=6)
-    )
     assert independence_number(pend)[0] == 2
+    # Both older families are pendant fans on K_{lam+1-t} with lam = n - 1,
+    # labeled graph for labeled graph.
+    for n in range(2, 20):
+        assert build("clique-plus-pendant", n=n) == build("clique-with-pendant-fan", n=n, t=1, lam=n - 1)
+        for delta in range(1, n // 2 + 1):
+            assert build("clique-with-fan", n=n, delta=delta) == build(
+                "clique-with-pendant-fan", n=n, t=delta, lam=n - 1)
 
 
 def test_family_metadata_cites_known_theorems():

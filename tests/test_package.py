@@ -119,8 +119,8 @@ print(json.dumps([code, callable(cyclekit.catalog)]))
 
 def test_no_private_name_is_imported_across_modules():
     """A module imports only public names from its siblings.  The one
-    exception is ``registry``'s ``_longest_cycle``, which the benchmark's
-    tracer patches there under that name."""
+    exception is ``registry``'s ``_longest_cycle``, which ``registry`` no
+    longer calls: it is only the benchmark tracer's patch target there."""
     imported = set()
     for path in sorted(Path(SRC, "cyclekit").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

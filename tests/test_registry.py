@@ -12,6 +12,8 @@ import pytest
 from cyclekit import cli, cycles, invariants, registry
 from cyclekit.catalog import catalog, get
 from cyclekit.cycles import (
+    CertificateError,
+    LongestCycles,
     circumference,
     cycles_of_length,
     is_CD_cycle,
@@ -165,6 +167,17 @@ def test_one_full_graph_longest_cycle_search_per_check_all(monkeypatch):
     monkeypatch.setattr(registry, "_longest_cycle", counting)
     check_all(g)
     assert len(full) == 1
+
+
+def test_the_longest_cycle_witness_is_validated_where_it_is_built(monkeypatch):
+    # A search that returned a non-cycle is caught before any answer, here
+    # T1's Bound witness, hands it out.
+    g = path_graph(4)
+    monkeypatch.setattr(cycles, "_longest_cycle", lambda h, *a, **k: (h.n, list(range(h.n))))
+    with pytest.raises(CertificateError):
+        LongestCycles(g)
+    with pytest.raises(CertificateError):
+        check(Profile(g), get("T1"))
 
 
 # -- the shared longest-cycle cache against naive loops ---------------------
