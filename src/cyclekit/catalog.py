@@ -18,11 +18,10 @@ and sharpness cases.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction as F
+from functools import cache
 
 from .cycles import CycleCert, UpperCert, is_CD_cycle, is_dominating_cycle, residual_params
-from .families import build
 from .graph import Graph, path_graph
 from .registry import (
     Bound,
@@ -98,9 +97,24 @@ def _parse_range(param_range: str | None, default: range) -> range:
     return range(int(lo), int(hi) + 1)
 
 
-def _fixed(*items):
+def _family(name: str, **params: int) -> Graph:
+    """``families.build``, imported on first use: only audits build graphs,
+    so a ``check`` process never loads ``families``."""
+    from .families import build
+
+    return build(name, **params)
+
+
+@cache
+def _kept(name: str, **params: int) -> Graph:
+    """A fixed sharpness graph, built at most once per process."""
+    return _family(name, **params)
+
+
+def _fixed(label: str, name: str, **params: int):
+    """One family member under ``label``, built by the first audit that reads it."""
     def graphs(param_range):
-        return list(items)
+        return [(label, _kept(name, **params))]
 
     return graphs
 
@@ -113,9 +127,9 @@ def _per_delta(fmt: str, make, default: range):
 
 
 # (label format, builder) of the per-delta families that several cases use
-_PD_K1_2KD = ("K_1+2K_{d} delta={d}", lambda d: build("tKa-join-Kb", t=2, a=d, b=1))
-_PD_2KD_K1 = ("2K_{d}+K_1 delta={d}", lambda d: build("join2Kd-K1", delta=d))
-_PD_3KD1_K2 = ("3K_{{d-1}}+K_2 delta={d}", lambda d: build("tKa-join-Kb", t=3, a=d - 1, b=2))
+_PD_K1_2KD = ("K_1+2K_{d} delta={d}", lambda d: _family("tKa-join-Kb", t=2, a=d, b=1))
+_PD_2KD_K1 = ("2K_{d}+K_1 delta={d}", lambda d: _family("join2Kd-K1", delta=d))
+_PD_3KD1_K2 = ("3K_{{d-1}}+K_2 delta={d}", lambda d: _family("tKa-join-Kb", t=3, a=d - 1, b=2))
 
 
 def _kappa_tight(k: int, label: str, graphs, conclusion_fails=None):
@@ -196,19 +210,22 @@ def _build() -> list[TheoremSpec]:
         entries.append(spec)
         return spec
 
-    def alias(base: TheoremSpec, id: str, title: str, **changes) -> TheoremSpec:
-        """base's statement, premises and conclusion under another id and title."""
-        return add(replace(base, id=id, title=title, **changes))
+    def alias(base: TheoremSpec, id: str, title: str, sharpness=None) -> TheoremSpec:
+        """base's statement, premises and conclusion under another id and
+        title, with base's sharpness cases unless others are given."""
+        return add(TheoremSpec(
+            id, title, base.statement, base.conclusion, base.premises, base.n_floor, base.lambdas,
+            base.sharpness if sharpness is None else sharpness, base.notes, base.quarantined,
+        ))
 
     # sharpness graphs used by more than one case
-    h1243 = _fixed(("H(1,2,4,3)", build("H", a=1, b=2, t=4, k=3)))
-    h1254 = _fixed(("H(1,2,5,4)", build("H", a=1, b=2, t=5, k=4)))
-    petersen = _fixed(("petersen", build("petersen")))
-    four_k3_k3 = _fixed(("4K_3+K_3", build("tKa-join-Kb", t=4, a=3, b=3)))
-    two_k3_k1 = _fixed(("2K_3+K_1", build("join2Kd-K1", delta=3)))
-    bridge = _fixed(("bridge-gadget", build("bridge-gadget")))
-    kdd1 = _per_delta("K_{{{d},{d}+1}}", lambda d: build("Kdd1", delta=d), range(2, 5))
-    theta333 = build("theta", i=3, j=3, k=3)
+    h1243 = _fixed("H(1,2,4,3)", "H", a=1, b=2, t=4, k=3)
+    h1254 = _fixed("H(1,2,5,4)", "H", a=1, b=2, t=5, k=4)
+    petersen = _fixed("petersen", "petersen")
+    four_k3_k3 = _fixed("4K_3+K_3", "tKa-join-Kb", t=4, a=3, b=3)
+    two_k3_k1 = _fixed("2K_3+K_1", "join2Kd-K1", delta=3)
+    bridge = _fixed("bridge-gadget", "bridge-gadget")
+    kdd1 = _per_delta("K_{{{d},{d}+1}}", lambda d: _family("Kdd1", delta=d), range(2, 5))
 
     # sharpness cases shared by more than one entry
     petersen_tau = premise_tight_case(
@@ -345,7 +362,7 @@ def _build() -> list[TheoremSpec]:
         [numeric("q >= (n^2-3n+5)/2")],
         sharpness=[premise_tight_case(
             "K_{n-1} with a pendant vertex defeats the relaxed size bound",
-            _per_delta("clique-plus-pendant n={d}", lambda d: build("clique-plus-pendant", n=d), range(5, 9)),
+            _per_delta("clique-plus-pendant n={d}", lambda d: _family("clique-plus-pendant", n=d), range(5, 9)),
             "q >= (n^2-3n+5)/2",
             numeric("q >= (n^2-3n+4)/2"),
         )],
@@ -407,7 +424,7 @@ def _build() -> list[TheoremSpec]:
         [_BALANCED, numeric("delta >= (n+1)/4")],
         sharpness=[premise_tight_case(
             "three-path gadget (theta(3,3,3)) defeats delta >= n/4",
-            _fixed(("theta(3,3,3)", theta333)),
+            _fixed("theta(3,3,3)", "theta", i=3, j=3, k=3),
             "delta >= (n+1)/4",
             numeric("delta >= n/4"),
         )],
@@ -462,7 +479,7 @@ def _build() -> list[TheoremSpec]:
             ),
             premise_tight_case(
                 "H(1,delta-kappa+1,delta,kappa) defeats the relaxed degree bound",
-                _fixed(("H(1,2,3,2)", build("H", a=1, b=2, t=3, k=2))),
+                _fixed("H(1,2,3,2)", "H", a=1, b=2, t=3, k=2),
                 "delta >= (n+kappa)/3",
                 numeric("delta >= (n+kappa-1)/3"),
             ),
@@ -516,7 +533,7 @@ def _build() -> list[TheoremSpec]:
             ),
             premise_tight_case(
                 "H(2,n-3delta+3,delta-1,kappa) defeats the relaxed quarter bound",
-                _fixed(("H(2,2,3,3)", build("H", a=2, b=2, t=3, k=3))),
+                _fixed("H(2,2,3,3)", "H", a=2, b=2, t=3, k=3),
                 "delta >= max{(n+kappa+3)/4, alpha}",
                 numeric("delta >= max{(n+kappa+2)/4, alpha}"),
             ),
@@ -539,7 +556,7 @@ def _build() -> list[TheoremSpec]:
         [numeric("b(G) >= 3/2")],
         sharpness=[premise_tight_case(
             "aK_2 joined to an independent (a-1)-set sits just under 3/2",
-            _per_delta("aK_2+Kbar_{{a-1}} a={d}", lambda d: build("aK2-join-Kbar", a=d), range(2, 5)),
+            _per_delta("aK_2+Kbar_{{a-1}} a={d}", lambda d: _family("aK2-join-Kbar", a=d), range(2, 5)),
             "b(G) >= 3/2",
             numeric("b(G) >= (3a-2)/(2a-1)", lambda pf, lam: pf.binding >= F(
                 3 * ((pf.n + 1) // 3) - 2, 2 * ((pf.n + 1) // 3) - 1)),
@@ -635,12 +652,12 @@ def _build() -> list[TheoremSpec]:
             _kappa_tight(2, "K_1+2K_delta defeats kappa >= 1", _per_delta(*_PD_K1_2KD, range(2, 5))),
             premise_tight_case(
                 "the 9-edge v_1..v_8 graph defeats q <= 9",
-                _fixed(("v1..v8 (theta(3,3,3))", theta333)),
+                _fixed("v1..v8 (theta(3,3,3))", "theta", i=3, j=3, k=3),
                 "q <= 8 (delta=2) / (3(delta-1)(delta+2)-1)/2 (delta>=3)",
                 numeric("q <= 9"),
             ),
             _not_hamiltonian_case("K_2+3K_1 satisfies the premises but is not hamiltonian",
-                                  _fixed(("K_2+3K_1", build("tKa-join-Kb", t=3, a=1, b=2)))),
+                                  _fixed("K_2+3K_1", "tKa-join-Kb", t=3, a=1, b=2)),
         ],
         notes="The printed delta>=3 analogues K_2+3K_{delta-1} and "
               "K_delta+(delta+1)K_1 overshoot the size bound (q=16 vs 29/2; "
@@ -694,7 +711,7 @@ def _build() -> list[TheoremSpec]:
         [_K3, _DELTA_N6_4],
         sharpness=[
             _kappa_tight(3, "(lambda+1)K_{delta-lambda+1}+K_lambda at lambda=3, delta=5 defeats kappa >= 2",
-                         _fixed(("3K_4+K_2", build("tKa-join-Kb", t=3, a=4, b=2))),
+                         _fixed("3K_4+K_2", "tKa-join-Kb", t=3, a=4, b=2),
                          conclusion_fails=_missed_clique_fails(3, 2, "CD", 3)),
             premise_tight_case(
                 "4K_3+K_3 defeats the relaxed quarter bound",
@@ -991,7 +1008,7 @@ def _residual_equality_runner(param_range: str | None) -> list[CaseResult]:
             combos.append((kappa, delta, f"{kappa + 1}K_{delta - kappa + 1}+K_{kappa}"))
     for kappa, delta, label in combos:
         t, a = kappa + 1, delta - kappa + 1
-        g = build("tKa-join-Kb", t=t, a=a, b=kappa)
+        g = _family("tKa-join-Kb", t=t, a=a, b=kappa)
         cyc, c = _pinned_circumference(g, t, a, kappa)
         p_bar, c_bar = residual_params(g, cyc)
         eq39 = (p_bar + 2) * (delta - p_bar) == c

@@ -11,7 +11,8 @@ Exit codes: 0 success, 1 a VIOLATED verdict or failed audit case was
 found, 2 usage error or unreadable input, 3 internal error.
 
 A process runs one subcommand, so ``catalog``, ``families`` and ``sweep``
-are imported inside the subcommands that use them.
+are imported inside the subcommands that use them.  The catalog builds its
+sharpness graphs only in audits, so ``check`` loads no ``families``.
 """
 
 from __future__ import annotations

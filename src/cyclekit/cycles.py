@@ -42,9 +42,8 @@ at least 1.  Cycle lengths count vertices; path lengths count edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .graph import Graph, GraphError, biconnected_blocks, bits, induced_subgraph, mask_of
 
@@ -95,9 +94,31 @@ def _search_budget(n: int) -> int | None:
     return max(1, SEARCH_BUDGET << shift if shift >= 0 else SEARCH_BUDGET >> -shift)
 
 
-@dataclass(frozen=True)
 class CycleCert:
+    """A cycle, as its vertices in cyclic order.  Immutable, equal and hashed
+    by ``vertices``."""
+
     vertices: tuple[int, ...]
+
+    def __init__(self, vertices: tuple[int, ...]) -> None:
+        object.__setattr__(self, "vertices", vertices)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"CycleCert is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"CycleCert is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertices == other.vertices  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self.vertices)
+
+    def __repr__(self) -> str:
+        return f"CycleCert(vertices={self.vertices!r})"
 
     @property
     def length(self) -> int:
@@ -132,8 +153,7 @@ class CycleCert:
         return self._text
 
 
-@dataclass(frozen=True)
-class PathCert:
+class PathCert(NamedTuple):
     vertices: tuple[int, ...]
 
     @property
@@ -157,8 +177,7 @@ class PathCert:
         return " ".join(map(str, self.vertices))
 
 
-@dataclass(frozen=True)
-class UpperCert:
+class UpperCert(NamedTuple):
     """c <= bound, by a vertex set S (``cut``, a bitmask).
 
     With a_1 >= a_2 >= ... the orders of the components of G - S and

@@ -7,8 +7,7 @@ graph6 output is byte-identical across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .graph import (
     Graph,
@@ -258,8 +257,7 @@ def matchings_join_independent(a: int) -> Graph:
 # -- catalog --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     name: str
     params: tuple[str, ...]
     build: Callable[..., Graph]

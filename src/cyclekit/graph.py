@@ -8,7 +8,6 @@ first), so family constructors are reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
@@ -18,25 +17,47 @@ class GraphError(ValueError):
     """Invalid construction or out-of-contract input."""
 
 
-@dataclass(frozen=True)
 class Graph:
-    n: int
-    rows: tuple[int, ...]  # rows[u] = bitmask of neighbors of u
+    """n vertices and ``rows[u]``, the bitmask of u's neighbours, checked on
+    every construction.  Immutable, equal and hashed by (n, rows)."""
 
-    def __post_init__(self) -> None:
-        check_order(self.n)
-        if len(self.rows) != self.n:
+    __slots__ = ("n", "rows")
+    n: int
+    rows: tuple[int, ...]
+
+    def __init__(self, n: int, rows: tuple[int, ...]) -> None:
+        check_order(n)
+        if len(rows) != n:
             raise GraphError("adjacency row count does not match n")
-        full = (1 << self.n) - 1
-        for u, row in enumerate(self.rows):
+        full = (1 << n) - 1
+        for u, row in enumerate(rows):
             if row & ~full:
-                raise GraphError(f"row {u} references vertices outside 0..{self.n - 1}")
+                raise GraphError(f"row {u} references vertices outside 0..{n - 1}")
             if row >> u & 1:
                 raise GraphError(f"self-loop at vertex {u}")
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if (self.rows[u] >> v & 1) != (self.rows[v] >> u & 1):
+        for u in range(n):
+            for v in range(u + 1, n):
+                if (rows[u] >> v & 1) != (rows[v] >> u & 1):
                     raise GraphError(f"asymmetric adjacency between {u} and {v}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Graph is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Graph is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.rows == other.rows  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.rows))
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, (self.n, self.rows)
 
     # -- basic accessors -------------------------------------------------
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 import ast
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .cycles import (
     CeilingError,
@@ -285,8 +285,7 @@ def class_predicates(g: Graph | Profile) -> dict[str, bool]:
 # -- invariant report -----------------------------------------------------
 
 
-@dataclass
-class InvariantReport:
+class InvariantReport(NamedTuple):
     n: int
     q: int
     delta: int
@@ -296,9 +295,9 @@ class InvariantReport:
     alpha: int
     tau: Exact
     binding: Exact
-    sigma: dict[int, Exact] = field(default_factory=dict)
-    delta_dist: dict[int, Exact] = field(default_factory=dict)
-    flags: dict[str, bool] = field(default_factory=dict)
+    sigma: dict[int, Exact]
+    delta_dist: dict[int, Exact]
+    flags: dict[str, bool]
 
     def to_lines(self) -> list[str]:
         lines = [
@@ -480,13 +479,23 @@ def _compile(label: str, params: str) -> Callable:
 # -- premises -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Premise:
-    label: str
-    kind: str  # "numeric" | "free" | "class"
-    given: Callable[[Profile, int | None], bool] | None = None  # else the label compiles
-    patterns: tuple[Graph, ...] = ()
-    cls: str = ""
+    """One premise, by ``kind``: "numeric" (``given``, else the compiled
+    label), "free" (no induced ``patterns``) or "class" (``cls``)."""
+
+    def __init__(
+        self,
+        label: str,
+        kind: str,
+        given: Callable[[Profile, int | None], bool] | None = None,
+        patterns: tuple[Graph, ...] = (),
+        cls: str = "",
+    ):
+        self.label = label
+        self.kind = kind
+        self.given = given
+        self.patterns = patterns
+        self.cls = cls
 
     @cached_property
     def fn(self) -> Callable[[Profile, int | None], bool]:
@@ -523,11 +532,15 @@ def in_class(cls: str) -> Premise:
 # -- conclusions ----------------------------------------------------------
 
 
-@dataclass
 class Outcome:
-    ok: bool
-    detail: str
-    witness: object = None
+    """A conclusion's answer on one graph: whether it holds, why, and the witness."""
+
+    __slots__ = ("ok", "detail", "witness")
+
+    def __init__(self, ok: bool, detail: str, witness: object = None):
+        self.ok = ok
+        self.detail = detail
+        self.witness = witness
 
 
 class Conclusion:
@@ -700,36 +713,60 @@ class NamedGraphEscape(Conclusion):
 # -- theorem specs and verdicts ------------------------------------------
 
 
-@dataclass
-class SharpnessCase:
+class SharpnessCase(NamedTuple):
     label: str
     role: str  # premise-tight | conclusion-tight | premise-necessary | residual-equality
     run: Callable[["TheoremSpec", str | None], list["CaseResult"]]
 
 
-@dataclass
 class CaseResult:
-    case: str
-    graph_label: str
-    passed: bool
-    detail: str
-    warnings: list[str] = field(default_factory=list)
+    """One sharpness case's result on one graph."""
+
+    __slots__ = ("case", "graph_label", "passed", "detail", "warnings")
+
+    def __init__(self, case: str, graph_label: str, passed: bool, detail: str,
+                 warnings: Sequence[str] = ()):
+        self.case = case
+        self.graph_label = graph_label
+        self.passed = passed
+        self.detail = detail
+        self.warnings = warnings
 
 
-@dataclass
 class TheoremSpec:
-    id: str
-    title: str
-    statement: str
-    conclusion: Conclusion
-    premises: list[Premise] = field(default_factory=list)
-    n_floor: int = 3
-    lambdas: Callable[[Profile], Iterable[int]] | None = None
-    sharpness: list[SharpnessCase] = field(default_factory=list)
-    notes: str = ""
-    quarantined: bool = False
+    """One catalog entry: premises, conclusion, parameter domain
+    (``lambdas``) and sharpness cases."""
+
+    def __init__(
+        self,
+        id: str,
+        title: str,
+        statement: str,
+        conclusion: Conclusion,
+        premises: Sequence[Premise] = (),
+        n_floor: int = 3,
+        lambdas: Callable[[Profile], Iterable[int]] | None = None,
+        sharpness: Sequence[SharpnessCase] = (),
+        notes: str = "",
+        quarantined: bool = False,
+    ):
+        self.id = id
+        self.title = title
+        self.statement = statement
+        self.conclusion = conclusion
+        self.premises = premises
+        self.n_floor = n_floor
+        self.lambdas = lambdas
+        self.sharpness = sharpness
+        self.notes = notes
+        self.quarantined = quarantined
 
 
+# The one dataclass in the package: perfbench's gate forges verdicts with
+# ``dataclasses.replace``.  Every other record is a NamedTuple or a plain
+# class, which costs far less to create at import.  Those that checks and
+# audits build or read per graph are plain classes: in Python 3.11 reading
+# a NamedTuple field takes about twice as long as reading an attribute.
 @dataclass
 class Verdict:
     theorem_id: str
@@ -811,8 +848,7 @@ def _check_at(pf: Profile, spec: TheoremSpec, assume: frozenset[str], lam: int |
     return Verdict(spec.id, "VIOLATED", out.detail, lam, out.witness)
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     verdicts: list[Verdict]
 
     @property

@@ -353,9 +353,9 @@ def is_planar(g: Graph) -> bool:
     return all(_block_faces(g, b) is not None for b in blocks if b.bit_count() >= 5)
 
 
-# The certificates are NamedTuples, not dataclasses like CycleCert: a
-# dataclass costs about ten times as much to create, and every CLI process
-# pays that at import.
+# The certificates are NamedTuples, not dataclasses: a dataclass costs
+# about ten times as much to create, and every CLI process pays that at
+# import.
 
 
 class RotationCert(NamedTuple):

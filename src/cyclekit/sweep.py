@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
@@ -83,14 +82,19 @@ MODELS: dict[str, Callable[..., Iterator[Graph]]] = {
 # -- sweep report ---------------------------------------------------------
 
 
-@dataclass
 class SweepRecord:
-    graph6: str
-    theorem: str
-    lam: int | None
-    verdict: str
-    witness: str | None
-    timing: float
+    """One verdict of a sweep, as ``sweep --json`` prints it."""
+
+    __slots__ = ("graph6", "theorem", "lam", "verdict", "witness", "timing")
+
+    def __init__(self, graph6: str, theorem: str, lam: int | None, verdict: str,
+                 witness: str | None, timing: float):
+        self.graph6 = graph6
+        self.theorem = theorem
+        self.lam = lam
+        self.verdict = verdict
+        self.witness = witness
+        self.timing = timing
 
     def to_record(self) -> dict:
         rec = {
@@ -106,16 +110,16 @@ class SweepRecord:
         return rec
 
 
-@dataclass
 class TheoremTally:
-    graphs: int = 0
-    holds: int = 0
-    vacuous: int = 0
-    inapplicable: int = 0
-    ceiling: int = 0
-    violated: int = 0
-    slack_sum: int | Fraction = 0
-    slack_count: int = 0
+    """One theorem's verdict counts over a sweep, and its summed slack."""
+
+    __slots__ = ("graphs", "holds", "vacuous", "inapplicable", "ceiling", "violated",
+                 "slack_sum", "slack_count")
+
+    def __init__(self) -> None:
+        self.graphs = self.holds = self.vacuous = self.inapplicable = 0
+        self.ceiling = self.violated = self.slack_count = 0
+        self.slack_sum: int | Fraction = 0
 
     @property
     def applicable(self) -> int:
@@ -136,11 +140,13 @@ class TheoremTally:
         return float(Fraction(self.slack_sum, self.slack_count))
 
 
-@dataclass
 class SweepReport:
-    records: list[SweepRecord] = field(default_factory=list)
-    tallies: dict[str, TheoremTally] = field(default_factory=dict)
-    violated: list[tuple[str, Verdict]] = field(default_factory=list)  # (graph6, verdict)
+    """A sweep's records, per-theorem tallies and VIOLATED verdicts."""
+
+    def __init__(self, tallies: dict[str, TheoremTally]) -> None:
+        self.records: list[SweepRecord] = []
+        self.tallies = tallies
+        self.violated: list[tuple[str, Verdict]] = []  # (graph6, verdict)
 
     @property
     def ok(self) -> bool:
@@ -186,7 +192,7 @@ def sweep(
 
         specs = catalog()
     specs = [s for s in specs if include_quarantined or not s.quarantined]
-    report = SweepReport(tallies={s.id: TheoremTally() for s in specs})
+    report = SweepReport({s.id: TheoremTally() for s in specs})
     plan = [(spec, report.tallies[spec.id], _has_slack(spec)) for spec in specs]
     for g in graphs:
         g6 = encode_graph6(g)

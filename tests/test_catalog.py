@@ -43,7 +43,9 @@ def test_catalog_size_and_ids():
 
 def test_equal_statements_share_one_definition():
     """An entry that restates an earlier entry's statement is an alias of it:
-    the same conclusion and premise objects, not a copy."""
+    the same conclusion and premise objects, not a copy.  Apart from its id,
+    its title and the sharpness cases, the one change an alias may name,
+    every field is the base's own object."""
     first = {}
     aliases = 0
     for spec in catalog():
@@ -53,6 +55,9 @@ def test_equal_statements_share_one_definition():
         aliases += 1
         assert spec.conclusion is base.conclusion, spec.id
         assert list(map(id, spec.premises)) == list(map(id, base.premises)), spec.id
+        kept = set(vars(spec)) - {"id", "title", "sharpness"}
+        assert [f for f in sorted(kept) if getattr(spec, f) is not getattr(base, f)] == [], spec.id
+        assert (spec.id, spec.title) != (base.id, base.title)
     assert aliases >= 9
 
 

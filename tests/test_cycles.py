@@ -13,6 +13,7 @@ from cyclekit.cycles import (
     CertificateError,
     CycleCert,
     LongestCycles,
+    PathCert,
     UpperCert,
     _closing_sets,
     _cone,
@@ -97,6 +98,24 @@ def test_certificate_rejection():
         CycleCert((0, 0)).validate(g)
     with pytest.raises(CertificateError):
         CycleCert((0, 2)).validate(g)  # not an edge
+
+
+def test_certificates_compare_and_hash_by_value():
+    """``CycleCert`` is a plain class that keeps a frozen record's equality,
+    hash and immutability; ``PathCert`` and ``UpperCert`` are NamedTuples."""
+    for make, args, other in ((CycleCert, ((0, 1, 2),), (0, 2, 1)),
+                              (PathCert, ((0, 1, 2),), (0, 2, 1)),
+                              (UpperCert, (0b11, 4), 0b101)):
+        a, b = make(*args), make(*args)
+        assert a == b and hash(a) == hash(b) and not a != b, make
+        assert len({a, b, make(other, *args[1:])}) == 2, make
+    assert CycleCert((0, 1)) != PathCert((0, 1)) and PathCert((0, 1)) != CycleCert((0, 1))
+    cert = CycleCert((3, 1, 2))
+    assert str(cert) == "3 1 2" and repr(cert) == "CycleCert(vertices=(3, 1, 2))"
+    with pytest.raises(AttributeError):
+        cert.vertices = (1, 2, 3)
+    with pytest.raises(AttributeError):
+        del cert.vertices
 
 
 def test_vs_naive_all_cycles():

@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import pytest
@@ -29,6 +30,24 @@ def test_construction_validation():
         Graph(2, (0b01, 0b10))  # self loop
     with pytest.raises(GraphError):
         Graph(2, (0b10, 0b00))  # asymmetric
+    with pytest.raises(GraphError):
+        Graph(2, (0b110, 0b001))  # row 0 names vertex 2
+    with pytest.raises(GraphError):
+        Graph(-1, ())
+
+
+def test_graphs_compare_and_hash_by_value_and_stay_immutable():
+    """Pattern caches and ``Profile``'s free-pattern table key on graphs."""
+    a, b = cycle_graph(5), from_edge_list(5, [(0, 4), (3, 4), (2, 3), (1, 2), (0, 1)])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b, complete(5), edgeless(5), Graph(5, (0,) * 5)}) == 3
+    assert a != complement(a) and a != (5, a.rows)
+    for attr in ("n", "rows"):
+        with pytest.raises(AttributeError):
+            setattr(a, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(a, attr)
+    assert pickle.loads(pickle.dumps(a)) == a
 
 
 def test_basic_counts():

@@ -2,9 +2,12 @@
 demos and README's library tour that use both.
 
 ``cyclekit`` re-exports its names lazily and the CLI imports ``catalog``,
-``families`` and ``sweep`` inside the subcommands that use them.  These
-tests run in fresh interpreters, since what a process has imported
-depends on everything it imported before.
+``families`` and ``sweep`` inside the subcommands that use them; the
+catalog imports ``families`` only when an audit first builds a graph, so
+``check`` loads neither ``families`` nor ``sweep``.  No module creates a
+dataclass but ``registry.Verdict``.  These tests run in fresh
+interpreters, since what a process has imported depends on everything it
+imported before.
 """
 
 import ast
@@ -170,10 +173,27 @@ def test_construct_loads_neither_catalog_nor_sweep():
     assert not loaded & {"cyclekit.catalog", "cyclekit.sweep"}
 
 
-def test_check_does_not_load_sweep():
+def test_check_loads_neither_families_nor_sweep():
     loaded = loaded_by("check", "--json", stdin="IheA@GUAo\n")
     assert "cyclekit.catalog" in loaded
-    assert "cyclekit.sweep" not in loaded
+    assert not loaded & {"cyclekit.families", "cyclekit.sweep"}
+
+
+def test_verdict_is_the_only_dataclass():
+    """Creating a dataclass costs about ten times a NamedTuple, in every
+    process that imports it, so records are NamedTuples or plain classes.
+    ``Verdict`` stays a dataclass because ``perfbench/gate.py`` forges
+    verdicts with ``dataclasses.replace``."""
+    assert fresh("""
+import importlib, json, pkgutil, sys
+import cyclekit
+for mod in pkgutil.iter_modules(cyclekit.__path__):
+    importlib.import_module("cyclekit." + mod.name)
+print(json.dumps(sorted(f"{name}.{cls.__name__}" for name, module in sys.modules.items()
+                        if name.startswith("cyclekit.") for cls in vars(module).values()
+                        if isinstance(cls, type) and cls.__module__ == name
+                        and "__dataclass_fields__" in vars(cls))))
+""") == ["cyclekit.registry.Verdict"]
 
 
 def test_catalog_compiles_no_label():
