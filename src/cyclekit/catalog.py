@@ -33,9 +33,9 @@ from .registry import (
     NamedGraphEscape,
     Profile,
     ResidualBound,
+    SharpnessCase,
     TheoremSpec,
     conclusion_tight_case,
-    custom_case,
     free_of,
     in_class,
     numeric,
@@ -234,7 +234,7 @@ def _build() -> list[TheoremSpec]:
         "tau > 4/3",
         numeric("tau >= 4/3"),
     )
-    residual_equality = custom_case(
+    residual_equality = SharpnessCase(
         "equality on (kappa+1)K_{delta-kappa+1}+K_kappa",
         "residual-equality", _residual_equality_runner,
     )
@@ -992,7 +992,7 @@ def _thm56_both_fail(pf: Profile) -> tuple[bool, str]:
     )
 
 
-def _residual_equality_runner(param_range: str | None) -> list[CaseResult]:
+def _residual_equality_runner(spec: TheoremSpec, param_range: str | None) -> list[CaseResult]:
     """Equality audit for the Thm39/40 family (kappa+1)K_{delta-kappa+1}+K_kappa.
 
     The witness cycle through all kappa hubs and kappa cliques matches the

@@ -42,7 +42,8 @@ from .registry import (
 )
 from .structure import contains_induced, pattern
 
-# ``sweep.MODELS``'s names, so that building the parser needs no ``sweep``
+# The models ``_cmd_sweep`` builds graphs from, named here so that building
+# the parser imports no ``sweep``
 MODEL_NAMES = ("bipartite", "gnp", "regular")
 
 
@@ -136,59 +137,56 @@ def _emit(args, record: dict, human: str) -> None:
 
 def _cmd_invariants(args) -> int:
     for label, g in _read_graphs(args.graphs):
+        g6 = encode_graph6(g)
         rep = invariant_report(g)
-        if args.json:
-            print(json.dumps({"graph": encode_graph6(g), **rep.to_record()}))
-        else:
-            print(f"# {label} ({encode_graph6(g)})")
-            print("\n".join(rep.to_lines()))
+        _emit(args, {"graph": g6, **rep.to_record()},
+              "\n".join([f"# {label} ({g6})", *rep.to_lines()]))
     return 0
 
 
 def _cmd_solve(args) -> int:
-    prob = args.problem
+    prob, prop = args.problem, args.prop
     for label, g in _read_graphs(args.graphs):
         g6 = encode_graph6(g)
+        rec: dict = {"graph6": g6}
         try:
             if prob == "hamilton":
                 cert = hamiltonian(g)
+                rec["hamiltonian"] = cert is not None
                 if cert is None:
-                    _emit(args, {"graph6": g6, "hamiltonian": False},
-                          f"{g6}: non-hamiltonian")
+                    msg = f"{g6}: non-hamiltonian"
                 else:
-                    _emit(args, {"graph6": g6, "hamiltonian": True, "cycle": str(cert)},
-                          f"{g6}: hamiltonian cycle {cert}")
+                    rec["cycle"] = str(cert)
+                    msg = f"{g6}: hamiltonian cycle {cert}"
             elif prob == "circumference":
                 c, cert = circumference(g)
-                _emit(args, {"graph6": g6, "circumference": c, "cycle": str(cert)},
-                      f"{g6}: c = {c}, cycle {cert}")
+                rec.update(circumference=c, cycle=str(cert))
+                msg = f"{g6}: c = {c}, cycle {cert}"
             elif prob == "longest-path":
                 length, cert = longest_path(g)
-                _emit(args, {"graph6": g6, "longestPath": length, "path": str(cert)},
-                      f"{g6}: longest path has {length} edges: {cert}")
+                rec.update(longestPath=length, path=str(cert))
+                msg = f"{g6}: longest path has {length} edges: {cert}"
             elif prob == "every-longest":
-                ok, counter = every_longest_cycle_satisfies(g, args.prop, args.lam)
-                rec = {"graph6": g6, "property": args.prop, "everyLongest": ok}
-                msg = f"{g6}: every longest cycle is {args.prop}"
+                ok, counter = every_longest_cycle_satisfies(g, prop, args.lam)
+                rec.update(property=prop, everyLongest=ok)
+                msg = f"{g6}: every longest cycle is {prop}"
                 if not ok:
                     rec["counterexample"] = str(counter)
-                    msg = f"{g6}: longest cycle {counter} is not {args.prop}"
-                if args.lam is not None:
-                    rec["lambda"] = args.lam
-                _emit(args, rec, msg)
+                    msg = f"{g6}: longest cycle {counter} is not {prop}"
             else:  # exists
-                cert = exists_cycle_satisfying(g, args.prop, args.lam)
-                rec = {"graph6": g6, "property": args.prop, "exists": cert is not None}
-                if cert is not None:
-                    rec["cycle"] = str(cert)
-                    msg = f"{g6}: {args.prop} cycle of length {cert.length}: {cert}"
+                cert = exists_cycle_satisfying(g, prop, args.lam)
+                rec.update(property=prop, exists=cert is not None)
+                if cert is None:
+                    msg = f"{g6}: no {prop} cycle"
                 else:
-                    msg = f"{g6}: no {args.prop} cycle"
-                if args.lam is not None:
-                    rec["lambda"] = args.lam
-                _emit(args, rec, msg)
+                    rec["cycle"] = str(cert)
+                    msg = f"{g6}: {prop} cycle of length {cert.length}: {cert}"
+            if prob in ("every-longest", "exists") and args.lam is not None:
+                rec["lambda"] = args.lam
         except CeilingError as exc:
-            _emit(args, {"graph6": g6, "ceiling": str(exc)}, f"{g6}: ceiling: {exc}")
+            rec["ceiling"] = str(exc)
+            msg = f"{g6}: ceiling: {exc}"
+        _emit(args, rec, msg)
     return 0
 
 
@@ -201,13 +199,12 @@ def _cmd_free(args) -> int:
             emb = contains_induced(g, h)
             if emb is not None:
                 hits[tok] = [emb[i] for i in range(h.n)]
-        if args.json:
-            print(json.dumps({"graph6": g6, "free": not hits, "embeddings": hits}))
-        elif not hits:
-            print(f"{g6}: {{{args.patterns}}}-free")
-        else:
+        if hits:
             found = "; ".join(f"{tok} at {vs}" for tok, vs in hits.items())
-            print(f"{g6}: contains {found}")
+            msg = f"{g6}: contains {found}"
+        else:
+            msg = f"{g6}: {{{args.patterns}}}-free"
+        _emit(args, {"graph6": g6, "free": not hits, "embeddings": hits}, msg)
     return 0
 
 
@@ -301,18 +298,18 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .sweep import MODELS, sweep
+    from .sweep import gnp, random_bipartite, random_regular, sweep
 
     if args.model == "gnp":
-        gen = MODELS["gnp"](args.n, args.p, args.count, args.seed)
+        gen = gnp(args.n, args.p, args.count, args.seed)
     elif args.model == "regular":
         if args.d is None:
             raise UsageError("--model regular needs --d")
-        gen = MODELS["regular"](args.n, args.d, args.count, args.seed)
+        gen = random_regular(args.n, args.d, args.count, args.seed)
     else:
         if args.a is None or args.b is None:
             raise UsageError("--model bipartite needs --a and --b")
-        gen = MODELS["bipartite"](args.a, args.b, args.p, args.count, args.seed)
+        gen = random_bipartite(args.a, args.b, args.p, args.count, args.seed)
     rep = sweep(gen, keep_records=args.json,
                 include_quarantined=args.include_quarantined)
     if args.json:

@@ -94,6 +94,23 @@ def _search_budget(n: int) -> int | None:
     return max(1, SEARCH_BUDGET << shift if shift >= 0 else SEARCH_BUDGET >> -shift)
 
 
+def _check_vertices(g: Graph, vs: tuple[int, ...], kind: str) -> None:
+    """A certificate lists at least one vertex, none twice, all of g."""
+    if not vs:
+        raise CertificateError(f"empty {kind} certificate")
+    if len(set(vs)) != len(vs):
+        raise CertificateError(f"repeated vertex in {kind} certificate")
+    for v in vs:
+        if not 0 <= v < g.n:
+            raise CertificateError(f"vertex {v} out of range")
+
+
+def _check_edges(g: Graph, pairs: Iterable[tuple[int, int]]) -> None:
+    for a, b in pairs:
+        if not g.has_edge(a, b):
+            raise CertificateError(f"missing edge {a}-{b}")
+
+
 class CycleCert:
     """A cycle, as its vertices in cyclic order.  Immutable, equal and hashed
     by ``vertices``."""
@@ -126,21 +143,11 @@ class CycleCert:
 
     def validate(self, g: Graph) -> None:
         vs = self.vertices
-        t = len(vs)
-        if t < 1:
-            raise CertificateError("empty cycle certificate")
-        if len(set(vs)) != t:
-            raise CertificateError("repeated vertex in cycle certificate")
-        for v in vs:
-            if not 0 <= v < g.n:
-                raise CertificateError(f"vertex {v} out of range")
-        if t == 2:
-            if not g.has_edge(vs[0], vs[1]):
-                raise CertificateError("2-cycle requires an edge")
-        elif t >= 3:
-            for i in range(t):
-                if not g.has_edge(vs[i], vs[(i + 1) % t]):
-                    raise CertificateError(f"missing edge {vs[i]}-{vs[(i + 1) % t]}")
+        _check_vertices(g, vs, "cycle")
+        if len(vs) == 2 and not g.has_edge(*vs):
+            raise CertificateError("2-cycle requires an edge")
+        if len(vs) >= 3:
+            _check_edges(g, zip(vs, vs[1:] + vs[:1]))
 
     def mask(self) -> int:
         return mask_of(self.vertices)
@@ -161,17 +168,8 @@ class PathCert(NamedTuple):
         return len(self.vertices) - 1
 
     def validate(self, g: Graph) -> None:
-        vs = self.vertices
-        if len(vs) < 1:
-            raise CertificateError("empty path certificate")
-        if len(set(vs)) != len(vs):
-            raise CertificateError("repeated vertex in path certificate")
-        for v in vs:
-            if not 0 <= v < g.n:
-                raise CertificateError(f"vertex {v} out of range")
-        for a, b in zip(vs, vs[1:]):
-            if not g.has_edge(a, b):
-                raise CertificateError(f"missing edge {a}-{b}")
+        _check_vertices(g, self.vertices, "path")
+        _check_edges(g, zip(self.vertices, self.vertices[1:]))
 
     def __str__(self) -> str:
         return " ".join(map(str, self.vertices))

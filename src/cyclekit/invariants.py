@@ -2,7 +2,8 @@
 binding number, degree-sum and distance-degree minima.
 
 Everything is computed exactly.  The NP-hard invariants (alpha, toughness,
-binding number) use exhaustive search with pruning; toughness tries the
+binding number) use exhaustive search with pruning; alpha takes each
+vertex of degree at most 1 without a branch; toughness tries the
 kappa-separators, listed as the neighbourhoods of small connected sets or
 as all kappa-sets, whichever list is shorter, then builds each larger
 cutset that could tie or beat the best ratio around its smallest
@@ -353,21 +354,39 @@ def toughness(g: Graph) -> tuple[Exact, list[int]]:
 
 
 def independence_number(g: Graph) -> tuple[int, list[int]]:
-    """Maximum independent set size with a witness, by branch and bound."""
+    """Maximum independent set size with a witness, by branch and bound.
+
+    A vertex of degree <= 1 in the candidates' graph is taken without a
+    branch: some maximum independent set contains it.  Otherwise the
+    search branches on a maximum-degree candidate.  One pass over the
+    candidates finds either kind of vertex.
+    """
     rows = g.rows
     best_size = 0
     best_mask = 0
 
     def bnb(allowed: int, chosen: int, size: int) -> None:
         nonlocal best_size, best_mask
-        if size + allowed.bit_count() <= best_size:
-            return
-        if not allowed:
-            if size > best_size:
+        while True:
+            if size + allowed.bit_count() <= best_size:
+                return
+            if not allowed:
                 best_size, best_mask = size, chosen
-            return
-        # branch on a maximum-degree candidate: either exclude it or take it
-        v = max(bits(allowed), key=lambda u: (rows[u] & allowed).bit_count())
+                return
+            v, top = -1, -1
+            for u in bits(allowed):
+                d = (rows[u] & allowed).bit_count()
+                if d <= 1:
+                    v, top = u, d
+                    break
+                if d > top:
+                    v, top = u, d
+            if top > 1:
+                break
+            allowed &= ~rows[v] & ~(1 << v)
+            chosen |= 1 << v
+            size += 1
+        # branch on v: either exclude it or take it
         bnb(allowed & ~(1 << v), chosen, size)
         bnb(allowed & ~rows[v] & ~(1 << v), chosen | (1 << v), size + 1)
 

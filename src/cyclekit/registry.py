@@ -300,24 +300,12 @@ class InvariantReport(NamedTuple):
     flags: dict[str, bool]
 
     def to_lines(self) -> list[str]:
-        lines = [
-            f"n {self.n}",
-            f"q {self.q}",
-            f"delta {self.delta}",
-            f"Delta {self.Delta}",
-            f"degrees {' '.join(map(str, self.degree_sequence))}",
-            f"kappa {self.kappa}",
-            f"alpha {self.alpha}",
-            f"tau {fmt_exact(self.tau)}",
-            f"binding {fmt_exact(self.binding)}",
-        ]
-        for t in sorted(self.sigma):
-            lines.append(f"sigma_{t} {fmt_exact(self.sigma[t])}")
-        for t in sorted(self.delta_dist):
-            lines.append(f"delta_{t} {fmt_exact(self.delta_dist[t])}")
-        for name in sorted(self.flags):
-            lines.append(f"{name} {str(self.flags[name]).lower()}")
-        return lines
+        """``to_record``'s fields as "name value" lines, the degrees space
+        separated and the class flags last, by name, in lower case."""
+        rec = self.to_record()
+        rec["degrees"] = " ".join(map(str, self.degree_sequence))
+        flags = [f"{name} {str(rec.pop(name)).lower()}" for name in sorted(self.flags)]
+        return [f"{key} {value}" for key, value in rec.items()] + flags
 
     def to_record(self) -> dict:
         rec = {
@@ -1000,10 +988,3 @@ def conclusion_tight_case(
         return results
 
     return SharpnessCase(label, "conclusion-tight", run)
-
-
-def custom_case(label: str, role: str, fn: Callable[[str | None], list[CaseResult]]) -> SharpnessCase:
-    def run(spec: TheoremSpec, param_range: str | None) -> list[CaseResult]:
-        return fn(param_range)
-
-    return SharpnessCase(label, role, run)

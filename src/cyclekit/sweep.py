@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .formats import encode_graph6
 from .graph import Graph, GraphError, from_edge_list
@@ -70,13 +70,6 @@ def random_bipartite(a: int, b: int, p: float, count: int, seed: int) -> Iterato
             if rng.random() < p
         ]
         yield from_edge_list(a + b, edges)
-
-
-MODELS: dict[str, Callable[..., Iterator[Graph]]] = {
-    "gnp": gnp,
-    "regular": random_regular,
-    "bipartite": random_bipartite,
-}
 
 
 # -- sweep report ---------------------------------------------------------

@@ -37,6 +37,75 @@ def hamiltonian_dp_oracle(g: Graph) -> bool:
     return bool(dp[full] & rows[0])
 
 
+def cycle_sets_dp_oracle(g: Graph) -> dict[int, set[int]]:
+    """The vertex set of every cycle of g, by length.
+
+    Lengths 1 and 2 are the vertices and the edges.  Longer cycles come from
+    one flat subset DP per minimum vertex s: ``ends[m]`` holds the last
+    vertices of the paths that start at s and visit exactly the set m << s,
+    and m is a cycle's set when one of those ends sees s.
+    """
+    n, rows = g.n, g.rows
+    if n > 20:
+        raise CeilingError("dp oracle capped at 20 vertices")
+    sets: dict[int, set[int]] = {}
+    if n:
+        sets[1] = {1 << v for v in range(n)}
+    edges = {(1 << u) | (1 << v) for u in range(n) for v in range(u + 1, n) if rows[u] >> v & 1}
+    if edges:
+        sets[2] = edges
+    for s in range(n - 2):
+        near = [rows[v] >> s for v in range(s, n)]
+        ends = [0] * (1 << (n - s))
+        ends[1] = 1
+        for m in range(1, len(ends), 2):
+            e = ends[m]
+            if not e:
+                continue
+            k = m.bit_count()
+            if k >= 3 and e & near[0]:
+                sets.setdefault(k, set()).add(m << s)
+            while e:
+                vbit = e & -e
+                e ^= vbit
+                ext = near[vbit.bit_length() - 1] & ~m
+                while ext:
+                    ubit = ext & -ext
+                    ext ^= ubit
+                    ends[m | ubit] |= ubit
+    return sets
+
+
+def has_path(g: Graph, keep: int, edges: int) -> bool:
+    """Whether the subgraph induced on the vertex set keep has a path of
+    the given number of edges, by depth-first search from each vertex."""
+
+    def grow(v: int, seen: int, left: int) -> bool:
+        return not left or any(grow(u, seen | 1 << u, left - 1)
+                               for u in bits(g.rows[v] & keep & ~seen))
+
+    return any(grow(v, 1 << v, edges) for v in bits(keep))
+
+
+def is_forest(g: Graph, keep: int) -> bool:
+    """Whether the subgraph induced on the vertex set keep has no cycle of
+    3 or more vertices: a forest has one edge fewer than vertices in each
+    component."""
+    edges = sum((g.rows[v] & keep).bit_count() for v in bits(keep)) // 2
+    components, rest = 0, keep
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            for v in bits(frontier):
+                reach |= g.rows[v]
+            frontier = reach & keep & ~comp
+            comp |= frontier
+        rest &= ~comp
+        components += 1
+    return edges == keep.bit_count() - components
+
+
 # The 2^n toughness scan and the vertex-by-vertex induced-subgraph search,
 # kept as they were before the pruned kernels replaced them.
 

@@ -1,6 +1,7 @@
 """CLI grammar, exit codes and output determinism."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -325,7 +326,31 @@ def test_help_and_usage_error_match_frozen_output():
     assert help_text() == (DATA / "cli_help.txt").read_text()
 
 
-def test_model_choices_are_the_sweep_models():
+def test_every_model_choice_sweeps():
+    args = {"bipartite": ["--a", "3", "--b", "3"], "gnp": ["--n", "5"],
+            "regular": ["--n", "6", "--d", "2"]}
+    assert sorted(args) == list(cli.MODEL_NAMES)
+    for model in cli.MODEL_NAMES:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["sweep", "--model", model, *args[model], "--count", "2", "--seed", "1"]) == 0
+        assert out.getvalue().startswith("theorem"), model
+
+
+def test_sweep_command_exits_1_on_a_violated_verdict(monkeypatch, capsys):
     from cyclekit import sweep
 
-    assert list(cli.MODEL_NAMES) == sorted(sweep.MODELS)
+    real = sweep.check
+    forged = []
+
+    def check(pf, spec):
+        v = real(pf, spec)
+        if not forged:
+            forged.append(v)
+            return dataclasses.replace(v, kind="VIOLATED")
+        return v
+
+    monkeypatch.setattr(sweep, "check", check)
+    assert cli.main(["sweep", "--n", "5", "--count", "2", "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("VIOLATED on ") and err.count("\n") == 1
+    assert f"'theorem': '{forged[0].theorem_id}', 'verdict': 'VIOLATED'" in err

@@ -49,7 +49,7 @@ from cyclekit.graph import (
     star,
 )
 from conftest import graphs_up_to, listable_corpus, mixed_corpus, oracle_corpus, seeded_gnp, to_networkx
-from oracles import hamiltonian_dp_oracle
+from oracles import cycle_sets_dp_oracle, hamiltonian_dp_oracle, has_path, is_forest
 
 
 def naive_circumference(g) -> int:
@@ -390,6 +390,59 @@ def test_subset_dp_circumference_vs_oracles():
                     assert (_first_in(g, levels, k, sets, s) if sets else None) == first, (g, s, k)
         assert c == naive_circumference(g), g
         assert (c == g.n) == hamiltonian_dp_oracle(g), g
+
+
+def dp_oracle_graphs() -> list[Graph]:
+    """Graphs of 15 to 19 vertices, decided by the subset DP, for the flat
+    DP oracle."""
+    return [
+        build("Gn", n=17, delta=6),
+        build("Gstar", n=17),
+        build("L", delta=6),
+        complete_bipartite(7, 9),
+        *(g for n in range(15, 19) for g in seeded_gnp(n, 0.25, 2, seed=1800 + n)),
+    ]
+
+
+def assert_matches_flat_dp(g: Graph) -> None:
+    """c, every longest cycle's vertex set, and the every-longest and exists
+    answers agree with the flat DP oracle.  Each property is read off the
+    set a cycle leaves off by the oracles' own searches: PD(lam) holds when
+    it has no path of lam edges, CD(2) when it has no edge (a 2-cycle) and
+    CD(3) when it is a forest."""
+    sets = cycle_sets_dp_oracle(g)
+    c, full = max(sets), g.full_mask
+    lc = LongestCycles(g)
+    listed = list(lc.cycle_sets(c))
+    assert lc.c == c and len(listed) == len(set(listed)) and set(listed) == sets[c], g
+    tests = {
+        ("dominating", None): lambda off: not any(g.rows[v] & off for v in bits(off)),
+        ("PD", 1): lambda off: not has_path(g, off, 1),
+        ("PD", 2): lambda off: not has_path(g, off, 2),
+        ("PD", 3): lambda off: not has_path(g, off, 3),
+        ("CD", 2): lambda off: not has_path(g, off, 1),
+        ("CD", 3): lambda off: is_forest(g, off),
+    }
+    for (prop, lam), test in tests.items():
+        ok, counter = every_longest_cycle_satisfies(lc, prop, lam)
+        assert ok == (c == g.n or all(test(full ^ t) for t in sets[c])), (g, prop, lam)
+        if not ok:
+            assert counter.mask() in sets[c] and not test(full ^ counter.mask())
+        cert = exists_cycle_satisfying(lc, prop, lam)
+        length = g.n if c == g.n else next(
+            (k for k in range(c, 0, -1) if any(test(full ^ t) for t in sets.get(k, ()))), None)
+        assert (cert.length if cert else None) == length, (g, prop, lam)
+        if cert and c < g.n:
+            assert cert.mask() in sets[length] and test(full ^ cert.mask())
+
+
+def test_longest_cycle_answers_match_the_flat_dp_oracle():
+    # Past the naive loops' 14 vertices.  The 19- and 20-vertex graphs are
+    # a manual run, about 11 s and 130 MB: from tests/, with src on PYTHONPATH,
+    #   python -c "from test_cycles import *; [assert_matches_flat_dp(g) for g in
+    #              [build('Gn', n=19, delta=7), *seeded_gnp(20, 0.3, 2, seed=2000)]]"
+    for g in dp_oracle_graphs():
+        assert_matches_flat_dp(g)
 
 
 def networkx_longest_path_vertices(nxg) -> int:

@@ -105,6 +105,27 @@ def test_gn_families():
         build("Gn", n=14, delta=5)
 
 
+def test_l_family():
+    # L_delta is 1-tough and non-hamiltonian: its hub and the triangle of
+    # representatives separate the three cliques.
+    for delta in range(2, 6):
+        pf = Profile(build("L", delta=delta))
+        assert (pf.n, pf.q) == (3 * delta + 1, 3 * delta * (delta - 1) // 2 + 3 * delta + 3)
+        assert (pf.delta, pf.kappa, pf.tau) == (delta, 2, 1)
+        assert pf.c == 2 * delta + 2 and not pf.is_hamiltonian
+
+
+def test_ktt_minus_star():
+    for t in range(2, 6):
+        g = build("ktt-minus-star", t=t)
+        pf = Profile(g)
+        assert (pf.n, pf.q) == (2 * t, t * t - t + 1)
+        assert pf.balanced_bipartite and g.degree(0) == 1
+        # K_{2,2} minus an edge is the path P_4, with two ends
+        assert g.degrees().count(1) == (2 if t == 2 else 1)
+        assert pf.c == 2 * t - 2
+
+
 def test_moon_moser():
     g = build("moon-moser", delta=2, half=4)
     pf = Profile(g)

@@ -137,6 +137,16 @@ def test_frozen_values():
     assert delta_t(path_graph(3), 2) == 1
 
 
+def test_independence_number_on_long_paths_and_trees():
+    # Leaves are taken without branching; a plain branch and bound takes
+    # exponential time on these.
+    comb = from_edge_list(64, [(v, v + 1) for v in range(31)] + [(v, v + 32) for v in range(32)])
+    for g in (path_graph(64), comb):
+        alpha, wit = independence_number(g)
+        assert alpha == len(wit) == 32
+        assert all(not g.has_edge(u, v) for u, v in combinations(wit, 2))
+
+
 def test_against_naive_oracles():
     corpus = mixed_corpus(seed=11, per_cell=8)
     for g in corpus:

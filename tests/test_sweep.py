@@ -12,6 +12,7 @@ from cyclekit.exact import fmt_exact
 from cyclekit.families import build
 from cyclekit.formats import encode_graph6
 from cyclekit.graph import GraphError, complete_bipartite, cycle_graph, petersen, power
+from cyclekit.registry import Bound, EveryLongestProp, TheoremSpec
 from cyclekit.sweep import gnp, random_bipartite, random_regular, sweep
 from conftest import mixed_corpus, seeded_gnp
 
@@ -77,6 +78,25 @@ def test_sweep_reproducible():
     assert {k: (t.graphs, t.holds, t.vacuous) for k, t in r1.tallies.items()} == {
         k: (t.graphs, t.holds, t.vacuous) for k, t in r2.tallies.items()
     }
+
+
+def test_sweep_raises_the_alarm_and_counts_the_cap():
+    # c <= n refutes n+1 everywhere; K_{10,11} lies above the 20-vertex cap
+    # of the every-longest check, and Petersen's longest cycles dominate.
+    specs = [
+        TheoremSpec("false", "forged", "c >= n+1", Bound("n+1")),
+        TheoremSpec("dom", "forged", "every longest cycle dominates",
+                    EveryLongestProp("dominating")),
+    ]
+    rep = sweep([petersen(), complete_bipartite(10, 11)], specs)
+    false, dom = rep.tallies["false"], rep.tallies["dom"]
+    assert (false.graphs, false.violated, false.holds) == (2, 2, 0)
+    assert (dom.graphs, dom.holds, dom.ceiling, dom.violated) == (2, 1, 1, 0)
+    assert [(g6, v.theorem_id, v.kind) for g6, v in rep.violated] == [
+        (encode_graph6(petersen()), "false", "VIOLATED"),
+        (encode_graph6(complete_bipartite(10, 11)), "false", "VIOLATED"),
+    ]
+    assert not rep.ok
 
 
 def test_dirac_rate_on_regular_half_degree():
