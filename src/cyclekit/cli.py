@@ -10,9 +10,20 @@ field-for-field.
 Exit codes: 0 success, 1 a VIOLATED verdict or failed audit case was
 found, 2 usage error or unreadable input, 3 internal error.
 
-A process runs one subcommand, so ``catalog``, ``families`` and ``sweep``
-are imported inside the subcommands that use them.  The catalog builds its
-sharpness graphs only in audits, so ``check`` loads no ``families``.
+A process runs one subcommand, so this module imports only ``formats``
+and ``graph`` and each subcommand imports the modules it runs.  With what
+those import in turn, a process loads:
+
+- ``construct``: ``families``;
+- ``solve``: ``cycles``, and ``exact`` and ``invariants`` once a search
+  needs its cuts;
+- ``free``: ``structure`` and ``cycles``;
+- ``invariants``: ``registry``, which loads ``cycles``, ``exact``,
+  ``invariants`` and ``structure``;
+- ``check`` and ``catalog``: ``registry`` and ``catalog``;
+- ``audit``: ``registry``, ``catalog`` and, once a case builds its graph,
+  ``families``;
+- ``sweep``: ``registry``, ``catalog`` and ``sweep``.
 """
 
 from __future__ import annotations
@@ -20,27 +31,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from .cycles import (
-    CeilingError,
-    circumference,
-    every_longest_cycle_satisfies,
-    exists_cycle_satisfying,
-    hamiltonian,
-    longest_path,
-)
 from .formats import FormatError, encode_graph6, parse_document, parse_graph6
 from .graph import Graph, GraphError
-from .registry import (
-    ASSERTABLE_CLASSES,
-    Profile,
-    TheoremSpec,
-    audit_sharpness,
-    check,
-    invariant_report,
-)
-from .structure import contains_induced, pattern
+
+if TYPE_CHECKING:
+    from .registry import TheoremSpec
+
+
+def __getattr__(name: str):
+    """``cli.check`` is ``registry.check``, looked up on each access (PEP
+    562), for the benchmark tracer that patches it here.  ``_cmd_check``
+    takes ``check`` from ``registry`` when it runs, so it never reads this
+    attribute, nor the wrapper a tracer leaves bound to it."""
+    if name == "check":
+        from .registry import check
+
+        return check
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # The models ``_cmd_sweep`` builds graphs from, named here so that building
 # the parser imports no ``sweep``
@@ -136,6 +146,8 @@ def _emit(args, record: dict, human: str) -> None:
 
 
 def _cmd_invariants(args) -> int:
+    from .registry import invariant_report
+
     for label, g in _read_graphs(args.graphs):
         g6 = encode_graph6(g)
         rep = invariant_report(g)
@@ -145,6 +157,15 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .cycles import (
+        CeilingError,
+        circumference,
+        every_longest_cycle_satisfies,
+        exists_cycle_satisfying,
+        hamiltonian,
+        longest_path,
+    )
+
     prob, prop = args.problem, args.prop
     for label, g in _read_graphs(args.graphs):
         g6 = encode_graph6(g)
@@ -191,6 +212,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_free(args) -> int:
+    from .structure import contains_induced, pattern
+
     pats = [(tok, pattern(tok)) for tok in args.patterns.split(",")]
     for label, g in _read_graphs(args.graphs):
         g6 = encode_graph6(g)
@@ -249,6 +272,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_check(args) -> int:
     from .catalog import catalog
+    from .registry import ASSERTABLE_CLASSES, Profile, check
 
     specs = [_theorem(args.theorem)] if args.theorem else catalog()
     assume = args.assume or []
@@ -273,6 +297,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    from .registry import audit_sharpness
+
     spec = _theorem(args.theorem)
     results = audit_sharpness(spec, args.range)
     failed = 0

@@ -737,8 +737,9 @@ def all_longest_cycles(g: Graph) -> Iterator[CycleCert]:
 
 def _cycle_test(prop: str, lam: int | None) -> Callable[[LongestCycles, int], bool]:
     """The test of an off-cycle set for prop ("dominating", "PD" or "CD";
-    the latter two need lam)."""
-    if prop == "dominating":
+    the latter two need lam).  PD(1) and CD(2) are the dominating test:
+    p̄ < 1 and c̄ < 2 each say that no edge lies off the cycle."""
+    if prop == "dominating" or (prop, lam) in (("PD", 1), ("CD", 2)):
         return lambda lc, off: _independent(lc.g, off)
     if prop not in ("PD", "CD"):
         raise ValueError(f"unknown property {prop!r}")

@@ -188,6 +188,19 @@ def test_every_longest_and_exists():
     assert exists_cycle_satisfying(path_graph(5), "dominating") is None
 
 
+def test_pd1_and_cd2_answers_match_the_residual_predicates():
+    # PD(1) and CD(2) are answered by the dominating test; the predicates
+    # compute p-bar and c-bar of each listed cycle's residual graph.
+    for g in mixed_corpus(seed=71, per_cell=6, ns=range(1, 9)):
+        c = circumference(g)[0]
+        for prop, lam, oracle in (("PD", 1, is_PD_cycle), ("CD", 2, is_CD_cycle)):
+            counter = next((cert for cert in cycles_of_length(g, c) if not oracle(g, cert, lam)), None)
+            assert every_longest_cycle_satisfies(g, prop, lam) == (counter is None, counter), (g, prop)
+            first = next((cert for k in range(c, 0, -1) for cert in cycles_of_length(g, k)
+                          if oracle(g, cert, lam)), None)
+            assert exists_cycle_satisfying(g, prop, lam) == first, (g, prop)
+
+
 def test_property_checked_before_hamiltonian_shortcut():
     k4 = complete(4)  # hamiltonian, so both checks would return at once
     for bad in (("bogus", None), ("PD", None), ("CD", 0)):

@@ -1,10 +1,11 @@
 """The package's public names, the modules each process loads, and the
 demos and README's library tour that use both.
 
-``cyclekit`` re-exports its names lazily and the CLI imports ``catalog``,
-``families`` and ``sweep`` inside the subcommands that use them; the
+``cyclekit`` re-exports its names lazily and the CLI imports every module
+but ``formats`` and ``graph`` inside the subcommands that use it; the
 catalog imports ``families`` only when an audit first builds a graph, so
-``check`` loads neither ``families`` nor ``sweep``.  No module creates a
+``construct`` loads no ``registry`` and ``check`` neither ``families`` nor
+``sweep``.  No module creates a
 dataclass but ``registry.Verdict``.  These tests run in fresh
 interpreters, since what a process has imported depends on everything it
 imported before.
@@ -161,16 +162,28 @@ def test_no_dead_helper():
 
 
 def loaded_by(*argv: str, stdin: str = "") -> set[str]:
-    """The cyclekit modules a ``cyclekit`` process imports, read from
-    ``-X importtime``; the command module itself runs as ``__main__``."""
+    """The modules a ``cyclekit`` process imports, read from ``-X
+    importtime``; the command module itself runs as ``__main__``."""
     err = python("-X", "importtime", "-m", "cyclekit.cli", *argv, stdin=stdin).stderr
-    return set(re.findall(r"\|\s*(cyclekit(?:\.\w+)*)\s*$", err, re.M))
+    return set(re.findall(r"\|\s*([\w.]+)\s*$", err, re.M))
 
 
-def test_construct_loads_neither_catalog_nor_sweep():
+def test_construct_loads_only_the_graph_code():
     loaded = loaded_by("construct", "petersen")
-    assert "cyclekit.families" in loaded
-    assert not loaded & {"cyclekit.catalog", "cyclekit.sweep"}
+    assert {m for m in loaded if m.split(".")[0] == "cyclekit"} == {
+        "cyclekit", "cyclekit.graph", "cyclekit.formats", "cyclekit.families"}
+    assert not loaded & {"dataclasses", "fractions", "ast", "inspect"}
+
+
+def test_solve_and_free_load_no_theorem_code():
+    # C_6 is hamiltonian, so the cycle search needs none of its cuts
+    loaded = loaded_by("solve", "circumference", stdin="EhEG\n")
+    assert "cyclekit.cycles" in loaded
+    assert not loaded & {"cyclekit.registry", "cyclekit.invariants", "cyclekit.structure",
+                         "cyclekit.catalog"}
+    loaded = loaded_by("free", "--patterns", "claw", stdin="IheA@GUAo\n")
+    assert "cyclekit.structure" in loaded
+    assert not loaded & {"cyclekit.registry", "cyclekit.catalog"}
 
 
 def test_check_loads_neither_families_nor_sweep():
@@ -224,19 +237,44 @@ def test_bare_import_loads_no_submodule():
                  "print(json.dumps([m for m in sys.modules if m.startswith('cyclekit.')]))") == []
 
 
-def test_cli_has_every_attribute_the_tracer_patches_right_after_import():
-    missing, patched = fresh(f"""
-import json, sys
-import cyclekit.cli as cli
-before = set(vars(cli))
+def test_the_tracer_patches_and_counts_the_lazily_loaded_cli(monkeypatch):
+    """``cli`` serves ``check`` from its module ``__getattr__``.  The
+    benchmark tracer still finds every name it patches there right after
+    ``import cyclekit.cli``, counts each ``registry.check`` call once, in
+    process and in its traced children, and a ``check`` run after the
+    tracer exits adds no span and no call to it."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from tracing import load_from_child
+
+    script = str(ROOT / "perfbench" / "tracing.py")
+    patched, traced, after = fresh(f"""
+import contextlib, io, json, sys
+from cyclekit import cli
 sys.path.insert(0, {str(ROOT / 'perfbench')!r})
 import tracing
+
+def run_check():
+    sys.stdin = io.StringIO("IheA@GUAo\\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["check", "--json"]) == 0
+
 with tracing.Tracer() as tr:
     patched = sorted(attr for owner, attr, _ in tr._patches if owner is cli)
-print(json.dumps([sorted(set(patched) - before), patched]))
+    run_check()
+traced = [len(tr.spans), tr.calls["registry.check"]]
+run_check()
+print(json.dumps([patched, traced, [len(tr.spans), tr.calls["registry.check"]]]))
 """)
-    assert missing == []
     assert "main" in patched and "check" in patched
+    assert traced[1] == 82 and after == traced
+    names = json.dumps(patched)
+    assert fresh(f"import json\nimport cyclekit.cli as cli\n"
+                 f"print(json.dumps([n for n in {names} if not hasattr(cli, n)]))") == []
+    child = python(script, "check", "--json", stdin="IheA@GUAo\n")
+    assert load_from_child(child.stderr)["calls"]["registry.check"] == 82
+    child = python(script, "construct", "petersen")
+    assert child.stdout == "IheA@GUAo\n"
+    assert load_from_child(child.stderr)["calls"]["cli.main"] == 1
 
 
 # -- demos and the library tour ------------------------------------------------
