@@ -6,8 +6,8 @@ its length floor rise, and ``cycles_of_length`` pins the floor to list
 every cycle of one length.
 An O(n + q) block/bipartite bound, ``_cycle_bound``, ends the longest-cycle
 search as soon as it finds a cycle that long.  Once the longest-cycle
-search has spent the floor budget, ``_search_budget(0)`` nodes, a
-separator certificate (``UpperCert``: a vertex set whose removal leaves
+search has spent the floor budget, ``_search_budget(0)`` nodes, at any
+order, a separator certificate (``UpperCert``: a vertex set whose removal leaves
 too few large components) ends it if its bound meets the cycle found so
 far, and otherwise stops it at the first cycle that long.  Once it has
 spent its whole node budget, on a graph of at most ``ENUMERATION_CEILING``
@@ -443,16 +443,17 @@ def _longest_cycle(
 
     Returns c and the first longest cycle in DFS order, the one an
     exhaustive search returns.  The search stops at the first cycle of
-    ``_cycle_bound`` vertices, at least c.  On a graph the DP reaches, once
-    the search has spent the floor budget, ``_search_budget(0)`` nodes,
-    ``cuts`` (a minimum separator and the complement of a maximum
-    independent set by default) is called once, and the least ``UpperCert``
-    bound of its sets caps the answer.  A cycle that long is the answer, at
-    once if the search holds one and else at the first it finds: the search
-    yields the first cycle in DFS order of each length it reaches.  A search that ends
-    within the floor never calls ``cuts``.  Once the search has spent its
-    whole budget (counted in floor budgets, so up to one floor budget
-    more), ``_dp_cycle`` gives the first c-cycle in ``cycles_of_length``
+    ``_cycle_bound`` vertices, at least c.  At every order, once the search
+    has spent the floor budget, ``_search_budget(0)`` nodes, ``cuts`` (a
+    minimum separator and the complement of a maximum independent set by
+    default) is called once, and the least ``UpperCert`` bound of its sets
+    caps the answer.  A cycle that long is the answer, at once if the
+    search holds one and else at the first it finds: the search yields the
+    first cycle in DFS order of each length it reaches.  A search that
+    ends within the floor never calls ``cuts``.  On a graph the DP
+    reaches, once the search has spent its whole budget (counted in floor
+    budgets, so up to one floor budget more), ``_dp_cycle`` gives the
+    first c-cycle in ``cycles_of_length``
     order, the same cycle, and keeps its levels, trimmed to c, in
     ``levels`` (one list per graph, indexed by minimum vertex; a fresh one
     by default), where ``LongestCycles`` reads them.  The budget is that of
@@ -468,7 +469,7 @@ def _longest_cycle(
     stop = _cycle_bound(g)
     if len(best_path) < stop:
         budget = _search_budget(n if order is None else order)
-        step = None if budget is None else _search_budget(0)
+        step = _search_budget(0)
         spent = 0
         for path in _cycle_search(g, 2, n, step):
             if path is None:
@@ -478,7 +479,7 @@ def _longest_cycle(
                     if len(best_path) >= stop:
                         break
                 spent += step
-                if spent >= budget:
+                if budget is not None and spent >= budget:
                     by_min = [] if levels is None else levels
                     best_path = _dp_cycle(g, len(best_path), stop, by_min) or best_path
                     break
@@ -533,8 +534,9 @@ def _cone(g: Graph) -> Graph:
     Built past ``Graph``'s checks, which G has passed and which the cone's
     rows pass too (symmetric, no loops), so a G of ``MAX_VERTICES``
     vertices has a cone of one more.  Nothing builds a graph of that order
-    from it: only a search past its budget, on a cone of at most
-    ``ENUMERATION_CEILING`` + 1 vertices, goes on to the cuts and the DP.
+    from it: a search past its floor budget reads its rows for the cuts,
+    and only one on a cone of at most ``ENUMERATION_CEILING`` + 1 vertices
+    goes on to the DP.
     """
     cone = object.__new__(Graph)
     object.__setattr__(cone, "n", g.n + 1)

@@ -1,9 +1,14 @@
 """Theorem verification engine: premises, conclusions, verdicts.
 
 A TheoremSpec is a declarative record (premises, conclusion, parameter
-domain, sharpness cases).  ``check`` evaluates one theorem on one graph
-and returns a Verdict; a VIOLATED verdict is reachable only through
-solver bugs, so the sweep treats it as a defect alarm.
+domain, sharpness cases).  ``decide`` evaluates one theorem on one graph
+and returns its verdict's kind, lambda and witness, plus what the detail
+is formatted from; ``check`` formats that into a Verdict.  A sweep
+throws the detail away unless the verdict is VIOLATED, and formatting
+it and building the Verdict cost more than the decision itself on a
+Profile that already holds its invariants, so the sweep reads decisions.
+A VIOLATED verdict is reachable only through solver bugs, so the sweep
+treats it as a defect alarm.
 """
 
 from __future__ import annotations
@@ -531,6 +536,26 @@ class Outcome:
         self.witness = witness
 
 
+class BoundOutcome:
+    """An ``Outcome`` that compares c with a bound, from ``Bound`` and from
+    ``ResidualBound``'s worst case.  Its detail is ``text`` filled with c
+    and the bound, formatted only when read: a sweep reads it only for a
+    VIOLATED verdict, and takes c - bound as its slack."""
+
+    __slots__ = ("ok", "text", "c", "bound", "witness")
+
+    def __init__(self, ok: bool, text: str, c: int, bound: Exact, witness: object = None):
+        self.ok = ok
+        self.text = text
+        self.c = c
+        self.bound = bound
+        self.witness = witness
+
+    @property
+    def detail(self) -> str:
+        return self.text.format(self.c, fmt_exact(self.bound))
+
+
 class Conclusion:
     label = "conclusion"
 
@@ -585,23 +610,23 @@ class Bound(Conclusion):
 
     def __init__(self, label: str, expr: Callable[[Profile, int | None], Exact] | None = None,
                  strict: bool = False):
-        self.label = f"c {'>' if strict else '>='} {label}"
+        rel = ">" if strict else ">="
+        self.label = f"c {rel} {label}"
         self.term = label
         self.given = expr
         self.strict = strict
+        self.texts = (f"c={{}} not {rel} {{}}", f"c={{}} {rel} {{}}")  # by whether it holds
 
     @cached_property
     def expr(self) -> Callable[[Profile, int | None], Exact]:
         return self.given or _compile(self.term, "pf, lam")
 
-    def check(self, pf: Profile, lam: int | None) -> Outcome:
+    def check(self, pf: Profile, lam: int | None) -> BoundOutcome:
         bound = self.expr(pf, lam)
         c = pf.c
-        ok = c > bound if self.strict else c >= bound
-        rel = ">" if self.strict else ">="
-        if ok:
-            return Outcome(True, f"c={pf.c} {rel} {fmt_exact(bound)}", pf.cycles.cycle)
-        return Outcome(False, f"c={pf.c} not {rel} {fmt_exact(bound)}")
+        if c > bound if self.strict else c >= bound:
+            return BoundOutcome(True, self.texts[1], c, bound, pf.cycles.cycle)
+        return BoundOutcome(False, self.texts[0], c, bound)
 
 
 class ResidualBound(Conclusion):
@@ -641,7 +666,7 @@ class ResidualBound(Conclusion):
                 if b > worst:
                     worst = b
         if c >= worst:
-            return Outcome(True, f"c={c} >= worst-case residual bound {fmt_exact(worst)}")
+            return BoundOutcome(True, "c={} >= worst-case residual bound {}", c, worst)
 
         def fails(lc: LongestCycles, off: int) -> bool:
             return c < self.bound(pf, lc.p_bar(off), lc.c_bar(off), lam)
@@ -774,6 +799,85 @@ class Verdict:
 
 _NOTHING_ASSUMED: frozenset[str] = frozenset()
 
+# A decision: (kind, lambda, witness, why), where ``why`` is what the
+# Verdict's detail is formatted from (``_detail``).
+Decision = tuple[str, "int | None", object, object]
+
+
+def decide(
+    pf: Graph | Profile,
+    spec: TheoremSpec,
+    assume: Iterable[str] = (),
+    lam: int | None = None,
+) -> Decision:
+    """Decide one theorem on one graph: (kind, lambda, witness, why).
+
+    Premises are evaluated in order; an unsupported class premise that is
+    not asserted makes the theorem inapplicable, a failing premise makes
+    it vacuous, and so does an order below the spec's ``n_floor``.
+    Parameterized theorems iterate their feasible lambda range unless a
+    fixed lambda is given; every lambda domain starts at 1, so a fixed
+    lambda below 1 is a ValueError.  Over a range, the first VIOLATED
+    lambda wins, then the first ceiling, then the first inapplicable;
+    several lambdas that hold are summed up as one verdict without a
+    lambda, and so are several that are all vacuous.
+
+    ``why`` is what ``check`` formats the Verdict's detail from, and
+    nothing is formatted here.  A sweep reads the decision alone and
+    builds a Verdict only for a VIOLATED one, so the detail of every
+    other (graph, theorem) pair is never formatted.
+    """
+    if lam is not None and lam < 1:
+        raise ValueError("lambda must be >= 1")
+    pf = _profile(pf)
+    if pf.n < spec.n_floor:
+        return "vacuous", None, None, ("n={} below floor {}", pf.n, spec.n_floor)
+    assume_set = frozenset(assume) if assume else _NOTHING_ASSUMED
+    if spec.lambdas is None or lam is not None:
+        return _decide_at(pf, spec, assume_set, lam)
+    lams = list(spec.lambdas(pf))
+    if not lams:
+        return "vacuous", None, None, ("empty parameter domain",)
+    results = [_decide_at(pf, spec, assume_set, lv) for lv in lams]
+    kinds = [r[0] for r in results]
+    for kind in ("VIOLATED", "ceiling", "inapplicable"):
+        if kind in kinds:
+            return results[kinds.index(kind)]
+    held = [r[1] for r in results if r[0] == "holds"]
+    if len(held) > 1:
+        return "holds", None, None, ("holds for lambda in {}", held)
+    if held:
+        return results[kinds.index("holds")]
+    return results[0] if len(results) == 1 else ("vacuous", None, None, results[:4])
+
+
+def _decide_at(pf: Profile, spec: TheoremSpec, assume: frozenset[str], lam: int | None) -> Decision:
+    for prem in spec.premises:
+        try:
+            val = prem.evaluate(pf, lam, assume)
+        except ZeroDivisionError:
+            return "vacuous", lam, None, ("premise '{}' undefined", prem.label)
+        if val is None:
+            return "inapplicable", lam, None, ("premise '{}' is not decidable here", prem.label)
+        if not val:
+            return "vacuous", lam, None, ("premise fails: {}", prem.label)
+    try:
+        out = spec.conclusion.check(pf, lam)
+    except CeilingError as exc:
+        return "ceiling", lam, None, ("{}", exc)
+    return "holds" if out.ok else "VIOLATED", lam, out.witness, out
+
+
+def _detail(why: object) -> str:
+    """A decision's detail: from a (format, *args) tuple, from the
+    decisions of every lambda of a vacuous range (the first four, each
+    with its lambda), or a conclusion's ``Outcome``."""
+    if isinstance(why, tuple):
+        return why[0].format(*why[1:])
+    if isinstance(why, list):
+        return "; ".join(f"lambda={lam}: {_detail(sub)}" for _, lam, _, sub in why)
+    return why.detail
+
 
 def check(
     g: Graph | Profile,
@@ -781,59 +885,10 @@ def check(
     assume: Iterable[str] = (),
     lam: int | None = None,
 ) -> Verdict:
-    """Evaluate one theorem on one graph.
-
-    Premises are checked in order; an unsupported class premise that is
-    not asserted makes the theorem inapplicable, a failing premise makes
-    it vacuous.  Parameterized theorems iterate their feasible lambda
-    range unless a fixed lambda is given; every lambda domain starts at
-    1, so a fixed lambda below 1 is a ValueError.
-    """
-    if lam is not None and lam < 1:
-        raise ValueError("lambda must be >= 1")
-    pf = _profile(g)
-    if pf.n < spec.n_floor:
-        return Verdict(spec.id, "vacuous", f"n={pf.n} below floor {spec.n_floor}")
-    assume_set = frozenset(assume) if assume else _NOTHING_ASSUMED
-    if spec.lambdas is None or lam is not None:
-        return _check_at(pf, spec, assume_set, lam)
-    lams = list(spec.lambdas(pf))
-    if not lams:
-        return Verdict(spec.id, "vacuous", "empty parameter domain")
-    results = [_check_at(pf, spec, assume_set, lv) for lv in lams]
-    for kind in ("VIOLATED", "ceiling", "inapplicable", "holds"):
-        for v in results:
-            if v.kind == kind:
-                if kind == "holds":
-                    held = [r for r in results if r.kind == "holds"]
-                    if len(held) > 1:
-                        lam_list = [r.lam for r in held]
-                        return Verdict(spec.id, "holds", f"holds for lambda in {lam_list}")
-                return v
-    return results[0] if len(results) == 1 else Verdict(
-        spec.id, "vacuous", "; ".join(f"lambda={r.lam}: {r.detail}" for r in results[:4])
-    )
-
-
-def _check_at(pf: Profile, spec: TheoremSpec, assume: frozenset[str], lam: int | None) -> Verdict:
-    for prem in spec.premises:
-        try:
-            val = prem.evaluate(pf, lam, assume)
-        except ZeroDivisionError:
-            return Verdict(spec.id, "vacuous", f"premise '{prem.label}' undefined", lam)
-        if val is None:
-            return Verdict(
-                spec.id, "inapplicable", f"premise '{prem.label}' is not decidable here", lam
-            )
-        if not val:
-            return Verdict(spec.id, "vacuous", f"premise fails: {prem.label}", lam)
-    try:
-        out = spec.conclusion.check(pf, lam)
-    except CeilingError as exc:
-        return Verdict(spec.id, "ceiling", str(exc), lam)
-    if out.ok:
-        return Verdict(spec.id, "holds", out.detail, lam, out.witness)
-    return Verdict(spec.id, "VIOLATED", out.detail, lam, out.witness)
+    """Evaluate one theorem on one graph: ``decide``'s decision, with its
+    detail formatted, as a Verdict."""
+    kind, lam, witness, why = decide(g, spec, assume, lam)
+    return Verdict(spec.id, kind, _detail(why), lam, witness)
 
 
 class Report(NamedTuple):

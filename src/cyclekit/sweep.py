@@ -5,6 +5,11 @@ catalog on each, and aggregates per-theorem applicability and holds
 rates plus average slack for circumference bounds.  Any VIOLATED verdict
 is a defect alarm: the report keeps the offending graph6 string and the
 full verdict transcript.
+
+Records and tallies are read off ``registry.decide``, which formats no
+detail: building a ``Verdict`` for every (graph, theorem) pair cost more
+than deciding it, and only a VIOLATED verdict's detail is kept.  That
+verdict is built by ``check``, which decides it again.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Iterator, Sequence
 
 from .formats import encode_graph6
 from .graph import Graph, GraphError, from_edge_list
-from .registry import Bound, Profile, TheoremSpec, Verdict, check
+from .registry import Bound, Profile, TheoremSpec, Verdict, check, decide
 
 
 # -- ensemble generators --------------------------------------------------
@@ -164,15 +169,6 @@ def _has_slack(spec: TheoremSpec) -> bool:
     return isinstance(spec.conclusion, Bound) and spec.lambdas is None
 
 
-def _bound_slack(spec: TheoremSpec, pf: Profile) -> int | Fraction | None:
-    """Slack c - bound of a spec that ``_has_slack``, where it holds."""
-    try:
-        bound = spec.conclusion.expr(pf, None)  # type: ignore[attr-defined]
-    except ZeroDivisionError:
-        return None
-    return pf.c - bound
-
-
 def sweep(
     graphs: Iterator[Graph] | Sequence[Graph],
     specs: Sequence[TheoremSpec] | None = None,
@@ -187,22 +183,20 @@ def sweep(
     specs = [s for s in specs if include_quarantined or not s.quarantined]
     report = SweepReport({s.id: TheoremTally() for s in specs})
     plan = [(spec, report.tallies[spec.id], _has_slack(spec)) for spec in specs]
+    clock = time.perf_counter
     for g in graphs:
         g6 = encode_graph6(g)
         pf = Profile(g)
         for spec, tally, has_slack in plan:
-            t0 = time.perf_counter()
-            v = check(pf, spec)
-            dt = time.perf_counter() - t0
-            kind = v.kind
+            t0 = clock()
+            kind, lam, witness, why = decide(pf, spec)
+            dt = clock() - t0
             tally.graphs += 1
             if kind == "holds":
                 tally.holds += 1
-                if has_slack:
-                    slack = _bound_slack(spec, pf)
-                    if slack is not None:
-                        tally.slack_sum += slack
-                        tally.slack_count += 1
+                if has_slack:  # why is the Bound's outcome
+                    tally.slack_sum += why.c - why.bound
+                    tally.slack_count += 1
             elif kind == "vacuous":
                 tally.vacuous += 1
             elif kind == "inapplicable":
@@ -211,10 +205,9 @@ def sweep(
                 tally.ceiling += 1
             else:
                 tally.violated += 1
-                report.violated.append((g6, v))
+                report.violated.append((g6, check(pf, spec)))
             if keep_records:
                 report.records.append(SweepRecord(
-                    g6, spec.id, v.lam, kind,
-                    str(v.witness) if v.witness is not None else None, dt,
+                    g6, spec.id, lam, kind, None if witness is None else str(witness), dt,
                 ))
     return report

@@ -74,3 +74,16 @@ def to_networkx(g: Graph):
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges())
     return h
+
+
+def sweep_outcome(report) -> tuple:
+    """Everything a sweep report holds but its timings: records, tallies
+    with slack sums, and each VIOLATED verdict's record with its detail."""
+    records = [(r.graph6, r.theorem, r.lam, r.verdict, r.witness) for r in report.records]
+    tallies = {
+        tid: (t.graphs, t.holds, t.vacuous, t.inapplicable, t.ceiling, t.violated,
+              t.slack_sum, t.slack_count)
+        for tid, t in report.tallies.items()
+    }
+    violated = [(g6, v.to_record()) for g6, v in report.violated]
+    return records, tallies, violated

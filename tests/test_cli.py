@@ -23,12 +23,13 @@ from cyclekit.graph import from_edge_list, path_graph
 DATA = Path(__file__).parent / "data"
 
 
-def run(args, stdin=""):
+def run(args, stdin="", timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "cyclekit.cli", *args],
         input=stdin,
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -145,6 +146,17 @@ def test_audit_above_the_cap_fails_the_case_and_exits_1():
     assert code == 1 and err == ""
     assert "K_1+2K_10 delta=10: FAIL" in out
     assert "conclusion: ceiling: longest-cycle check capped at 20 vertices (n=21)" in out
+
+
+def test_audits_of_graphs_past_the_dp_cap_finish():
+    # aK_2 + (a-1)K_1 at a = 10 and 3K_9 + K_2 have 29 vertices, past the
+    # DP cap, so the longest-cycle search has no node budget; the cut
+    # certificates, asked for once it has spent the floor budget, end it.
+    # Both audits used to run past 60 s; each takes well under a second.
+    for theorem, case in (("Thm17", "aK_2+Kbar_{a-1} a=10: PASS"),
+                          ("Thm49", "3K_{d-1}+K_2 delta=10: PASS")):
+        code, out, err = run(["audit", "--theorem", theorem, "--range", "10..10"], timeout=60)
+        assert code == 0 and err == "" and case in out, (theorem, out, err)
 
 
 def test_check_json_fields():
@@ -339,18 +351,25 @@ def test_every_model_choice_sweeps():
 def test_sweep_command_exits_1_on_a_violated_verdict(monkeypatch, capsys):
     from cyclekit import sweep
 
-    real = sweep.check
+    real_decide, real_check = sweep.decide, sweep.check
     forged = []
 
-    def check(pf, spec):
-        v = real(pf, spec)
+    # The first (graph, theorem) pair reads VIOLATED: in the decision the
+    # sweep tallies, and in the Verdict it then builds for its report.
+    def decide(pf, spec):
+        kind, lam, witness, why = real_decide(pf, spec)
         if not forged:
-            forged.append(v)
-            return dataclasses.replace(v, kind="VIOLATED")
-        return v
+            forged.append((pf, spec))
+            kind = "VIOLATED"
+        return kind, lam, witness, why
 
+    def check(pf, spec):
+        v = real_check(pf, spec)
+        return dataclasses.replace(v, kind="VIOLATED") if (pf, spec) == forged[0] else v
+
+    monkeypatch.setattr(sweep, "decide", decide)
     monkeypatch.setattr(sweep, "check", check)
     assert cli.main(["sweep", "--n", "5", "--count", "2", "--seed", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("VIOLATED on ") and err.count("\n") == 1
-    assert f"'theorem': '{forged[0].theorem_id}', 'verdict': 'VIOLATED'" in err
+    assert f"'theorem': '{forged[0][1].id}', 'verdict': 'VIOLATED'" in err

@@ -380,6 +380,21 @@ def test_kappa_level_lists_either_set_and_keeps_the_scan(monkeypatch):
             assert listed == [expected], g
 
 
+def test_cut_search_counts_components_alike_with_and_without_union_tables(monkeypatch):
+    # cut_scan builds its union tables only from UNION_TABLE_ORDER vertices
+    # up; either way of counting components gives the same tau and witness.
+    graphs = [
+        g for n in range(7, 17) for p in (0.2, 0.5, 0.8)
+        for g in seeded_gnp(n, p, 2, 900 + 7 * n + int(100 * p))
+    ] + [petersen(), power(cycle_graph(20), 4)]
+    answers = []
+    for order in (0, 65):
+        monkeypatch.setattr(invariants, "UNION_TABLE_ORDER", order)
+        answers.append([cut_scan(g) for g in graphs])
+    assert answers[0] == answers[1]
+    assert answers[0][-1] == (Fraction(4), 495)
+
+
 def test_cut_search_of_c20_4():
     # kappa = 8, alpha = tau = 4: the s / min(alpha, n - s) stop alone would
     # let every size up to 16 through.  The exhaustive scan's answer.

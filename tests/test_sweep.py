@@ -7,14 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from cyclekit import cli
+from cyclekit import cli, registry
+from cyclekit.catalog import catalog
 from cyclekit.exact import fmt_exact
 from cyclekit.families import build
 from cyclekit.formats import encode_graph6
 from cyclekit.graph import GraphError, complete_bipartite, cycle_graph, petersen, power
-from cyclekit.registry import Bound, EveryLongestProp, TheoremSpec
+from cyclekit.registry import Bound, EveryLongestProp, Profile, TheoremSpec, check
 from cyclekit.sweep import gnp, random_bipartite, random_regular, sweep
-from conftest import mixed_corpus, seeded_gnp
+from conftest import mixed_corpus, seeded_gnp, sweep_outcome
 
 DATA = Path(__file__).parent / "data"
 
@@ -97,6 +98,67 @@ def test_sweep_raises_the_alarm_and_counts_the_cap():
         (encode_graph6(complete_bipartite(10, 11)), "false", "VIOLATED"),
     ]
     assert not rep.ok
+
+
+# c <= n refutes n+1 everywhere, so every graph has one VIOLATED verdict
+FORGED = TheoremSpec("false", "forged", "c >= n+1", Bound("n+1"))
+
+
+def checked_outcome(graphs, specs) -> tuple:
+    """``sweep_outcome`` of a sweep, built from one ``check`` per (graph,
+    theorem) pair on a fresh Profile per graph, with each slack recomputed
+    from its Bound's expression."""
+    records, violated = [], []
+    tallies = {s.id: [0] * 8 for s in specs}
+    kinds = ("holds", "vacuous", "inapplicable", "ceiling", "VIOLATED")
+    for g in graphs:
+        g6, pf = encode_graph6(g), Profile(g)
+        for spec in specs:
+            v, t = check(pf, spec), tallies[spec.id]
+            records.append((g6, spec.id, v.lam, v.kind, None if v.witness is None else str(v.witness)))
+            t[0] += 1
+            t[1 + kinds.index(v.kind)] += 1
+            if v.kind == "holds" and isinstance(spec.conclusion, Bound) and spec.lambdas is None:
+                t[6] += pf.c - spec.conclusion.expr(pf, None)
+                t[7] += 1
+            if v.kind == "VIOLATED":
+                violated.append((g6, v.to_record()))
+    return records, {tid: tuple(t) for tid, t in tallies.items()}, violated
+
+
+def test_a_sweep_equals_a_loop_of_check_calls():
+    # The sweep tallies decisions and builds a Verdict only for a VIOLATED
+    # one; a check of every pair must give the same records, tallies, slack
+    # sums and VIOLATED verdicts.  K_{10,11} is past the 20-vertex cap of
+    # the every-longest-cycle checks, so it reads ceiling there.
+    graphs = mixed_corpus(seed=31, per_cell=3, ns=range(1, 11)) + [
+        petersen(), complete_bipartite(10, 11)
+    ]
+    specs = catalog() + [FORGED]
+    rep = sweep(graphs, specs, include_quarantined=True)
+    outcome = sweep_outcome(rep)
+    assert outcome == checked_outcome(graphs, specs)
+    records, tallies, violated = outcome
+    refuted = len(graphs) - 2 * 4 * 3  # orders 1 and 2 lie below the floor of 3
+    assert len(violated) == tallies["false"][5] == refuted
+    assert sum(t[4] for t in tallies.values()) > 0  # ceiling verdicts on K_{10,11}
+    assert {kind for _, _, _, kind, _ in records} == {
+        "holds", "vacuous", "inapplicable", "ceiling", "VIOLATED"
+    }
+
+
+def test_a_sweep_formats_no_detail_of_a_verdict_it_keeps_no_verdict_for(monkeypatch):
+    # Bound details format the bound with fmt_exact, and only when read: a
+    # sweep with no VIOLATED verdict never reads one.
+    def refuse(x):
+        raise AssertionError("a detail was formatted")
+
+    monkeypatch.setattr(registry, "fmt_exact", refuse)
+    graphs = mixed_corpus(seed=37, per_cell=2, ns=range(3, 11)) + [petersen()]
+    rep = sweep(graphs, include_quarantined=True)
+    assert rep.ok and rep.tallies["T1"].slack_count > 0
+    with pytest.raises(AssertionError, match="a detail was formatted"):
+        sweep([petersen()], [FORGED])
 
 
 def test_dirac_rate_on_regular_half_degree():

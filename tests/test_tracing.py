@@ -12,8 +12,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracing  # noqa: E402
 from cyclekit import cli, cycles, registry, sweep  # noqa: E402
+from cyclekit.catalog import catalog  # noqa: E402
 from cyclekit.families import build  # noqa: E402
 from cyclekit.graph import petersen  # noqa: E402
+from cyclekit.registry import Bound, TheoremSpec  # noqa: E402
+from conftest import mixed_corpus, sweep_outcome  # noqa: E402
 
 
 def test_tracer_records_spans_and_restores_patches():
@@ -32,3 +35,19 @@ def test_tracer_records_spans_and_restores_patches():
     assert tr2.calls["cycles.enumerate"] > 0
     changed = [attr for (owner, attr), value in before.items() if vars(owner).get(attr) is not value]
     assert changed == []
+
+
+def test_a_traced_sweep_reports_what_an_untraced_one_does():
+    # ``run.py --trace 1`` replays soundness_mix's sweeps under the tracer.
+    # A sweep builds a Verdict through ``sweep.check`` only for a VIOLATED
+    # verdict, so a forged bound that fails everywhere makes those calls.
+    forged = TheoremSpec("false", "forged", "c >= n+1", Bound("n+1"))
+    graphs = mixed_corpus(seed=41, per_cell=2, ns=range(3, 11)) + [petersen()]
+    specs = catalog() + [forged]
+    plain = sweep_outcome(sweep.sweep(graphs, specs))
+    with tracing.Tracer() as tr:
+        traced = sweep_outcome(sweep.sweep(graphs, specs))
+    assert traced == plain
+    assert {"sweep.sweep", "registry.check", "formats.graph6"} <= {span[0] for span in tr.spans}
+    assert tr.calls["registry.check"] == len(plain[2]) == len(graphs)
+    assert tr.calls["formats.graph6"] == len(graphs)
