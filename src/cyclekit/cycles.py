@@ -13,7 +13,8 @@ far, and otherwise stops it at the first cycle that long.  Once it has
 spent its whole node budget, on a graph of at most ``ENUMERATION_CEILING``
 vertices, a subset DP (Bellman; Held and Karp, 1962) takes over:
 ``_path_levels`` keeps every level of paths from one minimum vertex,
-capped at the certificate's bound, and ``_first_in`` grows the first
+inside the blocks that hold it and capped at the certificate's bound,
+and ``_first_in`` grows the first
 optimum in DFS order from them, the witness the exhaustive search
 returns.  The budget follows the DP's cost, which doubles per vertex
 (``_search_budget``): ``SEARCH_BUDGET`` nodes at 14 and 15 vertices,
@@ -28,7 +29,10 @@ the witness validated once, so that ``circumference``, ``hamiltonian``
 and every universal, existence and residual question reuse them.  Those
 questions depend only on the vertex set a cycle leaves off, so they are
 answered from the closing sets of the same levels, and no cycle is listed:
-``_first_in`` finds the witness among the sets that qualify.  The levels
+``_first_in`` finds the witness among the sets that qualify.  PD(λ >= 2)
+and CD(λ >= 3) only ask whether a set holds a path of λ edges or a cycle
+of λ vertices, so the same search, given a cap, stops at the first one
+(``LongestCycles.p_bar_below`` and ``c_bar_below``).  The levels
 are kept in one list per graph, indexed by minimum vertex and trimmed to
 c; ``_levels_of`` builds an entry when the search's DP or a question
 first reaches its vertex, and every later reader shares it.  One cap
@@ -293,14 +297,21 @@ def _path_levels(g: Graph, s: int, cap: int) -> list[dict[int, int]]:
     """Every level of the subset DP from vertex s, up to ``cap`` vertices.
 
     ``levels[k]`` maps the vertex set of every k-vertex path that starts at
-    s and runs through vertices no lower than s to the bitset of its far
-    ends (``levels[0]`` is empty).  The closing sets, the keys whose ends
-    meet N(s), are the vertex sets of the k-cycles whose minimum vertex is
-    s, each once (k = 2 is an edge).
+    s and runs through vertices no lower than s inside the blocks that
+    hold s to the bitset of its far ends (``levels[0]`` is empty).  A cycle
+    through s lies in one such block, and a path from s that leaves their
+    union never returns to s, so no cycle is lost; finding the blocks costs
+    O(n + q), nothing beside the levels.  The closing sets, the
+    keys whose ends meet N(s), are the vertex sets of the k-cycles whose
+    minimum vertex is s, each once (k = 2 is an edge).
     """
     level = {1 << s: 1 << s}
     levels = [{}, level]
-    allowed = g.full_mask >> s << s
+    allowed = 0
+    for block in biconnected_blocks(g)[0]:
+        if block >> s & 1:
+            allowed |= block
+    allowed &= g.full_mask >> s << s
     while len(levels) <= cap:
         level = _next_level(g.rows, level, allowed)
         if not level:
@@ -438,6 +449,7 @@ def _longest_cycle(
     cuts: Callable[[], Iterable[int]] | None = None,
     order: int | None = None,
     levels: list[list[dict[int, int]]] | None = None,
+    cap: int | None = None,
 ) -> tuple[int, list[int]]:
     """Branch-and-bound longest cycle under the degenerate conventions.
 
@@ -458,7 +470,10 @@ def _longest_cycle(
     ``levels`` (one list per graph, indexed by minimum vertex; a fresh one
     by default), where ``LongestCycles`` reads them.  The budget is that of
     ``order`` vertices, n by default; ``longest_path`` passes G's order for
-    its cone, so the DP reaches every cone of a G it reaches.
+    its cone, so the DP reaches every cone of a G it reaches.  Given
+    ``cap``, the search also stops at its first cycle of at least ``cap``
+    vertices, and the DP looks no higher: the length returned is c when c
+    is below the cap and at least the cap otherwise, with its cycle.
     """
     n = g.n
     if n == 0:
@@ -466,7 +481,7 @@ def _longest_cycle(
     # The first edge in ``g.edges()`` order, or the bare vertex 0.
     low = next((v for v in range(n) if g.rows[v] >> v), None)
     best_path = [0] if low is None else [low, low + bits(g.rows[low] >> low)[0]]
-    stop = _cycle_bound(g)
+    stop = _cycle_bound(g) if cap is None else min(_cycle_bound(g), cap)
     if len(best_path) < stop:
         budget = _search_budget(n if order is None else order)
         step = _search_budget(0)
@@ -718,6 +733,29 @@ class LongestCycles:
             c = self._c_bar[off] = _residual_cycle(self.g, off)
         return c
 
+    def p_bar_below(self, off: int, lam: int) -> bool:
+        """p̄ < lam for the graph induced on off: the held p̄ if ``p_bar``
+        computed it, else the longest-path search on the cone K_1 + G[off]
+        stopped at its first path of lam edges, a cycle of lam + 2."""
+        p = self._p_bar.get(off)
+        if p is not None:
+            return p < lam
+        if off.bit_count() <= lam:
+            return True
+        h = induced_subgraph(self.g, off)
+        return _longest_cycle(_cone(h), order=h.n, cap=lam + 2)[0] < lam + 2
+
+    def c_bar_below(self, off: int, lam: int) -> bool:
+        """c̄ < lam (lam >= 3) for the graph induced on off: the held c̄ if
+        ``c_bar`` computed it, else the longest-cycle search on G[off]
+        stopped at its first cycle of lam vertices."""
+        c = self._c_bar.get(off)
+        if c is not None:
+            return c < lam
+        if off.bit_count() < lam:
+            return True
+        return _longest_cycle(induced_subgraph(self.g, off), cap=lam)[0] < lam
+
 
 def _cycles_of(g: Graph | LongestCycles) -> LongestCycles:
     return g if isinstance(g, LongestCycles) else LongestCycles(g)
@@ -740,7 +778,11 @@ def all_longest_cycles(g: Graph) -> Iterator[CycleCert]:
 def _cycle_test(prop: str, lam: int | None) -> Callable[[LongestCycles, int], bool]:
     """The test of an off-cycle set for prop ("dominating", "PD" or "CD";
     the latter two need lam).  PD(1) and CD(2) are the dominating test:
-    p̄ < 1 and c̄ < 2 each say that no edge lies off the cycle."""
+    p̄ < 1 and c̄ < 2 each say that no edge lies off the cycle.  CD(1),
+    c̄ < 1, holds for no nonempty set.  Above those, the threshold is
+    decided, not computed: PD(lam) asks whether the set holds a path of
+    lam edges and CD(lam) whether it holds a cycle of at least lam
+    vertices, each search stopping at its first."""
     if prop == "dominating" or (prop, lam) in (("PD", 1), ("CD", 2)):
         return lambda lc, off: _independent(lc.g, off)
     if prop not in ("PD", "CD"):
@@ -749,8 +791,10 @@ def _cycle_test(prop: str, lam: int | None) -> Callable[[LongestCycles, int], bo
         raise ValueError(f"{prop} check needs lambda")
     _check_lambda(lam)
     if prop == "PD":
-        return lambda lc, off: lc.p_bar(off) < lam
-    return lambda lc, off: lc.c_bar(off) < lam
+        return lambda lc, off: lc.p_bar_below(off, lam)
+    if lam == 1:
+        return lambda lc, off: lc.c_bar(off) < 1
+    return lambda lc, off: lc.c_bar_below(off, lam)
 
 
 def every_longest_cycle_satisfies(

@@ -308,16 +308,24 @@ def complement(g: Graph) -> Graph:
 
 
 def induced_subgraph(g: Graph, keep_mask: int) -> Graph:
-    """Induced subgraph on the masked vertices, relabeled in ascending order."""
-    keep = bits(keep_mask)
-    index = {v: i for i, v in enumerate(keep)}
+    """Induced subgraph on the masked vertices, relabeled in ascending order.
+
+    Vertex w's new label is the number of kept vertices below it.  Built
+    past ``Graph``'s checks, which g has passed and which its induced
+    subgraphs pass too (symmetric, no loops, no larger order).
+    """
     rows = []
-    for v in keep:
-        row = 0
-        for w in bits(g.rows[v] & keep_mask):
-            row |= 1 << index[w]
-        rows.append(row)
-    return Graph(len(keep), tuple(rows))
+    for v in bits(keep_mask):
+        row, new = g.rows[v] & keep_mask, 0
+        while row:
+            wbit = row & -row
+            row ^= wbit
+            new |= 1 << (keep_mask & (wbit - 1)).bit_count()
+        rows.append(new)
+    sub = object.__new__(Graph)
+    object.__setattr__(sub, "n", len(rows))
+    object.__setattr__(sub, "rows", tuple(rows))
+    return sub
 
 
 def all_distances(g: Graph, source: int) -> list[int]:

@@ -10,8 +10,9 @@ cutset that could tie or beat the best ratio around its smallest
 component, and stops where min(alpha, n - s) bounds the component count
 too low; the binding number's subset search cuts every subtree whose
 sets cannot beat the best ratio, bounding how many vertices a set can
-add (room) and how many new neighbours they bring (coverage); started
-from a ratio x, the same search decides b >= x at the first set below x.
+add (room) and how many new neighbours they bring (coverage); b >= x is
+decided without b, in polynomial time, by a counting bound and a
+supply-and-demand flow for each largest A_y = V - N(y) (Cunningham 1990).
 Connectivity goes through unit-capacity vertex max-flow, each flow seeded
 with the two-edge paths through the common neighbours of its pair.  The
 test suite checks each against an exhaustive search.
@@ -20,7 +21,7 @@ test suite checks each against an exhaustive search.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Callable, Protocol
 
@@ -423,22 +424,22 @@ def binding_number(g: Graph, below: Exact | None = None) -> tuple[Exact, list[in
     isolated vertex v gives N({v}) = {} and the value 0 at once;
     {smallest isolated v} is also the first zero of the search.
 
-    Given ``below``, only b < below is asked (an isolated vertex still
-    answers 0 at once): the search starts from ``below`` as its best ratio
-    and returns at the first X that beats it, with X's ratio;
-    ``(below, [])`` says that no X does, so b >= below.  ``cannot_beat``
-    holds for any best ratio, so no such X is pruned.
+    Given a finite ``below`` = x, only b < x is asked (an isolated vertex
+    still answers 0 at once), and a max-flow answers it in polynomial time
+    (``_binding_below``): (|N(X)|/|X|, X) for some X with N(X) != V and
+    |N(X)| < x |X|, or ``(x, [])`` when no X has, so b >= x.
     """
     if g.n == 0:
         raise ValueError("binding number needs n >= 1")
     n, rows = g.n, g.rows
     if 0 in rows:
         return Fraction(0), [rows.index(0)]
+    if below is not None and below != INF:
+        return _binding_below(g, below)
     full = g.full_mask
     # best = num / den, with 1/0 standing for +inf; the strict
     # cross-multiplied test keeps the first minimum found.
-    num, den = (1, 0) if below is None or below == INF else Fraction(below).as_integer_ratio()
-    witness = 0
+    num, den, witness = 1, 0, 0
 
     def cannot_beat(start: int, size: int, k: int, nbhd: int) -> bool:
         """No set below X (``size`` vertices, neighbourhood ``nbhd`` of k
@@ -484,22 +485,149 @@ def binding_number(g: Graph, below: Exact | None = None) -> tuple[Exact, list[in
             room <= share or (k * share + room * m) * den >= num * share * (size + room)
         )
 
-    def extend(start: int, chosen: int, size: int, nbhd: int) -> bool:
-        """Search the sets below X; True once one beats ``below``."""
+    def extend(start: int, chosen: int, size: int, nbhd: int) -> None:
         nonlocal num, den, witness
         if size:
             k = nbhd.bit_count()
             if k * den < num * size:
                 num, den, witness = k, size, chosen
-                if below is not None:
-                    return True
             if den and cannot_beat(start, size, k, nbhd):
-                return False
+                return
         for v in range(start, n):
             nb = nbhd | rows[v]
-            if nb != full and extend(v + 1, chosen | (1 << v), size + 1, nb):
-                return True
-        return False
+            if nb != full:
+                extend(v + 1, chosen | (1 << v), size + 1, nb)
 
     extend(0, 0, 0, 0)
     return (Fraction(num, den) if den else INF), bits(witness)
+
+
+def _neighbourhood(rows: tuple[int, ...], xs: int) -> int:
+    """N(X) for the vertex set X, a bitmask."""
+    nbhd = 0
+    while xs:
+        low = xs & -xs
+        xs ^= low
+        nbhd |= rows[low.bit_length() - 1]
+    return nbhd
+
+
+def _binding_below(g: Graph, x: Exact) -> tuple[Exact, list[int]]:
+    """``binding_number(g, x)`` on a graph with no isolated vertex: a
+    max-flow test after Cunningham (1990), with x = p / q in lowest terms.
+
+    N(X) != V holds exactly when X lies in some A_y = V - N(y), so the
+    sets X inside each A_y are tested, and only the largest A_y, those of
+    inclusion-minimal N(y), need it.  A counting bound rules A_y in first:
+    a nonempty X has |N(X)| >= delta, and |X| <= Delta |N(X)| / delta by
+    counting the edges from X into N(X), so every X inside A_y has a ratio
+    of at least delta / min(Delta, |A_y|); over every y, that is
+    b >= delta / min(Delta, n - delta).  For each A_y left, X = A_y itself
+    is tried, and then a flow: q |N(X)| >= p |X| for every X inside A_y is
+    Hall's condition for every vertex of A_y to ship p units to its
+    neighbours, each vertex absorbing at most q (``_hall_violator``).
+    """
+    p, q = Fraction(x).as_integer_ratio()
+    n, rows = g.n, g.rows
+    degs = [row.bit_count() for row in rows]
+    delta, most = min(degs), max(degs)
+    # The N(y) whose A_y the counting bound leaves open, smallest first.
+    open_rows = sorted(
+        {row for row in rows if p * min(most, n - row.bit_count()) > q * delta},
+        key=lambda row: (row.bit_count(), row),
+    )
+    minimal: list[int] = []
+    for row in open_rows:
+        if all(m & ~row for m in minimal):
+            minimal.append(row)
+    tops = [g.full_mask ^ row for row in minimal]
+    for xs in chain(tops, (_hall_violator(rows, top, p, q) for top in tops)):
+        k = _neighbourhood(rows, xs).bit_count()
+        if q * k < p * xs.bit_count():
+            return Fraction(k, xs.bit_count()), bits(xs)
+    return Fraction(p, q), []
+
+
+def _hall_violator(rows: tuple[int, ...], left: int, p: int, q: int) -> int:
+    """A set X inside ``left`` with q |N(X)| < p |X|, as a bitmask, or 0 if
+    there is none.
+
+    Every vertex a of ``left`` ships p units to its neighbours, each vertex
+    absorbing at most q: first greedily, then along augmenting paths, each
+    from a through its neighbours and back from a neighbour v to a vertex
+    b that ships to v, until a vertex that can still absorb.  When a
+    search from a finds none, the vertices it reached, X, send all they
+    ship into N(X), which is full, and a ships less than p, so
+    q |N(X)| < p |X|.  The searches are breadth first over bitmasks of the
+    reached vertices.
+    """
+    n = len(rows)
+    room = [q] * n  # what each vertex can still absorb
+    sent: dict[tuple[int, int], int] = {}  # (b, v): the units b ships to v, when positive
+    carriers = [0] * n  # the vertices that ship to v
+    par_right = [0] * n  # the vertex whose neighbour v is, on the search's path
+    par_left = [0] * n  # the vertex b ships to, reached back through it
+    for a in bits(left):
+        need = p
+        nbrs = rows[a]
+        while need and nbrs:
+            vbit = nbrs & -nbrs
+            nbrs ^= vbit
+            v = vbit.bit_length() - 1
+            r = room[v]
+            if r:
+                t = r if r < need else need
+                room[v] = r - t
+                sent[a, v] = t
+                carriers[v] |= 1 << a
+                need -= t
+        while need:
+            seen_left = frontier = 1 << a
+            seen_right = 0
+            end = -1
+            while frontier and end < 0:
+                nxt = 0
+                for b in bits(frontier):
+                    new = rows[b] & ~seen_right
+                    seen_right |= new
+                    while new:
+                        vbit = new & -new
+                        new ^= vbit
+                        v = vbit.bit_length() - 1
+                        par_right[v] = b
+                        if room[v]:
+                            end = v
+                            break
+                        back = carriers[v] & ~seen_left
+                        seen_left |= back
+                        nxt |= back
+                        for c in bits(back):
+                            par_left[c] = v
+                    if end >= 0:
+                        break
+                frontier = nxt
+            if end < 0:
+                return seen_left
+            amount = min(need, room[end])
+            b = par_right[end]
+            while b != a:
+                u = par_left[b]
+                amount = min(amount, sent[b, u])
+                b = par_right[u]
+            room[end] -= amount
+            need -= amount
+            v = end
+            while True:
+                b = par_right[v]
+                sent[b, v] = sent.get((b, v), 0) + amount
+                carriers[v] |= 1 << b
+                if b == a:
+                    break
+                v = par_left[b]
+                rest = sent[b, v] - amount
+                if rest:
+                    sent[b, v] = rest
+                else:
+                    del sent[b, v]
+                    carriers[v] &= ~(1 << b)
+    return 0

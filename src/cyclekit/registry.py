@@ -192,10 +192,10 @@ class Profile:
     def binding_ge(self, x: Exact) -> bool:
         """b >= x.  Woodall's bound b <= (n - 1) / (n - delta) (1973;
         X = V - N(u) for u of minimum degree, which leaves u out of N(X))
-        rules x out first.  Otherwise the subset search starts from x and
-        stops at the first X with |N(X)| < x |X|, so the exact b is not
-        computed; it is compared instead when already held, or when an
-        isolated vertex (delta = 0) makes it 0 at once."""
+        rules x out first.  Otherwise ``binding_number(g, x)`` decides it
+        in polynomial time, by a counting bound and a max-flow test, so
+        the exact b is not computed; it is compared instead when already
+        held, or when an isolated vertex (delta = 0) makes it 0 at once."""
         n = self.n
         if n and Fraction(n - 1, n - self.delta) < x:
             return False

@@ -201,6 +201,64 @@ def test_pd1_and_cd2_answers_match_the_residual_predicates():
             assert exists_cycle_satisfying(g, prop, lam) == first, (g, prop)
 
 
+def test_threshold_answers_match_the_residual_predicates():
+    # PD(lam >= 2) and CD(lam >= 3) stop each off-cycle search at its first
+    # path of lam edges or cycle of lam vertices; the predicates compute the
+    # exact p-bar and c-bar of each listed cycle's residual graph.
+    graphs = mixed_corpus(seed=73, per_cell=2, ns=range(1, 10)) + [build("L", delta=3), complete_bipartite(3, 5)]
+    cases = [("PD", lam, is_PD_cycle) for lam in (2, 3, 4)] + [("CD", lam, is_CD_cycle) for lam in (3, 4)]
+    for g in graphs:
+        c = circumference(g)[0]
+        for prop, lam, oracle in cases:
+            counter = next((cert for cert in cycles_of_length(g, c) if not oracle(g, cert, lam)), None)
+            assert every_longest_cycle_satisfies(g, prop, lam) == (counter is None, counter), (g, prop, lam)
+            first = next((cert for k in range(c, 0, -1) for cert in cycles_of_length(g, k)
+                          if oracle(g, cert, lam)), None)
+            assert exists_cycle_satisfying(g, prop, lam) == first, (g, prop, lam)
+
+
+def test_threshold_answers_read_the_held_residuals(monkeypatch):
+    # Where p-bar and c-bar are already held for every longest cycle (a
+    # residual bound computed them), the thresholds compare them and run no
+    # search.  On L_4, PD(2) and CD(3) fail while PD(3) and CD(4) hold.
+    g = build("L", delta=4)
+    questions = [("PD", 2), ("PD", 3), ("CD", 3), ("CD", 4)]
+    want = [every_longest_cycle_satisfies(g, prop, lam) for prop, lam in questions]
+    assert [ok for ok, _ in want] == [False, True, False, True]
+    lc = LongestCycles(g)
+    for t in lc.cycle_sets(lc.c):
+        lc.p_bar(g.full_mask ^ t), lc.c_bar(g.full_mask ^ t)
+    monkeypatch.setattr(cycles, "_longest_cycle", lambda *a, **k: pytest.fail("searched"))
+    assert [every_longest_cycle_satisfies(lc, prop, lam) for prop, lam in questions] == want
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(graphs_up_to(9), st.integers(3, 10))
+def test_capped_longest_cycle_decides_the_threshold(g, cap):
+    # Below the cap the capped search gives c; at or above it, some length
+    # at least the cap, and only then is c at least the cap.
+    if not g.n:
+        return
+    c = _longest_cycle(g)[0]
+    got, cycle = _longest_cycle(g, cap=cap)
+    assert (got >= cap) == (c >= cap), (g, cap)
+    assert got == c or got >= cap, (g, cap)
+    CycleCert(tuple(cycle)).validate(g)
+    assert len(cycle) == got
+
+
+def test_dp_levels_stay_inside_the_blocks_of_their_start():
+    # No cycle of 2K_6 + K_1 crosses the cut vertex 12, so the levels from a
+    # vertex of the first K_6 never enter the second.
+    g = build("tKa-join-Kb", t=2, a=6, b=1)
+    first = (1 << 6) - 1
+    for s in range(6):
+        levels = _path_levels(g, s, g.n)
+        assert all(not key & ~(first | 1 << 12) for level in levels for key in level), s
+        assert len(levels) == 8 - s, s
+    assert circumference(g)[0] == 7
+
+
 def test_property_checked_before_hamiltonian_shortcut():
     k4 = complete(4)  # hamiltonian, so both checks would return at once
     for bad in (("bogus", None), ("PD", None), ("CD", 0)):

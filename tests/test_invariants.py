@@ -462,7 +462,7 @@ def test_bounded_binding_search_matches_the_lexicographic_search():
         woodall = Fraction(g.n - 1, g.n - min(g.degrees()))
         assert b[0] <= woodall, g
         xs = (Fraction(3, 2), b[0], b[0] + Fraction(1, 99), woodall, woodall + Fraction(1, 99))
-        # The search that starts from x answers the first X below x, or none.
+        # The flow from x answers some X below x with N(X) != V, or none.
         for x in xs:
             below, witness = binding_number(g, x)
             if 0 in g.rows:
@@ -486,7 +486,7 @@ def test_bounded_binding_search_matches_the_lexicographic_search():
 
 def test_check_all_on_c20_4_decides_the_binding_premise_from_three_halves():
     # b(C_20^4) = 19/12 is at least 3/2, and Woodall's bound 19/12 does not
-    # rule 3/2 out; the search from 3/2 proves it without the exact b.
+    # rule 3/2 out; the flow test at 3/2 proves it without the exact b.
     g = power(cycle_graph(20), 4)
     pf = Profile(g)
     got = [v.to_record() for v in check_all(pf).verdicts]
@@ -501,6 +501,28 @@ def test_check_all_on_c20_4_decides_the_binding_premise_from_three_halves():
 def test_bounded_binding_search_matches_the_lexicographic_search_on_any_graph(g):
     if g.n:
         assert binding_number(g) == lexicographic_binding_number(g)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(graphs_up_to(12))
+def test_binding_threshold_matches_the_exact_binding_number(g):
+    # b < x from the counting bound and the flow, against the exact b,
+    # at fixed thresholds and at b itself and just above it.
+    if not g.n:
+        return
+    b = binding_number(g)[0]
+    for x in (Fraction(1), Fraction(4, 3), Fraction(3, 2), Fraction(2), b, b + Fraction(1, 99)):
+        assert (binding_number(g, x)[0] < x) == (b < x), (g, x)
+
+
+def test_binding_threshold_of_c64_15_is_immediate():
+    # Woodall's bound 63/34 and the counting bound 30/30 both leave 3/2
+    # open, so a flow for each A_y decides it: milliseconds, where a subset
+    # search that stops at the first set below 3/2 runs for seconds.
+    g = power(cycle_graph(64), 15)
+    t0 = perf_counter()
+    assert Profile(g).binding_ge(Fraction(3, 2)) is True
+    assert perf_counter() - t0 < 1.0
 
 
 def test_binding_number_of_a_perfect_matching_is_immediate():
