@@ -469,9 +469,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.solve_error(f"solve {args.problem} takes no property argument")
     if args.command == "solve" and args.problem in ("every-longest", "exists"):
         if args.prop is None:
-            parser.error(f"solve {args.problem} needs a property argument")
+            args.solve_error(f"solve {args.problem} needs a property argument")
         if args.prop in ("PD", "CD") and args.lam is None:
-            parser.error(f"solve {args.problem} {args.prop} needs --lambda")
+            args.solve_error(f"solve {args.problem} {args.prop} needs --lambda")
     try:
         return args.fn(args)
     except UsageError as exc:

@@ -3,18 +3,22 @@
 One branch-and-bound DFS, ``_cycle_search``, answers every cycle question
 and, through a cone, every path question: the longest-cycle solvers let
 its length floor rise, and ``cycles_of_length`` pins the floor to list
-every cycle of one length.
+every cycle of one length.  The DFS is one loop over an explicit stack of
+candidate masks, so a cycle it yields passes through no generator frame
+per path vertex.
 An O(n + q) block/bipartite bound, ``_cycle_bound``, ends the longest-cycle
 search as soon as it finds a cycle that long.  Once the longest-cycle
 search has spent the floor budget, ``_search_budget(0)`` nodes, at any
-order, a separator certificate (``UpperCert``: a vertex set whose removal leaves
-too few large components) ends it if its bound meets the cycle found so
-far, and otherwise stops it at the first cycle that long.  Once it has
-spent its whole node budget, on a graph of at most ``ENUMERATION_CEILING``
-vertices, a subset DP (Bellman; Held and Karp, 1962) takes over:
-``_path_levels`` keeps every level of paths from one minimum vertex,
-inside the blocks that hold it and capped at the certificate's bound,
-and ``_first_in`` grows the first
+order, separator certificates (``UpperCert``: a vertex set whose removal
+leaves too few large components) end it if their least bound meets the
+cycle found so far, and otherwise stop it at the first cycle that long.
+The cuts are the complement of a greedy maximal independent set
+(``_greedy_cut``, O(n log n + q)), a minimum separator and the complement
+of a maximum independent set.  Once it has spent its whole node budget,
+on a graph of at most ``ENUMERATION_CEILING`` vertices, a subset DP
+(Bellman; Held and Karp, 1962) takes over: ``_path_levels`` keeps every
+level of paths from one minimum vertex, inside the blocks that hold it
+and capped at the certificate's bound, and ``_first_in`` grows the first
 optimum in DFS order from them, the witness the exhaustive search
 returns.  The budget follows the DP's cost, which doubles per vertex
 (``_search_budget``): ``SEARCH_BUDGET`` nodes at 14 and 15 vertices,
@@ -230,7 +234,9 @@ def _cycle_search(
     direction hides no longer cycle: its reverse lies in an earlier branch,
     which no lower floor cuts.  With a budget (at least 1, since a
     countdown from 0 never reaches 0 again), None comes out each time the
-    search has visited that many more DFS nodes.
+    search has visited that many more DFS nodes.  The DFS is one loop: a
+    stack keeps the untried candidates of each node on the path, and a node
+    whose candidates run out hands its vertex back to the free ones.
     """
     if budget is not None and budget < 1:
         raise ValueError(f"search budget must be >= 1, got {budget}")
@@ -245,9 +251,12 @@ def _cycle_search(
         if (srow & allowed).bit_count() < 2:
             continue
         path[0] = s
-
-        def dfs(v: int, visited: int, length: int) -> Iterator[list[int] | None]:
-            nonlocal floor, left
+        # The node at ``length`` path vertices ends in v; ``free`` is
+        # ``allowed`` less the path, and ``stack`` holds the candidates
+        # still to try at each shorter length.
+        v, free, length = s, allowed ^ sbit, 1
+        stack: list[int] = []
+        while True:
             left -= 1
             if not left:
                 left = budget
@@ -256,21 +265,23 @@ def _cycle_search(
                 yield path[:length]
                 if length < cap:
                     floor = length
-            if length == cap:
-                return
-            free = allowed & ~visited
-            comp = reach(rows[v], free)
-            if not comp & srow or length + comp.bit_count() <= floor:
-                return
-            cand = rows[v] & free
-            while cand:
-                ubit = cand & -cand
-                cand ^= ubit
-                u = ubit.bit_length() - 1
-                path[length] = u
-                yield from dfs(u, visited | ubit, length + 1)
-
-        yield from dfs(s, sbit, 1)
+            cand = 0
+            if length < cap:
+                comp = reach(rows[v], free)
+                if comp & srow and length + comp.bit_count() > floor:
+                    cand = rows[v] & free
+            while not cand and stack:
+                length -= 1
+                free |= 1 << path[length]
+                cand = stack.pop()
+            if not cand:
+                break
+            ubit = cand & -cand
+            stack.append(cand ^ ubit)
+            free ^= ubit
+            v = ubit.bit_length() - 1
+            path[length] = v
+            length += 1
 
 
 def _next_level(rows: tuple[int, ...], level: dict[int, int], allowed: int) -> dict[int, int]:
@@ -394,6 +405,19 @@ def _cycle_bound(g: Graph) -> int:
     return best
 
 
+def _greedy_cut(g: Graph) -> int:
+    """The complement of a maximal independent set grown by ascending
+    degree, ties by vertex index, in O(n log n + q): each vertex joins the
+    set unless a neighbour already has."""
+    rows = g.rows
+    taken = blocked = 0
+    for v in sorted(range(g.n), key=lambda v: rows[v].bit_count()):
+        if not blocked >> v & 1:
+            taken |= 1 << v
+            blocked |= rows[v]
+    return g.full_mask ^ taken
+
+
 def _default_cuts(g: Graph) -> tuple[int, int]:
     """A minimum separator and the complement of a maximum independent set."""
     from .invariants import independence_number, min_separator
@@ -459,10 +483,11 @@ def _longest_cycle(
     has spent the floor budget, ``_search_budget(0)`` nodes, ``cuts`` (a
     minimum separator and the complement of a maximum independent set by
     default) is called once, and the least ``UpperCert`` bound of its sets
-    caps the answer.  A cycle that long is the answer, at once if the
-    search holds one and else at the first it finds: the search yields the
-    first cycle in DFS order of each length it reaches.  A search that
-    ends within the floor never calls ``cuts``.  On a graph the DP
+    and of ``_greedy_cut``'s set caps the answer.  A cycle that long is the
+    answer, at once if the search holds one and else at the first it
+    finds: the search yields the first cycle in DFS order of each length
+    it reaches.  A search that ends within the floor never calls ``cuts``
+    nor computes the greedy cut.  On a graph the DP
     reaches, once the search has spent its whole budget (counted in floor
     budgets, so up to one floor budget more), ``_dp_cycle`` gives the
     first c-cycle in ``cycles_of_length``
@@ -489,7 +514,7 @@ def _longest_cycle(
         for path in _cycle_search(g, 2, n, step):
             if path is None:
                 if not spent:
-                    cut_sets = _default_cuts(g) if cuts is None else cuts()
+                    cut_sets = [_greedy_cut(g), *(_default_cuts(g) if cuts is None else cuts())]
                     stop = min([stop] + [UpperCert.of(g, cut).bound for cut in cut_sets])
                     if len(best_path) >= stop:
                         break
@@ -645,19 +670,21 @@ class LongestCycles:
     """Longest-cycle answers for one graph, each computed at most once.
 
     Runs the longest-cycle search itself, passing ``cuts`` on to
-    ``_longest_cycle`` (its default cuts when None), and holds what it
-    finds: the circumference c; its witness ``cycle``, the first longest
-    cycle in ``cycles_of_length`` order, a ``CycleCert`` validated here
-    and returned by every answer that is that cycle; the DP levels up to
-    c from each minimum vertex, one list of its own that the search's DP
-    fills where it reaches and a question fills for the rest, each entry
-    built once and kept for every length; and p̄ and c̄ for every
-    off-cycle set asked about.  Dominating, PD, CD and the residual bounds
-    are properties of the set a cycle leaves off, so ``first_cycle`` tests
-    the levels' closing sets, not cycles, and ``_first_in`` finds the
-    witness among the sets that pass.  Nothing is listed on a hamiltonian
-    graph, where every question is settled by c = n.  ``registry.Profile``
-    holds one; the public functions below take one in place of a graph.
+    ``_longest_cycle`` (its default cuts when None), which bounds c by
+    them and by its own greedy cut once the search passes its floor
+    budget, and holds what it finds: the circumference c; its witness
+    ``cycle``, the first longest cycle in ``cycles_of_length`` order, a
+    ``CycleCert`` validated here and returned by every answer that is that
+    cycle; the DP levels up to c from each minimum vertex, one list of its
+    own that the search's DP fills where it reaches and a question fills
+    for the rest, each entry built once and kept for every length; and p̄
+    and c̄ for every off-cycle set asked about.  Dominating, PD, CD and the
+    residual bounds are properties of the set a cycle leaves off, so
+    ``first_cycle`` tests the levels' closing sets, not cycles, and
+    ``_first_in`` finds the witness among the sets that pass.  Nothing is
+    listed on a hamiltonian graph, where every question is settled by
+    c = n.  ``registry.Profile`` holds one; the public functions below take
+    one in place of a graph.
     """
 
     def __init__(self, g: Graph, cuts: Callable[[], Iterable[int]] | None = None):

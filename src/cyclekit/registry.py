@@ -225,7 +225,8 @@ class Profile:
         shared by every longest-cycle conclusion and every lambda.  Should
         the search pass its floor budget, its cuts are this Profile's
         minimum separator and the complement of its maximum independent
-        set."""
+        set, beside the search's own greedy cut, the complement of a
+        maximal independent set grown by ascending degree."""
         g = self.g
         return LongestCycles(g, lambda: (
             self.separator[1], g.full_mask ^ mask_of(self.independent_set[1])))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
 
 from cyclekit.cycles import CeilingError
 from cyclekit.exact import Exact, INF
@@ -385,3 +386,68 @@ BOUNDS = {
     "c >= (cbar+1)(delta-cbar+1) for every longest cycle":
         lambda pf, p, cbar, lam: (cbar + 1) * (pf.delta - cbar + 1),
 }
+
+
+# The recursive cycle search, kept as it was before one loop over an
+# explicit stack replaced its generator frames.
+
+
+def cycle_search(
+    g: Graph, floor: int, cap: int, budget: int | None = None
+) -> Iterator[list[int] | None]:
+    """Cycles with floor < length <= cap, as vertex lists; floor >= 2.
+
+    A cycle starts at its minimum vertex s and comes out once, in the
+    direction whose second vertex is smaller.  The DFS extends paths from
+    s, which needs two larger neighbours, through larger vertices only.  A
+    longer cycle goes on through the vertices the path end reaches among
+    the free ones, and back to s from a neighbour of s among them, so a
+    branch is cut once those vertices miss N(s) or are too few to beat the
+    floor.  The flood stays out of s, which on a cone (``longest_path``)
+    would reach every free vertex through the apex.  Each cycle shorter
+    than the cap raises the floor to its length; with floor = cap - 1 the
+    floor stays put and every cycle of length cap comes out.  Keeping one
+    direction hides no longer cycle: its reverse lies in an earlier branch,
+    which no lower floor cuts.  With a budget (at least 1, since a
+    countdown from 0 never reaches 0 again), None comes out each time the
+    search has visited that many more DFS nodes.
+    """
+    if budget is not None and budget < 1:
+        raise ValueError(f"search budget must be >= 1, got {budget}")
+    n, rows, reach = g.n, g.rows, g.reach_mask
+    path = [0] * n
+    left = -1 if budget is None else budget
+    for s in range(n):
+        allowed = ((1 << n) - 1) >> s << s
+        if allowed.bit_count() <= floor:
+            return
+        sbit, srow = 1 << s, rows[s]
+        if (srow & allowed).bit_count() < 2:
+            continue
+        path[0] = s
+
+        def dfs(v: int, visited: int, length: int) -> Iterator[list[int] | None]:
+            nonlocal floor, left
+            left -= 1
+            if not left:
+                left = budget
+                yield None
+            if length > floor and rows[v] & sbit and path[1] < v:
+                yield path[:length]
+                if length < cap:
+                    floor = length
+            if length == cap:
+                return
+            free = allowed & ~visited
+            comp = reach(rows[v], free)
+            if not comp & srow or length + comp.bit_count() <= floor:
+                return
+            cand = rows[v] & free
+            while cand:
+                ubit = cand & -cand
+                cand ^= ubit
+                u = ubit.bit_length() - 1
+                path[length] = u
+                yield from dfs(u, visited | ubit, length + 1)
+
+        yield from dfs(s, sbit, 1)

@@ -127,6 +127,21 @@ def test_solve_rejects_a_property_where_the_problem_takes_none(tmp_path):
     assert code == 0 and out == "IheA@GUAo: dominating cycle of length 9: 0 1 2 3 4 9 6 8 5\n"
 
 
+def test_solve_without_a_property_shows_the_solve_usage():
+    code, out, err = run(["solve", "every-longest"], stdin="IheA@GUAo\n")
+    assert code == 2 and out == ""
+    assert err.startswith("usage: cyclekit solve ")
+    assert err.endswith("cyclekit solve: error: solve every-longest needs a property argument\n")
+
+
+def test_solve_pd_or_cd_without_lambda_shows_the_solve_usage():
+    for prop in ("PD", "CD"):
+        code, out, err = run(["solve", "exists", prop], stdin="IheA@GUAo\n")
+        assert code == 2 and out == "", prop
+        assert err.startswith("usage: cyclekit solve ")
+        assert err.endswith(f"cyclekit solve: error: solve exists {prop} needs --lambda\n")
+
+
 def test_free_patterns():
     _, g6, _ = run(["construct", "petersen"])
     code, out, _ = run(["free", "--patterns", "K3,claw"], stdin=g6)

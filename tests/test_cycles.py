@@ -1,7 +1,7 @@
 """Cycle solvers: certificates, degenerate conventions, oracles."""
 
 import random
-from itertools import permutations
+from itertools import islice, permutations
 
 import networkx as nx
 import pytest
@@ -20,6 +20,7 @@ from cyclekit.cycles import (
     _cycle_bound,
     _cycle_search,
     _first_in,
+    _greedy_cut,
     _longest_cycle,
     _path_levels,
     all_longest_cycles,
@@ -46,10 +47,11 @@ from cyclekit.graph import (
     from_edge_list,
     path_graph,
     petersen,
+    power,
     star,
 )
 from conftest import graphs_up_to, listable_corpus, mixed_corpus, oracle_corpus, seeded_gnp, to_networkx
-from oracles import cycle_sets_dp_oracle, hamiltonian_dp_oracle, has_path, is_forest
+from oracles import cycle_search, cycle_sets_dp_oracle, hamiltonian_dp_oracle, has_path, is_forest
 
 
 def naive_circumference(g) -> int:
@@ -623,6 +625,32 @@ def test_cycle_search_prunes_inside_the_free_vertices():
     assert None in _cycle_search(g, 2, g.n, 600)
 
 
+def assert_search_matches_the_recursive_one(g: Graph, limit: int | None = None) -> None:
+    """The loop yields the recursive search's cycles and None checkpoints,
+    in order, with the length floor rising (2, n) and pinned at each
+    ``cycles_of_length`` pair, at every budget; ``limit`` compares only
+    that many items of each stream."""
+    for floor, cap in [(2, g.n)] + [(c - 1, c) for c in range(3, g.n + 1)]:
+        for budget in (None, 1, 7, 62):
+            got = islice(_cycle_search(g, floor, cap, budget), limit)
+            want = islice(cycle_search(g, floor, cap, budget), limit)
+            assert list(got) == list(want), (g, floor, cap, budget)
+
+
+def test_cycle_search_loop_matches_the_recursive_search_on_named_graphs():
+    cone = _cone(seeded_gnp(12, 0.3, 1, 3012)[0])
+    for g in (petersen(), complete_bipartite(5, 6), power(cycle_graph(12), 2), cone):
+        assert_search_matches_the_recursive_one(g)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(graphs_up_to(12))
+def test_cycle_search_loop_matches_the_recursive_search(g):
+    # A dense 12-vertex graph has millions of Hamilton cycles, so each
+    # stream is compared on its first 500 items.
+    assert_search_matches_the_recursive_one(g, 500)
+
+
 def test_the_cone_is_budgeted_by_the_order_of_g(monkeypatch):
     # A graph at the DP cap reaches the DP through its cone, one vertex
     # above the cap, and gets the exhaustive search's witness from it.
@@ -650,6 +678,13 @@ def test_separator_bound_holds_for_every_cut():
             assert UpperCert.of(g, cut).bound >= c, (g, cut)
 
 
+def test_greedy_cut_leaves_a_maximal_independent_set():
+    for g in oracle_corpus():
+        rest = g.full_mask ^ _greedy_cut(g)
+        assert all(not g.rows[v] & rest for v in bits(rest)), g
+        assert all(g.rows[v] & rest for v in bits(g.full_mask ^ rest)), g
+
+
 def test_separator_bound_of_one_vertex():
     # On K_2 the counting formula alone gives 1; the edge is a 2-cycle.
     assert [UpperCert.of(complete(1), 1).bound] == [1]
@@ -673,11 +708,17 @@ def test_mutated_upper_certificates_are_rejected(g, data):
 
 
 def test_a_certificate_that_meets_the_search_skips_the_dp(monkeypatch):
-    # The hub cut of 3K_4+K_2 and the complement of a maximum independent
-    # set of H(1,2,5,4) bound c by c itself, so the search ends at its first
-    # c-cycle; either answer is test_frozen_witnesses_past_the_budget's.
-    cases = [build("tKa-join-Kb", t=3, a=4, b=2), build("H", a=1, b=2, t=5, k=4)]
+    # The hub cut of 3K_4+K_2, the complement of a maximum independent set
+    # of H(1,2,5,4) and the greedy cut of the bridge gadget bound c by c
+    # itself, so the search ends at its first c-cycle; the first two
+    # answers are test_frozen_witnesses_past_the_budget's.
+    cases = [build("tKa-join-Kb", t=3, a=4, b=2), build("H", a=1, b=2, t=5, k=4),
+             build("bridge-gadget")]
     want = [_longest_cycle(g) for g in cases]
+    assert want[2] == (11, [0, 1, 2, 7, 10, 8, 3, 4, 9, 11, 5])
+    gadget = cases[2]
+    assert UpperCert.of(gadget, _greedy_cut(gadget)).bound == 11
+    assert min(UpperCert.of(gadget, cut).bound for cut in cycles._default_cuts(gadget)) == 12
 
     def no_dp(*args):
         raise AssertionError("the subset DP ran")
@@ -699,8 +740,8 @@ def test_a_certificate_that_meets_the_search_skips_the_dp(monkeypatch):
         checkpoints[0] = 0
         cuts = cycles._default_cuts(g)
         assert _longest_cycle(g, cuts=lambda: asked.append(checkpoints[0]) or cuts) == answer
-    assert steps == [cycles._search_budget(0)] * 2 and asked == [1, 1]
-    assert [cycles._search_budget(g.n) for g in cases] == [2000, 500]
+    assert steps == [cycles._search_budget(0)] * 3 and asked == [1, 1, 1]
+    assert [cycles._search_budget(g.n) for g in cases] == [2000, 500, 500]
     with pytest.raises(AssertionError):
         _longest_cycle(cases[0], cuts=lambda: ())
 
