@@ -33,10 +33,12 @@ the witness validated once, so that ``circumference``, ``hamiltonian``
 and every universal, existence and residual question reuse them.  Those
 questions depend only on the vertex set a cycle leaves off, so they are
 answered from the closing sets of the same levels, and no cycle is listed:
-``_first_in`` finds the witness among the sets that qualify.  PD(λ >= 2)
-and CD(λ >= 3) only ask whether a set holds a path of λ edges or a cycle
-of λ vertices, so the same search, given a cap, stops at the first one
-(``LongestCycles.p_bar_below`` and ``c_bar_below``).  The levels
+``_first_in`` finds the witness among the sets that qualify.  Each set
+is asked one way, by ``_cycle_test``, which the public predicates share:
+dominating, PD(1) and CD(2) ask that the set be independent, and any
+other PD(λ) or CD(λ) whether it holds a path of λ edges or a cycle of λ
+vertices, so the same search, given a cap, stops at the first one
+(``_path_below`` and ``_cycle_below``).  The levels
 are kept in one list per graph, indexed by minimum vertex and trimmed to
 c; ``_levels_of`` builds an entry when the search's DP or a question
 first reaches its vertex, and every later reader shares it.  One cap
@@ -628,28 +630,57 @@ def _residual_cycle(g: Graph, off: int) -> int:
     return _longest_cycle(induced_subgraph(g, off))[0]
 
 
-def _check_lambda(lam: int) -> None:
+def _path_below(g: Graph, off: int, lam: int) -> bool:
+    """p̄ < lam for the graph induced on off: the longest-path search on the
+    cone K_1 + G[off] stopped at its first path of lam edges, a cycle of
+    lam + 2."""
+    if off.bit_count() <= lam:
+        return True
+    h = induced_subgraph(g, off)
+    return _longest_cycle(_cone(h), order=h.n, cap=lam + 2)[0] < lam + 2
+
+
+def _cycle_below(g: Graph, off: int, lam: int) -> bool:
+    """c̄ < lam for the graph induced on off: the longest-cycle search on
+    G[off] stopped at its first cycle of lam vertices."""
+    if off.bit_count() < lam:
+        return True
+    return _longest_cycle(induced_subgraph(g, off), cap=lam)[0] < lam
+
+
+def _cycle_test(prop: str, lam: int | None) -> Callable[[Graph, int], bool]:
+    """The one test of an off-cycle set, ``test(g, off)``, for prop
+    ("dominating", "PD" or "CD"; the latter two need lam >= 1).  PD(1) and
+    CD(2) are the dominating test: p̄ < 1 and c̄ < 2 each say that no edge
+    lies off the cycle.  Otherwise the threshold is decided, not computed:
+    PD(lam) asks whether the set holds a path of lam edges and CD(lam)
+    whether it holds a cycle of at least lam vertices, each search stopping
+    at its first (a nonempty set holds a 1-cycle at once)."""
+    if prop == "dominating" or (prop, lam) in (("PD", 1), ("CD", 2)):
+        return _independent
+    if prop not in ("PD", "CD"):
+        raise ValueError(f"unknown property {prop!r}")
+    if lam is None:
+        raise ValueError(f"{prop} check needs lambda")
     if lam < 1:
         raise ValueError("lambda must be >= 1")
+    below = _path_below if prop == "PD" else _cycle_below
+    return lambda g, off: below(g, off, lam)
 
 
 def is_dominating_cycle(g: Graph, cycle: CycleCert) -> bool:
     """True iff every edge of the graph has an endpoint on the cycle."""
-    return _independent(g, _off_cycle_mask(g, cycle))
+    return _cycle_test("dominating", None)(g, _off_cycle_mask(g, cycle))
 
 
 def is_PD_cycle(g: Graph, cycle: CycleCert, lam: int) -> bool:
     """True iff the cycle meets every path of edge-length >= lam."""
-    _check_lambda(lam)
-    off = _off_cycle_mask(g, cycle)
-    return not off or _residual_path(g, off) < lam
+    return _cycle_test("PD", lam)(g, _off_cycle_mask(g, cycle))
 
 
 def is_CD_cycle(g: Graph, cycle: CycleCert, lam: int) -> bool:
     """True iff the cycle meets every cycle of vertex-length >= lam."""
-    _check_lambda(lam)
-    off = _off_cycle_mask(g, cycle)
-    return not off or _residual_cycle(g, off) < lam
+    return _cycle_test("CD", lam)(g, _off_cycle_mask(g, cycle))
 
 
 def residual_params(g: Graph, cycle: CycleCert) -> tuple[int | None, int | None]:
@@ -677,11 +708,13 @@ class LongestCycles:
     ``CycleCert`` validated here and returned by every answer that is that
     cycle; the DP levels up to c from each minimum vertex, one list of its
     own that the search's DP fills where it reaches and a question fills
-    for the rest, each entry built once and kept for every length; and p̄
-    and c̄ for every off-cycle set asked about.  Dominating, PD, CD and the
-    residual bounds are properties of the set a cycle leaves off, so
-    ``first_cycle`` tests the levels' closing sets, not cycles, and
-    ``_first_in`` finds the witness among the sets that pass.  Nothing is
+    for the rest, each entry built once and kept for every length; and the
+    exact p̄ and c̄ of every off-cycle set a residual bound asks about.
+    Dominating, PD, CD and the residual bounds are properties of the set a
+    cycle leaves off, so ``first_cycle`` tests the levels' closing sets,
+    not cycles, with a test of the set alone (``_cycle_test``'s, bound to
+    the graph, or a residual bound's), and ``_first_in`` finds the witness
+    among the sets that pass.  Nothing is
     listed on a hamiltonian graph, where every question is settled by
     c = n.  ``registry.Profile`` holds one; the public functions below take
     one in place of a graph.
@@ -714,7 +747,7 @@ class LongestCycles:
             if k < len(levels):
                 yield from _closing_sets(g, levels, k)
 
-    def first_cycle(self, k: int, test: Callable[[LongestCycles, int], bool]) -> CycleCert | None:
+    def first_cycle(self, k: int, test: Callable[[int], bool]) -> CycleCert | None:
         """The first k-cycle in ``cycles_of_length`` order whose off-cycle
         set passes ``test``, validated, or None if no set passes.
 
@@ -727,14 +760,14 @@ class LongestCycles:
         """
         g, full = self.g, self.g.full_mask
         _check_cap(g.n)
-        if k == self.c and test(self, full ^ self.cycle.mask()):
+        if k == self.c and test(full ^ self.cycle.mask()):
             # The circumference witness is the first longest cycle.
             return self.cycle
         passing: list[int] = []
         for t in self.cycle_sets(k):
             if passing and (k <= 2 or t & -t != passing[0] & -passing[0]):
                 break
-            if test(self, full ^ t):
+            if test(full ^ t):
                 passing.append(t)
         if not passing:
             return None
@@ -760,29 +793,6 @@ class LongestCycles:
             c = self._c_bar[off] = _residual_cycle(self.g, off)
         return c
 
-    def p_bar_below(self, off: int, lam: int) -> bool:
-        """p̄ < lam for the graph induced on off: the held p̄ if ``p_bar``
-        computed it, else the longest-path search on the cone K_1 + G[off]
-        stopped at its first path of lam edges, a cycle of lam + 2."""
-        p = self._p_bar.get(off)
-        if p is not None:
-            return p < lam
-        if off.bit_count() <= lam:
-            return True
-        h = induced_subgraph(self.g, off)
-        return _longest_cycle(_cone(h), order=h.n, cap=lam + 2)[0] < lam + 2
-
-    def c_bar_below(self, off: int, lam: int) -> bool:
-        """c̄ < lam (lam >= 3) for the graph induced on off: the held c̄ if
-        ``c_bar`` computed it, else the longest-cycle search on G[off]
-        stopped at its first cycle of lam vertices."""
-        c = self._c_bar.get(off)
-        if c is not None:
-            return c < lam
-        if off.bit_count() < lam:
-            return True
-        return _longest_cycle(induced_subgraph(self.g, off), cap=lam)[0] < lam
-
 
 def _cycles_of(g: Graph | LongestCycles) -> LongestCycles:
     return g if isinstance(g, LongestCycles) else LongestCycles(g)
@@ -800,28 +810,6 @@ def all_longest_cycles(g: Graph) -> Iterator[CycleCert]:
     _check_cap(g.n)
     c, _ = _longest_cycle(g)
     yield from cycles_of_length(g, c)
-
-
-def _cycle_test(prop: str, lam: int | None) -> Callable[[LongestCycles, int], bool]:
-    """The test of an off-cycle set for prop ("dominating", "PD" or "CD";
-    the latter two need lam).  PD(1) and CD(2) are the dominating test:
-    p̄ < 1 and c̄ < 2 each say that no edge lies off the cycle.  CD(1),
-    c̄ < 1, holds for no nonempty set.  Above those, the threshold is
-    decided, not computed: PD(lam) asks whether the set holds a path of
-    lam edges and CD(lam) whether it holds a cycle of at least lam
-    vertices, each search stopping at its first."""
-    if prop == "dominating" or (prop, lam) in (("PD", 1), ("CD", 2)):
-        return lambda lc, off: _independent(lc.g, off)
-    if prop not in ("PD", "CD"):
-        raise ValueError(f"unknown property {prop!r}")
-    if lam is None:
-        raise ValueError(f"{prop} check needs lambda")
-    _check_lambda(lam)
-    if prop == "PD":
-        return lambda lc, off: lc.p_bar_below(off, lam)
-    if lam == 1:
-        return lambda lc, off: lc.c_bar(off) < 1
-    return lambda lc, off: lc.c_bar_below(off, lam)
 
 
 def every_longest_cycle_satisfies(
@@ -842,7 +830,7 @@ def every_longest_cycle_satisfies(
     lc = _cycles_of(g)
     if lc.c == lc.g.n:
         return True, None
-    counter = lc.first_cycle(lc.c, lambda lc, off: not test(lc, off))
+    counter = lc.first_cycle(lc.c, lambda off: not test(lc.g, off))
     return counter is None, counter
 
 
@@ -866,7 +854,7 @@ def exists_cycle_satisfying(
     if prop == "CD" and lam == 1:
         return None
     for length in range(lc.c, 0, -1):
-        cert = lc.first_cycle(length, test)
+        cert = lc.first_cycle(length, lambda off: test(lc.g, off))
         if cert is not None:
             return cert
     return None

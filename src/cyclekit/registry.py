@@ -669,12 +669,14 @@ class ResidualBound(Conclusion):
         if c >= worst:
             return BoundOutcome(True, "c={} >= worst-case residual bound {}", c, worst)
 
-        def fails(lc: LongestCycles, off: int) -> bool:
+        lc = pf.cycles
+
+        def fails(off: int) -> bool:
             return c < self.bound(pf, lc.p_bar(off), lc.c_bar(off), lam)
 
         for cert in _enumerate_longest(pf, fails):
             off = pf.g.full_mask ^ cert.mask()
-            p_bar, c_bar = pf.cycles.p_bar(off), pf.cycles.c_bar(off)
+            p_bar, c_bar = lc.p_bar(off), lc.c_bar(off)
             return Outcome(
                 False,
                 f"cycle {cert}: residuals p={p_bar}, cbar={c_bar} "
@@ -684,9 +686,7 @@ class ResidualBound(Conclusion):
         return Outcome(True, f"bound verified over all longest cycles (c={c})")
 
 
-def _enumerate_longest(
-    pf: Profile, fails: Callable[[LongestCycles, int], bool]
-) -> tuple[CycleCert, ...]:
+def _enumerate_longest(pf: Profile, fails: Callable[[int], bool]) -> tuple[CycleCert, ...]:
     """The first longest cycle whose off-cycle set ``fails``, if there is one."""
     cert = pf.cycles.first_cycle(pf.c, fails)
     return () if cert is None else (cert,)

@@ -1,5 +1,6 @@
 """Cycle solvers: certificates, degenerate conventions, oracles."""
 
+import functools
 import random
 from itertools import islice, permutations
 
@@ -190,48 +191,55 @@ def test_every_longest_and_exists():
     assert exists_cycle_satisfying(path_graph(5), "dominating") is None
 
 
+def assert_answers_match_the_residuals(g, cases):
+    """``every_longest_cycle_satisfies``, ``exists_cycle_satisfying`` and the
+    predicates against loops over the listed cycles.  The oracle reads each
+    cycle's residual (p-bar, c-bar) from ``residual_params``, once per
+    cycle: PD(lam) holds when p-bar < lam, CD(lam) when c-bar < lam, and
+    both when the cycle spans G."""
+    c = circumference(g)[0]
+    residual = functools.cache(lambda cert: residual_params(g, cert))
+    longest = list(cycles_of_length(g, c))
+    for prop, lam in cases:
+        i, predicate = (0, is_PD_cycle) if prop == "PD" else (1, is_CD_cycle)
+
+        def passes(cert):
+            return (r := residual(cert)[i]) is None or r < lam
+
+        for cert in longest:
+            assert predicate(g, cert, lam) == passes(cert), (g, cert, prop, lam)
+        counter = next((cert for cert in longest if not passes(cert)), None)
+        assert every_longest_cycle_satisfies(g, prop, lam) == (counter is None, counter), (g, prop, lam)
+        first = next((cert for k in range(c, 0, -1) for cert in cycles_of_length(g, k) if passes(cert)), None)
+        assert exists_cycle_satisfying(g, prop, lam) == first, (g, prop, lam)
+
+
 def test_pd1_and_cd2_answers_match_the_residual_predicates():
-    # PD(1) and CD(2) are answered by the dominating test; the predicates
-    # compute p-bar and c-bar of each listed cycle's residual graph.
+    # PD(1) and CD(2) are answered by the dominating test; the oracle reads
+    # p-bar and c-bar of each listed cycle's residual graph.
     for g in mixed_corpus(seed=71, per_cell=6, ns=range(1, 9)):
-        c = circumference(g)[0]
-        for prop, lam, oracle in (("PD", 1, is_PD_cycle), ("CD", 2, is_CD_cycle)):
-            counter = next((cert for cert in cycles_of_length(g, c) if not oracle(g, cert, lam)), None)
-            assert every_longest_cycle_satisfies(g, prop, lam) == (counter is None, counter), (g, prop)
-            first = next((cert for k in range(c, 0, -1) for cert in cycles_of_length(g, k)
-                          if oracle(g, cert, lam)), None)
-            assert exists_cycle_satisfying(g, prop, lam) == first, (g, prop)
+        assert_answers_match_the_residuals(g, [("PD", 1), ("CD", 2)])
 
 
 def test_threshold_answers_match_the_residual_predicates():
-    # PD(lam >= 2) and CD(lam >= 3) stop each off-cycle search at its first
-    # path of lam edges or cycle of lam vertices; the predicates compute the
+    # Every other PD(lam) and CD(lam) stops each off-cycle search at its
+    # first path of lam edges or cycle of lam vertices; the oracle reads the
     # exact p-bar and c-bar of each listed cycle's residual graph.
     graphs = mixed_corpus(seed=73, per_cell=2, ns=range(1, 10)) + [build("L", delta=3), complete_bipartite(3, 5)]
-    cases = [("PD", lam, is_PD_cycle) for lam in (2, 3, 4)] + [("CD", lam, is_CD_cycle) for lam in (3, 4)]
     for g in graphs:
-        c = circumference(g)[0]
-        for prop, lam, oracle in cases:
-            counter = next((cert for cert in cycles_of_length(g, c) if not oracle(g, cert, lam)), None)
-            assert every_longest_cycle_satisfies(g, prop, lam) == (counter is None, counter), (g, prop, lam)
-            first = next((cert for k in range(c, 0, -1) for cert in cycles_of_length(g, k)
-                          if oracle(g, cert, lam)), None)
-            assert exists_cycle_satisfying(g, prop, lam) == first, (g, prop, lam)
+        lams = [1, 2, 3, 4, g.n + 1]
+        assert_answers_match_the_residuals(g, [(prop, lam) for prop in ("PD", "CD") for lam in lams])
 
 
-def test_threshold_answers_read_the_held_residuals(monkeypatch):
-    # Where p-bar and c-bar are already held for every longest cycle (a
-    # residual bound computed them), the thresholds compare them and run no
-    # search.  On L_4, PD(2) and CD(3) fail while PD(3) and CD(4) hold.
-    g = build("L", delta=4)
-    questions = [("PD", 2), ("PD", 3), ("CD", 3), ("CD", 4)]
-    want = [every_longest_cycle_satisfies(g, prop, lam) for prop, lam in questions]
-    assert [ok for ok, _ in want] == [False, True, False, True]
-    lc = LongestCycles(g)
-    for t in lc.cycle_sets(lc.c):
-        lc.p_bar(g.full_mask ^ t), lc.c_bar(g.full_mask ^ t)
-    monkeypatch.setattr(cycles, "_longest_cycle", lambda *a, **k: pytest.fail("searched"))
-    assert [every_longest_cycle_satisfies(lc, prop, lam) for prop, lam in questions] == want
+def test_predicates_need_lambda_as_the_universal_check_does():
+    g = petersen()
+    cyc = circumference(g)[1]
+    for prop, predicate in (("PD", is_PD_cycle), ("CD", is_CD_cycle)):
+        for check in (predicate, lambda g, cyc, lam, prop=prop: every_longest_cycle_satisfies(g, prop, lam)):
+            with pytest.raises(ValueError, match=f"{prop} check needs lambda"):
+                check(g, cyc, None)
+            with pytest.raises(ValueError, match="lambda must be >= 1"):
+                check(g, cyc, 0)
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -774,11 +782,11 @@ def test_first_cycle_is_the_first_listed_cycle_that_passes(g, salt, spread):
     lc = assert_sets_match_listing(g)
     full = g.full_mask
 
-    def test(lc, off):
+    def test(off):
         return hash((salt, off)) % spread == 0
 
     for k in range(1, lc.c + 1):
-        want = next((cert for cert in cycles_of_length(g, k) if test(lc, full ^ cert.mask())), None)
+        want = next((cert for cert in cycles_of_length(g, k) if test(full ^ cert.mask())), None)
         assert lc.first_cycle(k, test) == want, (g, k)
 
 
@@ -810,6 +818,18 @@ def test_cd1_without_a_hamilton_cycle_tests_no_cycle(monkeypatch):
     assert not calls
     assert every_longest_cycle_satisfies(lc, "CD", 1)[0] is False
     assert exists_cycle_satisfying(cycle_graph(5), "CD", 1) == CycleCert((0, 1, 2, 3, 4))
+
+
+def test_cd1_on_longest_cycles_runs_only_capped_searches(monkeypatch):
+    # A nonempty off-cycle set holds a 1-cycle, so CD(1) needs no exact
+    # residual search: every search it runs stops at a cap.
+    g = build("Gn", n=15, delta=5)
+    lc = LongestCycles(g)
+    caps = []
+    search = cycles._longest_cycle
+    monkeypatch.setattr(cycles, "_longest_cycle", lambda *a, **k: caps.append(k.get("cap")) or search(*a, **k))
+    assert every_longest_cycle_satisfies(lc, "CD", 1) == (False, lc.cycle)
+    assert caps and None not in caps
 
 
 # -- certificate rejection under mutation -------------------------------------
