@@ -35,7 +35,7 @@ questions depend only on the vertex set a cycle leaves off, so they are
 answered from the closing sets of the same levels, and no cycle is listed:
 ``_first_in`` finds the witness among the sets that qualify.  Each set
 is asked one way, by ``_cycle_test``, which the public predicates share:
-dominating, PD(1) and CD(2) ask that the set be independent, and any
+dominating, PD(1) and CD(2) ask ``Graph.is_independent``, and any
 other PD(λ) or CD(λ) whether it holds a path of λ edges or a cycle of λ
 vertices, so the same search, given a cap, stops at the first one
 (``_path_below`` and ``_cycle_below``).  The levels
@@ -618,10 +618,6 @@ def _off_cycle_mask(g: Graph, cycle: CycleCert) -> int:
     return g.full_mask & ~cycle.mask()
 
 
-def _independent(g: Graph, off: int) -> bool:
-    return all(not (g.rows[v] & off) for v in bits(off))
-
-
 def _residual_path(g: Graph, off: int) -> int:
     return longest_path(induced_subgraph(g, off))[0]
 
@@ -651,13 +647,13 @@ def _cycle_below(g: Graph, off: int, lam: int) -> bool:
 def _cycle_test(prop: str, lam: int | None) -> Callable[[Graph, int], bool]:
     """The one test of an off-cycle set, ``test(g, off)``, for prop
     ("dominating", "PD" or "CD"; the latter two need lam >= 1).  PD(1) and
-    CD(2) are the dominating test: p̄ < 1 and c̄ < 2 each say that no edge
-    lies off the cycle.  Otherwise the threshold is decided, not computed:
-    PD(lam) asks whether the set holds a path of lam edges and CD(lam)
-    whether it holds a cycle of at least lam vertices, each search stopping
-    at its first (a nonempty set holds a 1-cycle at once)."""
+    CD(2) are the dominating test, ``Graph.is_independent``: p̄ < 1 and
+    c̄ < 2 each say that no edge lies off the cycle.  Otherwise the threshold
+    is decided, not computed: PD(lam) asks whether the set holds a path of
+    lam edges and CD(lam) whether it holds a cycle of at least lam vertices,
+    each search stopping at its first (a nonempty set holds a 1-cycle at once)."""
     if prop == "dominating" or (prop, lam) in (("PD", 1), ("CD", 2)):
-        return _independent
+        return Graph.is_independent
     if prop not in ("PD", "CD"):
         raise ValueError(f"unknown property {prop!r}")
     if lam is None:

@@ -23,7 +23,7 @@ Exact = Union[int, Fraction, float]
 
 def fmt_exact(x: Exact) -> str:
     """Render as "p/q" (or plain integer) with "inf" for +infinity."""
-    return "inf" if x == INF else str(x)  # a Fraction's str is "p/q", or "p" when q = 1
+    return str(x)  # str(math.inf) is "inf"; a Fraction's str is "p/q", or "p" when q = 1
 
 
 def parse_exact(text: str) -> Exact:

@@ -4,6 +4,8 @@ Adjacency is stored as one bitmask row per vertex, which keeps every
 exponential solver in the package working on machine integers.  All
 construction operations relabel deterministically (first operand's block
 first), so family constructors are reproducible byte for byte.
+``biconnected_blocks`` is the one DFS behind the blocks, the cycle bound's
+sides and ``structure.bipartition``; isomorphism is in ``structure``.
 """
 
 from __future__ import annotations
@@ -131,6 +133,10 @@ class Graph:
         if self.n == 0:
             return False
         return self.reach_mask(1, self.full_mask) == self.full_mask
+
+    def is_independent(self, mask: int) -> bool:
+        """True iff no edge joins two vertices of the mask."""
+        return not any(self.rows[v] & mask for v in bits(mask))
 
 
 def biconnected_blocks(g: Graph) -> tuple[list[int], int]:
@@ -364,34 +370,3 @@ def power(g: Graph, k: int) -> Graph:
         rows.append(row)
     return Graph(g.n, tuple(rows))
 
-
-def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact isomorphism test by backtracking; intended for small graphs."""
-    if g1.n != g2.n or g1.q != g2.q or sorted(g1.degrees()) != sorted(g2.degrees()):
-        return False
-    n = g1.n
-    deg1, deg2 = g1.degrees(), g2.degrees()
-    mapping = [-1] * n
-    used = 0
-
-    def extend(u: int) -> bool:
-        nonlocal used
-        if u == n:
-            return True
-        for v in range(n):
-            if used >> v & 1 or deg1[u] != deg2[v]:
-                continue
-            ok = True
-            for w in range(u):
-                if (g1.rows[u] >> w & 1) != (g2.rows[v] >> mapping[w] & 1):
-                    ok = False
-                    break
-            if ok:
-                mapping[u] = v
-                used |= 1 << v
-                if extend(u + 1):
-                    return True
-                used ^= 1 << v
-        return False
-
-    return extend(0)

@@ -30,7 +30,7 @@ from .cycles import (
     exists_cycle_satisfying,
 )
 from .exact import Exact, INF, fmt_exact
-from .graph import Graph, are_isomorphic, mask_of, petersen
+from .graph import Graph, mask_of, petersen
 from .invariants import (
     cut_scan,
     delta_t,
@@ -40,6 +40,7 @@ from .invariants import (
     sigma_t,
 )
 from .structure import (
+    are_isomorphic,
     bipartition,
     contains_induced,
     is_balanced_bipartite,
@@ -245,7 +246,7 @@ class Profile:
 
     @cached_property
     def balanced_bipartite(self) -> bool:
-        return self.bipartite and is_balanced_bipartite(self.g)
+        return is_balanced_bipartite(self.g)
 
     @cached_property
     def regular(self) -> bool:
@@ -269,13 +270,7 @@ class Profile:
 
     @cached_property
     def is_petersen(self) -> bool:
-        g = self.g
-        return (
-            g.n == 10
-            and g.q == 15
-            and set(g.degrees()) == {3}
-            and are_isomorphic(g, petersen())
-        )
+        return are_isomorphic(self.g, petersen())
 
 
 def _profile(g: Graph | Profile) -> Profile:

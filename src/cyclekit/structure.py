@@ -2,11 +2,14 @@
 
 Patterns are the small graphs that appear as forbidden subgraphs in the
 theorem catalog: cliques, paths, cycles, complete bipartite graphs, the
-claw, nets N_{i,j,k} and the Petersen graph.  Class predicates cover the
-decidable classes (bipartite, balanced bipartite, regular, chordal,
-split, planar, the last with a checkable certificate either way); interval, cocomparability, spider, comparability and
-projective-planar recognition are deliberately not implemented and those
-premises are assertable-only in the registry.
+claw, nets N_{i,j,k} and the Petersen graph; ``contains_induced`` finds
+them and, between graphs of equal order, decides isomorphism.  Class
+predicates cover the decidable classes (bipartite, by the depth parity of
+``biconnected_blocks``, balanced bipartite, regular, chordal, split,
+planar, the last with a checkable certificate either way); interval,
+cocomparability, spider, comparability and projective-planar recognition
+are deliberately not implemented and those premises are assertable-only
+in the registry.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from .cycles import CertificateError
 from .graph import (
     Graph,
     GraphError,
-    are_isomorphic,
     biconnected_blocks,
     bits,
     complement,
@@ -144,6 +146,14 @@ def contains_induced(g: Graph, h: Graph) -> dict[int, int] | None:
     return None
 
 
+def are_isomorphic(g1: Graph, g2: Graph) -> bool:
+    """Exact isomorphism test: an induced embedding between graphs of equal
+    order and size is a bijection that keeps edges and non-edges."""
+    if g1.n != g2.n or g1.q != g2.q or sorted(g1.degrees()) != sorted(g2.degrees()):
+        return False
+    return contains_induced(g1, g2) is not None
+
+
 def is_free(g: Graph, patterns: list[Graph]) -> bool:
     """True iff none of the patterns occurs as an induced subgraph."""
     return all(contains_induced(g, h) is None for h in patterns)
@@ -153,28 +163,12 @@ def is_free(g: Graph, patterns: list[Graph]) -> bool:
 
 
 def bipartition(g: Graph) -> tuple[int, int] | None:
-    """Some 2-coloring as a pair of vertex masks, or None if odd cycle."""
-    color = [-1] * g.n
-    side0 = side1 = 0
-    for s in range(g.n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in bits(g.rows[v]):
-                if color[u] < 0:
-                    color[u] = 1 - color[v]
-                    stack.append(u)
-                elif color[u] == color[v]:
-                    return None
-    for v in range(g.n):
-        if color[v] == 0:
-            side0 |= 1 << v
-        else:
-            side1 |= 1 << v
-    return side0, side1
+    """The 2-colouring with each component's lowest vertex on the first side,
+    as two vertex masks, or None if G has an odd cycle: the depth parity of
+    ``biconnected_blocks``' DFS, rooted at those vertices, when it is proper."""
+    even = biconnected_blocks(g)[1]
+    odd = g.full_mask ^ even
+    return (even, odd) if g.is_independent(even) and g.is_independent(odd) else None
 
 
 def is_balanced_bipartite(g: Graph) -> bool:

@@ -12,8 +12,11 @@ command, its exit code, its stdout and its stderr:
 - every ``solve`` problem on both corpora, with and without ``--json``:
   ``every-longest`` and ``exists`` for dominating, PD lambda = 1..3 and
   CD lambda = 1..4;
+- ``free --patterns claw,P4,C5,K4,K33,N_1_1_1,petersen`` on both corpora,
+  with and without ``--json``;
 - ``audit --json`` for every catalog id;
-- one ``sweep --json``, its wall-clock ``timing`` field masked.
+- three ``sweep --json`` runs, over the gnp, bipartite and regular
+  models, their wall-clock ``timing`` fields masked.
 
 A change meant to keep every printed byte is checked by dumping the parent
 and the change and comparing them with ``diff -r``.  Not collected by
@@ -32,7 +35,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPORA = ("tests/data/check_corpus.g6", "tests/data/sweep_corpus.g6")
-SWEEP = ("sweep", "--model", "gnp", "--n", "9", "--p", "0.5", "--count", "30", "--seed", "1", "--json")
+FREE = ("free", "--patterns", "claw,P4,C5,K4,K33,N_1_1_1,petersen")
+SWEEPS = (
+    ("sweep", "--model", "gnp", "--n", "9", "--p", "0.5", "--count", "30", "--seed", "1", "--json"),
+    ("sweep", "--json", "--model", "bipartite", "--a", "4", "--b", "4", "--count", "30", "--seed", "1"),
+    ("sweep", "--json", "--model", "regular", "--n", "8", "--d", "3", "--count", "30", "--seed", "1"),
+)
 WORKERS = 4
 
 
@@ -51,11 +59,11 @@ def commands(ids: list[str]) -> list[tuple[str, ...]]:
     for corpus in CORPORA:
         for tid in ids:
             out += [("check", "--theorem", tid, corpus), ("check", "--theorem", tid, "--json", corpus)]
-        out.append(("invariants", "--json", corpus))
+        out += [("invariants", "--json", corpus), (*FREE, corpus), (*FREE, "--json", corpus)]
         for solve in solves:
             out += [("solve", *solve, corpus), ("solve", *solve, corpus, "--json")]
     out += [("audit", "--theorem", tid, "--json") for tid in ids]
-    out.append(SWEEP)
+    out += SWEEPS
     return out
 
 

@@ -11,12 +11,12 @@ from cyclekit.formats import (
 )
 from cyclekit.graph import (
     MAX_VERTICES,
-    are_isomorphic,
     complete,
     cycle_graph,
     from_edge_list,
     petersen,
 )
+from cyclekit.structure import are_isomorphic
 from conftest import mixed_corpus
 
 

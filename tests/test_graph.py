@@ -1,4 +1,5 @@
 import pickle
+import random
 import tracemalloc
 
 import pytest
@@ -7,7 +8,6 @@ from cyclekit import cli
 from cyclekit.graph import (
     Graph,
     GraphError,
-    are_isomorphic,
     complement,
     complete,
     complete_bipartite,
@@ -21,6 +21,8 @@ from cyclekit.graph import (
     petersen,
     power,
 )
+from cyclekit.structure import are_isomorphic
+from conftest import mixed_corpus
 
 
 def test_construction_validation():
@@ -90,6 +92,19 @@ def test_power_square_of_path():
 def test_isomorphism_negative():
     assert not are_isomorphic(cycle_graph(6), disjoint_union([cycle_graph(3)] * 2))
     assert not are_isomorphic(path_graph(4), cycle_graph(4))
+
+
+def test_is_independent_vs_pairwise_edges():
+    rng = random.Random(3)
+    verdicts = set()
+    for g in mixed_corpus(seed=43, per_cell=3, ns=range(0, 13)):
+        for _ in range(8):
+            mask = rng.getrandbits(g.n) & rng.getrandbits(g.n)
+            pairwise = not any(g.has_edge(u, v) for u in range(g.n) for v in range(u)
+                               if mask >> u & mask >> v & 1)
+            assert g.is_independent(mask) == pairwise, (g.edges(), mask)
+            verdicts.add(pairwise)
+    assert verdicts == {False, True}
 
 
 def test_from_edge_list_rejects_bad_input():

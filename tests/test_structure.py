@@ -22,6 +22,7 @@ from cyclekit.registry import class_predicates
 from cyclekit.structure import (
     KuratowskiCert,
     RotationCert,
+    are_isomorphic,
     bipartition,
     chordal_peo,
     claw,
@@ -145,6 +146,20 @@ def test_bipartite_predicates():
     )
 
 
+@settings(max_examples=300, deadline=None, database=None)
+@given(graphs_up_to(12))
+def test_bipartition_vs_networkx(g):
+    sides = bipartition(g)
+    assert (sides is not None) == nx.is_bipartite(to_networkx(g)), g.edges()
+    if sides is None:
+        return
+    first, second = sides
+    assert first & second == 0 and first | second == g.full_mask
+    assert g.is_independent(first) and g.is_independent(second)
+    for comp in g.component_masks():
+        assert first & comp & -comp, (g.edges(), comp)
+
+
 def assert_planarity_matches_networkx(g):
     """is_planar agrees with networkx, and the certificate validates."""
     ours = is_planar(g)
@@ -223,6 +238,24 @@ def relabel(g, seed):
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
     return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_isomorphism_vs_networkx():
+    corpus = list(dict.fromkeys(mixed_corpus()))
+    for k, g in enumerate(corpus):
+        h = relabel(g, k)
+        assert are_isomorphic(g, h) and nx.is_isomorphic(to_networkx(g), to_networkx(h)), g.edges()
+    classes = {}
+    for g in corpus:
+        classes.setdefault((g.n, g.q, tuple(sorted(g.degrees()))), []).append(g)
+    verdicts = set()
+    for same in classes.values():
+        for i, g in enumerate(same):
+            for h in same[i + 1:]:
+                ours = are_isomorphic(g, h)
+                assert ours == nx.is_isomorphic(to_networkx(g), to_networkx(h)), (g.edges(), h.edges())
+                verdicts.add(ours)
+    assert verdicts == {False, True}
 
 
 def grid(r, c):
