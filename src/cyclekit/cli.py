@@ -457,7 +457,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command and return its exit code; internal errors propagate."""
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if args.command == "solve":
+        # argparse fills solve's optional prop and graphs at the first
+        # positional it meets, so one placed after an option is left over:
+        # take the operands in order, whatever options stand between them.
+        operands = [a for a in (args.prop, args.graphs) if a is not None]
+        rest = []
+        for a in extra:
+            (operands if len(operands) < 2 and (a == "-" or not a.startswith("-"))
+             else rest).append(a)
+        args.prop, args.graphs = (operands + [None, None])[:2]
+        extra = rest
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     props = ("dominating", "PD", "CD")
     if args.command == "solve" and args.prop is not None and args.prop not in props:
         if args.problem in ("every-longest", "exists") or args.graphs is not None:

@@ -136,7 +136,14 @@ class Graph:
 
     def is_independent(self, mask: int) -> bool:
         """True iff no edge joins two vertices of the mask."""
-        return not any(self.rows[v] & mask for v in bits(mask))
+        rows = self.rows
+        m = mask
+        while m:
+            low = m & -m
+            if rows[low.bit_length() - 1] & mask:
+                return False
+            m ^= low
+        return True
 
 
 def biconnected_blocks(g: Graph) -> tuple[list[int], int]:

@@ -1,5 +1,6 @@
 """Exact numeric invariants: connectivity, independence number, toughness,
-binding number, degree-sum and distance-degree minima.
+binding number, degree-sum and distance-degree minima, the last by a
+bitmask BFS to depth t from each vertex.
 
 Everything is computed exactly.  The NP-hard invariants (alpha, toughness,
 binding number) use exhaustive search with pruning; alpha takes each
@@ -26,7 +27,7 @@ from math import comb
 from typing import Callable, Protocol
 
 from .exact import Exact, INF
-from .graph import Graph, all_distances, bits
+from .graph import Graph, bits
 
 
 # -- degree sums over independent sets ------------------------------------
@@ -56,18 +57,39 @@ def sigma_t(g: Graph, t: int) -> Exact:
 
 
 def delta_t(g: Graph, t: int) -> Exact:
-    """Minimum over vertex pairs at distance exactly t of max{d(u),d(v)}."""
+    """Minimum over vertex pairs at distance exactly t of max{d(u),d(v)}.
+
+    Each u, by ascending degree, runs a bitmask BFS to depth t; its last
+    frontier holds the vertices at distance t, and the first degree class
+    that frontier meets gives their least degree.  Once d(u) reaches the
+    best value no later u can lower it.
+    """
     if t < 1:
         raise ValueError("t must be >= 1")
+    rows = g.rows
     degs = g.degrees()
+    classes: dict[int, int] = {}
+    for v, d in enumerate(degs):
+        classes[d] = classes.get(d, 0) | 1 << v
+    by_degree = sorted(classes.items())
     best: Exact = INF
-    for u in range(g.n):
-        dist = all_distances(g, u)
-        for v in range(u + 1, g.n):
-            if dist[v] == t:
-                m = max(degs[u], degs[v])
-                if m < best:
-                    best = m
+    for u in sorted(range(g.n), key=degs.__getitem__):
+        du = degs[u]
+        if du >= best:
+            break
+        seen = frontier = 1 << u
+        for _ in range(t):
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reach |= rows[low.bit_length() - 1]
+            frontier = reach & ~seen
+            seen |= frontier
+        for d, members in by_degree:
+            if frontier & members:
+                best = min(best, max(du, d))
+                break
     return best
 
 

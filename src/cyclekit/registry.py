@@ -8,7 +8,9 @@ throws the detail away unless the verdict is VIOLATED, and formatting
 it and building the Verdict cost more than the decision itself on a
 Profile that already holds its invariants, so the sweep reads decisions.
 A VIOLATED verdict is reachable only through solver bugs, so the sweep
-treats it as a defect alarm.
+treats it as a defect alarm.  Each premise chooses its test once, on
+first use, and every evaluation calls it; toughness and binding-number
+thresholds compare integer bounds by cross-multiplication.
 """
 
 from __future__ import annotations
@@ -157,22 +159,33 @@ class Profile:
         return Fraction(self.kappa, self.alpha), Fraction(self.kappa, 2)
 
     def tau_ge(self, x: Exact) -> bool:
-        """tau >= x; the exact tau is computed only when its bounds straddle x."""
-        lo, hi = self.tau_bounds
-        if lo >= x:
+        """tau >= x, for an int or Fraction x.  The bounds of ``tau_bounds``
+        are compared by cross-multiplying with x's numerator and
+        denominator, and the exact tau is computed only when they straddle
+        x."""
+        if self.complete:
             return True
-        if hi < x:
+        p, q = x.numerator, x.denominator
+        kq = self.kappa * q
+        if kq >= p * self.alpha:
+            return True
+        if kq < 2 * p:
             return False
-        return self.tau >= x
+        tau = self.tau
+        return tau.numerator * q >= p * tau.denominator
 
     def tau_gt(self, x: Exact) -> bool:
-        """tau > x; the exact tau is computed only when its bounds straddle x."""
-        lo, hi = self.tau_bounds
-        if lo > x:
+        """tau > x, for an int or Fraction x, compared as in ``tau_ge``."""
+        if self.complete:
             return True
-        if hi <= x:
+        p, q = x.numerator, x.denominator
+        kq = self.kappa * q
+        if kq > p * self.alpha:
+            return True
+        if kq <= 2 * p:
             return False
-        return self.tau > x
+        tau = self.tau
+        return tau.numerator * q > p * tau.denominator
 
     @cached_property
     def independent_set(self) -> tuple[int, list[int]]:
@@ -191,14 +204,15 @@ class Profile:
         return binding_number(self.g)[0]
 
     def binding_ge(self, x: Exact) -> bool:
-        """b >= x.  Woodall's bound b <= (n - 1) / (n - delta) (1973;
-        X = V - N(u) for u of minimum degree, which leaves u out of N(X))
-        rules x out first.  Otherwise ``binding_number(g, x)`` decides it
+        """b >= x, for an int or Fraction x.  Woodall's bound
+        b <= (n - 1) / (n - delta) (1973; X = V - N(u) for u of minimum
+        degree, which leaves u out of N(X)) rules x out first, compared by
+        cross-multiplication.  Otherwise ``binding_number(g, x)`` decides it
         in polynomial time, by a counting bound and a max-flow test, so
         the exact b is not computed; it is compared instead when already
         held, or when an isolated vertex (delta = 0) makes it 0 at once."""
         n = self.n
-        if n and Fraction(n - 1, n - self.delta) < x:
+        if n and (n - 1) * x.denominator < x.numerator * (n - self.delta):
             return False
         if not self.delta or "binding" in self.__dict__:
             return self.binding >= x
@@ -478,7 +492,7 @@ class Premise:
         kind: str,
         given: Callable[[Profile, int | None], bool] | None = None,
         patterns: tuple[Graph, ...] = (),
-        cls: str = "",
+        cls: str | None = None,
     ):
         self.label = label
         self.kind = kind
@@ -487,21 +501,26 @@ class Premise:
         self.cls = cls
 
     @cached_property
-    def fn(self) -> Callable[[Profile, int | None], bool]:
-        """A numeric premise's test: the function given, else the compiled label."""
-        return self.given or _compile(self.label, "pf, lam")
+    def fn(self) -> Callable[[Profile, int | None], bool] | None:
+        """The premise's test, chosen on first use: the function given or the
+        compiled label, pattern freeness, the class flag, or None for an
+        assertable-only class."""
+        if self.kind == "numeric":
+            return self.given or _compile(self.label, "pf, lam")
+        if self.kind == "free":
+            patterns = self.patterns
+            return lambda pf, lam: all(pf.is_free_of(h) for h in patterns)
+        if self.cls in ASSERTABLE_CLASSES:
+            return None
+        cls = self.cls
+        return lambda pf, lam: getattr(pf, cls)
 
     def evaluate(self, pf: Profile, lam: int | None, assume: frozenset[str]) -> bool | None:
         """True/False, or None when the premise is assertable-only and unasserted."""
-        if self.kind == "numeric":
-            return self.fn(pf, lam)
-        if self.kind == "free":
-            return all(pf.is_free_of(h) for h in self.patterns)
         if self.cls in assume:
             return True
-        if self.cls in ASSERTABLE_CLASSES:
-            return None
-        return getattr(pf, self.cls)
+        test = self.fn
+        return None if test is None else test(pf, lam)
 
 
 def numeric(label: str, fn: Callable[[Profile, int | None], bool] | None = None) -> Premise:

@@ -5,7 +5,8 @@ theorem catalog: cliques, paths, cycles, complete bipartite graphs, the
 claw, nets N_{i,j,k} and the Petersen graph; ``contains_induced`` finds
 them and, between graphs of equal order, decides isomorphism.  Class
 predicates cover the decidable classes (bipartite, by the depth parity of
-``biconnected_blocks``, balanced bipartite, regular, chordal, split,
+``biconnected_blocks``, balanced bipartite, regular, chordal, by a bitmask
+maximum-cardinality search, split, by Hammer and Simeone's degree test,
 planar, the last with a checkable certificate either way); interval,
 cocomparability, spider, comparability and projective-planar recognition
 are deliberately not implemented and those premises are assertable-only
@@ -23,7 +24,6 @@ from .graph import (
     GraphError,
     biconnected_blocks,
     bits,
-    complement,
     complete,
     complete_bipartite,
     cycle_graph,
@@ -196,31 +196,47 @@ def is_regular(g: Graph) -> bool:
 
 
 def chordal_peo(g: Graph) -> list[int] | None:
-    """Perfect elimination ordering via maximum cardinality search, or None."""
-    n = g.n
-    if n == 0:
-        return []
-    weight = [0] * n
+    """Perfect elimination ordering via maximum cardinality search, or None.
+
+    The search (Tarjan and Yannakakis 1984) keeps one mask of unvisited
+    vertices per weight and visits the lowest vertex of the heaviest, so
+    ties go to the lowest index.  The reverse visiting order is the PEO
+    exactly when every vertex's visited neighbours form a clique when it
+    is visited, which is tested as it goes.
+    """
+    rows = g.rows
+    levels = [g.full_mask] + [0] * g.n  # levels[w]: the unvisited vertices of weight w
+    weight = [0] * g.n
+    top = 0
     seen = 0
     mcs: list[int] = []
-    for _ in range(n):
-        v = max((u for u in range(n) if not seen >> u & 1), key=lambda u: (weight[u], -u))
-        mcs.append(v)
-        seen |= 1 << v
-        for u in bits(g.rows[v]):
-            if not seen >> u & 1:
-                weight[u] += 1
-    peo = mcs[::-1]  # eliminate in reverse MCS order
-    pos = {v: i for i, v in enumerate(peo)}
-    for v in peo:
-        later = [u for u in bits(g.rows[v]) if pos[u] > pos[v]]
-        if not later:
-            continue
-        parent = min(later, key=lambda u: pos[u])
-        for u in later:
-            if u != parent and not g.has_edge(parent, u):
+    for _ in range(g.n):
+        while not levels[top]:
+            top -= 1
+        low = levels[top] & -levels[top]
+        levels[top] ^= low
+        v = low.bit_length() - 1
+        earlier = rows[v] & seen
+        m = earlier
+        while m:
+            b = m & -m
+            m ^= b
+            if earlier & ~rows[b.bit_length() - 1] & ~b:
                 return None
-    return peo
+        mcs.append(v)
+        seen |= low
+        m = rows[v] & ~seen
+        while m:
+            b = m & -m
+            m ^= b
+            u = b.bit_length() - 1
+            w = weight[u]
+            levels[w] ^= b
+            levels[w + 1] |= b
+            weight[u] = w + 1
+        if levels[top + 1]:  # weights grow by one a visit
+            top += 1
+    return mcs[::-1]  # eliminate in reverse MCS order
 
 
 def is_chordal(g: Graph) -> bool:
@@ -228,8 +244,14 @@ def is_chordal(g: Graph) -> bool:
 
 
 def is_split(g: Graph) -> bool:
-    """Split iff both the graph and its complement are chordal."""
-    return is_chordal(g) and is_chordal(complement(g))
+    """Split, by Hammer and Simeone's degree test (1981): with degrees
+    d_1 >= ... >= d_n and m the largest i with d_i >= i - 1, G is split
+    iff d_1 + ... + d_m = m(m - 1) + d_{m+1} + ... + d_n."""
+    degs = sorted(g.degrees(), reverse=True)
+    m = 0
+    while m < len(degs) and degs[m] >= m:
+        m += 1
+    return sum(degs[:m]) == m * (m - 1) + sum(degs[m:])
 
 
 # -- planarity by path addition, with certificates -------------------------

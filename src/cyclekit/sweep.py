@@ -9,7 +9,11 @@ full verdict transcript.
 Records and tallies are read off ``registry.decide``, which formats no
 detail: building a ``Verdict`` for every (graph, theorem) pair cost more
 than deciding it, and only a VIOLATED verdict's detail is kept.  That
-verdict is built by ``check``, which decides it again.
+verdict is built by ``check``, which decides it again.  Each statement is
+decided once per graph: an alias shares its base's premises, conclusion,
+lambda domain and order floor, so the base's decision is recorded and
+tallied under both ids, and the alias's record carries the time of that
+reuse as its ``timing``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Iterator, Sequence
 
 from .formats import encode_graph6
 from .graph import Graph, GraphError, from_edge_list
-from .registry import Bound, Profile, TheoremSpec, Verdict, check, decide
+from .registry import Bound, Decision, Profile, TheoremSpec, Verdict, check, decide
 
 
 # -- ensemble generators --------------------------------------------------
@@ -169,6 +173,13 @@ def _has_slack(spec: TheoremSpec) -> bool:
     return isinstance(spec.conclusion, Bound) and spec.lambdas is None
 
 
+def _statement(spec: TheoremSpec) -> tuple:
+    """What ``decide`` reads of a spec: the premise, conclusion and lambda
+    domain objects and the order floor.  An alias shares all four with its
+    base, so one decision serves both."""
+    return (tuple(map(id, spec.premises)), id(spec.conclusion), id(spec.lambdas), spec.n_floor)
+
+
 def sweep(
     graphs: Iterator[Graph] | Sequence[Graph],
     specs: Sequence[TheoremSpec] | None = None,
@@ -182,15 +193,24 @@ def sweep(
         specs = catalog()
     specs = [s for s in specs if include_quarantined or not s.quarantined]
     report = SweepReport({s.id: TheoremTally() for s in specs})
-    plan = [(spec, report.tallies[spec.id], _has_slack(spec)) for spec in specs]
+    groups: dict[tuple, int] = {}
+    plan = [
+        (spec, report.tallies[spec.id], _has_slack(spec),
+         groups.setdefault(_statement(spec), len(groups)))
+        for spec in specs
+    ]
     clock = time.perf_counter
     for g in graphs:
         g6 = encode_graph6(g)
         pf = Profile(g)
-        for spec, tally, has_slack in plan:
+        decisions: list[Decision | None] = [None] * len(groups)
+        for spec, tally, has_slack, group in plan:
             t0 = clock()
-            kind, lam, witness, why = decide(pf, spec)
+            decision = decisions[group]
+            if decision is None:
+                decision = decisions[group] = decide(pf, spec)
             dt = clock() - t0
+            kind, lam, witness, why = decision
             tally.graphs += 1
             if kind == "holds":
                 tally.holds += 1

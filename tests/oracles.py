@@ -7,7 +7,7 @@ from typing import Iterator
 
 from cyclekit.cycles import CeilingError
 from cyclekit.exact import Exact, INF
-from cyclekit.graph import Graph, GraphError, bits
+from cyclekit.graph import Graph, GraphError, all_distances, bits, complement
 
 
 def hamiltonian_dp_oracle(g: Graph) -> bool:
@@ -229,6 +229,63 @@ def contains_induced(g: Graph, h: Graph) -> dict[int, int] | None:
     if place(0):
         return {hv: mapping[hv] for hv in range(h.n)}
     return None
+
+
+# The list-based chordality, split and distance-degree kernels, kept as
+# they were before the bitmask versions replaced them.
+
+
+def chordal_peo(g: Graph) -> list[int] | None:
+    """Perfect elimination ordering via maximum cardinality search, or None."""
+    n = g.n
+    if n == 0:
+        return []
+    weight = [0] * n
+    seen = 0
+    mcs: list[int] = []
+    for _ in range(n):
+        v = max((u for u in range(n) if not seen >> u & 1), key=lambda u: (weight[u], -u))
+        mcs.append(v)
+        seen |= 1 << v
+        for u in bits(g.rows[v]):
+            if not seen >> u & 1:
+                weight[u] += 1
+    peo = mcs[::-1]  # eliminate in reverse MCS order
+    pos = {v: i for i, v in enumerate(peo)}
+    for v in peo:
+        later = [u for u in bits(g.rows[v]) if pos[u] > pos[v]]
+        if not later:
+            continue
+        parent = min(later, key=lambda u: pos[u])
+        for u in later:
+            if u != parent and not g.has_edge(parent, u):
+                return None
+    return peo
+
+
+def is_chordal(g: Graph) -> bool:
+    return chordal_peo(g) is not None
+
+
+def is_split(g: Graph) -> bool:
+    """Split iff both the graph and its complement are chordal."""
+    return is_chordal(g) and is_chordal(complement(g))
+
+
+def delta_t(g: Graph, t: int) -> Exact:
+    """Minimum over vertex pairs at distance exactly t of max{d(u),d(v)}."""
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    degs = g.degrees()
+    best: Exact = INF
+    for u in range(g.n):
+        dist = all_distances(g, u)
+        for v in range(u + 1, g.n):
+            if dist[v] == t:
+                m = max(degs[u], degs[v])
+                if m < best:
+                    best = m
+    return best
 
 
 # The lexicographic subset search for the binding number, kept as it was

@@ -127,6 +127,42 @@ def test_solve_rejects_a_property_where_the_problem_takes_none(tmp_path):
     assert code == 0 and out == "IheA@GUAo: dominating cycle of length 9: 0 1 2 3 4 9 6 8 5\n"
 
 
+def test_solve_reads_its_operands_in_any_order_among_the_options(tmp_path, capsys):
+    path = str(tmp_path / "petersen.g6")
+    Path(path).write_text("IheA@GUAo\n")
+
+    def main(args):
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    orders = [
+        (["solve", "hamilton", path, "--json"], ["solve", "hamilton", "--json", path]),
+        (["solve", "circumference", path, "--json"], ["solve", "circumference", "--json", path]),
+        (["solve", "exists", "PD", path, "--lambda", "2"],
+         ["solve", "exists", "PD", "--lambda", "2", path],
+         ["solve", "exists", "--lambda", "2", "PD", path]),
+        (["solve", "every-longest", "dominating", path, "--json"],
+         ["solve", "every-longest", "--json", "dominating", path]),
+    ]
+    for same in orders:
+        first = main(same[0])
+        assert first[0] == 0 and first[1] and first[2] == "", same[0]
+        for args in same[1:]:
+            assert main(args) == first, args
+    assert main(["solve", "hamilton", "--json", path])[1] == (
+        '{"graph6": "IheA@GUAo", "hamiltonian": false}\n')
+    # a usage error reads the same whatever the order
+    wrong = main(["solve", "hamilton", "PD", path, "--json"])
+    assert wrong[0] == 2 and wrong[2].endswith("error: solve hamilton takes no property argument\n")
+    assert main(["solve", "hamilton", "--json", "PD", path]) == wrong
+    extra = main(["solve", "hamilton", path, path, path])
+    assert extra[0] == 2 and extra[2].endswith(f"error: unrecognized arguments: {path}\n")
+    assert main(["solve", "hamilton", "--json", path, path, path]) == extra
+
+
 def test_solve_without_a_property_shows_the_solve_usage():
     code, out, err = run(["solve", "every-longest"], stdin="IheA@GUAo\n")
     assert code == 2 and out == ""
@@ -365,15 +401,19 @@ def test_every_model_choice_sweeps():
 
 def test_sweep_command_exits_1_on_a_violated_verdict(monkeypatch, capsys):
     from cyclekit import sweep
+    from cyclekit.catalog import catalog
 
     real_decide, real_check = sweep.decide, sweep.check
     forged = []
+    statements = [spec.statement for spec in catalog()]
 
-    # The first (graph, theorem) pair reads VIOLATED: in the decision the
-    # sweep tallies, and in the Verdict it then builds for its report.
+    # The first (graph, theorem) pair whose statement no alias shares (an
+    # alias is recorded with its base's decision) reads VIOLATED: in the
+    # decision the sweep tallies, and in the Verdict it then builds for its
+    # report.
     def decide(pf, spec):
         kind, lam, witness, why = real_decide(pf, spec)
-        if not forged:
+        if not forged and statements.count(spec.statement) == 1:
             forged.append((pf, spec))
             kind = "VIOLATED"
         return kind, lam, witness, why

@@ -39,6 +39,7 @@ from cyclekit.registry import Profile, check_all, invariant_report
 from conftest import graphs_up_to, mixed_corpus, oracle_corpus, seeded_gnp, to_networkx
 from oracles import binding_number as lexicographic_binding_number
 from oracles import cut_scan as exhaustive_cut_scan
+from oracles import delta_t as list_delta_t
 
 
 # -- naive oracles --------------------------------------------------------
@@ -167,6 +168,47 @@ def test_against_networkx():
         alpha, wit = independence_number(g)
         assert alpha == len(nx.max_weight_clique(nx.complement(nxg), weight=None)[0])
         assert all(not g.has_edge(u, v) for u, v in combinations(wit, 2))
+
+
+def networkx_delta_t(g: Graph, t: int):
+    """delta_t from networkx's shortest-path lengths."""
+    h = to_networkx(g)
+    return min((max(h.degree(u), h.degree(v))
+                for u, dists in nx.all_pairs_shortest_path_length(h)
+                for v, d in dists.items() if d == t), default=INF)
+
+
+def test_delta_t_matches_networkx_distances():
+    atlas = [from_edge_list(h.number_of_nodes(), h.edges()) for h in nx.graph_atlas_g()]
+    for g in atlas + oracle_corpus():
+        for t in (2, 3):
+            assert delta_t(g, t) == networkx_delta_t(g, t) == list_delta_t(g, t), (g, t)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(graphs_up_to(12))
+def test_delta_t_matches_networkx_distances_on_any_graph(g):
+    for t in (2, 3):
+        assert delta_t(g, t) == networkx_delta_t(g, t) == list_delta_t(g, t), t
+
+
+def test_threshold_tests_match_fraction_comparisons():
+    # tau_ge, tau_gt and binding_ge cross-multiply their bounds with the
+    # threshold's numerator and denominator; each answer must be the
+    # Fraction comparison with the exact value, for int and Fraction x,
+    # and the exact tau is computed only where the Fraction bounds
+    # kappa/alpha and kappa/2 leave x open.
+    xs = (Fraction(1, 2), 1, Fraction(1), Fraction(4, 3), Fraction(3, 2), 2, Fraction(2))
+    for g in oracle_corpus():
+        exact = Profile(g)
+        tau, b, (lo, hi) = exact.tau, exact.binding, exact.tau_bounds
+        for x in xs:
+            for name, want, decided in (("tau_ge", tau >= x, lo >= x or hi < x),
+                                        ("tau_gt", tau > x, lo > x or hi <= x)):
+                pf = Profile(g)  # fresh: the bounds are tried before the exact tau
+                assert getattr(pf, name)(x) is want, (g, name, x)
+                assert ("tau" in vars(pf)) is not decided, (g, name, x)
+            assert Profile(g).binding_ge(x) is (b >= x), (g, x)
 
 
 def assert_separates(g: Graph, kappa: int, cut: int) -> None:

@@ -28,6 +28,7 @@ from cyclekit.structure import (
     claw,
     contains_induced,
     is_balanced_bipartite,
+    is_chordal,
     is_free,
     is_planar,
     is_split,
@@ -36,7 +37,10 @@ from cyclekit.structure import (
     planarity_certificate,
 )
 from conftest import graphs_up_to, mixed_corpus, oracle_corpus, seeded_gnp, to_networkx
+from oracles import chordal_peo as list_chordal_peo
 from oracles import contains_induced as backtracking_contains_induced
+from oracles import is_chordal as list_is_chordal
+from oracles import is_split as list_is_split
 
 
 def test_pattern_tokens():
@@ -122,6 +126,28 @@ def test_chordal_vs_networkx():
     for g in mixed_corpus(seed=29, per_cell=5, ns=range(2, 9)):
         peo = chordal_peo(g)
         assert (peo is not None) == nx.is_chordal(to_networkx(g)), g
+
+
+def assert_chordal_and_split_match(g):
+    """The bitmask search's ordering is the list-based search's, and both
+    predicates agree with the references and with networkx."""
+    h = to_networkx(g)
+    chordal = nx.is_chordal(h)
+    assert chordal_peo(g) == list_chordal_peo(g), g.edges()
+    assert is_chordal(g) is list_is_chordal(g) is chordal, g.edges()
+    split = chordal and nx.is_chordal(nx.complement(h))
+    assert is_split(g) is list_is_split(g) is split, g.edges()
+
+
+def test_chordal_and_split_on_the_graph_atlas():
+    for h in nx.graph_atlas_g():  # every graph on at most 7 vertices
+        assert_chordal_and_split_match(from_edge_list(h.number_of_nodes(), h.edges()))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(graphs_up_to(12))
+def test_chordal_and_split_on_any_graph(g):
+    assert_chordal_and_split_match(g)
 
 
 def test_split_frozen():

@@ -8,12 +8,13 @@ from pathlib import Path
 import pytest
 
 from cyclekit import cli, registry
+from cyclekit import sweep as sweep_module
 from cyclekit.catalog import catalog
 from cyclekit.exact import fmt_exact
 from cyclekit.families import build
 from cyclekit.formats import encode_graph6
 from cyclekit.graph import GraphError, complete_bipartite, cycle_graph, petersen, power
-from cyclekit.registry import Bound, EveryLongestProp, Profile, TheoremSpec, check
+from cyclekit.registry import Bound, EveryLongestProp, Profile, TheoremSpec, check, decide
 from cyclekit.sweep import gnp, random_bipartite, random_regular, sweep
 from conftest import mixed_corpus, seeded_gnp, sweep_outcome
 
@@ -145,6 +146,50 @@ def test_a_sweep_equals_a_loop_of_check_calls():
     assert {kind for _, _, _, kind, _ in records} == {
         "holds", "vacuous", "inapplicable", "ceiling", "VIOLATED"
     }
+
+
+def test_a_sweep_decides_each_statement_once_per_graph(monkeypatch):
+    # An alias shares its base's premises, conclusion, lambda domain and
+    # order floor, so the sweep decides the pair once and records the
+    # decision under both ids: 72 decisions per graph for the 81 entries
+    # that are not quarantined.  Records, tallies and slack sums equal a
+    # loop that decides every entry on its own.
+    # Three forged entries share a conclusion object with a catalog entry
+    # but differ in the order floor, the premises or the lambda domain, so
+    # each is decided on its own.
+    calls = []
+    monkeypatch.setattr(sweep_module, "decide", lambda pf, spec: calls.append(spec.id) or decide(pf, spec))
+    graphs = mixed_corpus(seed=41, per_cell=2, ns=range(3, 10)) + [petersen()]
+    specs = [s for s in catalog() if not s.quarantined]
+    assert len(specs) == 81
+    first = {}
+    aliases = {s.id for s in specs if first.setdefault(s.statement, s) is not s}
+    assert len(aliases) == 9
+    base = next(s for s in specs if s.premises and s.lambdas is None)
+    ranged = next(s for s in specs if s.lambdas is not None)
+    specs += [
+        TheoremSpec("floor", "forged", "from 7 vertices", base.conclusion, base.premises, n_floor=7),
+        TheoremSpec("bare", "forged", "without premises", base.conclusion, (), base.n_floor),
+        TheoremSpec("lam1", "forged", "lambda = 1 only", ranged.conclusion, ranged.premises,
+                    ranged.n_floor, lambda pf: [1]),
+    ]
+    rep = sweep(graphs, specs)
+    assert len(calls) == (72 + 3) * len(graphs)
+    assert aliases.isdisjoint(calls)
+    records, tallies = [], {s.id: [0] * 8 for s in specs}
+    kinds = ("holds", "vacuous", "inapplicable", "ceiling", "VIOLATED")
+    for g in graphs:
+        g6, pf = encode_graph6(g), Profile(g)
+        for spec in specs:
+            kind, lam, witness, why = decide(pf, spec)
+            records.append((g6, spec.id, lam, kind, None if witness is None else str(witness)))
+            t = tallies[spec.id]
+            t[0] += 1
+            t[1 + kinds.index(kind)] += 1
+            if kind == "holds" and isinstance(spec.conclusion, Bound) and spec.lambdas is None:
+                t[6] += why.c - why.bound
+                t[7] += 1
+    assert sweep_outcome(rep) == (records, {tid: tuple(t) for tid, t in tallies.items()}, [])
 
 
 def test_a_sweep_formats_no_detail_of_a_verdict_it_keeps_no_verdict_for(monkeypatch):
