@@ -152,40 +152,38 @@ class Profile:
 
         Every cutset has at least kappa vertices and leaves at most alpha
         components; a minimum cutset leaves at least two.  A complete graph
-        has tau = +inf, known without a scan.
+        has tau = +inf, known without a scan.  ``_tau_cmp`` tests the same
+        bounds in integers.
         """
         if self.complete:
             return INF, INF
         return Fraction(self.kappa, self.alpha), Fraction(self.kappa, 2)
 
     def tau_ge(self, x: Exact) -> bool:
-        """tau >= x, for an int or Fraction x.  The bounds of ``tau_bounds``
-        are compared by cross-multiplying with x's numerator and
-        denominator, and the exact tau is computed only when they straddle
-        x."""
-        if self.complete:
-            return True
-        p, q = x.numerator, x.denominator
-        kq = self.kappa * q
-        if kq >= p * self.alpha:
-            return True
-        if kq < 2 * p:
-            return False
-        tau = self.tau
-        return tau.numerator * q >= p * tau.denominator
+        """tau >= x."""
+        return self._tau_cmp(x, operator.ge)
 
     def tau_gt(self, x: Exact) -> bool:
-        """tau > x, for an int or Fraction x, compared as in ``tau_ge``."""
+        """tau > x."""
+        return self._tau_cmp(x, operator.gt)
+
+    def _tau_cmp(self, x: Exact, op: Callable[[int, int], bool]) -> bool:
+        """op(tau, x) for op in (``operator.ge``, ``operator.gt``).  The
+        bounds of ``tau_bounds`` are compared by cross-multiplying with x's
+        numerator and denominator, and the exact tau is computed only when
+        they straddle x."""
+        if isinstance(x, float):  # INF, the one float an Exact holds
+            return self.complete and op is operator.ge
         if self.complete:
             return True
         p, q = x.numerator, x.denominator
         kq = self.kappa * q
-        if kq > p * self.alpha:
+        if op(kq, p * self.alpha):
             return True
-        if kq <= 2 * p:
+        if not op(kq, 2 * p):
             return False
         tau = self.tau
-        return tau.numerator * q > p * tau.denominator
+        return op(tau.numerator * q, p * tau.denominator)
 
     @cached_property
     def independent_set(self) -> tuple[int, list[int]]:
@@ -204,7 +202,7 @@ class Profile:
         return binding_number(self.g)[0]
 
     def binding_ge(self, x: Exact) -> bool:
-        """b >= x, for an int or Fraction x.  Woodall's bound
+        """b >= x.  Woodall's bound
         b <= (n - 1) / (n - delta) (1973; X = V - N(u) for u of minimum
         degree, which leaves u out of N(X)) rules x out first, compared by
         cross-multiplication.  Otherwise ``binding_number(g, x)`` decides it
@@ -212,6 +210,8 @@ class Profile:
         the exact b is not computed; it is compared instead when already
         held, or when an isolated vertex (delta = 0) makes it 0 at once."""
         n = self.n
+        if isinstance(x, float):  # INF: b = +inf only on K_0
+            return not n
         if n and (n - 1) * x.denominator < x.numerator * (n - self.delta):
             return False
         if not self.delta or "binding" in self.__dict__:

@@ -12,8 +12,8 @@ than deciding it, and only a VIOLATED verdict's detail is kept.  That
 verdict is built by ``check``, which decides it again.  Each statement is
 decided once per graph: an alias shares its base's premises, conclusion,
 lambda domain and order floor, so the base's decision is recorded and
-tallied under both ids, and the alias's record carries the time of that
-reuse as its ``timing``.
+tallied under both ids, each record with that decision's time as its
+``timing``.
 """
 
 from __future__ import annotations
@@ -85,7 +85,9 @@ def random_bipartite(a: int, b: int, p: float, count: int, seed: int) -> Iterato
 
 
 class SweepRecord:
-    """One verdict of a sweep, as ``sweep --json`` prints it."""
+    """One verdict of a sweep, as ``sweep --json`` prints it.  ``timing`` is
+    the seconds its decision took; an alias and its base, decided once,
+    carry the same ``timing``."""
 
     __slots__ = ("graph6", "theorem", "lam", "verdict", "witness", "timing")
 
@@ -203,14 +205,14 @@ def sweep(
     for g in graphs:
         g6 = encode_graph6(g)
         pf = Profile(g)
-        decisions: list[Decision | None] = [None] * len(groups)
+        decisions: list[tuple[Decision, float] | None] = [None] * len(groups)
         for spec, tally, has_slack, group in plan:
-            t0 = clock()
-            decision = decisions[group]
-            if decision is None:
-                decision = decisions[group] = decide(pf, spec)
-            dt = clock() - t0
-            kind, lam, witness, why = decision
+            held = decisions[group]
+            if held is None:
+                t0 = clock()
+                decision = decide(pf, spec)
+                held = decisions[group] = decision, clock() - t0
+            (kind, lam, witness, why), dt = held
             tally.graphs += 1
             if kind == "holds":
                 tally.holds += 1

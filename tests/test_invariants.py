@@ -195,10 +195,10 @@ def test_delta_t_matches_networkx_distances_on_any_graph(g):
 def test_threshold_tests_match_fraction_comparisons():
     # tau_ge, tau_gt and binding_ge cross-multiply their bounds with the
     # threshold's numerator and denominator; each answer must be the
-    # Fraction comparison with the exact value, for int and Fraction x,
-    # and the exact tau is computed only where the Fraction bounds
-    # kappa/alpha and kappa/2 leave x open.
-    xs = (Fraction(1, 2), 1, Fraction(1), Fraction(4, 3), Fraction(3, 2), 2, Fraction(2))
+    # Fraction comparison with the exact value, for int, Fraction and
+    # infinite x, and the exact tau is computed only where the Fraction
+    # bounds kappa/alpha and kappa/2 leave x open.
+    xs = (Fraction(1, 2), 1, Fraction(1), Fraction(4, 3), Fraction(3, 2), 2, Fraction(2), INF)
     for g in oracle_corpus():
         exact = Profile(g)
         tau, b, (lo, hi) = exact.tau, exact.binding, exact.tau_bounds
@@ -209,6 +209,7 @@ def test_threshold_tests_match_fraction_comparisons():
                 assert getattr(pf, name)(x) is want, (g, name, x)
                 assert ("tau" in vars(pf)) is not decided, (g, name, x)
             assert Profile(g).binding_ge(x) is (b >= x), (g, x)
+    assert Profile(from_edge_list(0, [])).binding_ge(INF) is True  # b = +inf on K_0 alone
 
 
 def assert_separates(g: Graph, kappa: int, cut: int) -> None:

@@ -3,13 +3,14 @@
     python3 tools/bench_pairs.py --parent REV --change REV --seed-base S \
         --workdir DIR --out BENCH_N.json --title TEXT [--claim WORKLOAD]
 
-Each run is ``python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0`` with ``PYTHONDONTWRITEBYTECODE=1``, in a fresh ``git archive``
-copy of its commit under DIR that is deleted after the run, so neither side
-reads the other's files or byte code.  ``perfbench/run.py`` is each
-commit's own, unchanged.  For pair i the parent runs first when i is
-even.  Workload k of the list uses seeds S + k * pairs ... S + (k + 1) *
-pairs - 1, one per pair.  To measure uncommitted work, pass ``--change
+Each of the 10 pairs of each workload of ``BENCHMARK.json`` is two runs
+of ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``,
+with T its ``run_seconds``, under ``PYTHONDONTWRITEBYTECODE=1``, each in a
+fresh ``git archive`` copy of its commit under DIR that is deleted after
+the run, so neither side reads the other's files or byte code.
+``perfbench/run.py`` is each commit's own, unchanged.  For pair i the
+parent runs first when i is even.  Workload k uses seeds S + 10k ...
+S + 10k + 9, one per pair.  To measure uncommitted work, pass ``--change
 $(git stash create)``: a commit of the working tree that no branch holds.
 
 The file records both commit ids, the method, every seed, each side's
@@ -18,7 +19,7 @@ values, the medians, the quartiles (``statistics.quantiles``, inclusive)
 and how many pairs the change won.  ``bounds`` compares the medians with
 the bounds of ``BENCHMARK.json``.  With ``--claim W`` it also states
 whether W's ``graphs_per_s`` gain holds: the change wins at least 9 of
-10 pairs and its median beats the parent's by more than the parent's
+the 10 pairs and its median beats the parent's by more than the parent's
 interquartile range.  With ``--trace-seed``, one ``--trace 1`` run per
 side of each workload is added under ``trace``.
 
@@ -41,6 +42,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("soundness_mix", "extremal_corpus", "cli_pipeline")
+PAIRS = 10
 # the workload-specific figures that each run prints and the file keeps
 PRINTED = {
     "soundness_mix": ("small_graphs_per_s", "large_graphs_per_s"),
@@ -124,9 +126,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--workdir", type=Path, required=True, help="where the copies are made")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--title", required=True)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=20.0)
-    p.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     p.add_argument("--claim", choices=WORKLOADS, default=None,
                    help="the workload whose graphs_per_s gain is claimed")
     p.add_argument("--trace-seed", type=int, default=None,
@@ -135,6 +134,7 @@ def main(argv: list[str] | None = None) -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     e2e = {m["name"]: m for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
     commits = {"parent": resolve(args.parent), "change": resolve(args.change)}
     args.workdir.mkdir(parents=True, exist_ok=True)
     doc: dict = {
@@ -142,9 +142,9 @@ def main(argv: list[str] | None = None) -> int:
         "parent_commit": commits["parent"],
         "change_commit": commits["change"],
         "method": (
-            f"{args.pairs} pairs per workload, one seed per pair; the parent runs first in pairs "
+            f"{PAIRS} pairs per workload, one seed per pair; the parent runs first in pairs "
             f"0, 2, 4, ...; each run is `PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py "
-            f"--workload W --seed S --seconds {args.seconds:g} --trace 0` in a fresh `git archive` "
+            f"--workload W --seed S --seconds {seconds:g} --trace 0` in a fresh `git archive` "
             f"copy of its commit, deleted after the run, one run at a time; written by "
             f"tools/bench_pairs.py on Python {sys.version.split()[0]}. Values are the "
             f"speed-scaled figures each run prints. Quartiles are "
@@ -152,12 +152,12 @@ def main(argv: list[str] | None = None) -> int:
         ),
         "workloads": {},
     }
-    for k, workload in enumerate(args.workloads):
-        seeds = [args.seed_base + k * args.pairs + i for i in range(args.pairs)]
+    for k, workload in enumerate(WORKLOADS):
+        seeds = [args.seed_base + k * PAIRS + i for i in range(PAIRS)]
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
         for i, seed in enumerate(seeds):
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                res = run_once(commits[side], args.workdir, workload, seed, args.seconds, 0)
+                res = run_once(commits[side], args.workdir, workload, seed, seconds, 0)
                 runs[side].append(res)
                 print(f"{workload} pair {i} seed {seed} {side}: "
                       f"graphs_per_s {res['metrics']['graphs_per_s']:.2f}", file=sys.stderr)
@@ -196,14 +196,14 @@ def main(argv: list[str] | None = None) -> int:
         gps = doc["workloads"][args.claim]["graphs_per_s"]
         iqr = gps["parent_quartiles"][2] - gps["parent_quartiles"][0]
         diff = gps["change_median"] - gps["parent_median"]
-        need = -(-9 * args.pairs // 10)
+        need = -(-9 * PAIRS // 10)
         doc["claim"] = {
             "workload": args.claim,
             "metric": "graphs_per_s",
-            "rule": f"the change is better in at least {need} of {args.pairs} pairs, and its median "
+            "rule": f"the change is better in at least {need} of {PAIRS} pairs, and its median "
                     "exceeds the parent's by more than the parent's IQR",
             "change_better_pairs": gps["change_better_pairs"],
-            "pairs": args.pairs,
+            "pairs": PAIRS,
             "ratio_of_medians": round(gps["change_median"] / gps["parent_median"], 4),
             "median_difference": round(diff, 4),
             "parent_iqr": round(iqr, 4),
@@ -211,13 +211,13 @@ def main(argv: list[str] | None = None) -> int:
         }
     if args.trace_seed is not None:
         trace: dict = {"method": f"one `perfbench/run.py --workload W --seed {args.trace_seed} "
-                                 f"--seconds {args.seconds:g} --trace 1` run per side, each in a "
+                                 f"--seconds {seconds:g} --trace 1` run per side, each in a "
                                  "fresh `git archive` copy"}
-        for workload in args.workloads:
+        for workload in WORKLOADS:
             trace[workload] = {}
             for side in ("parent", "change"):
                 res = run_once(commits[side], args.workdir, workload, args.trace_seed,
-                               args.seconds, 1)
+                               seconds, 1)
                 trace[workload][side] = {**res["layers"], "correct": res["correct"],
                                          "replay": res.get("replay", [])}
         doc["trace"] = trace
