@@ -1,16 +1,21 @@
 """Theorem verification engine: premises, conclusions, verdicts.
 
 A TheoremSpec is a declarative record (premises, conclusion, parameter
-domain, sharpness cases).  ``decide`` evaluates one theorem on one graph
-and returns its verdict's kind, lambda and witness, plus what the detail
-is formatted from; ``check`` formats that into a Verdict.  A sweep
-throws the detail away unless the verdict is VIOLATED, and formatting
-it and building the Verdict cost more than the decision itself on a
-Profile that already holds its invariants, so the sweep reads decisions.
-A VIOLATED verdict is reachable only through solver bugs, so the sweep
-treats it as a defect alarm.  Each premise chooses its test once, on
-first use, and every evaluation calls it; toughness and binding-number
-thresholds compare integer bounds by cross-multiplication.
+domain, sharpness cases).  A ``Plan`` is the one evaluation path: built
+once for a list of theorems, it decides them all on one graph, testing
+each distinct premise at most once per graph and lambda and each
+statement that several ids share once.  It returns each verdict's kind,
+lambda and witness, plus what the detail is formatted from.  ``decide``
+is a plan of one theorem, and ``check`` formats its decision into a
+Verdict.  A sweep throws the detail away unless the verdict is VIOLATED,
+and formatting it and building the Verdict cost more than the decision
+itself on a Profile that already holds its invariants, so the sweep reads
+a plan's decisions.  A VIOLATED verdict is reachable only through solver
+bugs, so the sweep treats it as a defect alarm.  Each premise chooses its
+test once, on first use; numeric premises and circumference bounds are
+compiled from their labels and compare by integer cross-multiplication
+where every denominator is known positive, as do the toughness and
+binding-number thresholds.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from time import perf_counter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .cycles import (
@@ -246,7 +252,7 @@ class Profile:
         return LongestCycles(g, lambda: (
             self.separator[1], g.full_mask ^ mask_of(self.independent_set[1])))
 
-    @property
+    @cached_property
     def c(self) -> int:
         return self.cycles.c
 
@@ -380,7 +386,7 @@ _REWRITES = (
     (r"(?<![\w.])(\d+)(?=[A-Za-z(])", r"\1*"),  # 2delta, 3(delta-1)
     (r"\)(?=[\w(])", ")*"),  # (p+2)(delta-p)
 )
-_PROFILE_NAMES = frozenset(("n", "q", "delta", "Delta", "kappa", "alpha", "tau", "binding",
+_PROFILE_NAMES = frozenset(("n", "q", "c", "delta", "Delta", "kappa", "alpha", "tau", "binding",
                             "sigma2", "sigma3", "delta2", "delta3"))
 _RELATIONS = {ast.Gt: ">", ast.GtE: ">=", ast.Lt: "<", ast.LtE: "<="}
 _SUMS = {ast.Add: "+", ast.Sub: "-"}
@@ -484,7 +490,15 @@ def _compile(label: str, params: str) -> Callable:
 
 class Premise:
     """One premise, by ``kind``: "numeric" (``given``, else the compiled
-    label), "free" (no induced ``patterns``) or "class" (``cls``)."""
+    label), "free" (no induced ``patterns``) or "class" (``cls``).
+
+    A ``Plan`` holds each premise's ``outcome`` on a graph: False when it
+    holds, else the decision it makes, one of ``fails``, ``undefined``
+    (its test raised ZeroDivisionError) and ``undecidable`` (an
+    assertable-only class), built once here, without a lambda.  A premise
+    that ``uses_lambda`` (its label names lambda, or its test is a given
+    function) is tested once per lambda, any other once per graph.
+    """
 
     def __init__(
         self,
@@ -499,6 +513,10 @@ class Premise:
         self.given = given
         self.patterns = patterns
         self.cls = cls
+        self.uses_lambda = kind == "numeric" and (given is not None or "lambda" in label)
+        self.fails = "vacuous", None, None, ("premise fails: {}", label)
+        self.undefined = "vacuous", None, None, ("premise '{}' undefined", label)
+        self.undecidable = "inapplicable", None, None, ("premise '{}' is not decidable here", label)
 
     @cached_property
     def fn(self) -> Callable[[Profile, int | None], bool] | None:
@@ -515,12 +533,16 @@ class Premise:
         cls = self.cls
         return lambda pf, lam: getattr(pf, cls)
 
-    def evaluate(self, pf: Profile, lam: int | None, assume: frozenset[str]) -> bool | None:
-        """True/False, or None when the premise is assertable-only and unasserted."""
-        if self.cls in assume:
-            return True
+    def outcome(self, pf: Profile, lam: int | None) -> Decision | bool:
+        """False when the premise holds, else the decision it makes, built
+        without a lambda: what a ``Plan`` holds and an audit reads."""
         test = self.fn
-        return None if test is None else test(pf, lam)
+        if test is None:
+            return self.undecidable
+        try:
+            return not test(pf, lam) and self.fails
+        except ZeroDivisionError:
+            return self.undefined
 
 
 def numeric(label: str, fn: Callable[[Profile, int | None], bool] | None = None) -> Premise:
@@ -553,18 +575,29 @@ class Outcome:
 
 class BoundOutcome:
     """An ``Outcome`` that compares c with a bound, from ``Bound`` and from
-    ``ResidualBound``'s worst case.  Its detail is ``text`` filled with c
-    and the bound, formatted only when read: a sweep reads it only for a
-    VIOLATED verdict, and takes c - bound as its slack."""
+    ``ResidualBound``'s worst case.  c and the bound, ``value(pf, lam)``,
+    are read only when asked for: a sweep reads them only for the slack of
+    a circumference bound without lambda, and the detail, ``text`` filled
+    with c and the bound, only for a VIOLATED verdict."""
 
-    __slots__ = ("ok", "text", "c", "bound", "witness")
+    __slots__ = ("ok", "text", "value", "pf", "lam", "witness")
 
-    def __init__(self, ok: bool, text: str, c: int, bound: Exact, witness: object = None):
+    def __init__(self, ok: bool, text: str, value: Callable[[Profile, int | None], Exact],
+                 pf: Profile, lam: int | None, witness: object = None):
         self.ok = ok
         self.text = text
-        self.c = c
-        self.bound = bound
+        self.value = value
+        self.pf = pf
+        self.lam = lam
         self.witness = witness
+
+    @property
+    def c(self) -> int:
+        return self.pf.c
+
+    @property
+    def bound(self) -> Exact:
+        return self.value(self.pf, self.lam)
 
     @property
     def detail(self) -> str:
@@ -620,8 +653,14 @@ class EveryLongestProp(Conclusion):
 
 
 class Bound(Conclusion):
-    """Circumference lower bound c >= expr (or strictly >); without ``expr``
-    the label is compiled on first use."""
+    """Circumference lower bound c >= expr (or strictly >).
+
+    ``test`` decides the outcome.  Without ``expr`` it is the relation
+    ``c >= label`` compiled as a premise's label is, cross-multiplied where
+    every denominator is known positive, so no Fraction is built; a given
+    ``expr`` is compared with c as a value.  The bound's value, ``expr``
+    (the label compiled as a term), is computed only when the outcome's
+    slack or detail is read.  Both are compiled on first use."""
 
     def __init__(self, label: str, expr: Callable[[Profile, int | None], Exact] | None = None,
                  strict: bool = False):
@@ -636,12 +675,19 @@ class Bound(Conclusion):
     def expr(self) -> Callable[[Profile, int | None], Exact]:
         return self.given or _compile(self.term, "pf, lam")
 
+    @cached_property
+    def test(self) -> Callable[[Profile, int | None], bool]:
+        given = self.given
+        if given is None:
+            return _compile(self.label, "pf, lam")
+        if self.strict:
+            return lambda pf, lam: pf.c > given(pf, lam)
+        return lambda pf, lam: pf.c >= given(pf, lam)
+
     def check(self, pf: Profile, lam: int | None) -> BoundOutcome:
-        bound = self.expr(pf, lam)
-        c = pf.c
-        if c > bound if self.strict else c >= bound:
-            return BoundOutcome(True, self.texts[1], c, bound, pf.cycles.cycle)
-        return BoundOutcome(False, self.texts[0], c, bound)
+        if self.test(pf, lam):
+            return BoundOutcome(True, self.texts[1], self.expr, pf, lam, pf.cycles.cycle)
+        return BoundOutcome(False, self.texts[0], self.expr, pf, lam)
 
 
 class ResidualBound(Conclusion):
@@ -681,7 +727,8 @@ class ResidualBound(Conclusion):
                 if b > worst:
                     worst = b
         if c >= worst:
-            return BoundOutcome(True, "c={} >= worst-case residual bound {}", c, worst)
+            return BoundOutcome(True, "c={} >= worst-case residual bound {}",
+                                lambda pf, lam: worst, pf, lam)
 
         lc = pf.cycles
 
@@ -812,48 +859,122 @@ class Verdict:
         return rec
 
 
-_NOTHING_ASSUMED: frozenset[str] = frozenset()
-
 # A decision: (kind, lambda, witness, why), where ``why`` is what the
 # Verdict's detail is formatted from (``_detail``).
 Decision = tuple[str, "int | None", object, object]
 
 
-def decide(
-    pf: Graph | Profile,
-    spec: TheoremSpec,
-    assume: Iterable[str] = (),
-    lam: int | None = None,
-) -> Decision:
-    """Decide one theorem on one graph: (kind, lambda, witness, why).
+class Plan:
+    """Decides a list of theorems on one graph at a time; the one evaluation
+    path, which ``decide``, ``check`` and ``sweep`` all take.
 
-    Premises are evaluated in order; an unsupported class premise that is
-    not asserted makes the theorem inapplicable, a failing premise makes
-    it vacuous, and so does an order below the spec's ``n_floor``.
-    Parameterized theorems iterate their feasible lambda range unless a
-    fixed lambda is given; every lambda domain starts at 1, so a fixed
-    lambda below 1 is a ValueError.  Over a range, the first VIOLATED
-    lambda wins, then the first ceiling, then the first inapplicable;
-    several lambdas that hold are summed up as one verdict without a
-    lambda, and so are several that are all vacuous.
+    Built once for the specs and the classes asserted in ``assume``: each
+    distinct premise gets a slot, and a class premise in ``assume`` is
+    dropped as it holds.  Specs whose remaining premises, conclusion,
+    lambda domain and order floor are the same objects, as an alias's are
+    its base's, share one entry, decided once per graph.
 
-    ``why`` is what ``check`` formats the Verdict's detail from, and
-    nothing is formatted here.  A sweep reads the decision alone and
-    builds a Verdict only for a VIOLATED one, so the detail of every
-    other (graph, theorem) pair is never formatted.
+    ``decide(pf, lam)`` gives each spec its entry's (decision, seconds), in
+    the order of the specs.  An entry's premises are tested in order; an
+    assertable-only class premise that is not asserted makes the theorem
+    inapplicable, a failing premise makes it vacuous, and so does an order
+    below the order floor.  Each premise is tested at most once per graph
+    and lambda (once per graph unless it ``uses_lambda``), and its
+    outcome is held for every later entry.  Parameterized theorems iterate
+    their feasible lambda range unless a fixed lambda is given; every
+    lambda domain starts at 1, so a fixed lambda below 1 is a ValueError.
+    Over a range, the first VIOLATED lambda wins, then the first ceiling,
+    then the first inapplicable; several lambdas that hold are summed up
+    as one decision without a lambda, and so are several that are all
+    vacuous.  The seconds are the time since the previous entry's
+    decision, from one clock read per entry.
+
+    Nothing is formatted here: ``why`` is what ``check`` formats the
+    Verdict's detail from, and a sweep builds a Verdict only for a VIOLATED
+    decision.
     """
-    if lam is not None and lam < 1:
-        raise ValueError("lambda must be >= 1")
-    pf = _profile(pf)
-    if pf.n < spec.n_floor:
-        return "vacuous", None, None, ("n={} below floor {}", pf.n, spec.n_floor)
-    assume_set = frozenset(assume) if assume else _NOTHING_ASSUMED
-    if spec.lambdas is None or lam is not None:
-        return _decide_at(pf, spec, assume_set, lam)
-    lams = list(spec.lambdas(pf))
-    if not lams:
+
+    def __init__(self, specs: Iterable[TheoremSpec], assume: Iterable[str] = ()):
+        assume = frozenset(assume)
+        slots: dict[Premise, int] = {}
+        entries: dict[tuple, int] = {}
+        # (n_floor, lambdas, premise slots, whether each uses lambda, conclusion)
+        self.entries: list[tuple] = []
+        self.index: list[int] = []  # each spec's entry
+        for spec in specs:
+            kept = [p for p in spec.premises if p.cls not in assume]
+            at = tuple(slots.setdefault(p, len(slots)) for p in kept)
+            key = (at, id(spec.conclusion), id(spec.lambdas), spec.n_floor)
+            if key not in entries:
+                entries[key] = len(self.entries)
+                self.entries.append((spec.n_floor, spec.lambdas, at,
+                                     tuple(p.uses_lambda for p in kept), spec.conclusion))
+            self.index.append(entries[key])
+        self.premises = list(slots)
+
+    def decide(self, pf: Graph | Profile, lam: int | None = None) -> list[tuple[Decision, float]]:
+        if lam is not None and lam < 1:
+            raise ValueError("lambda must be >= 1")
+        pf = _profile(pf)
+        n = pf.n
+        premises = self.premises
+        size = len(premises)
+        held: list = [None] * size  # outcomes of premises without lambda
+        by_lam: dict[int, list] = {}  # outcomes of premises with lambda, by lambda
+        decided = []
+        clock = perf_counter
+        t = clock()
+        for n_floor, lambdas, slots, uses, conclusion in self.entries:
+            if n < n_floor:
+                decision = "vacuous", None, None, ("n={} below floor {}", n, n_floor)
+            elif lambdas is None and lam is None:
+                for slot in slots:
+                    v = held[slot]
+                    if v is None:
+                        v = held[slot] = premises[slot].outcome(pf, None)
+                    if v:
+                        decision = v
+                        break
+                else:
+                    decision = _conclude(conclusion, pf, None)
+            else:
+                results = []
+                for lv in lambdas(pf) if lam is None else (lam,):
+                    at = by_lam.get(lv)
+                    if at is None:
+                        at = by_lam[lv] = [None] * size
+                    for slot, with_lam in zip(slots, uses):
+                        outcomes = at if with_lam else held
+                        v = outcomes[slot]
+                        if v is None:
+                            v = outcomes[slot] = premises[slot].outcome(pf, lv)
+                        if v:
+                            decision = v[0], lv, None, v[3]
+                            break
+                    else:
+                        decision = _conclude(conclusion, pf, lv)
+                    results.append(decision)
+                if lam is None:
+                    decision = _over_range(results)
+            now = clock()
+            decided.append((decision, now - t))
+            t = now
+        return [decided[i] for i in self.index]
+
+
+def _conclude(conclusion: Conclusion, pf: Profile, lam: int | None) -> Decision:
+    """The decision of a theorem whose premises hold."""
+    try:
+        out = conclusion.check(pf, lam)
+    except CeilingError as exc:
+        return "ceiling", lam, None, ("{}", exc)
+    return "holds" if out.ok else "VIOLATED", lam, out.witness, out
+
+
+def _over_range(results: list[Decision]) -> Decision:
+    """One decision for the decisions over a lambda range."""
+    if not results:
         return "vacuous", None, None, ("empty parameter domain",)
-    results = [_decide_at(pf, spec, assume_set, lv) for lv in lams]
     kinds = [r[0] for r in results]
     for kind in ("VIOLATED", "ceiling", "inapplicable"):
         if kind in kinds:
@@ -866,21 +987,24 @@ def decide(
     return results[0] if len(results) == 1 else ("vacuous", None, None, results[:4])
 
 
-def _decide_at(pf: Profile, spec: TheoremSpec, assume: frozenset[str], lam: int | None) -> Decision:
-    for prem in spec.premises:
-        try:
-            val = prem.evaluate(pf, lam, assume)
-        except ZeroDivisionError:
-            return "vacuous", lam, None, ("premise '{}' undefined", prem.label)
-        if val is None:
-            return "inapplicable", lam, None, ("premise '{}' is not decidable here", prem.label)
-        if not val:
-            return "vacuous", lam, None, ("premise fails: {}", prem.label)
-    try:
-        out = spec.conclusion.check(pf, lam)
-    except CeilingError as exc:
-        return "ceiling", lam, None, ("{}", exc)
-    return "holds" if out.ok else "VIOLATED", lam, out.witness, out
+def decide(
+    pf: Graph | Profile,
+    spec: TheoremSpec,
+    assume: Iterable[str] = (),
+    lam: int | None = None,
+) -> Decision:
+    """Decide one theorem on one graph, as a ``Plan`` of one: (kind, lambda,
+    witness, why)."""
+    plan = Plan((spec,), assume) if assume else plan_of((spec,))
+    return plan.decide(pf, lam)[0][0]
+
+
+@cache
+def plan_of(specs: tuple[TheoremSpec, ...]) -> Plan:
+    """The plan of these theorems with nothing assumed, built on first use:
+    a ``check_all`` decides every entry on each graph it is given, and a
+    program may sweep the same theorems over many ensembles."""
+    return Plan(specs)
 
 
 def _detail(why: object) -> str:
@@ -974,8 +1098,7 @@ def _premise_status(
     for prem in spec.premises:
         if prem.label in skip:
             continue
-        val = prem.evaluate(pf, lam, frozenset())
-        if val:
+        if not prem.outcome(pf, lam):
             notes.append(f"{prem.label}: holds")
         elif prem.label in waive:
             warnings.append(f"premise '{prem.label}' fails on this example (waived)")
@@ -1005,7 +1128,7 @@ def premise_tight_case(
             pf = Profile(g)
             ok, notes, warnings = _premise_status(spec, pf, lam, skip=(target,), waive=waive)
             tgt = next(p for p in spec.premises if p.label == target)
-            tgt_holds = bool(tgt.evaluate(pf, lam, frozenset()))
+            tgt_holds = not tgt.outcome(pf, lam)
             rel_holds = relaxed is None or relaxed.fn(pf, lam)
             if conclusion_fails is not None:
                 failed, fail_detail = conclusion_fails(pf)

@@ -6,26 +6,26 @@ rates plus average slack for circumference bounds.  Any VIOLATED verdict
 is a defect alarm: the report keeps the offending graph6 string and the
 full verdict transcript.
 
-Records and tallies are read off ``registry.decide``, which formats no
+Records and tallies are read off the ``registry.Plan`` of the swept
+theorems (``plan_of``, built once per list of theorems), which formats no
 detail: building a ``Verdict`` for every (graph, theorem) pair cost more
 than deciding it, and only a VIOLATED verdict's detail is kept.  That
-verdict is built by ``check``, which decides it again.  Each statement is
-decided once per graph: an alias shares its base's premises, conclusion,
-lambda domain and order floor, so the base's decision is recorded and
-tallied under both ids, each record with that decision's time as its
-``timing``.
+verdict is built by ``check``, which decides it again.  The plan tests
+each premise at most once per graph and lambda and decides each statement
+once per graph: an alias shares its base's premises, conclusion, lambda
+domain and order floor, so the base's decision is recorded and tallied
+under both ids, each record with that decision's time as its ``timing``.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .formats import encode_graph6
 from .graph import Graph, GraphError, from_edge_list
-from .registry import Bound, Decision, Profile, TheoremSpec, Verdict, check, decide
+from .registry import Bound, Profile, TheoremSpec, Verdict, check, plan_of
 
 
 # -- ensemble generators --------------------------------------------------
@@ -86,8 +86,10 @@ def random_bipartite(a: int, b: int, p: float, count: int, seed: int) -> Iterato
 
 class SweepRecord:
     """One verdict of a sweep, as ``sweep --json`` prints it.  ``timing`` is
-    the seconds its decision took; an alias and its base, decided once,
-    carry the same ``timing``."""
+    the seconds its decision took in the sweep's plan, from the end of the
+    graph's previous decision (one clock read per decision), so a premise
+    tested once for several theorems counts toward the first; an alias and
+    its base, decided once, carry the same ``timing``."""
 
     __slots__ = ("graph6", "theorem", "lam", "verdict", "witness", "timing")
 
@@ -175,13 +177,6 @@ def _has_slack(spec: TheoremSpec) -> bool:
     return isinstance(spec.conclusion, Bound) and spec.lambdas is None
 
 
-def _statement(spec: TheoremSpec) -> tuple:
-    """What ``decide`` reads of a spec: the premise, conclusion and lambda
-    domain objects and the order floor.  An alias shares all four with its
-    base, so one decision serves both."""
-    return (tuple(map(id, spec.premises)), id(spec.conclusion), id(spec.lambdas), spec.n_floor)
-
-
 def sweep(
     graphs: Iterator[Graph] | Sequence[Graph],
     specs: Sequence[TheoremSpec] | None = None,
@@ -195,24 +190,13 @@ def sweep(
         specs = catalog()
     specs = [s for s in specs if include_quarantined or not s.quarantined]
     report = SweepReport({s.id: TheoremTally() for s in specs})
-    groups: dict[tuple, int] = {}
-    plan = [
-        (spec, report.tallies[spec.id], _has_slack(spec),
-         groups.setdefault(_statement(spec), len(groups)))
-        for spec in specs
-    ]
-    clock = time.perf_counter
+    plan = plan_of(tuple(specs))
+    entries = [(spec, report.tallies[spec.id], _has_slack(spec)) for spec in specs]
+    record = report.records.append
     for g in graphs:
         g6 = encode_graph6(g)
         pf = Profile(g)
-        decisions: list[tuple[Decision, float] | None] = [None] * len(groups)
-        for spec, tally, has_slack, group in plan:
-            held = decisions[group]
-            if held is None:
-                t0 = clock()
-                decision = decide(pf, spec)
-                held = decisions[group] = decision, clock() - t0
-            (kind, lam, witness, why), dt = held
+        for (spec, tally, has_slack), ((kind, lam, witness, why), dt) in zip(entries, plan.decide(pf)):
             tally.graphs += 1
             if kind == "holds":
                 tally.holds += 1
@@ -229,7 +213,7 @@ def sweep(
                 tally.violated += 1
                 report.violated.append((g6, check(pf, spec)))
             if keep_records:
-                report.records.append(SweepRecord(
+                record(SweepRecord(
                     g6, spec.id, lam, kind, None if witness is None else str(witness), dt,
                 ))
     return report

@@ -508,3 +508,50 @@ def cycle_search(
                 yield from dfs(u, visited | ubit, length + 1)
 
         yield from dfs(s, sbit, 1)
+
+
+# The per-theorem decision, kept as it was before ``registry.Plan`` decided
+# a list of theorems at once: every premise of every theorem is tested
+# again at every lambda, and an asserted class premise holds when reached.
+
+
+def decide(pf, spec, assume=(), lam: int | None = None) -> tuple:
+    """(kind, lambda, witness, why) of one theorem on one Profile."""
+    if lam is not None and lam < 1:
+        raise ValueError("lambda must be >= 1")
+    if pf.n < spec.n_floor:
+        return "vacuous", None, None, ("n={} below floor {}", pf.n, spec.n_floor)
+    assume = frozenset(assume)
+    if spec.lambdas is None or lam is not None:
+        return _decide_at(pf, spec, assume, lam)
+    lams = list(spec.lambdas(pf))
+    if not lams:
+        return "vacuous", None, None, ("empty parameter domain",)
+    results = [_decide_at(pf, spec, assume, lv) for lv in lams]
+    kinds = [r[0] for r in results]
+    for kind in ("VIOLATED", "ceiling", "inapplicable"):
+        if kind in kinds:
+            return results[kinds.index(kind)]
+    held = [r[1] for r in results if r[0] == "holds"]
+    if len(held) > 1:
+        return "holds", None, None, ("holds for lambda in {}", held)
+    if held:
+        return results[kinds.index("holds")]
+    return results[0] if len(results) == 1 else ("vacuous", None, None, results[:4])
+
+
+def _decide_at(pf, spec, assume: frozenset[str], lam: int | None) -> tuple:
+    for prem in spec.premises:
+        try:
+            val = True if prem.cls in assume else None if prem.fn is None else prem.fn(pf, lam)
+        except ZeroDivisionError:
+            return "vacuous", lam, None, ("premise '{}' undefined", prem.label)
+        if val is None:
+            return "inapplicable", lam, None, ("premise '{}' is not decidable here", prem.label)
+        if not val:
+            return "vacuous", lam, None, ("premise fails: {}", prem.label)
+    try:
+        out = spec.conclusion.check(pf, lam)
+    except CeilingError as exc:
+        return "ceiling", lam, None, ("{}", exc)
+    return "holds" if out.ok else "VIOLATED", lam, out.witness, out

@@ -325,6 +325,32 @@ def test_compiled_labels_match_their_hand_written_oracles():
     assert checked > 100_000
 
 
+def test_circumference_bounds_decide_as_the_fraction_comparison():
+    """A Bound decides c >= label (or >) from the label compiled as a
+    relation; its outcome holds exactly when c compares so with the bound's
+    value, which the outcome reads back, at every lambda its spec iterates."""
+    uses = [(spec, part) for spec in catalog() for part in _bounds(spec.conclusion)
+            if isinstance(part, Bound)]
+    assert len(uses) >= 30
+    checked = 0
+    for g in oracle_corpus():
+        pf = Profile(g)
+        for spec, bound in uses:
+            for lam in spec.lambdas(pf) if spec.lambdas is not None else [None]:
+                try:
+                    value = bound.expr(pf, lam)
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroDivisionError):
+                        bound.check(pf, lam)
+                    continue
+                out = bound.check(pf, lam)
+                assert out.ok == (pf.c > value if bound.strict else pf.c >= value), (
+                    g, spec.id, bound.label, lam)
+                assert (out.c, type(out.bound), out.bound) == (pf.c, type(value), value)
+                checked += 1
+    assert checked > 30_000
+
+
 # The entries that keep an explicit function: their labels are outside the
 # grammar, apart from T13's, whose function settles the bound from
 # kappa/alpha without the exact tau where it can.

@@ -1,7 +1,6 @@
 """CLI grammar, exit codes and output determinism."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -400,31 +399,31 @@ def test_every_model_choice_sweeps():
 
 
 def test_sweep_command_exits_1_on_a_violated_verdict(monkeypatch, capsys):
-    from cyclekit import sweep
     from cyclekit.catalog import catalog
+    from cyclekit.registry import Outcome
 
-    real_decide, real_check = sweep.decide, sweep.check
+    specs = catalog()
+    owners = [id(spec.conclusion) for spec in specs]
     forged = []
-    statements = [spec.statement for spec in catalog()]
 
-    # The first (graph, theorem) pair whose statement no alias shares (an
-    # alias is recorded with its base's decision) reads VIOLATED: in the
-    # decision the sweep tallies, and in the Verdict it then builds for its
-    # report.
-    def decide(pf, spec):
-        kind, lam, witness, why = real_decide(pf, spec)
-        if not forged and statements.count(spec.statement) == 1:
-            forged.append((pf, spec))
-            kind = "VIOLATED"
-        return kind, lam, witness, why
+    # The first conclusion check of a theorem whose conclusion no other
+    # entry shares (an alias shares its base's, and is recorded with its
+    # decision) fails: in the decision the sweep tallies, and in the Verdict
+    # that ``check`` then decides again on the same Profile for the report.
+    def forging(spec):
+        real = spec.conclusion.check
 
-    def check(pf, spec):
-        v = real_check(pf, spec)
-        return dataclasses.replace(v, kind="VIOLATED") if (pf, spec) == forged[0] else v
+        def check(pf, lam):
+            if not forged:
+                forged.append((pf, lam, spec))
+            return Outcome(False, "forged") if forged[0] == (pf, lam, spec) else real(pf, lam)
 
-    monkeypatch.setattr(sweep, "decide", decide)
-    monkeypatch.setattr(sweep, "check", check)
+        return check
+
+    for spec in specs:
+        if owners.count(id(spec.conclusion)) == 1:
+            monkeypatch.setitem(vars(spec.conclusion), "check", forging(spec))
     assert cli.main(["sweep", "--n", "5", "--count", "2", "--seed", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("VIOLATED on ") and err.count("\n") == 1
-    assert f"'theorem': '{forged[0][1].id}', 'verdict': 'VIOLATED'" in err
+    assert f"'theorem': '{forged[0][2].id}', 'verdict': 'VIOLATED'" in err

@@ -3,6 +3,7 @@
 import functools
 import json
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 from cyclekit import cli, cycles, invariants, registry
 from cyclekit.catalog import catalog, get
 from cyclekit.cycles import (
+    CeilingError,
     CertificateError,
     LongestCycles,
     circumference,
@@ -37,20 +39,28 @@ from cyclekit.graph import (
     star,
 )
 from cyclekit.registry import (
+    Conclusion,
     EveryLongestProp,
     ExistsProp,
+    Ham,
+    Plan,
     Profile,
     ResidualBound,
+    TheoremSpec,
+    _detail,
     audit_sharpness,
     check,
     check_all,
+    in_class,
     invariant_report,
+    numeric,
 )
 from cyclekit.invariants import cut_scan
 from cyclekit.structure import claw, contains_induced, net
 from conftest import listable_corpus, mixed_corpus, oracle_corpus, seeded_gnp
 from oracles import contains_induced as backtracking_contains_induced
 from oracles import cut_scan as exhaustive_cut_scan
+from oracles import decide as reference_decide
 from test_invariants import naive_kappa
 
 
@@ -434,6 +444,63 @@ def test_check_rejects_lambda_below_one():
             with pytest.raises(ValueError, match="lambda must be >= 1"):
                 check(pf, get(spec_id), lam=lam)
         assert check(pf, get(spec_id), lam=1).kind != "VIOLATED"
+
+
+class _PastTheCap(Conclusion):
+    label = "a conclusion past its vertex cap"
+
+    def check(self, pf, lam):
+        raise CeilingError(f"forged cap at n={pf.n}")
+
+
+def _forged_specs() -> list[TheoremSpec]:
+    """Entries that reach every exit of a decision: a premise shared by two
+    entries and undefined on every graph, one undefined at lambda = 1 only,
+    assertable-only and supported class premises, an empty lambda domain,
+    an order floor and a conclusion that raises CeilingError."""
+    undefined = numeric("kappa/(n-n) >= 1")
+    connected = numeric("kappa >= 1")
+    ham = Ham()
+    return [
+        TheoremSpec("undef1", "forged", "", ham, (undefined,)),
+        TheoremSpec("undef2", "forged", "", ham, (connected, undefined)),
+        TheoremSpec("undefLam", "forged", "", ham, (numeric("n/(lambda-1) >= 2"),),
+                    lambdas=lambda pf: range(1, 4)),
+        TheoremSpec("classes", "forged", "", ham, (in_class("interval"), in_class("planar"))),
+        TheoremSpec("empty", "forged", "", ham, (connected,), lambdas=lambda pf: []),
+        TheoremSpec("floor", "forged", "", ham, (connected,), n_floor=7),
+        TheoremSpec("cap", "forged", "", _PastTheCap(), (connected,)),
+        TheoremSpec("capLam", "forged", "", _PastTheCap(), (connected,),
+                    lambdas=lambda pf: range(1, 3)),
+    ]
+
+
+def _flat(decision: tuple) -> tuple:
+    kind, lam, witness, why = decision
+    return kind, lam, None if witness is None else str(witness), _detail(why)
+
+
+def test_a_plan_decides_as_the_per_theorem_reference():
+    """A plan of the whole catalog and the forged entries gives every entry
+    the decision of the per-theorem reference, with nothing assumed and
+    with two classes assumed, over each lambda domain and at lambda 1..3."""
+    specs = catalog() + _forged_specs()
+    conditions = [(assume, Plan(specs, assume)) for assume in ((), ("interval", "planar"))]
+    kinds = Counter()
+    # oracle_corpus() holds every graph of mixed_corpus() but those of order 1
+    for g in oracle_corpus() + mixed_corpus(ns=range(1, 2)):
+        pf = Profile(g)
+        for assume, plan in conditions:
+            for lam in (None, 1, 2, 3):
+                decisions = plan.decide(pf, lam)
+                assert len(decisions) == len(specs)
+                for spec, (decision, seconds) in zip(specs, decisions):
+                    want = _flat(reference_decide(pf, spec, assume, lam))
+                    assert _flat(decision) == want, (g, spec.id, assume, lam)
+                    assert seconds >= 0
+                    kinds[want[0]] += 1
+    assert set(kinds) == {"holds", "vacuous", "inapplicable", "ceiling", "VIOLATED"}
+    assert sum(kinds.values()) > 900_000
 
 
 def test_residual_bound_enumeration_hits_the_ceiling():

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,9 +15,10 @@ from cyclekit.exact import fmt_exact
 from cyclekit.families import build
 from cyclekit.formats import encode_graph6
 from cyclekit.graph import GraphError, complete_bipartite, cycle_graph, petersen, power
-from cyclekit.registry import Bound, EveryLongestProp, Profile, TheoremSpec, check, decide
+from cyclekit.registry import Bound, EveryLongestProp, Profile, TheoremSpec, check
 from cyclekit.sweep import gnp, random_bipartite, random_regular, sweep
 from conftest import mixed_corpus, seeded_gnp, sweep_outcome
+from oracles import decide as reference_decide
 
 DATA = Path(__file__).parent / "data"
 
@@ -150,15 +152,16 @@ def test_a_sweep_equals_a_loop_of_check_calls():
 
 def test_a_sweep_decides_each_statement_once_per_graph(monkeypatch):
     # An alias shares its base's premises, conclusion, lambda domain and
-    # order floor, so the sweep decides the pair once and records the
+    # order floor, so the sweep's plan decides the pair once and records the
     # decision under both ids: 72 decisions per graph for the 81 entries
-    # that are not quarantined.  Records, tallies and slack sums equal a
-    # loop that decides every entry on its own.
+    # that are not quarantined, each ended by one clock read after the
+    # graph's first.  Each conclusion is checked exactly as often as the
+    # reference decision of every entry but the aliases checks it, and no
+    # premise is tested twice on one graph at one lambda.  Records, tallies
+    # and slack sums equal a loop that decides every entry on its own.
     # Three forged entries share a conclusion object with a catalog entry
     # but differ in the order floor, the premises or the lambda domain, so
     # each is decided on its own.
-    calls = []
-    monkeypatch.setattr(sweep_module, "decide", lambda pf, spec: calls.append(spec.id) or decide(pf, spec))
     graphs = mixed_corpus(seed=41, per_cell=2, ns=range(3, 10)) + [petersen()]
     specs = [s for s in catalog() if not s.quarantined]
     assert len(specs) == 81
@@ -173,15 +176,33 @@ def test_a_sweep_decides_each_statement_once_per_graph(monkeypatch):
         TheoremSpec("lam1", "forged", "lambda = 1 only", ranged.conclusion, ranged.premises,
                     ranged.n_floor, lambda pf: [1]),
     ]
+    reads, tested, checks = [], [], Counter()
+    clock = registry.perf_counter
+    monkeypatch.setattr(registry, "perf_counter", lambda: reads.append(1) or clock())
+    for prem in {p for s in specs for p in s.premises if p.fn is not None}:
+        monkeypatch.setitem(vars(prem), "fn", lambda pf, lam, prem=prem, fn=prem.fn:
+                            tested.append((pf, prem, lam)) or fn(pf, lam))
+    for conclusion in {id(s.conclusion): s.conclusion for s in specs}.values():
+        monkeypatch.setitem(vars(conclusion), "check", lambda pf, lam, key=id(conclusion),
+                            real=conclusion.check: checks.update((key,)) or real(pf, lam))
     rep = sweep(graphs, specs)
-    assert len(calls) == (72 + 3) * len(graphs)
-    assert aliases.isdisjoint(calls)
+    assert len(reads) == (72 + 3 + 1) * len(graphs)
+    assert len(tested) == len(set(tested))
+    swept = +checks
+    checks.clear()
+    for g in graphs:
+        pf = Profile(g)
+        for spec in specs:
+            if spec.id not in aliases:
+                reference_decide(pf, spec)
+    assert swept == +checks
+    assert any(checks[id(s.conclusion)] for s in specs if s.id in aliases)
     records, tallies = [], {s.id: [0] * 8 for s in specs}
     kinds = ("holds", "vacuous", "inapplicable", "ceiling", "VIOLATED")
     for g in graphs:
         g6, pf = encode_graph6(g), Profile(g)
         for spec in specs:
-            kind, lam, witness, why = decide(pf, spec)
+            kind, lam, witness, why = reference_decide(pf, spec)
             records.append((g6, spec.id, lam, kind, None if witness is None else str(witness)))
             t = tallies[spec.id]
             t[0] += 1
